@@ -6,7 +6,7 @@
 //! correction), PClean (generative cleaning from a hand-specified model) and
 //! Garf (self-supervised rule learning). Each is a faithful-behaviour "lite"
 //! version — same signals, same user inputs, same failure modes — documented
-//! per module and in DESIGN.md.
+//! per module.
 //!
 //! All baselines implement the [`Cleaner`] trait, so the evaluation harness
 //! treats them and BClean uniformly.

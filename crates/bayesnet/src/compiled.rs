@@ -16,7 +16,7 @@
 //! The compilation relies on the code-order invariant of
 //! [`bclean_data::encoded`]: code `i < cardinality` of column `j` denotes the
 //! `i`-th sorted distinct non-null value of that column — the same order as
-//! `DiscreteDomain` and `AttributeDomain`. Each compiled table row has
+//! `AttributeDomain`. Each compiled table row has
 //! `cardinality + 2` slots:
 //!
 //! * `0..cardinality` — the dictionary values, in code order;
@@ -281,10 +281,11 @@ impl CompiledCpt {
         self.rows[offset + self.slot(value)]
     }
 
-    /// Crate-internal scoring entry without a parent override, used by the
-    /// equivalence tests of [`crate::counts`].
-    #[cfg(test)]
-    pub(crate) fn log_prob_plain(&self, codes: &[u32], value: u32) -> f64 {
+    /// Pre-floored `log Pr[value | parents]` with every parent code read
+    /// from the code row `codes`: the compiled form of
+    /// `cpt.prob_given_row(v, row).max(1e-300).ln()`. Equivalence tests
+    /// probe tables through this.
+    pub fn log_prob_row(&self, codes: &[u32], value: u32) -> f64 {
         self.log_prob(codes, value, NO_OVERRIDE, 0)
     }
 }

@@ -7,27 +7,17 @@
 //! distribution per parent configuration, where configurations are
 //! mixed-radix indices over the parents' dictionary code spaces (the exact
 //! addressing [`crate::CompiledCpt`] uses at scoring time). One pass over
-//! the code columns yields
-//!
-//! * a [`CompiledCpt`] built **directly** from the dense counts — no
-//!   learn-in-`Value`-space-then-compile detour — via
-//!   [`CompiledCpt::from_counts`], and
-//! * a [`Cpt`] facade materialised by decoding the counts back through the
-//!   dictionaries ([`NodeCounts::to_cpt`]), count-for-count identical to
-//!   [`Cpt::learn`] on the source dataset, so the `Value`-typed API
-//!   (network editing, the reference scoring oracle) keeps working.
+//! the code columns yields the statistics from which
+//! [`CompiledCpt::from_counts`](crate::CompiledCpt::from_counts) builds the
+//! compiled table **directly** — no learn-in-`Value`-space-then-compile
+//! detour — scoring exactly like [`crate::Cpt::learn`] on the source dataset.
 //!
 //! Per-node accumulation is independent, which is what lets the fit
 //! pipeline in `bclean-core` spread nodes across its `ParallelExecutor`.
 
 use std::collections::HashMap;
 
-use bclean_data::{ColumnDict, EncodedDataset, Value};
-
-use crate::compiled::{CompiledCpt, CompiledNetwork};
-use crate::cpt::Cpt;
-use crate::graph::Dag;
-use crate::network::BayesianNetwork;
+use bclean_data::{ColumnDict, EncodedDataset};
 
 /// How the per-configuration counts are stored.
 #[derive(Debug, Clone)]
@@ -56,7 +46,7 @@ pub struct NodeCounts {
     /// Number of rows observed.
     pub(crate) total: usize,
     /// Whether the *compiled* table will use the dense layout (the decision
-    /// is shared with [`CompiledCpt`] so both layouts always agree).
+    /// is shared with [`crate::CompiledCpt`] so both layouts always agree).
     pub(crate) dense: bool,
     pub(crate) layout: CountLayout,
 }
@@ -306,72 +296,6 @@ impl NodeCounts {
         }
         self.total += rows.len();
     }
-
-    /// Materialise the `Value`-keyed [`Cpt`] facade by decoding the counts
-    /// through the dictionaries. Produces exactly the table [`Cpt::learn`]
-    /// builds from the source dataset: same configurations, same counts,
-    /// same marginal, same domain size.
-    pub fn to_cpt(&self, dicts: &[ColumnDict], alpha: f64) -> Cpt {
-        let node_dict = &dicts[self.node];
-        let decode = |code: usize| -> Value { node_dict.decode(code as u32).clone() };
-        let marginal: HashMap<Value, usize> = self
-            .marginal
-            .iter()
-            .enumerate()
-            .filter(|(_, &count)| count > 0)
-            .map(|(code, &count)| (decode(code), count as usize))
-            .collect();
-
-        let mut table: HashMap<Vec<Value>, (HashMap<Value, usize>, usize)> = HashMap::new();
-        let mut insert_config = |index: u128, counts: &[u32], total: u32| {
-            if total == 0 {
-                return;
-            }
-            let key: Vec<Value> = self
-                .parents
-                .iter()
-                .zip(&self.strides)
-                .zip(&self.radices)
-                .map(|((&p, &stride), &radix)| {
-                    let code = (index / stride) % radix as u128;
-                    dicts[p].decode(code as u32).clone()
-                })
-                .collect();
-            let values: HashMap<Value, usize> = counts
-                .iter()
-                .enumerate()
-                .filter(|(_, &count)| count > 0)
-                .map(|(code, &count)| (decode(code), count as usize))
-                .collect();
-            table.insert(key, (values, total as usize));
-        };
-        match &self.layout {
-            CountLayout::Dense { counts, totals } => {
-                for (config, &total) in totals.iter().enumerate() {
-                    insert_config(
-                        config as u128,
-                        &counts[config * self.value_slots..(config + 1) * self.value_slots],
-                        total,
-                    );
-                }
-            }
-            CountLayout::Sparse(map) => {
-                for (&index, (counts, total)) in map {
-                    insert_config(index, counts, *total);
-                }
-            }
-        }
-        Cpt::from_parts(self.node, self.parents.clone(), table, marginal, self.total, alpha)
-    }
-
-    /// Build both models from the statistics: the compiled code-space table
-    /// the scoring hot path consumes, and the `Value` facade for editing and
-    /// the reference oracle.
-    pub fn into_models(self, dicts: &[ColumnDict], alpha: f64) -> (Cpt, CompiledCpt) {
-        let cpt = self.to_cpt(dicts, alpha);
-        let compiled = CompiledCpt::from_counts(&self, alpha);
-        (cpt, compiled)
-    }
 }
 
 /// Mixed-radix addressing of a parent set over the dictionaries: radices,
@@ -530,35 +454,12 @@ impl NodeCounts {
     }
 }
 
-/// Learn the network parameters of `dag` in code space: one
-/// [`NodeCounts`] pass per node, yielding the [`BayesianNetwork`] facade and
-/// its [`CompiledNetwork`] in one step. The serial convenience wrapper —
-/// `bclean-core` runs the same per-node accumulation through its
-/// `ParallelExecutor`.
-pub fn learn_models(
-    encoded: &EncodedDataset,
-    dag: Dag,
-    alpha: f64,
-    attribute_names: Vec<String>,
-) -> (BayesianNetwork, CompiledNetwork) {
-    assert_eq!(
-        dag.num_nodes(),
-        encoded.num_columns(),
-        "DAG node count must match the dataset's attribute count"
-    );
-    let (cpts, compiled): (Vec<Cpt>, Vec<CompiledCpt>) = (0..dag.num_nodes())
-        .map(|node| {
-            NodeCounts::accumulate(encoded, node, &dag.parents(node)).into_models(encoded.dicts(), alpha)
-        })
-        .unzip();
-    let compiled = CompiledNetwork::from_parts(compiled, &dag);
-    (BayesianNetwork::from_parts(dag, cpts, attribute_names), compiled)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bclean_data::{dataset_from, Dataset};
+    use crate::compiled::CompiledCpt;
+    use crate::cpt::Cpt;
+    use bclean_data::{dataset_from, Dataset, Value};
 
     fn fixture() -> Dataset {
         dataset_from(
@@ -574,37 +475,34 @@ mod tests {
         )
     }
 
-    /// The materialised `Cpt` must match `Cpt::learn` probability-for-
-    /// probability (and therefore count-for-count) over every value and
-    /// parent configuration, including nulls.
+    /// The table compiled from the counts must score exactly like
+    /// `Cpt::learn`'s probabilities (floored and logged, as every scoring
+    /// caller does) over every value, unseen values and nulls included,
+    /// under every observed parent configuration, and in the marginal.
     #[test]
-    fn materialised_cpt_matches_value_learning() {
+    fn counted_table_matches_value_learning() {
         let data = fixture();
         let encoded = EncodedDataset::from_dataset(&data);
+        let log = |p: f64| p.max(1e-300).ln().to_bits();
         for (node, parents) in [(1usize, vec![0usize]), (0, vec![]), (2, vec![0, 1])] {
             let learned = Cpt::learn(&data, node, &parents, 0.1);
-            let counted = NodeCounts::accumulate(&encoded, node, &parents).to_cpt(encoded.dicts(), 0.1);
-            assert_eq!(learned.node(), counted.node());
-            assert_eq!(learned.parents(), counted.parents());
-            assert_eq!(learned.num_parent_configs(), counted.num_parent_configs());
-            assert_eq!(learned.domain_size(), counted.domain_size());
-            assert_eq!(learned.num_parameters(), counted.num_parameters());
-            let mut probes: Vec<Value> = encoded.dict(node).values().to_vec();
-            probes.push(Value::Null);
-            probes.push(Value::text("zz-unseen"));
-            for row in data.rows() {
-                let config: Vec<Value> = parents.iter().map(|&p| row[p].clone()).collect();
-                for v in &probes {
+            let counted = CompiledCpt::from_counts(&NodeCounts::accumulate(&encoded, node, &parents), 0.1);
+            let dict = encoded.dict(node);
+            let mut probes: Vec<(Value, u32)> =
+                dict.values().iter().map(|v| (v.clone(), dict.encode(v).unwrap())).collect();
+            probes.push((Value::Null, dict.null_code()));
+            probes.push((Value::text("zz-unseen"), dict.unseen_code()));
+            for (r, row) in data.rows().enumerate() {
+                let codes = encoded.row_codes(r);
+                for (v, code) in &probes {
                     assert_eq!(
-                        learned.prob(v, &config).to_bits(),
-                        counted.prob(v, &config).to_bits(),
-                        "node {node} value {v} config {config:?}"
+                        log(learned.prob_given_row(v, row)),
+                        counted.log_prob_row(&codes, *code).to_bits(),
+                        "node {node} value {v} row {r}"
                     );
-                    assert_eq!(learned.marginal_prob(v).to_bits(), counted.marginal_prob(v).to_bits());
+                    assert_eq!(log(learned.marginal_prob(v)), counted.log_marginal(*code).to_bits());
                 }
-                assert_eq!(learned.argmax(&config), counted.argmax(&config));
             }
-            assert_eq!(learned.support(), counted.support());
         }
     }
 
@@ -622,8 +520,8 @@ mod tests {
                 let codes = encoded.row_codes(r);
                 for code in 0..=dict.unseen_code() {
                     assert_eq!(
-                        via_values.log_prob_plain(&codes, code).to_bits(),
-                        via_counts.log_prob_plain(&codes, code).to_bits(),
+                        via_values.log_prob_row(&codes, code).to_bits(),
+                        via_counts.log_prob_row(&codes, code).to_bits(),
                         "node {node} row {r} code {code}"
                     );
                     assert_eq!(
@@ -632,40 +530,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    /// Whole-network construction: `learn_models` must agree with
-    /// `BayesianNetwork::learn` + `CompiledNetwork::compile`.
-    #[test]
-    fn learn_models_matches_two_step_construction() {
-        let data = fixture();
-        let encoded = EncodedDataset::from_dataset(&data);
-        let mut dag = Dag::new(3);
-        dag.add_edge(0, 1).unwrap();
-        dag.add_edge(0, 2).unwrap();
-        let names: Vec<String> = data.schema().names().iter().map(|s| s.to_string()).collect();
-        let reference = BayesianNetwork::learn(&data, dag.clone(), 0.1);
-        let reference_compiled = CompiledNetwork::compile(&reference, encoded.dicts());
-        let (network, compiled) = learn_models(&encoded, dag, 0.1, names);
-        assert_eq!(network.attribute_names(), reference.attribute_names());
-        assert_eq!(network.num_parameters(), reference.num_parameters());
-        for r in 0..data.num_rows() {
-            let codes = encoded.row_codes(r);
-            let row = data.row(r).unwrap();
-            for col in 0..3 {
-                for code in 0..=encoded.dict(col).unseen_code() {
-                    assert_eq!(
-                        reference_compiled.blanket_log_score(&codes, col, code).to_bits(),
-                        compiled.blanket_log_score(&codes, col, code).to_bits()
-                    );
-                    assert_eq!(
-                        reference_compiled.log_joint_with(&codes, col, code).to_bits(),
-                        compiled.log_joint_with(&codes, col, code).to_bits()
-                    );
-                }
-            }
-            assert_eq!(network.log_joint(row).to_bits(), reference.log_joint(row).to_bits());
         }
     }
 
@@ -684,19 +548,25 @@ mod tests {
         let counts = NodeCounts::accumulate(&encoded, 2, &[0, 1]);
         assert!(!counts.dense, "601 × 601 parent configs must overflow the dense budget");
         let learned = Cpt::learn(&data, 2, &[0, 1], 0.5);
-        let counted = counts.to_cpt(encoded.dicts(), 0.5);
-        assert_eq!(learned.num_parent_configs(), counted.num_parent_configs());
-        let config = vec![Value::text("k007"), Value::text("b007")];
-        for v in [Value::text("x"), Value::text("y"), Value::Null] {
-            assert_eq!(learned.prob(&v, &config).to_bits(), counted.prob(&v, &config).to_bits());
+        let counted = CompiledCpt::from_counts(&counts, 0.5);
+        let dict = encoded.dict(2);
+        for (r, row) in data.rows().enumerate() {
+            let codes = encoded.row_codes(r);
+            for v in [Value::text("x"), Value::text("y"), Value::Null] {
+                assert_eq!(
+                    learned.prob_given_row(&v, row).max(1e-300).ln().to_bits(),
+                    counted.log_prob_row(&codes, dict.encode(&v).unwrap()).to_bits(),
+                    "row {r} value {v}"
+                );
+            }
         }
     }
 
     /// Absorbing appended batches (with dictionary growth forcing marginal,
     /// row and mixed-radix re-addressing) must reproduce a one-shot
-    /// accumulate over the concatenated data: the materialised `Cpt` and the
-    /// compiled scores are compared through values, which is exactly the
-    /// invariant the streaming refit relies on.
+    /// accumulate over the concatenated data: the compiled scores are
+    /// compared through values, which is exactly the invariant the
+    /// streaming refit relies on.
     #[test]
     fn absorbed_batches_match_one_shot_accumulate() {
         let first = fixture();
@@ -721,27 +591,8 @@ mod tests {
             counts.absorb(&grown, report.rows.clone());
             assert_eq!(counts.rows_absorbed(), combined.num_rows());
             let reference = NodeCounts::accumulate(&oneshot_encoded, node, &parents);
-            // Value-facade CPTs must be probability-identical.
-            let streamed_cpt = counts.to_cpt(grown.dicts(), 0.1);
-            let reference_cpt = reference.to_cpt(oneshot_encoded.dicts(), 0.1);
-            assert_eq!(streamed_cpt.num_parent_configs(), reference_cpt.num_parent_configs());
-            assert_eq!(streamed_cpt.domain_size(), reference_cpt.domain_size());
             let mut probes: Vec<Value> = oneshot_encoded.dict(node).values().to_vec();
             probes.push(Value::Null);
-            for row in combined.rows() {
-                let config: Vec<Value> = parents.iter().map(|&p| row[p].clone()).collect();
-                for v in &probes {
-                    assert_eq!(
-                        streamed_cpt.prob(v, &config).to_bits(),
-                        reference_cpt.prob(v, &config).to_bits(),
-                        "node {node} value {v} config {config:?}"
-                    );
-                    assert_eq!(
-                        streamed_cpt.marginal_prob(v).to_bits(),
-                        reference_cpt.marginal_prob(v).to_bits()
-                    );
-                }
-            }
             // Compiled scores must agree through the respective code spaces.
             let streamed_compiled = CompiledCpt::from_counts(&counts, 0.1);
             let reference_compiled = CompiledCpt::from_counts(&reference, 0.1);
@@ -753,9 +604,13 @@ mod tests {
                     let s = grown.dict(node).encode(v).unwrap();
                     let o = oneshot_encoded.dict(node).encode(v).unwrap();
                     assert_eq!(
-                        streamed_compiled.log_prob_plain(&s_codes, s).to_bits(),
-                        reference_compiled.log_prob_plain(&o_codes, o).to_bits(),
+                        streamed_compiled.log_prob_row(&s_codes, s).to_bits(),
+                        reference_compiled.log_prob_row(&o_codes, o).to_bits(),
                         "compiled node {node} row {r} value {v}"
+                    );
+                    assert_eq!(
+                        streamed_compiled.log_marginal(s).to_bits(),
+                        reference_compiled.log_marginal(o).to_bits()
                     );
                 }
             }
@@ -823,8 +678,8 @@ mod tests {
                 let codes = encoded.row_codes(r);
                 for code in 0..=encoded.dict(node).unseen_code() {
                     assert_eq!(
-                        original.log_prob_plain(&codes, code).to_bits(),
-                        rebuilt.log_prob_plain(&codes, code).to_bits()
+                        original.log_prob_row(&codes, code).to_bits(),
+                        rebuilt.log_prob_row(&codes, code).to_bits()
                     );
                 }
             }
@@ -888,8 +743,8 @@ mod tests {
     fn empty_dataset_is_safe() {
         let empty = Dataset::new(bclean_data::Schema::from_names(&["a", "b"]).unwrap());
         let encoded = EncodedDataset::from_dataset(&empty);
-        let (cpt, compiled) = NodeCounts::accumulate(&encoded, 0, &[1]).into_models(encoded.dicts(), 1.0);
-        let p = cpt.prob(&Value::text("x"), &[Value::text("y")]);
+        let compiled = CompiledCpt::from_counts(&NodeCounts::accumulate(&encoded, 0, &[1]), 1.0);
+        let p = compiled.log_prob_row(&[0, 0], 0).exp();
         assert!(p > 0.0 && p <= 1.0);
         assert!(compiled.log_marginal(0).is_finite());
     }

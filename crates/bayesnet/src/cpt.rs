@@ -5,6 +5,11 @@
 //! with Laplace (additive) smoothing so that unseen value/parent
 //! combinations keep a small non-zero probability — essential when the
 //! observed data is dirty.
+//!
+//! [`Cpt`] tallies its counts in `Value`-keyed hash maps; it backs the
+//! reference oracle's [`crate::BayesianNetwork`]. The product never builds
+//! one: it counts codes ([`crate::NodeCounts`]) and compiles those counts
+//! into the same probabilities ([`crate::CompiledCpt::from_counts`]).
 
 use std::collections::HashMap;
 
@@ -50,22 +55,6 @@ impl Cpt {
         Cpt { node, parents: parents.to_vec(), table, marginal, marginal_total, domain_size, alpha }
     }
 
-    /// Assemble a CPT from pre-tallied counts (the code-space counting path,
-    /// see [`crate::counts::NodeCounts::to_cpt`]). `marginal_total` is the
-    /// number of rows observed; the domain size is derived from the marginal
-    /// exactly like [`Cpt::learn`] does.
-    pub(crate) fn from_parts(
-        node: usize,
-        parents: Vec<usize>,
-        table: HashMap<Vec<Value>, (HashMap<Value, usize>, usize)>,
-        marginal: HashMap<Value, usize>,
-        marginal_total: usize,
-        alpha: f64,
-    ) -> Cpt {
-        let domain_size = marginal.len().max(1);
-        Cpt { node, parents, table, marginal, marginal_total, domain_size, alpha }
-    }
-
     /// The node this table belongs to.
     pub fn node(&self) -> usize {
         self.node
@@ -84,12 +73,6 @@ impl Cpt {
     /// Number of distinct values observed for the node.
     pub fn domain_size(&self) -> usize {
         self.domain_size
-    }
-
-    /// Number of free parameters (used by BIC scoring).
-    pub fn num_parameters(&self) -> usize {
-        let configs = if self.parents.is_empty() { 1 } else { self.table.len().max(1) };
-        configs * self.domain_size.saturating_sub(1).max(1)
     }
 
     /// Marginal (prior) probability `Pr[A = value]` with Laplace smoothing.
@@ -243,7 +226,6 @@ mod tests {
         assert_eq!(cpt.parents(), &[0]);
         assert_eq!(cpt.num_parent_configs(), 2);
         assert_eq!(cpt.domain_size(), 2);
-        assert!(cpt.num_parameters() >= 2);
     }
 
     #[test]

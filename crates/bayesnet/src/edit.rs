@@ -2,15 +2,13 @@
 //!
 //! The automatically constructed skeleton can be noisy; the paper (§4,
 //! Figures 2(f)–(h)) therefore exposes a user-interaction step in which the
-//! user can add or remove edges and merge nodes. Only the CPTs of the
-//! attributes touched by an edit are recomputed.
+//! user can add or remove edges and merge nodes. The editor only reshapes
+//! the structure; the caller refits the parameters of the edited DAG (see
+//! `BCleanModel::edit_network` in `bclean-core`).
 
 use std::fmt;
 
-use bclean_data::Dataset;
-
 use crate::graph::{Dag, GraphError};
-use crate::network::BayesianNetwork;
 
 /// A single user edit of the network structure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,25 +64,17 @@ impl From<GraphError> for EditError {
     }
 }
 
-/// An editing session over a network, bound to the dataset used to relearn
-/// the CPTs of modified attributes.
+/// An editing session over a network structure.
 #[derive(Debug, Clone)]
-pub struct NetworkEditor<'a> {
-    dataset: &'a Dataset,
+pub struct NetworkEditor {
     dag: Dag,
-    alpha: f64,
     applied: Vec<NetworkEdit>,
 }
 
-impl<'a> NetworkEditor<'a> {
-    /// Start an editing session from an existing network.
-    pub fn new(dataset: &'a Dataset, network: &BayesianNetwork, alpha: f64) -> NetworkEditor<'a> {
-        NetworkEditor { dataset, dag: network.dag().clone(), alpha, applied: Vec::new() }
-    }
-
-    /// Start an editing session from a bare structure.
-    pub fn from_dag(dataset: &'a Dataset, dag: Dag, alpha: f64) -> NetworkEditor<'a> {
-        NetworkEditor { dataset, dag, alpha, applied: Vec::new() }
+impl NetworkEditor {
+    /// Start an editing session from a structure.
+    pub fn new(dag: Dag) -> NetworkEditor {
+        NetworkEditor { dag, applied: Vec::new() }
     }
 
     /// The current (edited) structure.
@@ -142,61 +132,39 @@ impl<'a> NetworkEditor<'a> {
         Ok(())
     }
 
-    /// Finish the session: rebuild the network, relearning only the CPTs whose
-    /// parent sets changed relative to `base`.
-    pub fn finish(self, base: &BayesianNetwork) -> BayesianNetwork {
-        base.with_structure(self.dataset, self.dag, self.alpha)
-    }
-
-    /// Finish the session building a network from scratch.
-    pub fn finish_fresh(self) -> BayesianNetwork {
-        BayesianNetwork::learn(self.dataset, self.dag, self.alpha)
+    /// Finish the session, returning the edited structure.
+    pub fn into_dag(self) -> Dag {
+        self.dag
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bclean_data::dataset_from;
 
-    fn data() -> Dataset {
-        dataset_from(
-            &["Zip", "City", "State", "Code"],
-            &[
-                vec!["35150", "sylacauga", "CA", "c1"],
-                vec!["35150", "sylacauga", "CA", "c1"],
-                vec!["35960", "centre", "KT", "c2"],
-                vec!["35960", "centre", "KT", "c2"],
-            ],
-        )
-    }
-
-    fn base_network(d: &Dataset) -> BayesianNetwork {
+    /// Zip -> State over the attributes Zip, City, State, Code.
+    fn base_dag() -> Dag {
         let mut dag = Dag::new(4);
-        dag.add_edge(0, 2).unwrap(); // Zip -> State
-        BayesianNetwork::learn(d, dag, 0.1)
+        dag.add_edge(0, 2).unwrap();
+        dag
     }
 
     #[test]
     fn add_and_remove_edges() {
-        let d = data();
-        let bn = base_network(&d);
-        let mut editor = NetworkEditor::new(&d, &bn, 0.1);
+        let mut editor = NetworkEditor::new(base_dag());
         editor.apply(NetworkEdit::AddEdge { from: 0, to: 1 }).unwrap();
         editor.apply(NetworkEdit::RemoveEdge { from: 0, to: 2 }).unwrap();
         assert!(editor.dag().has_edge(0, 1));
         assert!(!editor.dag().has_edge(0, 2));
         assert_eq!(editor.applied_edits().len(), 2);
-        let new_bn = editor.finish(&bn);
-        assert_eq!(new_bn.cpt(1).parents(), &[0]);
-        assert!(new_bn.cpt(2).parents().is_empty());
+        let dag = editor.into_dag();
+        assert_eq!(dag.parents(1), vec![0]);
+        assert!(dag.parents(2).is_empty());
     }
 
     #[test]
     fn cycle_creating_edit_is_rejected() {
-        let d = data();
-        let bn = base_network(&d);
-        let mut editor = NetworkEditor::new(&d, &bn, 0.1);
+        let mut editor = NetworkEditor::new(base_dag());
         let err = editor.apply(NetworkEdit::AddEdge { from: 2, to: 0 }).unwrap_err();
         assert!(matches!(err, EditError::Graph(GraphError::WouldCreateCycle { .. })));
         // State unchanged after failed edit.
@@ -206,15 +174,13 @@ mod tests {
 
     #[test]
     fn merge_nodes_redirects_edges() {
-        let d = data();
         // City -> Code and State -> Code; merging City into State should leave
         // a single State -> Code edge and isolate City.
         let mut dag = Dag::new(4);
         dag.add_edge(1, 3).unwrap();
         dag.add_edge(2, 3).unwrap();
         dag.add_edge(0, 1).unwrap(); // Zip -> City
-        let bn = BayesianNetwork::learn(&d, dag, 0.1);
-        let mut editor = NetworkEditor::new(&d, &bn, 0.1);
+        let mut editor = NetworkEditor::new(dag);
         editor.apply(NetworkEdit::MergeNodes { nodes: vec![1], into: 2 }).unwrap();
         let dag = editor.dag();
         assert!(dag.has_edge(2, 3));
@@ -222,15 +188,12 @@ mod tests {
         assert!(!dag.has_edge(0, 1));
         assert!(dag.has_edge(0, 2)); // Zip edge redirected to State
         assert!(dag.isolated_nodes().contains(&1));
-        let merged = editor.finish_fresh();
-        assert_eq!(merged.cpt(3).parents(), &[2]);
+        assert_eq!(editor.into_dag().parents(3), vec![2]);
     }
 
     #[test]
     fn merge_into_self_rejected() {
-        let d = data();
-        let bn = base_network(&d);
-        let mut editor = NetworkEditor::new(&d, &bn, 0.1);
+        let mut editor = NetworkEditor::new(base_dag());
         let err = editor.apply(NetworkEdit::MergeNodes { nodes: vec![2], into: 2 }).unwrap_err();
         assert!(matches!(err, EditError::MergeIntoSelf(2)));
         assert!(err.to_string().contains("merged into itself"));
@@ -238,9 +201,7 @@ mod tests {
 
     #[test]
     fn apply_all_stops_on_error() {
-        let d = data();
-        let bn = base_network(&d);
-        let mut editor = NetworkEditor::new(&d, &bn, 0.1);
+        let mut editor = NetworkEditor::new(base_dag());
         let result = editor.apply_all(vec![
             NetworkEdit::AddEdge { from: 0, to: 1 },
             NetworkEdit::AddEdge { from: 2, to: 0 }, // cycle
@@ -253,10 +214,8 @@ mod tests {
 
     #[test]
     fn editor_from_dag() {
-        let d = data();
-        let mut editor = NetworkEditor::from_dag(&d, Dag::new(4), 0.1);
+        let mut editor = NetworkEditor::new(Dag::new(4));
         editor.apply(NetworkEdit::AddEdge { from: 0, to: 2 }).unwrap();
-        let bn = editor.finish_fresh();
-        assert!(bn.dag().has_edge(0, 2));
+        assert!(editor.into_dag().has_edge(0, 2));
     }
 }

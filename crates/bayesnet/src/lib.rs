@@ -1,28 +1,34 @@
 //! # bclean-bayesnet
 //!
-//! Bayesian networks for BClean: DAG structure, conditional probability
-//! tables, automatic structure learning (FDX-style similarity sampling +
-//! graphical lasso + `Θ = (I − B) Ω (I − B)ᵀ` decomposition), a hill-climbing
-//! baseline learner, Markov-blanket partitioning for fast inference, and an
-//! interactive editor for user adjustments of the learned network.
+//! Bayesian networks for BClean: DAG structure, automatic structure
+//! learning (FDX-style similarity sampling + graphical lasso +
+//! `Θ = (I − B) Ω (I − B)ᵀ` decomposition), code-space CPT counting
+//! ([`NodeCounts`]), the code-indexed [`CompiledNetwork`] every cleaning
+//! path scores through, and an interactive editor for user adjustments of
+//! the learned structure. The `Value`-keyed [`BayesianNetwork`] and [`Cpt`]
+//! survive only as the reference oracle's model.
 //!
 //! This crate implements the *construction stage* of the paper (§4) and the
-//! probabilistic machinery used by the inference stage (§5–6); the cleaning
+//! Markov-blanket scoring used by the inference stage (§5–6); the cleaning
 //! algorithm itself (user constraints, compensatory score, Algorithm 1) lives
 //! in `bclean-core`.
 //!
 //! ```
-//! use bclean_bayesnet::{learn_structure, BayesianNetwork, StructureConfig};
-//! use bclean_data::dataset_from;
+//! use bclean_bayesnet::{learn_structure, CompiledCpt, CompiledNetwork, NodeCounts, StructureConfig};
+//! use bclean_data::{dataset_from, EncodedDataset};
 //!
 //! let data = dataset_from(
 //!     &["Zip", "State"],
 //!     &(0..32).map(|i| if i % 2 == 0 { vec!["35150", "CA"] } else { vec!["35960", "KT"] })
 //!         .collect::<Vec<_>>(),
 //! );
-//! let structure = learn_structure(&data, StructureConfig::default());
-//! let bn = BayesianNetwork::learn(&data, structure.dag, 0.1);
-//! assert_eq!(bn.num_nodes(), 2);
+//! let dag = learn_structure(&data, StructureConfig::default()).dag;
+//! let encoded = EncodedDataset::from_dataset(&data);
+//! let cpts = (0..dag.num_nodes())
+//!     .map(|node| CompiledCpt::from_counts(&NodeCounts::accumulate(&encoded, node, &dag.parents(node)), 0.1))
+//!     .collect();
+//! let network = CompiledNetwork::from_parts(cpts, &dag);
+//! assert_eq!(network.num_nodes(), 2);
 //! ```
 
 #![warn(missing_docs)]
@@ -32,27 +38,20 @@ pub mod counts;
 pub mod cpt;
 pub mod edit;
 pub mod graph;
-pub mod inference;
 pub mod network;
-pub mod partition;
 pub mod sim;
 pub mod structure;
 
 pub use compiled::{CompiledCpt, CompiledNetwork};
-pub use counts::{learn_models, CountsSnapshot, NodeCounts};
+pub use counts::{CountsSnapshot, NodeCounts};
 pub use cpt::Cpt;
 pub use edit::{EditError, NetworkEdit, NetworkEditor};
 pub use graph::{Dag, GraphError};
-pub use inference::{
-    argmax_posterior, ApproxConfig, DiscreteDomain, Factor, FactorError, InferenceEngine, InferenceError,
-    Posterior, SplitMix64, DEFAULT_MAX_FACTOR_CELLS,
-};
 pub use network::{log_softmax_to_probs, BayesianNetwork, DEFAULT_ALPHA};
-pub use partition::{partition, SubNetwork};
 pub use sim::{edit_similarity, levenshtein, numeric_similarity, value_similarity, value_similarity_typed};
 pub use structure::{
-    autoregression_matrix, bic_score, budget_row_sample, hill_climb, learn_structure,
-    learn_structure_budgeted, learn_structure_encoded, learn_structure_encoded_cached, similarity_samples,
-    similarity_samples_encoded, similarity_samples_encoded_cached, threshold_to_dag, FdxConfig,
-    HillClimbConfig, LearnedStructure, StructureCaches, StructureConfig,
+    autoregression_matrix, budget_row_sample, learn_structure, learn_structure_budgeted,
+    learn_structure_encoded, learn_structure_encoded_cached, similarity_samples, similarity_samples_encoded,
+    similarity_samples_encoded_cached, threshold_to_dag, FdxConfig, LearnedStructure, StructureCaches,
+    StructureConfig,
 };

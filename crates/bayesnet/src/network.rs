@@ -1,4 +1,10 @@
-//! The Bayesian network: structure + parameters + inference entry points.
+//! The `Value`-keyed Bayesian network: a DAG plus one [`Cpt`] per node.
+//!
+//! The product scores through [`crate::CompiledNetwork`], built straight
+//! from code-space counts; this network is learned by hashing `Value`s and
+//! exists for the reference oracle in `bclean-core` (`fit_reference` /
+//! `clean_reference`), against which the compiled path is checked
+//! bit-for-bit.
 
 use bclean_data::{Dataset, Value};
 
@@ -27,16 +33,6 @@ impl BayesianNetwork {
         let cpts =
             (0..dag.num_nodes()).map(|node| Cpt::learn(dataset, node, &dag.parents(node), alpha)).collect();
         let attribute_names = dataset.schema().names().iter().map(|s| s.to_string()).collect();
-        BayesianNetwork { dag, cpts, attribute_names }
-    }
-
-    /// Assemble a network from an existing structure and per-node CPTs (the
-    /// code-space fit path materialises its CPTs from [`crate::counts`] and
-    /// binds them here without re-reading the dataset).
-    pub fn from_parts(dag: Dag, cpts: Vec<Cpt>, attribute_names: Vec<String>) -> BayesianNetwork {
-        assert_eq!(dag.num_nodes(), cpts.len(), "one CPT per DAG node");
-        assert_eq!(dag.num_nodes(), attribute_names.len(), "one attribute name per DAG node");
-        debug_assert!(cpts.iter().enumerate().all(|(i, c)| c.node() == i), "CPTs must be in node order");
         BayesianNetwork { dag, cpts, attribute_names }
     }
 
@@ -128,32 +124,6 @@ impl BayesianNetwork {
         let scores: Vec<f64> = candidates.iter().map(|c| self.blanket_log_score(row, node, c)).collect();
         log_softmax_to_probs(&scores)
     }
-
-    /// Replace the structure and relearn only the CPTs whose parent sets
-    /// changed. Used by the interactive network editor.
-    pub fn with_structure(&self, dataset: &Dataset, new_dag: Dag, alpha: f64) -> BayesianNetwork {
-        let cpts: Vec<Cpt> = (0..new_dag.num_nodes())
-            .map(|node| {
-                let new_parents = new_dag.parents(node);
-                if node < self.cpts.len() && self.dag.parents(node) == new_parents {
-                    self.cpts[node].clone()
-                } else {
-                    Cpt::learn(dataset, node, &new_parents, alpha)
-                }
-            })
-            .collect();
-        BayesianNetwork { dag: new_dag, cpts, attribute_names: self.attribute_names.clone() }
-    }
-
-    /// Total number of free parameters across all CPTs (for BIC scoring).
-    pub fn num_parameters(&self) -> usize {
-        self.cpts.iter().map(|c| c.num_parameters()).sum()
-    }
-
-    /// Total data log-likelihood of a dataset under the network.
-    pub fn log_likelihood(&self, dataset: &Dataset) -> f64 {
-        dataset.rows().map(|row| self.log_joint(row)).sum()
-    }
 }
 
 /// Convert log scores to a normalised probability vector (softmax in log space).
@@ -244,27 +214,6 @@ mod tests {
         let pb = bn.blanket_log_score(&row, 2, &Value::text("b"));
         // Equal marginal counts -> equal scores.
         assert!((pa - pb).abs() < 1e-9);
-    }
-
-    #[test]
-    fn with_structure_relearns_only_changed_nodes() {
-        let bn = fd_network();
-        let mut new_dag = Dag::new(3);
-        new_dag.add_edge(0, 1).unwrap();
-        new_dag.add_edge(0, 2).unwrap(); // new edge Zip -> Other
-        let bn2 = bn.with_structure(&fd_dataset(), new_dag, 0.1);
-        assert_eq!(bn2.dag().num_edges(), 2);
-        assert_eq!(bn2.cpt(1).parents(), &[0]);
-        assert_eq!(bn2.cpt(2).parents(), &[0]);
-        assert!(bn2.num_parameters() >= bn.num_parameters());
-    }
-
-    #[test]
-    fn log_likelihood_improves_with_true_structure() {
-        let data = fd_dataset();
-        let empty = BayesianNetwork::learn(&data, Dag::new(3), 0.1);
-        let with_fd = fd_network();
-        assert!(with_fd.log_likelihood(&data) > empty.log_likelihood(&data));
     }
 
     #[test]

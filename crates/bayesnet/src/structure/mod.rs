@@ -1,9 +1,8 @@
 //! Structure learning: FDX-style similarity sampling, graphical-lasso
-//! skeleton construction and a hill-climbing baseline.
+//! skeleton construction and the sample-budgeted variant.
 
 pub mod budgeted;
 pub mod fdx;
-pub mod hill_climbing;
 pub mod skeleton;
 
 pub use budgeted::{budget_row_sample, learn_structure_budgeted};
@@ -11,7 +10,6 @@ pub use fdx::{
     similarity_samples, similarity_samples_encoded, similarity_samples_encoded_cached, CodePairHasher,
     FdxConfig, SimilarityCache,
 };
-pub use hill_climbing::{bic_score, hill_climb, HillClimbConfig};
 pub use skeleton::{
     autoregression_matrix, learn_structure, learn_structure_encoded, learn_structure_encoded_cached,
     threshold_to_dag, LearnedStructure, StructureCaches, StructureConfig,

@@ -1,8 +1,7 @@
 //! Property-based tests for the Bayesian network crate.
 
 use bclean_bayesnet::{
-    edit_similarity, learn_structure, levenshtein, numeric_similarity, partition, BayesianNetwork, Dag,
-    StructureConfig,
+    edit_similarity, learn_structure, levenshtein, numeric_similarity, BayesianNetwork, Dag, StructureConfig,
 };
 use bclean_data::{dataset_from, Value};
 use proptest::prelude::*;
@@ -49,9 +48,6 @@ proptest! {
         for (from, to) in dag.edges() {
             prop_assert!(pos[from] < pos[to]);
         }
-        // Partition covers every node exactly once as a target.
-        let subs = partition(&dag);
-        prop_assert_eq!(subs.len(), 6);
     }
 
     /// CPT probabilities are valid probabilities and conditional
@@ -101,127 +97,5 @@ proptest! {
         for node in 0..3 {
             prop_assert!(learned.dag.parents(node).len() <= 3);
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Factor algebra and exact-inference properties.
-// ---------------------------------------------------------------------------
-
-use bclean_bayesnet::{argmax_posterior, ApproxConfig, Factor, InferenceEngine, DEFAULT_MAX_FACTOR_CELLS};
-
-/// A small random joint factor over two variables.
-fn joint_factor() -> impl Strategy<Value = Factor> {
-    (2usize..4, 2usize..4).prop_flat_map(|(ca, cb)| {
-        proptest::collection::vec(0.01f64..1.0, ca * cb)
-            .prop_map(move |table| Factor::new(vec![0, 1], vec![ca, cb], table).unwrap())
-    })
-}
-
-/// A random three-column categorical dataset (chain-shaped dependencies).
-fn chain_rows() -> impl Strategy<Value = Vec<(usize, usize, usize)>> {
-    proptest::collection::vec((0usize..3, 0usize..3, 0usize..2), 8..40)
-}
-
-proptest! {
-    /// Summing variables out in either order preserves total mass, and the
-    /// final scalar equals the table's total mass.
-    #[test]
-    fn sum_out_order_is_irrelevant(factor in joint_factor()) {
-        let ab = factor.sum_out(0).unwrap().sum_out(1).unwrap();
-        let ba = factor.sum_out(1).unwrap().sum_out(0).unwrap();
-        prop_assert!((ab.table()[0] - ba.table()[0]).abs() < 1e-9);
-        prop_assert!((ab.table()[0] - factor.total_mass()).abs() < 1e-9);
-    }
-
-    /// Factor product is commutative and its mass is preserved under
-    /// marginalisation of a fresh variable.
-    #[test]
-    fn product_commutes(factor in joint_factor(), weights in proptest::collection::vec(0.01f64..1.0, 3)) {
-        let other = Factor::new(vec![2], vec![3], weights).unwrap();
-        let fg = factor.product(&other, DEFAULT_MAX_FACTOR_CELLS).unwrap();
-        let gf = other.product(&factor, DEFAULT_MAX_FACTOR_CELLS).unwrap();
-        prop_assert_eq!(fg.vars(), gf.vars());
-        for (a, b) in fg.table().iter().zip(gf.table()) {
-            prop_assert!((a - b).abs() < 1e-12);
-        }
-        // Summing the fresh variable back out scales the original by the other's mass.
-        let back = fg.sum_out(2).unwrap();
-        for (idx, v) in back.table().iter().enumerate() {
-            prop_assert!((v - factor.table()[idx] * other.total_mass()).abs() < 1e-9);
-        }
-    }
-
-    /// Reducing then normalising equals slicing the conditional distribution.
-    #[test]
-    fn reduce_is_conditioning(factor in joint_factor(), idx in 0usize..2) {
-        let card_b = factor.cards()[1];
-        let idx = idx.min(card_b - 1);
-        let reduced = factor.reduce(1, idx).unwrap().normalized();
-        // Manual conditional: P(A | B = idx).
-        let mut manual: Vec<f64> = (0..factor.cards()[0]).map(|a| factor.value_at(&[a, idx])).collect();
-        let total: f64 = manual.iter().sum();
-        for v in &mut manual { *v /= total; }
-        for (a, b) in reduced.table().iter().zip(&manual) {
-            prop_assert!((a - b).abs() < 1e-9);
-        }
-    }
-
-    /// Exact variable elimination agrees with brute-force enumeration of the
-    /// joint distribution on a learned three-node network.
-    #[test]
-    fn variable_elimination_matches_enumeration(rows in chain_rows()) {
-        let raw: Vec<Vec<String>> = rows.iter().map(|(a, b, c)| vec![format!("a{a}"), format!("b{b}"), format!("c{c}")]).collect();
-        let refs: Vec<Vec<&str>> = raw.iter().map(|r| r.iter().map(|s| s.as_str()).collect()).collect();
-        let data = dataset_from(&["A", "B", "C"], &refs);
-        let mut dag = Dag::new(3);
-        dag.add_edge(0, 1).unwrap();
-        dag.add_edge(1, 2).unwrap();
-        let bn = BayesianNetwork::learn(&data, dag, 0.2);
-        let engine = InferenceEngine::new(&bn, &data);
-
-        // Query B given evidence on C only; enumerate over A and B.
-        let evidence_value = data.row(0).unwrap()[2].clone();
-        let posterior = engine.posterior(1, &[(2, evidence_value.clone())]).unwrap();
-
-        let domain_a: Vec<Value> = engine.domain(0).unwrap().values().to_vec();
-        let domain_b: Vec<Value> = engine.domain(1).unwrap().values().to_vec();
-        let mut expected: Vec<f64> = Vec::with_capacity(domain_b.len());
-        for b in &domain_b {
-            let mut mass = 0.0;
-            for a in &domain_a {
-                let row = vec![a.clone(), b.clone(), evidence_value.clone()];
-                mass += bn.log_joint(&row).exp();
-            }
-            expected.push(mass);
-        }
-        let total: f64 = expected.iter().sum();
-        for e in &mut expected { *e /= total; }
-
-        prop_assert_eq!(posterior.len(), domain_b.len());
-        for ((value, p), (dv, e)) in posterior.iter().zip(domain_b.iter().zip(&expected)) {
-            prop_assert_eq!(value, dv);
-            prop_assert!((p - e).abs() < 1e-6, "VE {} vs enumeration {} for {}", p, e, value);
-        }
-    }
-
-    /// The Gibbs sampler returns a valid distribution over the query domain
-    /// whose argmax matches exact inference on strongly determined queries.
-    #[test]
-    fn gibbs_posterior_is_a_distribution(rows in chain_rows(), seed in 0u64..1000) {
-        let raw: Vec<Vec<String>> = rows.iter().map(|(a, b, c)| vec![format!("a{a}"), format!("b{b}"), format!("c{c}")]).collect();
-        let refs: Vec<Vec<&str>> = raw.iter().map(|r| r.iter().map(|s| s.as_str()).collect()).collect();
-        let data = dataset_from(&["A", "B", "C"], &refs);
-        let mut dag = Dag::new(3);
-        dag.add_edge(0, 1).unwrap();
-        let bn = BayesianNetwork::learn(&data, dag, 0.2);
-        let engine = InferenceEngine::new(&bn, &data);
-        let evidence = vec![(0, data.row(0).unwrap()[0].clone())];
-        let config = ApproxConfig { samples: 400, burn_in: 50, seed, ..Default::default() };
-        let posterior = engine.posterior_gibbs(1, &evidence, config).unwrap();
-        let total: f64 = posterior.iter().map(|(_, p)| p).sum();
-        prop_assert!((total - 1.0).abs() < 1e-9);
-        prop_assert!(posterior.iter().all(|(_, p)| (0.0..=1.0).contains(p)));
-        prop_assert!(argmax_posterior(&posterior).is_some());
     }
 }

@@ -6,7 +6,7 @@
 //!   Value)` pair key twice per tuple). This is the regression bench for the
 //!   build-time fix: the compiled build must stay ahead of the naive loop.
 //! * `clean_engines`: end-to-end `BCleanModel::clean` (compiled codes) vs
-//!   `BCleanModel::clean_reference` (the retained `Value` path) on a
+//!   `ReferenceModel::clean_reference` (the retained `Value` path) on a
 //!   Hospital-scale workload; the same comparison feeds `BENCH_clean.json`
 //!   via the experiments binary.
 
@@ -71,9 +71,9 @@ fn bench_clean_engines(c: &mut Criterion) {
     let bench = BenchmarkDataset::Hospital.build_sized(300, 7);
     let constraints = bclean_constraints(BenchmarkDataset::Hospital);
     for variant in [Variant::PartitionedInference, Variant::PartitionedInferencePruning] {
-        let model = BClean::new(variant.config().with_threads(1))
-            .with_constraints(constraints.clone())
-            .fit(&bench.dirty);
+        let cleaner = BClean::new(variant.config().with_threads(1)).with_constraints(constraints.clone());
+        let model = cleaner.fit(&bench.dirty);
+        let reference = cleaner.fit_reference(&bench.dirty);
         group.bench_with_input(
             BenchmarkId::new(format!("{}-encoded", variant.name()), "Hospital300"),
             &bench,
@@ -82,7 +82,7 @@ fn bench_clean_engines(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new(format!("{}-reference", variant.name()), "Hospital300"),
             &bench,
-            |b, data| b.iter(|| model.clean_reference(&data.dirty)),
+            |b, data| b.iter(|| reference.clean_reference(&data.dirty)),
         );
     }
     group.finish();

@@ -1,7 +1,7 @@
 //! Inference benchmarks: partitioned (Markov-blanket) scoring vs. whole-joint
 //! scoring per candidate, compensatory-model construction, and the effect of
-//! the pruning strategies on end-to-end cleaning — the §6 optimisation
-//! ablations called out in DESIGN.md.
+//! the pruning strategies on end-to-end cleaning — the paper's §6
+//! optimisation ablations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;

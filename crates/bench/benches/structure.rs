@@ -1,14 +1,11 @@
 //! Structure-learning benchmarks: the FDX + graphical-lasso pipeline BClean
-//! uses versus the hill-climbing (BIC) baseline, plus the graphical lasso on
-//! its own. This is the ablation of the §4 design choice called out in
-//! DESIGN.md.
+//! uses (paper §4), its similarity-sampling stage, and the graphical lasso
+//! on its own.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
-use bclean_bayesnet::{
-    hill_climb, learn_structure, similarity_samples, FdxConfig, HillClimbConfig, StructureConfig,
-};
+use bclean_bayesnet::{learn_structure, similarity_samples, FdxConfig, StructureConfig};
 use bclean_datagen::BenchmarkDataset;
 use bclean_linalg::{correlation_matrix, graphical_lasso, GlassoConfig};
 
@@ -22,11 +19,6 @@ fn bench_structure_learning(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("fdx_glasso", rows), &data, |b, d| {
             b.iter(|| learn_structure(d, StructureConfig::default()))
         });
-        if rows <= 500 {
-            group.bench_with_input(BenchmarkId::new("hill_climbing", rows), &data, |b, d| {
-                b.iter(|| hill_climb(d, HillClimbConfig { max_moves: 10, ..Default::default() }))
-            });
-        }
         group.bench_with_input(BenchmarkId::new("similarity_sampling", rows), &data, |b, d| {
             b.iter(|| similarity_samples(d, FdxConfig::default()))
         });

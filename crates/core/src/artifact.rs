@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use bclean_bayesnet::{BayesianNetwork, CompiledCpt, CompiledNetwork, Cpt, Dag, NodeCounts};
+use bclean_bayesnet::{CompiledCpt, CompiledNetwork, Dag, NodeCounts};
 use bclean_data::{AttrType, AttributeDomain, Dataset, Domains, EncodedDataset};
 
 use crate::cleaner::{attr_uc_column, BCleanModel};
@@ -193,21 +193,18 @@ impl ModelArtifact {
             code_space: dicts[node].code_space(),
         };
         let executor = ParallelExecutor::for_config(&self.config, m);
-        let per_node: Vec<(Cpt, CompiledCpt)> = executor.map(m, |node| {
-            let counts = &self.node_counts[node];
+        let compiled_cpts: Vec<CompiledCpt> = executor.map(m, |node| {
             if let (Some(donor), Some(cached_stamp)) = (previous, &cache.nodes[node]) {
                 if *cached_stamp == stamp_of(node) {
-                    return (donor.network.cpt(node).clone(), donor.compiled.node(node).clone());
+                    return donor.compiled.node(node).clone();
                 }
             }
-            (counts.to_cpt(dicts, self.config.alpha), CompiledCpt::from_counts(counts, self.config.alpha))
+            CompiledCpt::from_counts(&self.node_counts[node], self.config.alpha)
         });
         for node in 0..m {
             cache.nodes[node] = Some(stamp_of(node));
         }
-        let (cpts, compiled_cpts): (Vec<Cpt>, Vec<CompiledCpt>) = per_node.into_iter().unzip();
         let compiled = CompiledNetwork::from_parts(compiled_cpts, &self.dag);
-        let network = BayesianNetwork::from_parts(self.dag.clone(), cpts, self.attribute_names.clone());
 
         let attr_uc_ok = if self.config.use_constraints {
             let tables: Vec<Vec<bool>> = executor.map(dicts.len(), |col| {
@@ -231,7 +228,8 @@ impl ModelArtifact {
         BCleanModel {
             config: self.config.clone(),
             constraints: self.constraints.clone(),
-            network,
+            dag: self.dag.clone(),
+            attribute_names: self.attribute_names.clone(),
             compiled,
             domains: self.domains(),
             fd_confidence: self.compensatory.fd_confidence_matrix(),

@@ -6,8 +6,9 @@
 //! 1. [`BClean::fit`] learns the Bayesian-network structure from the dirty
 //!    dataset (FDX similarity sampling + graphical lasso), learns the CPTs,
 //!    and builds the compensatory co-occurrence model (Algorithm 2). The
-//!    resulting [`BCleanModel`] can optionally be adjusted through the
-//!    network editor before inference (paper §4's user interaction).
+//!    structure of the resulting [`BCleanModel`] can optionally be edited
+//!    before inference (paper §4's user interaction), which refits the
+//!    model over the edited structure.
 //! 2. [`BCleanModel::clean`] runs MAP inference over every cell: for each
 //!    candidate value `c` satisfying the user constraints it scores
 //!    `log BN[A_j](c) + log CS[A_j](c)` and keeps the arg-max (Algorithm 1),
@@ -26,18 +27,19 @@
 //! over each attribute's domain. Inference then runs entirely over `u32`
 //! code rows — candidate generation, anchor selection, pruning filters and
 //! scoring perform no `Value` hashing and no `Value` cloning; values are
-//! only decoded when a [`Repair`] is emitted. Both paths are equivalent to
-//! the original `Value`-keyed implementations, which survive as
-//! [`BClean::fit_reference`] and [`BCleanModel::clean_reference`] (see
-//! [`crate::reference`]) and serve as equivalence oracles and performance
-//! baselines (`BENCH_fit.json`, `BENCH_clean.json`).
+//! only decoded when a [`Repair`] is emitted. The [`CompiledNetwork`] is the
+//! model's only network representation. Both paths are equivalent to the
+//! original `Value`-keyed implementations, which survive in
+//! [`crate::reference`] as [`BClean::fit_reference`] and
+//! [`crate::ReferenceModel::clean_reference`] and serve as equivalence
+//! oracles and performance baselines (`BENCH_fit.json`, `BENCH_clean.json`).
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use bclean_bayesnet::{
-    learn_structure_budgeted, learn_structure_encoded, BayesianNetwork, CompiledNetwork, Dag, NetworkEdit,
-    NetworkEditor, NodeCounts,
+    learn_structure_budgeted, learn_structure_encoded, CompiledNetwork, Dag, NetworkEdit, NetworkEditor,
+    NodeCounts,
 };
 use bclean_data::{AttrType, CellRef, ColumnDict, Dataset, Domains, EncodedDataset, Schema, Value};
 use bclean_rules::Rule;
@@ -252,30 +254,12 @@ impl BClean {
     }
 }
 
-/// Pre-evaluate the per-attribute user constraints over every code of every
-/// column (domain values plus null): `table[col][code]` is `UC(decode(code))`.
-/// Evaluating regex/length/predicate constraints once per domain value
-/// instead of once per candidate per cell removes them from the hot loop;
-/// columns are independent, so they fan out across the executor (results
-/// return in column order — the table is identical for every thread count).
-pub(crate) fn attr_uc_table(
-    network: &BayesianNetwork,
-    dicts: &[ColumnDict],
-    constraints: &ConstraintSet,
-    use_constraints: bool,
-    executor: &ParallelExecutor,
-) -> Vec<Vec<bool>> {
-    if !use_constraints {
-        return Vec::new();
-    }
-    executor
-        .map(dicts.len(), |col| attr_uc_column(network.attribute_names().get(col), &dicts[col], constraints))
-}
-
 /// One column of the pre-evaluated constraint table: `UC(decode(code))` for
-/// every decodable code of the dictionary. Shared by [`attr_uc_table`] and
-/// the incremental compile path in [`crate::artifact`], so the verdict
-/// semantics can never diverge between the one-shot and streaming engines.
+/// every decodable code of the dictionary. Evaluating regex/length/predicate
+/// constraints once per domain value instead of once per candidate per cell
+/// removes them from the hot loop. Shared by the compile path in
+/// [`crate::artifact`] and the reference fit, so the verdict semantics can
+/// never diverge between them.
 pub(crate) fn attr_uc_column(
     name: Option<&String>,
     dict: &ColumnDict,
@@ -307,8 +291,11 @@ struct CodeRepair {
 pub struct BCleanModel {
     pub(crate) config: BCleanConfig,
     pub(crate) constraints: ConstraintSet,
-    pub(crate) network: BayesianNetwork,
-    /// Code-indexed compilation of `network` (shared dictionary order).
+    /// The learned (or user-edited) structure.
+    pub(crate) dag: Dag,
+    /// Attribute names of the fitting schema, indexed by node.
+    pub(crate) attribute_names: Vec<String>,
+    /// The code-indexed CPTs of `dag` (shared dictionary order).
     pub(crate) compiled: CompiledNetwork,
     /// Shared with the producing [`crate::ModelArtifact`] copy-on-write:
     /// the artifact's next absorb detaches its own copy, so the model's
@@ -323,9 +310,19 @@ pub struct BCleanModel {
 }
 
 impl BCleanModel {
-    /// The learned Bayesian network.
-    pub fn network(&self) -> &BayesianNetwork {
-        &self.network
+    /// The learned Bayesian-network structure.
+    pub fn dag(&self) -> &Dag {
+        &self.dag
+    }
+
+    /// Attribute names of the fitting schema, indexed by node.
+    pub fn attribute_names(&self) -> &[String] {
+        &self.attribute_names
+    }
+
+    /// The compiled, code-indexed CPTs the model scores through.
+    pub fn compiled(&self) -> &CompiledNetwork {
+        &self.compiled
     }
 
     /// The compensatory model.
@@ -348,17 +345,19 @@ impl BCleanModel {
         self.compensatory.dicts()
     }
 
-    /// Apply user edits to the network (paper §4's interaction step) and
-    /// relearn the CPTs affected by the edits.
+    /// Apply user edits to the network structure (paper §4's interaction
+    /// step) and refit the model over the edited structure from `dataset` —
+    /// the training data — exactly as [`BClean::fit_with_structure`] does.
+    /// On error no edit is kept.
     pub fn edit_network(
         &mut self,
         dataset: &Dataset,
         edits: impl IntoIterator<Item = NetworkEdit>,
     ) -> Result<(), bclean_bayesnet::EditError> {
-        let mut editor = NetworkEditor::new(dataset, &self.network, self.config.alpha);
+        let mut editor = NetworkEditor::new(self.dag.clone());
         editor.apply_all(edits)?;
-        self.network = editor.finish(&self.network);
-        self.compiled = CompiledNetwork::compile(&self.network, self.compensatory.dicts());
+        let cleaner = BClean::new(self.config.clone()).with_constraints(self.constraints.clone());
+        *self = cleaner.fit_with_structure(dataset, editor.into_dag());
         Ok(())
     }
 
@@ -649,7 +648,7 @@ impl BCleanModel {
                 return ok;
             }
         }
-        self.network.attribute_names().get(col).is_none_or(|name| self.constraints.check(name, value))
+        self.attribute_names.get(col).is_none_or(|name| self.constraints.check(name, value))
     }
 
     /// The tuple-level rules relevant to one column of `schema`: the rules
@@ -814,7 +813,7 @@ impl BCleanModel {
         if self.config.domain_pruning && out.len() > self.config.domain_top_k {
             // Treat the cell's sub-network as the semantic context and keep the
             // TF-IDF top-k candidates.
-            let mut context = self.network.dag().joint_set(col);
+            let mut context = self.dag.joint_set(col);
             if context.len() <= 1 {
                 context = (0..row.len()).collect();
             }
@@ -1022,17 +1021,16 @@ mod tests {
         let data = dirty_dataset();
         let mut model = BClean::new(Variant::Basic.config()).with_constraints(constraints()).fit(&data);
         // Clear whatever was learned automatically, then impose ZipCode -> City.
-        let removals: Vec<NetworkEdit> = model
-            .network()
-            .dag()
-            .edges()
-            .into_iter()
-            .map(|(from, to)| NetworkEdit::RemoveEdge { from, to })
-            .collect();
+        let removals: Vec<NetworkEdit> =
+            model.dag().edges().into_iter().map(|(from, to)| NetworkEdit::RemoveEdge { from, to }).collect();
         model.edit_network(&data, removals).unwrap();
         model.edit_network(&data, vec![NetworkEdit::AddEdge { from: 2, to: 0 }]).unwrap();
-        assert_eq!(model.network().dag().num_edges(), 1);
-        assert!(model.network().dag().has_edge(2, 0));
+        assert_eq!(model.dag().num_edges(), 1);
+        assert!(model.dag().has_edge(2, 0));
+        assert!(model.compiled().has_parents(0));
+        // A failing edit keeps the model as it was.
+        assert!(model.edit_network(&data, vec![NetworkEdit::AddEdge { from: 0, to: 2 }]).is_err());
+        assert!(model.dag().has_edge(2, 0));
         // Cleaning still works after the edit.
         let result = model.clean(&data);
         assert_eq!(result.cleaned.cell(2, 1).unwrap(), &Value::text("CA"));
@@ -1074,7 +1072,9 @@ mod tests {
         assert_eq!(cleaner.constraints().len(), 5);
         assert!(cleaner.config().use_constraints);
         let model = cleaner.fit(&data);
-        assert_eq!(model.network().num_nodes(), 3);
+        assert_eq!(model.dag().num_nodes(), 3);
+        assert_eq!(model.attribute_names(), &["City".to_string(), "State".into(), "ZipCode".into()]);
+        assert_eq!(model.compiled().num_nodes(), 3);
         assert_eq!(model.domains().len(), 3);
         assert!(model.compensatory().num_rows() == 10);
         assert!(model.config().use_compensatory);

@@ -59,6 +59,7 @@ pub use compensatory::{CompensatoryModel, CompensatoryParams};
 pub use config::{BCleanConfig, Variant};
 pub use constraints::{AttributeConstraints, ConstraintKind, ConstraintSet, UserConstraint};
 pub use exec::ParallelExecutor;
+pub use reference::ReferenceModel;
 pub use report::{repairs_to_csv, CleaningResult, CleaningStats, Repair};
 pub use session::{CleaningSession, SessionStats};
 pub use stream::{

@@ -4,13 +4,14 @@
 //! [`BClean::fit`] constructs every model in code space and
 //! [`BCleanModel::clean`] runs Algorithm 1 over dictionary codes through the
 //! compiled models ([`bclean_bayesnet::CompiledNetwork`] + the code-indexed
-//! compensatory tables). This module keeps the original implementations —
-//! construction that learns `HashMap<Value, _>` tallies and then compiles
-//! them ([`BClean::fit_reference`]), and scoring that hashes `Value`s
-//! through the uncompiled [`bclean_bayesnet::BayesianNetwork`]
-//! ([`BCleanModel::clean_reference`]) — for two purposes:
+//! compensatory tables); a [`BCleanModel`] holds no `Value`-keyed network.
+//! This module keeps the original implementations in a [`ReferenceModel`]:
+//! [`BClean::fit_reference`] learns `HashMap<Value, _>` tallies into a
+//! [`BayesianNetwork`] and compiles them into the [`BCleanModel`] it returns
+//! beside that network, and [`ReferenceModel::clean_reference`] scores by
+//! hashing `Value`s through the network. They serve two purposes:
 //!
-//! * **equivalence testing**: the encoded engine must produce the same
+//! * **equivalence testing**: the code-space engine must produce the same
 //!   models and byte-identical repairs (`tests/encoded_equivalence.rs` and
 //!   `tests/fit_equivalence.rs` check every variant and thread count);
 //! * **benchmarking**: the speedups of the code-space fit and clean paths
@@ -22,46 +23,50 @@
 
 use std::time::Instant;
 
-use bclean_bayesnet::{learn_structure, BayesianNetwork, CompiledNetwork, Dag};
+use bclean_bayesnet::{learn_structure, BayesianNetwork, CompiledNetwork};
 use bclean_data::{CellRef, Dataset, Domains, EncodedDataset, Value};
 
-use crate::cleaner::{attr_uc_table, BClean, BCleanModel};
+use crate::cleaner::{attr_uc_column, BClean, BCleanModel};
 use crate::compensatory::CompensatoryModel;
 use crate::constraints::ConstraintSet;
 use crate::exec::{merge_cleaning_batches, ParallelExecutor};
 use crate::report::{CleaningResult, CleaningStats, Repair};
+
+/// The `Value`-path oracle: the `Value`-keyed network learned by
+/// [`BClean::fit_reference`] and the compiled model built from it.
+#[derive(Debug, Clone)]
+pub struct ReferenceModel {
+    network: BayesianNetwork,
+    model: BCleanModel,
+}
 
 impl BClean {
     /// Construction through the original `Value`-keyed path: structure
     /// learning groups `Value`s, CPTs are learned into `HashMap<Value, _>`
     /// tables and then compiled, the compensatory model builds serially and
     /// the FD-confidence matrix re-groups the rows. Produces the same fitted
-    /// model as [`BClean::fit`], at pre-refactor speed. Kept as the
-    /// equivalence oracle and performance baseline of the code-space fit
-    /// pipeline.
-    pub fn fit_reference(&self, dataset: &Dataset) -> BCleanModel {
+    /// model as [`BClean::fit`], at pre-refactor speed, next to the network
+    /// it was compiled from. Kept as the equivalence oracle and performance
+    /// baseline of the code-space fit pipeline.
+    pub fn fit_reference(&self, dataset: &Dataset) -> ReferenceModel {
         let start = Instant::now();
-        let structure = learn_structure(dataset, self.config().structure);
-        self.fit_reference_with_dag(dataset, structure.dag, start)
-    }
-
-    /// The pre-refactor construction stage (see [`BClean::fit_reference`]).
-    fn fit_reference_with_dag(&self, dataset: &Dataset, dag: Dag, start: Instant) -> BCleanModel {
         let config = self.config().clone();
+        let dag = learn_structure(dataset, config.structure).dag;
         let network = BayesianNetwork::learn(dataset, dag, config.alpha);
         let constraints =
             if config.use_constraints { self.constraints().clone() } else { ConstraintSet::new() };
         // Dictionary-encode once; the compiled models share the resulting
         // code space (see the code-order invariant in `bclean_data::encoded`).
         let encoded = EncodedDataset::from_dataset(dataset);
-        let compiled = CompiledNetwork::compile(&network, encoded.dicts());
-        let attr_uc_ok = attr_uc_table(
-            &network,
-            encoded.dicts(),
-            &constraints,
-            config.use_constraints,
-            &ParallelExecutor::new(1),
-        );
+        let dicts = encoded.dicts();
+        let compiled = CompiledNetwork::compile(&network, dicts);
+        let attr_uc_ok = if config.use_constraints {
+            (0..dicts.len())
+                .map(|col| attr_uc_column(network.attribute_names().get(col), &dicts[col], &constraints))
+                .collect()
+        } else {
+            Vec::new()
+        };
         let compensatory = std::sync::Arc::new(CompensatoryModel::build_encoded(
             dataset,
             &encoded,
@@ -70,17 +75,19 @@ impl BClean {
         ));
         let domains = Domains::compute(dataset);
         let fd_confidence = fd_confidence_matrix(dataset);
-        BCleanModel {
+        let model = BCleanModel {
             config,
             constraints,
-            network,
+            dag: network.dag().clone(),
+            attribute_names: network.attribute_names().to_vec(),
             compiled,
             compensatory,
             domains,
             fd_confidence,
             attr_uc_ok,
             fit_duration: start.elapsed(),
-        }
+        };
+        ReferenceModel { network, model }
     }
 }
 
@@ -130,7 +137,17 @@ fn fd_confidence_matrix(dataset: &Dataset) -> Vec<Vec<f64>> {
     matrix
 }
 
-impl BCleanModel {
+impl ReferenceModel {
+    /// The `Value`-keyed network the oracle scores through.
+    pub fn network(&self) -> &BayesianNetwork {
+        &self.network
+    }
+
+    /// The compiled model built from [`ReferenceModel::network`].
+    pub fn model(&self) -> &BCleanModel {
+        &self.model
+    }
+
     /// Clean a dataset through the original `Value`-keyed scoring path.
     ///
     /// Produces exactly the repairs, statistics and cleaned dataset of
@@ -139,7 +156,7 @@ impl BCleanModel {
     pub fn clean_reference(&self, dataset: &Dataset) -> CleaningResult {
         let start = Instant::now();
         let n = dataset.num_rows();
-        let executor = ParallelExecutor::for_config(&self.config, n);
+        let executor = ParallelExecutor::for_config(&self.model.config, n);
         let batches = executor.execute(n, |rows| self.clean_rows_value(dataset, rows.start, rows.end));
         let (repairs, mut stats) = merge_cleaning_batches(batches);
         let mut cleaned = dataset.clone();
@@ -150,7 +167,7 @@ impl BCleanModel {
         }
         stats.repairs = repairs.len();
         stats.duration = start.elapsed();
-        stats.fit_duration = self.fit_duration;
+        stats.fit_duration = self.model.fit_duration;
         CleaningResult { cleaned, repairs, stats }
     }
 
@@ -161,9 +178,9 @@ impl BCleanModel {
         for row_idx in lo..hi {
             let row = dataset.row(row_idx).expect("row index in range");
             for col in 0..dataset.num_columns() {
-                if self.config.tuple_pruning
+                if self.model.config.tuple_pruning
                     && !row[col].is_null()
-                    && self.compensatory.filter_score(row, col) >= self.config.tau_clean
+                    && self.model.compensatory.filter_score(row, col) >= self.model.config.tau_clean
                 {
                     stats.cells_skipped += 1;
                     continue;
@@ -188,20 +205,23 @@ impl BCleanModel {
     ) -> Option<Repair> {
         let original = &row[col];
         let anchor = self.anchor_context_value(row, col);
-        let original_satisfies_uc = !self.config.use_constraints
+        let original_satisfies_uc = !self.model.config.use_constraints
             || (self
                 .network
                 .attribute_names()
                 .get(col)
-                .is_none_or(|name| self.constraints.check(name, original))
-                && self.constraints.check_tuple_with(dataset.schema(), row, col, original));
+                .is_none_or(|name| self.model.constraints.check(name, original))
+                && self.model.constraints.check_tuple_with(dataset.schema(), row, col, original));
         let original_score =
             if original_satisfies_uc { self.score_value(row, col, original) } else { f64::NEG_INFINITY };
         let mut best_value: Option<Value> = None;
         let mut best_score = original_score;
 
-        let base_margin =
-            if anchor.is_some() { self.config.repair_margin } else { self.config.no_anchor_margin };
+        let base_margin = if anchor.is_some() {
+            self.model.config.repair_margin
+        } else {
+            self.model.config.no_anchor_margin
+        };
         for candidate in self.candidates_for_value(dataset.schema(), row, col, original, anchor) {
             if &candidate == original {
                 continue;
@@ -226,7 +246,7 @@ impl BCleanModel {
 
     /// The cell's anchor context (see the encoded twin for the definition).
     fn anchor_context_value(&self, row: &[Value], col: usize) -> Option<usize> {
-        if !self.config.anchored_candidates {
+        if !self.model.config.anchored_candidates {
             return None;
         }
         let mut best: Option<(usize, usize)> = None;
@@ -234,10 +254,10 @@ impl BCleanModel {
             if k == col || value.is_null() {
                 continue;
             }
-            if self.fd_confidence[k][col] < self.config.anchor_min_confidence {
+            if self.model.fd_confidence[k][col] < self.model.config.anchor_min_confidence {
                 continue;
             }
-            let count = self.compensatory.value_count(k, value);
+            let count = self.model.compensatory.value_count(k, value);
             if count < 2 {
                 continue;
             }
@@ -257,39 +277,39 @@ impl BCleanModel {
         original: &Value,
         anchor: Option<usize>,
     ) -> Vec<Value> {
-        let domain = self.domains.attribute(col);
+        let domain = self.model.domains.attribute(col);
         let schema_check = |v: &Value| {
-            !self.config.use_constraints
+            !self.model.config.use_constraints
                 || (self
                     .network
                     .attribute_names()
                     .get(col)
-                    .is_none_or(|name| self.constraints.check(name, v))
-                    && self.constraints.check_tuple_with(schema, row, col, v))
+                    .is_none_or(|name| self.model.constraints.check(name, v))
+                    && self.model.constraints.check_tuple_with(schema, row, col, v))
         };
         let anchored = |v: &Value| match anchor {
-            Some(k) => self.compensatory.pair_count(col, v, k, &row[k]) >= 1,
+            Some(k) => self.model.compensatory.pair_count(col, v, k, &row[k]) >= 1,
             None => true,
         };
         let mut candidates: Vec<Value> =
             domain.values().iter().filter(|v| schema_check(v) && anchored(v)).cloned().collect();
 
-        if self.config.domain_pruning && candidates.len() > self.config.domain_top_k {
+        if self.model.config.domain_pruning && candidates.len() > self.model.config.domain_top_k {
             let mut context = self.network.dag().joint_set(col);
             if context.len() <= 1 {
                 context = (0..row.len()).collect();
             }
             let mut scored: Vec<(f64, Value)> = candidates
                 .into_iter()
-                .map(|c| (self.compensatory.tfidf_score(row, col, &c, &context), c))
+                .map(|c| (self.model.compensatory.tfidf_score(row, col, &c, &context), c))
                 .collect();
             scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-            candidates = scored.into_iter().take(self.config.domain_top_k).map(|(_, c)| c).collect();
+            candidates = scored.into_iter().take(self.model.config.domain_top_k).map(|(_, c)| c).collect();
         }
 
-        if candidates.len() > self.config.max_candidates {
+        if candidates.len() > self.model.config.max_candidates {
             candidates.sort_by_key(|c| std::cmp::Reverse(domain.count(c)));
-            candidates.truncate(self.config.max_candidates);
+            candidates.truncate(self.model.config.max_candidates);
         }
 
         if !original.is_null() && !candidates.iter().any(|c| c == original) {
@@ -302,7 +322,7 @@ impl BCleanModel {
     /// twin for the scoring rationale).
     fn score_value(&self, row: &[Value], col: usize, candidate: &Value) -> f64 {
         let has_parents = !self.network.dag().parents(col).is_empty();
-        let bn_score = if self.config.partitioned_inference {
+        let bn_score = if self.model.config.partitioned_inference {
             if has_parents {
                 self.network.blanket_log_score(row, col, candidate)
             } else {
@@ -316,8 +336,11 @@ impl BCleanModel {
                 joint - self.network.cpt(col).marginal_prob(candidate).max(1e-300).ln()
             }
         };
-        let comp_score =
-            if self.config.use_compensatory { self.compensatory.log_score(row, col, candidate) } else { 0.0 };
+        let comp_score = if self.model.config.use_compensatory {
+            self.model.compensatory.log_score(row, col, candidate)
+        } else {
+            0.0
+        };
         bn_score + comp_score
     }
 }
@@ -350,13 +373,16 @@ mod tests {
         ucs.add("ZipCode", UserConstraint::pattern("^[1-9][0-9]{4,4}$").unwrap());
         ucs.add("State", UserConstraint::NotNull);
         for variant in Variant::all() {
-            let model = BClean::new(variant.config()).with_constraints(ucs.clone()).fit(&data);
-            let compiled = model.clean(&data);
-            let reference = model.clean_reference(&data);
+            let cleaner = BClean::new(variant.config()).with_constraints(ucs.clone());
+            let compiled = cleaner.fit(&data).clean(&data);
+            let oracle = cleaner.fit_reference(&data);
+            let reference = oracle.clean_reference(&data);
             assert_eq!(compiled.repairs, reference.repairs, "variant {variant:?}");
             assert_eq!(compiled.cleaned, reference.cleaned, "variant {variant:?}");
             assert_eq!(compiled.stats.cells_examined, reference.stats.cells_examined);
             assert_eq!(compiled.stats.candidates_evaluated, reference.stats.candidates_evaluated);
+            assert_eq!(oracle.model().clean(&data).repairs, reference.repairs, "variant {variant:?}");
+            assert_eq!(oracle.model().dag(), oracle.network().dag());
         }
     }
 }

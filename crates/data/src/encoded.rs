@@ -13,10 +13,10 @@
 //!
 //! Codes `0..cardinality` enumerate the column's **distinct non-null values
 //! in sorted [`Value`] order** — the exact order produced by
-//! [`crate::domain::AttributeDomain::values`] and by `bclean-bayesnet`'s
-//! `DiscreteDomain`. Code `i` therefore always denotes `values()[i]` in any
-//! of those structures, which lets compiled models share candidate indices
-//! without translation tables. Two sentinel codes extend the space:
+//! [`crate::domain::AttributeDomain::values`]. Code `i` therefore always
+//! denotes `values()[i]` of the column's domain, which lets compiled models
+//! share candidate indices without translation tables. Two sentinel codes
+//! extend the space:
 //!
 //! * [`ColumnDict::null_code`] (`= cardinality`) encodes [`Value::Null`];
 //! * [`ColumnDict::unseen_code`] (`= cardinality + 1`) is returned by

@@ -8,8 +8,7 @@
 //! The real benchmark files are not redistributable; these generators
 //! reproduce their schemas, sizes, value formats and — most importantly —
 //! their inter-attribute functional dependencies, which is the signal every
-//! evaluated cleaning system exploits. See DESIGN.md for the substitution
-//! rationale.
+//! evaluated cleaning system exploits.
 //!
 //! ```
 //! use bclean_datagen::{BenchmarkDataset, ErrorType};

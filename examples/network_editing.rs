@@ -16,9 +16,9 @@ fn main() {
     let mut model =
         BClean::new(Variant::PartitionedInference.config()).with_constraints(constraints).fit(&bench.dirty);
 
-    let names: Vec<String> = model.network().attribute_names().to_vec();
+    let names: Vec<String> = model.attribute_names().to_vec();
     println!("Automatically learned network:");
-    for (from, to) in model.network().dag().edges() {
+    for (from, to) in model.dag().edges() {
         println!("  {} -> {}", names[from], names[to]);
     }
     let auto = model.clean(&bench.dirty);
@@ -32,20 +32,15 @@ fn main() {
     // determines all four time attributes. Remove everything else and add it.
     let schema = bench.dirty.schema();
     let flight = schema.index_of("flight").expect("flight attribute exists");
-    let mut edits: Vec<NetworkEdit> = model
-        .network()
-        .dag()
-        .edges()
-        .into_iter()
-        .map(|(from, to)| NetworkEdit::RemoveEdge { from, to })
-        .collect();
+    let mut edits: Vec<NetworkEdit> =
+        model.dag().edges().into_iter().map(|(from, to)| NetworkEdit::RemoveEdge { from, to }).collect();
     for attr in ["sched_dep_time", "act_dep_time", "sched_arr_time", "act_arr_time"] {
         edits.push(NetworkEdit::AddEdge { from: flight, to: schema.index_of(attr).unwrap() });
     }
     model.edit_network(&bench.dirty, edits).expect("edits are valid");
 
     println!("\nUser-adjusted network:");
-    for (from, to) in model.network().dag().edges() {
+    for (from, to) in model.dag().edges() {
         println!("  {} -> {}", names[from], names[to]);
     }
     let edited = model.clean(&bench.dirty);

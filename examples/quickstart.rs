@@ -34,8 +34,8 @@ fn main() {
     let model = BClean::new(Variant::PartitionedInference.config()).with_constraints(constraints).fit(&dirty);
 
     println!("Learned network edges:");
-    let names = model.network().attribute_names();
-    for (from, to) in model.network().dag().edges() {
+    let names = model.attribute_names();
+    for (from, to) in model.dag().edges() {
         println!("  {} -> {}", names[from], names[to]);
     }
 

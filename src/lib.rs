@@ -11,8 +11,9 @@
 //! * [`rules`] — the expression language for arithmetic / tuple-level user
 //!   constraints;
 //! * [`linalg`] — matrices, decompositions, lasso and graphical lasso;
-//! * [`bayesnet`] — Bayesian networks: structure learning, CPTs, exact and
-//!   approximate inference, partitioning and interactive editing;
+//! * [`bayesnet`] — Bayesian networks: structure learning, code-space CPT
+//!   counting, the compiled Markov-blanket scoring model and interactive
+//!   structure editing;
 //! * [`core`] — the BClean cleaner itself: user constraints, compensatory
 //!   scoring, MAP inference (Algorithm 1) and the §6 optimisations;
 //! * [`profile`] — dataset profiling, outlier screening and automatic
@@ -59,7 +60,7 @@ pub use bclean_store as store;
 /// The most commonly used types, re-exported for convenience.
 pub mod prelude {
     pub use bclean_baselines::{Cleaner, GarfLite, HoloCleanLite, PCleanLite, RahaBaranLite};
-    pub use bclean_bayesnet::{BayesianNetwork, Dag, NetworkEdit, StructureConfig};
+    pub use bclean_bayesnet::{Dag, NetworkEdit, StructureConfig};
     pub use bclean_core::{
         BClean, BCleanConfig, BCleanModel, CleaningResult, CleaningSession, CompensatoryParams,
         ConstraintSet, ModelArtifact, SessionStats, UserConstraint, Variant,

@@ -52,16 +52,31 @@ fn save_load_clean_is_bit_identical_for_every_variant_and_thread_count() {
                 );
             }
 
-            // Identical CPTs, bit for bit, via the probability API over
-            // every observed tuple and candidate value (plus null).
+            // Identical CPTs, bit for bit, via the compiled tables over
+            // every observed tuple and candidate value (plus null), each
+            // model encoding through its own dictionaries.
+            let codes_of = |model: &BCleanModel, row: &[Value]| -> Vec<u32> {
+                row.iter().zip(model.dicts()).map(|(v, d)| d.encode(v).unwrap()).collect()
+            };
             for (r, row) in bench.dirty.rows().enumerate() {
+                let (restored_codes, original_codes) = (codes_of(&restored, row), codes_of(&original, row));
                 for col in 0..bench.dirty.num_columns() {
                     let mut probes: Vec<Value> = restored.domains().attribute(col).values().to_vec();
                     probes.push(Value::Null);
                     for value in &probes {
+                        let restored_code = restored.dicts()[col].encode(value).unwrap();
+                        let original_code = original.dicts()[col].encode(value).unwrap();
                         assert_eq!(
-                            restored.network().cpt(col).prob_given_row(value, row).to_bits(),
-                            original.network().cpt(col).prob_given_row(value, row).to_bits(),
+                            restored
+                                .compiled()
+                                .node(col)
+                                .log_prob_row(&restored_codes, restored_code)
+                                .to_bits(),
+                            original
+                                .compiled()
+                                .node(col)
+                                .log_prob_row(&original_codes, original_code)
+                                .to_bits(),
                             "CPT diverged: variant {variant:?} row {r} col {col} value {value}"
                         );
                     }

@@ -5,10 +5,15 @@
 //! `#fragment` names a heading the target file does not have. External
 //! (`http…`) links are skipped — CI must not depend on network — and
 //! fenced code blocks are ignored so byte-layout diagrams cannot produce
-//! false positives. Runs with the workspace suite and as a dedicated step
-//! in CI's docs job.
+//! false positives. Inline code spans that name a repo path (`crates/…`,
+//! `src/…`, `tests/…`, `docs/…`, `examples/…`, `perfbench/…`) must name a
+//! path that exists, so prose cannot keep pointing at moved files. Runs
+//! with the workspace suite and as a dedicated step in CI's docs job.
 
 use std::path::{Path, PathBuf};
+
+/// Repo-root prefixes whose backticked mentions must name existing paths.
+const PATH_PREFIXES: &[&str] = &["crates/", "src/", "tests/", "docs/", "examples/", "perfbench/"];
 
 /// The markdown files under the link-check contract.
 fn documentation_files() -> Vec<PathBuf> {
@@ -51,6 +56,42 @@ fn extract_links(text: &str) -> Vec<(usize, String)> {
         let _ = &mut rest;
     }
     links
+}
+
+/// Every inline code span outside fenced code blocks that names a repo
+/// path, with its 1-based line number. A span names a path when it starts
+/// with one of [`PATH_PREFIXES`] and holds no whitespace (so commands are
+/// not paths); a `:line` suffix is stripped and globs such as `docs/*.md`
+/// are skipped.
+fn extract_path_spans(text: &str) -> Vec<(usize, String)> {
+    let mut spans = Vec::new();
+    let mut in_fence = false;
+    for (index, line) in text.lines().enumerate() {
+        if line.trim_start().starts_with("```") {
+            in_fence = !in_fence;
+            continue;
+        }
+        if in_fence {
+            continue;
+        }
+        // Pieces at odd positions between backticks are code spans; the last
+        // piece only counts when a closing backtick follows it.
+        let pieces: Vec<&str> = line.split('`').collect();
+        for span in pieces.iter().take(pieces.len().saturating_sub(1)).skip(1).step_by(2) {
+            if !PATH_PREFIXES.iter().any(|p| span.starts_with(p))
+                || span.contains(char::is_whitespace)
+                || span.contains(['*', '?', '{', '['])
+            {
+                continue;
+            }
+            let path = match span.split_once(':') {
+                Some((path, line)) if line.starts_with(|c: char| c.is_ascii_digit()) => path,
+                _ => span,
+            };
+            spans.push((index + 1, path.to_string()));
+        }
+    }
+    spans
 }
 
 /// GitHub-style anchor slug of a heading: lowercase, alphanumerics kept,
@@ -157,6 +198,22 @@ fn every_relative_documentation_link_resolves() {
 }
 
 #[test]
+fn every_backticked_repo_path_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut failures = Vec::new();
+    for file in documentation_files() {
+        let text =
+            std::fs::read_to_string(&file).unwrap_or_else(|e| panic!("cannot read {}: {e}", file.display()));
+        for (line, path) in extract_path_spans(&text) {
+            if !root.join(&path).exists() {
+                failures.push(format!("{}:{line}: `{path}` does not exist", file.display()));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "stale repo paths in documentation:\n{}", failures.join("\n"));
+}
+
+#[test]
 fn link_extraction_and_slugs_behave() {
     let text = "see [a](docs/A.md#x-y) and [b](http://e/) end\n```\n[ignored](nope)\n```\n[c](B.md)";
     let links = extract_links(text);
@@ -168,4 +225,10 @@ fn link_extraction_and_slugs_behave() {
     assert_eq!(collapse(&slugify("Data flow: encode → fit")), "data-flow-encode-fit");
     assert!(has_anchor("# Top\n\n## Out-of-core cleaning\n", "out-of-core-cleaning"));
     assert!(!has_anchor("# Top\n", "missing"));
+    let text = "at `crates/core/src/cleaner.rs:796`, not `docs/*.md` or `cargo test tests/a.rs`\n\
+                ```\n`crates/fenced.rs`\n```\n`src/` and `README.md` and `tests/open.rs";
+    assert_eq!(
+        extract_path_spans(text),
+        vec![(1, "crates/core/src/cleaner.rs".to_string()), (5, "src/".to_string())]
+    );
 }

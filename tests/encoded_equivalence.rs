@@ -3,8 +3,8 @@
 //! `tests/e2e_determinism.rs`), `BCleanModel::clean` — which scores entirely
 //! over compiled `u32` codes — must produce the exact repair list, cleaned
 //! dataset and statistics of the retained pre-refactor `Value` path
-//! (`BCleanModel::clean_reference`), for every paper variant and for 1, 2
-//! and 8 worker threads.
+//! (`BClean::fit_reference` + `ReferenceModel::clean_reference`), for every
+//! paper variant and for 1, 2 and 8 worker threads.
 
 use bclean::eval::bclean_constraints;
 use bclean::prelude::*;
@@ -22,7 +22,7 @@ fn encoded_engine_matches_value_path_for_every_variant_and_thread_count() {
         // thread-independent, so each thread count refits the same model.
         let reference = BClean::new(variant.config().with_threads(1))
             .with_constraints(constraints.clone())
-            .fit(&bench.dirty)
+            .fit_reference(&bench.dirty)
             .clean_reference(&bench.dirty);
         total_repairs += reference.repairs.len();
         for threads in [1usize, 2, 8] {

@@ -40,8 +40,8 @@ proptest! {
     }
 
     /// The dictionary's code order is the sorted-domain order shared with
-    /// `AttributeDomain` (and `DiscreteDomain`), and null/unseen sentinels
-    /// sit directly above the value codes.
+    /// `AttributeDomain`, and null/unseen sentinels sit directly above the
+    /// value codes.
     #[test]
     fn dict_order_matches_attribute_domains((dataset, rows, seed) in benchmark_strategy()) {
         let bench = dataset.build_sized(rows, seed);

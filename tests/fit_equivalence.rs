@@ -2,8 +2,8 @@
 //! fixture, `BClean::fit` — encoded structure learning, direct-to-compiled
 //! CPT counting, parallel compensatory build — must produce the same model
 //! as the retained pre-refactor construction (`BClean::fit_reference`):
-//! identical learned structures, identical CPTs (compared within float
-//! tolerance through their probability APIs), identical domains and
+//! identical learned structures, bit-identical CPTs (the compiled tables
+//! against the reference network's probability API), identical domains and
 //! FD-confidence matrices, and byte-identical downstream repairs, for every
 //! paper variant and for 1, 2 and 8 worker threads. A property test repeats
 //! the repair-level check across every datagen benchmark family.
@@ -16,11 +16,6 @@ use proptest::prelude::*;
 const ROWS: usize = 160;
 const SEED: u64 = 20240817;
 
-/// CPTs are float tables; the code-space path produces the same integer
-/// counts and the same float expressions, so the tolerance is only there to
-/// keep the test honest about what it guarantees.
-const CPT_TOLERANCE: f64 = 1e-12;
-
 #[test]
 fn fit_matches_fit_reference_for_every_variant_and_thread_count() {
     let bench = BenchmarkDataset::Hospital.build_sized(ROWS, SEED);
@@ -32,8 +27,12 @@ fn fit_matches_fit_reference_for_every_variant_and_thread_count() {
         let reference = BClean::new(variant.config().with_threads(1))
             .with_constraints(constraints.clone())
             .fit_reference(&bench.dirty);
-        let reference_result = reference.clean(&bench.dirty);
+        let reference_result = reference.model().clean(&bench.dirty);
         total_repairs += reference_result.repairs.len();
+        // The `Value`-keyed scoring engine agrees with the compiled one.
+        let reference_engine = reference.clean_reference(&bench.dirty);
+        assert_eq!(reference_engine.repairs, reference_result.repairs);
+        assert_eq!(reference_engine.cleaned, reference_result.cleaned);
         for threads in [1usize, 2, 8] {
             let model = BClean::new(variant.config().with_threads(threads))
                 .with_constraints(constraints.clone())
@@ -41,12 +40,11 @@ fn fit_matches_fit_reference_for_every_variant_and_thread_count() {
 
             // Identical structures.
             assert_eq!(
-                model.network().dag().edges(),
+                model.dag().edges(),
                 reference.network().dag().edges(),
                 "learned structure diverged: variant {variant:?} threads {threads}"
             );
-            assert_eq!(model.network().attribute_names(), reference.network().attribute_names());
-            assert_eq!(model.network().num_parameters(), reference.network().num_parameters());
+            assert_eq!(model.attribute_names(), reference.network().attribute_names());
 
             // Identical domains (derived PartialEq covers values + counts).
             let m = bench.dirty.num_columns();
@@ -58,28 +56,31 @@ fn fit_matches_fit_reference_for_every_variant_and_thread_count() {
                 );
             }
 
-            // Identical CPTs, within float tolerance, via the probability
-            // API: every candidate value of every column against every
-            // observed tuple's parent context (plus null).
+            // Bit-identical CPTs: every candidate value of every column
+            // against every observed tuple's parent context (plus null),
+            // read from the compiled tables of the code-space fit and from
+            // the reference network's probability API (floored and logged,
+            // as the compiled tables store them).
+            let dicts = model.dicts();
             for (r, row) in bench.dirty.rows().enumerate() {
-                for col in 0..m {
+                let codes: Vec<u32> = row.iter().zip(dicts).map(|(v, d)| d.encode(v).unwrap()).collect();
+                for (col, dict) in dicts.iter().enumerate() {
                     let mut probes: Vec<Value> = model.domains().attribute(col).values().to_vec();
                     probes.push(Value::Null);
                     for value in &probes {
-                        let a = model.network().cpt(col).prob_given_row(value, row);
-                        let b = reference.network().cpt(col).prob_given_row(value, row);
-                        assert!(
-                            (a - b).abs() <= CPT_TOLERANCE,
-                            "CPT diverged: variant {variant:?} row {r} col {col} value {value} \
-                             ({a} vs {b})"
+                        let a = model.compiled().node(col).log_prob_row(&codes, dict.encode(value).unwrap());
+                        let b = reference.network().cpt(col).prob_given_row(value, row).max(1e-300).ln();
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "CPT diverged: variant {variant:?} row {r} col {col} value {value} ({a} vs {b})"
                         );
                     }
                 }
             }
 
             // Downstream inference must be byte-identical: same repairs,
-            // same cleaned dataset, same counters — through both scoring
-            // engines of the freshly fitted model.
+            // same cleaned dataset, same counters.
             let run = model.clean(&bench.dirty);
             assert_eq!(
                 run.repairs, reference_result.repairs,
@@ -89,8 +90,6 @@ fn fit_matches_fit_reference_for_every_variant_and_thread_count() {
             assert_eq!(run.stats.cells_examined, reference_result.stats.cells_examined);
             assert_eq!(run.stats.cells_skipped, reference_result.stats.cells_skipped);
             assert_eq!(run.stats.candidates_evaluated, reference_result.stats.candidates_evaluated);
-            let run_reference_engine = model.clean_reference(&bench.dirty);
-            assert_eq!(run_reference_engine.repairs, reference_result.repairs);
         }
     }
     assert!(total_repairs > 0, "the fixture must exercise actual repairs");
@@ -115,9 +114,9 @@ proptest! {
             .with_constraints(constraints);
         let fast = cleaner.fit(&bench.dirty);
         let reference = cleaner.fit_reference(&bench.dirty);
-        prop_assert_eq!(fast.network().dag().edges(), reference.network().dag().edges());
+        prop_assert_eq!(fast.dag().edges(), reference.network().dag().edges());
         let fast_result = fast.clean(&bench.dirty);
-        let reference_result = reference.clean(&bench.dirty);
+        let reference_result = reference.model().clean(&bench.dirty);
         prop_assert_eq!(&fast_result.repairs, &reference_result.repairs);
         prop_assert_eq!(&fast_result.cleaned, &reference_result.cleaned);
     }

@@ -241,60 +241,3 @@ fn row_rules_repair_cross_attribute_violations() {
         assert!(repair.at.row == 7 || plain.repairs.iter().any(|p| p.at == repair.at));
     }
 }
-
-#[test]
-fn exact_inference_agrees_with_bclean_on_fd_determined_cells() {
-    use bclean::bayesnet::{argmax_posterior, InferenceEngine};
-
-    let bench = small(BenchmarkDataset::Hospital);
-    let model = BClean::new(Variant::PartitionedInference.config())
-        .with_constraints(bclean_constraints(BenchmarkDataset::Hospital))
-        .fit(&bench.dirty);
-    let network = model.network();
-    let engine = InferenceEngine::new(network, &bench.dirty);
-
-    // Columns whose domains are small enough for exact inference in a test.
-    let small_cols: Vec<usize> = (0..bench.dirty.num_columns())
-        .filter(|&c| engine.domain(c).map(|d| d.cardinality() <= 60).unwrap_or(false))
-        .collect();
-    assert!(!small_cols.is_empty());
-
-    let mut checked = 0usize;
-    for err in bench.errors.iter().filter(|e| small_cols.contains(&e.at.col)).take(5) {
-        let row = bench.dirty.row(err.at.row).unwrap();
-        let exact = engine.posterior_for_cell(row, err.at.col).unwrap();
-        let exact_best = argmax_posterior(&exact).unwrap().0.clone();
-        let blanket_best = engine
-            .domain(err.at.col)
-            .unwrap()
-            .values()
-            .iter()
-            .max_by(|a, b| {
-                network
-                    .blanket_log_score(row, err.at.col, a)
-                    .partial_cmp(&network.blanket_log_score(row, err.at.col, b))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .cloned()
-            .unwrap();
-        assert_eq!(exact_best, blanket_best, "engines disagree on row {} col {}", err.at.row, err.at.col);
-        checked += 1;
-    }
-    assert!(checked > 0, "no low-cardinality erroneous cells found to compare");
-}
-
-#[test]
-fn gibbs_sampling_recovers_fd_partner_in_pipeline_network() {
-    use bclean::bayesnet::{argmax_posterior, ApproxConfig, InferenceEngine};
-
-    // Zip -> State FD table with one corrupted State cell.
-    let rows: Vec<Vec<&str>> =
-        (0..60).map(|i| if i % 2 == 0 { vec!["35150", "CA"] } else { vec!["35960", "KT"] }).collect();
-    let dirty = dataset_from(&["ZipCode", "State"], &rows);
-    let model = BClean::new(Variant::PartitionedInference.config()).fit(&dirty);
-    let engine = InferenceEngine::new(model.network(), &dirty);
-
-    let posterior =
-        engine.posterior_gibbs(1, &[(0, Value::parse("35150"))], ApproxConfig::default()).unwrap();
-    assert_eq!(argmax_posterior(&posterior).unwrap().0, Value::text("CA"));
-}

@@ -74,12 +74,11 @@ fn session_matches_one_shot_for_every_variant_and_thread_count() {
 
             // Identical structures.
             assert_eq!(
-                model.network().dag().edges(),
-                oneshot_model.network().dag().edges(),
+                model.dag().edges(),
+                oneshot_model.dag().edges(),
                 "structure diverged: variant {variant:?} threads {threads}"
             );
-            assert_eq!(model.network().attribute_names(), oneshot_model.network().attribute_names());
-            assert_eq!(model.network().num_parameters(), oneshot_model.network().num_parameters());
+            assert_eq!(model.attribute_names(), oneshot_model.attribute_names());
 
             // Identical domains, despite the appended dictionary layout.
             for col in 0..m {
@@ -90,22 +89,33 @@ fn session_matches_one_shot_for_every_variant_and_thread_count() {
                 );
             }
 
-            // Bit-identical CPTs through the probability API: every domain
+            // Bit-identical CPTs through the compiled tables: every domain
             // value (plus null) of every column against every observed
-            // parent context.
+            // parent context, each model encoding through its own (appended
+            // or freshly sorted) dictionaries.
+            let codes_of = |model: &BCleanModel, row: &[Value]| -> Vec<u32> {
+                row.iter().zip(model.dicts()).map(|(v, d)| d.encode(v).unwrap()).collect()
+            };
             for (r, row) in bench.dirty.rows().enumerate() {
+                let (codes, oneshot_codes) = (codes_of(model, row), codes_of(&oneshot_model, row));
                 for col in 0..m {
                     let mut probes: Vec<Value> = model.domains().attribute(col).values().to_vec();
                     probes.push(Value::Null);
                     for value in &probes {
+                        let (code, oneshot_code) = (
+                            model.dicts()[col].encode(value).unwrap(),
+                            oneshot_model.dicts()[col].encode(value).unwrap(),
+                        );
+                        let (node, oneshot_node) =
+                            (model.compiled().node(col), oneshot_model.compiled().node(col));
                         assert_eq!(
-                            model.network().cpt(col).prob_given_row(value, row).to_bits(),
-                            oneshot_model.network().cpt(col).prob_given_row(value, row).to_bits(),
+                            node.log_prob_row(&codes, code).to_bits(),
+                            oneshot_node.log_prob_row(&oneshot_codes, oneshot_code).to_bits(),
                             "CPT diverged: variant {variant:?} row {r} col {col} value {value}"
                         );
                         assert_eq!(
-                            model.network().cpt(col).marginal_prob(value).to_bits(),
-                            oneshot_model.network().cpt(col).marginal_prob(value).to_bits()
+                            node.log_marginal(code).to_bits(),
+                            oneshot_node.log_marginal(oneshot_code).to_bits()
                         );
                     }
                 }
@@ -461,8 +471,8 @@ proptest! {
         }
         let result = session.finalize();
         prop_assert_eq!(
-            session.model().unwrap().network().dag().edges(),
-            oneshot_model.network().dag().edges()
+            session.model().unwrap().dag().edges(),
+            oneshot_model.dag().edges()
         );
         prop_assert_eq!(&result.repairs, &oneshot.repairs);
         prop_assert_eq!(&result.cleaned, &oneshot.cleaned);
