@@ -704,7 +704,8 @@ mod tests {
         let data = fixture();
         let encoded = EncodedDataset::from_dataset(&data);
         let good = NodeCounts::accumulate(&encoded, 1, &[0]).snapshot();
-        let mutations: Vec<(&str, Box<dyn Fn(&mut CountsSnapshot)>)> = vec![
+        type Mutation = (&'static str, Box<dyn Fn(&mut CountsSnapshot)>);
+        let mutations: Vec<Mutation> = vec![
             ("radices arity", Box::new(|s| s.radices.push(3))),
             ("marginal width", Box::new(|s| s.marginal.push(0))),
             ("marginal sum", Box::new(|s| s.marginal[0] += 1)),

@@ -43,7 +43,7 @@ proptest! {
         }
         prop_assert!(dag.is_acyclic());
         let order = dag.topological_order();
-        let mut pos = vec![0usize; 6];
+        let mut pos = [0usize; 6];
         for (i, &n) in order.iter().enumerate() { pos[n] = i; }
         for (from, to) in dag.edges() {
             prop_assert!(pos[from] < pos[to]);

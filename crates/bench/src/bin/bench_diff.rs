@@ -82,8 +82,7 @@ const KNOWN_TOP_LEVEL_KEYS: &[&str] = &[
     "latencies",
     // `bench_stream`'s out-of-core tier: informational (never gated) —
     // bounded-memory streamed clean vs the in-RAM one-shot, the peak-memory
-    // proxy, the warm encoded-cache re-clean and the budgeted
-    // accuracy-vs-speed record.
+    // proxy and the budgeted accuracy-vs-speed record.
     "ooc",
 ];
 

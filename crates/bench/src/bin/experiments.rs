@@ -19,7 +19,7 @@ use bclean_bayesnet::NetworkEdit;
 use bclean_bench::{Scale, EXPERIMENT_SEED};
 use bclean_core::{
     clean_stream, repairs_to_csv, BClean, BCleanConfig, BudgetParams, CleaningSession, CompensatoryParams,
-    ConstraintKind, FitBudget, ModelArtifact, SourceFingerprint, StreamOptions, Variant,
+    ConstraintKind, FitBudget, ModelArtifact, StreamOptions, Variant,
 };
 use bclean_data::{approx_dataset_bytes, read_csv_file, write_csv_file, ChunkLimits, CsvFileChunks};
 use bclean_datagen::{
@@ -772,9 +772,8 @@ fn bench_fit(scale: Scale, threads_sweep: &[usize]) {
 /// repairs against the in-RAM one-shot. The tier lands in the snapshot's
 /// `ooc` object — rows/s streamed vs resident, the `peak_bytes`
 /// peak-memory proxy against the resident dataset's footprint
-/// (`memory_ratio`), the warm re-clean speedup from the persisted encoded
-/// dataset, and the accuracy-vs-speed record of a sketch-budgeted streamed
-/// fit (`budgeted_agreement`). The object is informational, not gated:
+/// (`memory_ratio`), and the accuracy-vs-speed record of a sketch-budgeted
+/// streamed fit (`budgeted_agreement`). The object is informational, not gated:
 /// `bench_diff` warns on snapshot keys it does not know rather than
 /// failing, so adding tiers like this one never breaks an older gate.
 fn bench_stream(scale: Scale) {
@@ -928,8 +927,8 @@ fn bench_stream(scale: Scale) {
     // the dirty table back from a CSV file in fixed-row chunks, against the
     // in-RAM one-shot on the resident dataset. Timed once per mode — the
     // tier's headline numbers are the memory proxy, the bit-identity
-    // assertions and the warm-cache / budgeted comparisons, not
-    // jitter-sensitive speedups (none of them are gated).
+    // assertion and the budgeted comparison, not jitter-sensitive speedups
+    // (none of them are gated).
     let factor = match scale {
         Scale::Small => ScaleFactor::S10K,
         Scale::Default => ScaleFactor::S100K,
@@ -948,7 +947,6 @@ fn bench_stream(scale: Scale) {
     let tmp = std::env::temp_dir().join(format!("bclean-bench-ooc-{}", std::process::id()));
     std::fs::create_dir_all(&tmp).expect("create bench temp dir");
     let csv_path = tmp.join("ooc.csv");
-    let cache_path = tmp.join("ooc-encoded.bclean");
     write_csv_file(&ooc_bench.dirty, &csv_path).expect("write streaming source CSV");
 
     // In-RAM baseline: the whole dataset resident, one-shot artifact + clean.
@@ -961,12 +959,7 @@ fn bench_stream(scale: Scale) {
     let ooc_cols = resident.num_columns();
     let resident_bytes = approx_dataset_bytes(&resident);
     let oneshot_csv = repairs_to_csv(&ooc_oneshot.repairs);
-    let ooc_options = StreamOptions {
-        limits: ChunkLimits::rows(ooc_chunk_rows),
-        cache_path: Some(cache_path.clone()),
-        fingerprint: Some(SourceFingerprint::of_file(&csv_path).expect("fingerprint streaming source")),
-        cleaned_path: None,
-    };
+    let ooc_options = StreamOptions { limits: ChunkLimits::rows(ooc_chunk_rows), cleaned_path: None };
     let run_stream = |cleaner: &BClean, options: &StreamOptions| {
         let mut source = CsvFileChunks::open(&csv_path, options.limits).expect("open streaming source");
         let start = std::time::Instant::now();
@@ -974,21 +967,10 @@ fn bench_stream(scale: Scale) {
         (start.elapsed().as_secs_f64(), outcome)
     };
     let (cold_seconds, cold) = run_stream(&ooc_cleaner, &ooc_options);
-    assert!(
-        !cold.encode_skipped && cold.cache_written,
-        "the first streamed run must encode from the source and persist the encoded dataset"
-    );
     assert_eq!(
         repairs_to_csv(&cold.repairs),
         oneshot_csv,
         "the streamed clean must be bit-identical to the in-RAM one-shot"
-    );
-    let (warm_seconds, warm) = run_stream(&ooc_cleaner, &ooc_options);
-    assert!(warm.encode_skipped, "the re-clean must hit the persisted encoded dataset");
-    assert_eq!(
-        repairs_to_csv(&warm.repairs),
-        oneshot_csv,
-        "the warm re-clean must reproduce the cold repairs byte for byte"
     );
 
     // Accuracy-vs-speed: the same streamed pipeline under a sketch fit
@@ -1007,17 +989,14 @@ fn bench_stream(scale: Scale) {
             .with_fit_budget(FitBudget::Budgeted(ooc_budget)),
     )
     .with_constraints(bclean_constraints(BenchmarkDataset::Hospital));
-    let budget_options = StreamOptions { limits: ChunkLimits::rows(ooc_chunk_rows), ..Default::default() };
-    let (budgeted_seconds, budgeted) = run_stream(&budgeted_cleaner, &budget_options);
+    let (budgeted_seconds, budgeted) = run_stream(&budgeted_cleaner, &ooc_options);
     let budgeted_agreement = repair_agreement(&ooc_oneshot.repairs, &budgeted.repairs);
     let _ = std::fs::remove_dir_all(&tmp);
 
     let oneshot_rows_per_sec = ooc_rows as f64 / oneshot_seconds.max(1e-12);
     let cold_rows_per_sec = ooc_rows as f64 / cold_seconds.max(1e-12);
-    let warm_rows_per_sec = ooc_rows as f64 / warm_seconds.max(1e-12);
     let budgeted_rows_per_sec = ooc_rows as f64 / budgeted_seconds.max(1e-12);
     let ooc_throughput_ratio = cold_rows_per_sec / oneshot_rows_per_sec.max(1e-12);
-    let warm_speedup = cold_seconds / warm_seconds.max(1e-12);
     let budgeted_speedup = cold_seconds / budgeted_seconds.max(1e-12);
     let memory_ratio = cold.peak_bytes as f64 / (resident_bytes.max(1)) as f64;
     let mut ooc_table = TextTable::new(vec!["Mode", "Wall", "Rows/s", "Peak bytes", "Repairs", "Agreement"]);
@@ -1031,7 +1010,6 @@ fn bench_stream(scale: Scale) {
             1.0,
         ),
         ("streamed (cold)", cold_seconds, cold_rows_per_sec, cold.peak_bytes, cold.repairs.len(), 1.0),
-        ("streamed (warm cache)", warm_seconds, warm_rows_per_sec, warm.peak_bytes, warm.repairs.len(), 1.0),
         (
             "streamed (budgeted)",
             budgeted_seconds,
@@ -1052,8 +1030,8 @@ fn bench_stream(scale: Scale) {
     }
     println!("{}", ooc_table.render());
     println!(
-        "out-of-core tier: peak chunk memory {:.1}% of resident, warm-cache speedup {warm_speedup:.2}x, \
-         budgeted agreement {budgeted_agreement:.4}\n",
+        "out-of-core tier: peak chunk memory {:.1}% of resident, budgeted agreement \
+         {budgeted_agreement:.4}\n",
         memory_ratio * 100.0
     );
     let ooc_json = format!(
@@ -1064,7 +1042,6 @@ fn bench_stream(scale: Scale) {
          \"stream_cold_seconds\": {cold_seconds:.6}, \"stream_cold_rows_per_sec\": {cold_rows_per_sec:.2}, \
          \"peak_bytes\": {}, \"memory_ratio\": {memory_ratio:.4}, \
          \"throughput_ratio\": {ooc_throughput_ratio:.4}, \
-         \"stream_warm_seconds\": {warm_seconds:.6}, \"warm_cache_speedup\": {warm_speedup:.3}, \
          \"budgeted_seconds\": {budgeted_seconds:.6}, \"budgeted_speedup\": {budgeted_speedup:.3}, \
          \"budgeted_agreement\": {budgeted_agreement:.4}, \
          \"repairs\": {}}},",

@@ -38,11 +38,11 @@ use std::process::ExitCode;
 
 use bclean_core::{
     clean_stream, clean_stream_with_model, repairs_to_csv, BClean, BudgetParams, ConstraintSet, FitBudget,
-    ModelArtifact, Repair, StreamError, StreamOptions, StreamOutcome, UserConstraint, Variant,
+    ModelArtifact, Repair, StreamOptions, StreamOutcome, UserConstraint, Variant,
 };
 use bclean_data::{read_csv_file, write_csv_file, ChunkLimits, ChunkSource, CsvFileChunks, Dataset};
 use bclean_profile::{find_outliers, suggest_constraints, DatasetProfile, OutlierConfig, SuggestConfig};
-use bclean_store::{read_container_file, ContainerReader, SourceFingerprint};
+use bclean_store::{read_container_file, ContainerReader};
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
@@ -124,7 +124,6 @@ fn usage() -> &'static str {
                             [--variant basic|nouc|pi|pip] [--threads N] [--shards N]
                             [--max-repairs N] [--fit-sample ROWS] [--sketch-budget K]
                             [--stream] [--chunk-rows N] [--max-memory BYTES[K|M|G]]
-                            [--encoded-cache enc.bclean]
   bclean ingest  <batch.csv> -m <model.bclean> [-o updated.bclean]
   bclean inspect <model.bclean>
   bclean profile <data.csv>
@@ -189,7 +188,6 @@ struct CommonArgs {
     stream: bool,
     chunk_rows: Option<usize>,
     max_memory: Option<usize>,
-    encoded_cache: Option<String>,
 }
 
 impl CommonArgs {
@@ -318,10 +316,6 @@ fn parse_common(args: &[String]) -> Result<CommonArgs, CliError> {
                 parsed.max_memory = Some(parse_bytes(&n).map_err(usage_err)?);
                 i += 2;
             }
-            "--encoded-cache" => {
-                parsed.encoded_cache = Some(flag_value("--encoded-cache")?);
-                i += 2;
-            }
             "--suggest" => {
                 parsed.suggest = true;
                 i += 1;
@@ -389,7 +383,6 @@ fn fit_command(args: &[String]) -> Result<(), CliError> {
             ("--stream", args.stream),
             ("--chunk-rows", args.chunk_rows.is_some()),
             ("--max-memory", args.max_memory.is_some()),
-            ("--encoded-cache", args.encoded_cache.is_some()),
         ],
     )?;
     let input = args.input.as_deref().ok_or_else(|| usage_err("missing <data.csv>"))?;
@@ -439,11 +432,7 @@ fn clean_command(args: &[String]) -> Result<(), CliError> {
     // ignored they would look like a memory bound that was never enforced.
     reject_unused_flags(
         "without --stream",
-        &[
-            ("--chunk-rows", args.chunk_rows.is_some()),
-            ("--max-memory", args.max_memory.is_some()),
-            ("--encoded-cache", args.encoded_cache.is_some()),
-        ],
+        &[("--chunk-rows", args.chunk_rows.is_some()), ("--max-memory", args.max_memory.is_some())],
     )?;
     let input = args.input.as_deref().ok_or_else(|| usage_err("missing <data.csv>"))?;
     let data = load(input)?;
@@ -523,21 +512,15 @@ fn clean_command(args: &[String]) -> Result<(), CliError> {
 /// bounded chunks (never fully resident), the fit accumulates the encoding
 /// and per-row confidences chunk by chunk, and cleaning re-decodes bounded
 /// windows — repairs and artifact are bit-identical to the in-RAM run (see
-/// `bclean_core::stream`). With `--encoded-cache`, the encoding persists
-/// as a `.bclean` file keyed by a fingerprint of the source bytes, so a
-/// re-clean of the same file skips the parse and encode passes.
+/// `bclean_core::stream`).
 fn stream_clean_command(args: &CommonArgs) -> Result<(), CliError> {
     let input = args.input.as_deref().ok_or_else(|| usage_err("missing <data.csv>"))?;
     let limits = args.chunk_limits();
     let mut source =
         CsvFileChunks::open(input, limits).map_err(|e| io_err(format!("cannot stream {input}: {e}")))?;
-    let mut options = StreamOptions {
-        limits,
-        cleaned_path: args.output.as_ref().map(std::path::PathBuf::from),
-        ..StreamOptions::default()
-    };
+    let options = StreamOptions { limits, cleaned_path: args.output.as_ref().map(std::path::PathBuf::from) };
 
-    let outcome = match &args.model {
+    let streamed = match &args.model {
         // Stream-clean against a persisted model: no fitting, one pass.
         Some(path) => {
             reject_unused_flags(
@@ -548,7 +531,6 @@ fn stream_clean_command(args: &CommonArgs) -> Result<(), CliError> {
                     ("--suggest", args.suggest),
                     ("--fit-sample", args.fit_sample.is_some()),
                     ("--sketch-budget", args.sketch_budget.is_some()),
-                    ("--encoded-cache", args.encoded_cache.is_some()),
                 ],
             )?;
             let mut artifact =
@@ -561,7 +543,7 @@ fn stream_clean_command(args: &CommonArgs) -> Result<(), CliError> {
                 artifact.set_shards(shards);
             }
             let model = artifact.compile();
-            clean_stream_with_model(&model, &mut source, &options).map_err(|e| stream_err(input, e))?
+            clean_stream_with_model(&model, &mut source, &options)
         }
         // Stream fit + clean in one process. Constraint auto-suggestion
         // needs the whole dataset in memory — exactly what --stream rules
@@ -588,17 +570,11 @@ fn stream_clean_command(args: &CommonArgs) -> Result<(), CliError> {
             if let Some(budget) = args.fit_budget() {
                 config = config.with_fit_budget(budget);
             }
-            if let Some(cache) = &args.encoded_cache {
-                options.cache_path = Some(std::path::PathBuf::from(cache));
-                options.fingerprint = Some(
-                    SourceFingerprint::of_file(std::path::Path::new(input))
-                        .map_err(|e| store_err(&format!("cannot fingerprint {input}"), e))?,
-                );
-            }
             let cleaner = BClean::new(config).with_constraints(constraints);
-            clean_stream(&cleaner, &mut source, &options).map_err(|e| stream_err(input, e))?
+            clean_stream(&cleaner, &mut source, &options)
         }
     };
+    let outcome = streamed.map_err(|e| io_err(format!("cannot stream {input}: {e}")))?;
 
     println!(
         "{} repairs across {} rows in {} chunks in {:?} (peak chunk memory ~{})",
@@ -608,11 +584,6 @@ fn stream_clean_command(args: &CommonArgs) -> Result<(), CliError> {
         outcome.stats.duration + outcome.stats.fit_duration,
         format_bytes(outcome.peak_bytes)
     );
-    if outcome.encode_skipped {
-        println!("encoded-dataset cache hit: parse and encode passes skipped");
-    } else if outcome.cache_written {
-        println!("encoded dataset cached to {}", args.encoded_cache.as_deref().unwrap_or_default());
-    }
     print_repair_lines(&outcome.repairs, args.max_repairs.unwrap_or(50));
 
     if let Some(path) = &args.output {
@@ -629,15 +600,6 @@ fn stream_clean_command(args: &CommonArgs) -> Result<(), CliError> {
         println!("report written to {path}");
     }
     Ok(())
-}
-
-/// Classify a [`StreamError`]: data-layer failures follow the CSV-loading
-/// convention (exit 3), store-layer failures follow [`store_err`].
-fn stream_err(input: &str, error: StreamError) -> CliError {
-    match error {
-        StreamError::Data(e) => io_err(format!("cannot stream {input}: {e}")),
-        StreamError::Store(e) => store_err(&format!("encoded cache for {input}"), e),
-    }
 }
 
 /// The shared per-repair console lines of `bclean clean` and
@@ -691,7 +653,6 @@ fn ingest_command(args: &[String]) -> Result<(), CliError> {
             ("--stream", args.stream),
             ("--chunk-rows", args.chunk_rows.is_some()),
             ("--max-memory", args.max_memory.is_some()),
-            ("--encoded-cache", args.encoded_cache.is_some()),
         ],
     )?;
     let input = args.input.as_deref().ok_or_else(|| usage_err("missing <batch.csv>"))?;
@@ -888,7 +849,7 @@ fn report_json(input: &str, result: &bclean_core::CleaningResult) -> String {
 }
 
 /// Machine-readable report of a streaming clean: the [`report_json`] keys
-/// plus the out-of-core telemetry (chunks, peak-memory proxy, cache state).
+/// plus the out-of-core telemetry (chunks, peak-memory proxy).
 fn stream_report_json(input: &str, outcome: &StreamOutcome) -> String {
     let mut repairs = String::new();
     for (i, repair) in outcome.repairs.iter().enumerate() {
@@ -909,7 +870,7 @@ fn stream_report_json(input: &str, outcome: &StreamOutcome) -> String {
         "{{\n  \"input\": {},\n  \"rows\": {},\n  \"cells_examined\": {},\n  \"cells_skipped\": {},\n  \
          \"candidates_evaluated\": {},\n  \"num_repairs\": {},\n  \"clean_seconds\": {:.6},\n  \
          \"fit_seconds\": {:.6},\n  \"chunks\": {},\n  \"peak_bytes\": {},\n  \
-         \"encode_skipped\": {},\n  \"repairs\": [\n{}  ]\n}}\n",
+         \"repairs\": [\n{}  ]\n}}\n",
         json_string(input),
         outcome.rows,
         outcome.stats.cells_examined,
@@ -920,7 +881,6 @@ fn stream_report_json(input: &str, outcome: &StreamOutcome) -> String {
         outcome.stats.fit_duration.as_secs_f64(),
         outcome.chunks,
         outcome.peak_bytes,
-        outcome.encode_skipped,
         repairs
     )
 }
@@ -1053,24 +1013,14 @@ rule:    ends_with(code, zip)
 
     #[test]
     fn stream_flags_parse_and_shape_chunk_limits() {
-        let args: Vec<String> = [
-            "data.csv",
-            "--stream",
-            "--chunk-rows",
-            "512",
-            "--max-memory",
-            "64M",
-            "--encoded-cache",
-            "enc.bclean",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        let args: Vec<String> = ["data.csv", "--stream", "--chunk-rows", "512", "--max-memory", "64M"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
         let parsed = parse_common(&args).unwrap();
         assert!(parsed.stream);
         assert_eq!(parsed.chunk_rows, Some(512));
         assert_eq!(parsed.max_memory, Some(64 << 20));
-        assert_eq!(parsed.encoded_cache.as_deref(), Some("enc.bclean"));
         let limits = parsed.chunk_limits();
         assert_eq!(limits.max_rows, 512);
         assert_eq!(limits.max_bytes, 32 << 20);

@@ -372,9 +372,10 @@ impl BCleanModel {
         let original_code = row_codes[col];
         let anchor = self.anchor_context_codes(&row_codes, col);
         let rules = self.relevant_rules(dataset.schema(), col);
+        let pruned = self.pruned_candidates(col);
         let mut candidates = Vec::new();
         let mut scratch = Vec::new();
-        self.candidate_codes(
+        self.candidate_codes_pruned(
             dataset.schema(),
             row_values,
             &row_codes,
@@ -382,6 +383,7 @@ impl BCleanModel {
             original_code,
             anchor,
             &rules,
+            pruned.as_deref(),
             &mut candidates,
             &mut scratch,
         );
@@ -430,7 +432,8 @@ impl BCleanModel {
             }
         }
         let rules_by_col = self.rules_by_col(dataset.schema());
-        let pruned_by_col = self.pruned_candidate_lists();
+        let pruned_by_col: Vec<Option<Vec<u32>>> =
+            (0..dicts.len()).map(|col| self.pruned_candidates(col)).collect();
         let shards = self.config.effective_shards().min(n.max(1));
         let batches = if shards > 1 {
             let ranges = bclean_data::shard_ranges(n, shards);
@@ -483,37 +486,31 @@ impl BCleanModel {
         CleaningResult { cleaned, repairs, stats }
     }
 
-    /// Per-column pruned candidate enumerations for the scale-only
-    /// high-cardinality pruning (`config.candidate_top_k`): for each column
-    /// whose dictionary exceeds the threshold, the `top_k` most frequent
+    /// One column's pruned candidate enumeration for the scale-only
+    /// high-cardinality pruning (`config.candidate_top_k`): when the
+    /// column's dictionary exceeds the threshold, the `top_k` most frequent
     /// value codes (ties broken in sorted-value order), re-sorted into the
     /// dictionary's sorted-value enumeration order so downstream tie
     /// breaking behaves exactly as on the unpruned walk. Columns at or below
-    /// the threshold stay `None` (exact enumeration); with the default
+    /// the threshold yield `None` (exact enumeration); with the default
     /// `usize::MAX` threshold every column is exact.
-    fn pruned_candidate_lists(&self) -> Vec<Option<Vec<u32>>> {
+    fn pruned_candidates(&self, col: usize) -> Option<Vec<u32>> {
         let top_k = self.config.candidate_top_k;
-        let dicts = self.compensatory.dicts();
-        dicts
-            .iter()
-            .enumerate()
-            .map(|(col, dict)| {
-                if dict.cardinality() <= top_k {
-                    return None;
-                }
-                // Enumerate in sorted-value order (exactly like the unpruned
-                // walk), stably keep the most frequent `top_k`, then restore
-                // enumeration order via the sorted rank.
-                let mut ranked: Vec<u32> = match dict.code_order() {
-                    None => (0..dict.cardinality() as u32).collect(),
-                    Some(order) => order.to_vec(),
-                };
-                ranked.sort_by_key(|&c| std::cmp::Reverse(self.compensatory.value_count_code(col, c)));
-                ranked.truncate(top_k);
-                ranked.sort_by_key(|&c| dict.sort_rank(c));
-                Some(ranked)
-            })
-            .collect()
+        let dict = &self.compensatory.dicts()[col];
+        if dict.cardinality() <= top_k {
+            return None;
+        }
+        // Enumerate in sorted-value order (exactly like the unpruned walk),
+        // stably keep the most frequent `top_k`, then restore enumeration
+        // order via the sorted rank.
+        let mut ranked: Vec<u32> = match dict.code_order() {
+            None => (0..dict.cardinality() as u32).collect(),
+            Some(order) => order.to_vec(),
+        };
+        ranked.sort_by_key(|&c| std::cmp::Reverse(self.compensatory.value_count_code(col, c)));
+        ranked.truncate(top_k);
+        ranked.sort_by_key(|&c| dict.sort_rank(c));
+        Some(ranked)
     }
 
     /// Clean a contiguous range of rows (one parallel work unit) over the
@@ -707,42 +704,13 @@ impl BCleanModel {
         best.map(|(k, _)| k)
     }
 
-    /// Candidate generation over codes: the column's domain codes, filtered
-    /// by the pre-evaluated per-attribute constraints, by the tuple-level
-    /// rules relevant to the column (Eq. 1's `UC(c) = 1`), by the
-    /// anchor-corroboration requirement, and optionally by domain pruning
-    /// (§6.2). The observed value's code is appended when absent.
-    #[allow(clippy::too_many_arguments)]
-    fn candidate_codes(
-        &self,
-        schema: &Schema,
-        row: &[Value],
-        row_codes: &[u32],
-        col: usize,
-        original_code: u32,
-        anchor: Option<usize>,
-        rules: &[Arc<Rule>],
-        out: &mut Vec<u32>,
-        scratch: &mut Vec<Value>,
-    ) {
-        self.candidate_codes_pruned(
-            schema,
-            row,
-            row_codes,
-            col,
-            original_code,
-            anchor,
-            rules,
-            None,
-            out,
-            scratch,
-        )
-    }
-
-    /// [`BCleanModel::candidate_codes`] with an optional pre-pruned
-    /// enumeration (see [`BCleanModel::pruned_candidate_lists`]): when
-    /// `pruned` is set, only those codes — already in sorted-value order —
-    /// are walked instead of the whole domain.
+    /// Candidate generation over codes: the column's domain codes (or, when
+    /// `pruned` is set, only those codes — already in sorted-value order; see
+    /// [`BCleanModel::pruned_candidates`]), filtered by the pre-evaluated
+    /// per-attribute constraints, by the tuple-level rules relevant to the
+    /// column (Eq. 1's `UC(c) = 1`), by the anchor-corroboration requirement,
+    /// and optionally by domain pruning (§6.2). The observed value's code is
+    /// appended when absent.
     #[allow(clippy::too_many_arguments)]
     fn candidate_codes_pruned(
         &self,

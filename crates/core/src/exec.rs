@@ -179,7 +179,7 @@ mod tests {
     fn collatz_steps(mut n: usize) -> usize {
         let mut steps = 0;
         while n > 1 {
-            n = if n % 2 == 0 { n / 2 } else { 3 * n + 1 };
+            n = if n.is_multiple_of(2) { n / 2 } else { 3 * n + 1 };
             steps += 1;
         }
         steps

@@ -62,12 +62,10 @@ pub use exec::ParallelExecutor;
 pub use reference::ReferenceModel;
 pub use report::{repairs_to_csv, CleaningResult, CleaningStats, Repair};
 pub use session::{CleaningSession, SessionStats};
-pub use stream::{
-    clean_stream, clean_stream_with_model, schema_from_meta, StreamError, StreamOptions, StreamOutcome,
-};
+pub use stream::{clean_stream, clean_stream_with_model, StreamOptions, StreamOutcome};
 
 // Re-export the pieces of the substrate crates that appear in this crate's
 // public API, so downstream users need only one import path.
 pub use bclean_bayesnet::{NetworkEdit, StructureConfig};
 pub use bclean_sketch::{BudgetParams, FitBudget};
-pub use bclean_store::{SchemaMeta, SourceFingerprint, StoreError, FORMAT_VERSION};
+pub use bclean_store::{StoreError, FORMAT_VERSION};

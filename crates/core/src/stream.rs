@@ -1,7 +1,7 @@
 //! Out-of-core cleaning: a bounded-memory streaming pipeline over a
 //! [`ChunkSource`], bit-identical to the in-RAM one-shot run.
 //!
-//! [`clean_stream`] makes two passes over the data:
+//! [`clean_stream`] reads the source once and works in two passes:
 //!
 //! 1. **Encode + fit.** Each raw chunk feeds an [`EncodedDatasetBuilder`]
 //!    (which reproduces `EncodedDataset::from_dataset` on the concatenation
@@ -18,32 +18,25 @@
 //!    and `encode_lossy(decode(code)) == code`), cleaned independently, and
 //!    their repairs shifted to global row indices. Inference is per-row
 //!    independent, so the concatenated repair list is identical to cleaning
-//!    the whole dataset at once. Cleaned rows can stream straight to a CSV
-//!    file without ever materialising the cleaned dataset.
+//!    the whole dataset at once. Cleaned rows stream to a CSV file chunk by
+//!    chunk, so the cleaned dataset is never materialised.
 //!
 //! Peak memory is therefore one raw chunk + the (columnar `u32`) encoding +
 //! the confidence vector — codes, not heap `Value`s — tracked as a
-//! deterministic byte proxy in [`StreamOutcome::peak_bytes`].
-//!
-//! The encoding itself can be persisted as the v4 `EncodedData` section of
-//! a `.bclean` container (guarded by a source fingerprint); a re-clean of
-//! the same file then skips the CSV parse *and* the encode pass entirely
-//! ([`StreamOutcome::encode_skipped`]) while producing byte-identical
-//! repairs. A `FitBudget` in the cleaner's config composes transparently:
-//! the budgeted structure/pair passes already run over the encoding, giving
-//! the BayesWipe-style fit-on-a-sample / clean-the-rest large-scale mode.
+//! deterministic byte proxy in [`StreamOutcome::peak_bytes`]. A `FitBudget`
+//! in the cleaner's config composes transparently: the budgeted
+//! structure/pair passes already run over the encoding, giving the
+//! BayesWipe-style fit-on-a-sample / clean-the-rest large-scale mode.
 
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use bclean_bayesnet::{learn_structure_budgeted, learn_structure_encoded};
 use bclean_data::{
-    approx_dataset_bytes, write_csv_file, AttrType, Attribute, ChunkLimits, ChunkSource, DataError, Dataset,
-    EncodedDataset, EncodedDatasetBuilder, Schema, Value,
-};
-use bclean_store::{
-    read_container_file, read_encoded_dataset, read_schema, write_encoded_dataset, write_schema, ByteWriter,
-    ContainerReader, ContainerWriter, SchemaMeta, SectionId, SourceFingerprint, StoreError,
+    approx_dataset_bytes, AttrType, ChunkLimits, ChunkSource, DataError, Dataset, EncodedDataset,
+    EncodedDatasetBuilder, Schema, Value,
 };
 
 use crate::cleaner::{BClean, BCleanModel};
@@ -51,21 +44,11 @@ use crate::constraints::ConstraintSet;
 use crate::report::{CleaningStats, Repair};
 use crate::ModelArtifact;
 
-/// How a streaming run reads, caches and writes data.
+/// How a streaming run chunks its input and where it writes cleaned rows.
 #[derive(Debug, Clone, Default)]
 pub struct StreamOptions {
     /// Per-chunk row/byte bounds for both passes.
     pub limits: ChunkLimits,
-    /// Path of the encoded-dataset cache (a `.bclean` container holding
-    /// `Schema` + `EncodedData` sections). When the file exists and its
-    /// recorded fingerprint matches [`StreamOptions::fingerprint`], the
-    /// encode pass is skipped; otherwise the cache is (re)written after
-    /// encoding.
-    pub cache_path: Option<PathBuf>,
-    /// Fingerprint of the raw source document, required to use
-    /// [`StreamOptions::cache_path`] (compute with
-    /// [`SourceFingerprint::of_file`] / [`SourceFingerprint::of`]).
-    pub fingerprint: Option<SourceFingerprint>,
     /// Stream the cleaned rows to this CSV file, chunk by chunk. The bytes
     /// written are identical to `write_csv_file` of the one-shot cleaned
     /// dataset.
@@ -94,44 +77,10 @@ pub struct StreamOutcome {
     /// during the run. A heuristic for benchmarks and `--max-memory`
     /// accounting, not an allocator measurement.
     pub peak_bytes: usize,
-    /// Did a valid encoded-dataset cache let the run skip the CSV parse and
-    /// encode pass?
+    /// Always `false`: every run parses and encodes its source. The field
+    /// stays because the `hospital-stream` benchmark (`perfbench/`) checks
+    /// it.
     pub encode_skipped: bool,
-    /// Was the encoded-dataset cache (re)written by this run?
-    pub cache_written: bool,
-}
-
-/// A streaming-run failure: either the data layer (CSV parse, I/O on the
-/// cleaned output) or the store layer (cache container read/write).
-#[derive(Debug)]
-pub enum StreamError {
-    /// CSV parsing or dataset I/O failed.
-    Data(DataError),
-    /// Reading or writing the encoded-dataset cache failed.
-    Store(StoreError),
-}
-
-impl std::fmt::Display for StreamError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StreamError::Data(e) => write!(f, "{e}"),
-            StreamError::Store(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for StreamError {}
-
-impl From<DataError> for StreamError {
-    fn from(e: DataError) -> StreamError {
-        StreamError::Data(e)
-    }
-}
-
-impl From<StoreError> for StreamError {
-    fn from(e: StoreError) -> StreamError {
-        StreamError::Store(e)
-    }
 }
 
 /// Fit and clean a chunked source end to end with bounded peak memory (see
@@ -143,53 +92,28 @@ pub fn clean_stream<S: ChunkSource + ?Sized>(
     cleaner: &BClean,
     source: &mut S,
     options: &StreamOptions,
-) -> Result<StreamOutcome, StreamError> {
+) -> Result<StreamOutcome, DataError> {
     let fit_start = Instant::now();
     let schema = source.schema().clone();
     let constraints =
         if cleaner.config().use_constraints { cleaner.constraints().clone() } else { ConstraintSet::new() };
 
+    // Pass 1: fold every chunk into the encoding and the per-row
+    // confidence vector.
+    let mut builder = EncodedDatasetBuilder::new(schema.arity());
+    let mut confidences: Vec<f64> = Vec::new();
     let mut peak_bytes = 0usize;
-    let mut encode_skipped = false;
-    let mut cache_written = false;
-
-    // Pass 1: obtain the encoding and the per-row confidence vector —
-    // from the cache when it matches the source, from a chunked encode
-    // pass otherwise.
-    let (encoded, confidences) = match load_cache(&schema, options)? {
-        Some(cached) => {
-            encode_skipped = true;
-            let confidences = confidences_from_encoded(
-                &cached,
-                &schema,
-                &constraints,
-                cleaner.config().params.lambda,
-                &options.limits,
-            );
-            peak_bytes = peak_bytes.max(cached.approx_bytes() + 8 * confidences.len());
-            (cached, confidences)
+    let lambda = cleaner.config().params.lambda;
+    while let Some(chunk) = source.next_chunk()? {
+        for row in chunk.rows() {
+            confidences.push(constraints.tuple_confidence(&schema, row, lambda));
         }
-        None => {
-            let mut builder = EncodedDatasetBuilder::new(schema.arity());
-            let mut confidences: Vec<f64> = Vec::new();
-            let lambda = cleaner.config().params.lambda;
-            while let Some(chunk) = source.next_chunk()? {
-                for row in chunk.rows() {
-                    confidences.push(constraints.tuple_confidence(&schema, row, lambda));
-                }
-                builder.push_batch(&chunk);
-                peak_bytes = peak_bytes
-                    .max(approx_dataset_bytes(&chunk) + builder.approx_bytes() + 8 * confidences.len());
-            }
-            let encoded = builder.finish();
-            peak_bytes = peak_bytes.max(encoded.approx_bytes() + 8 * confidences.len());
-            if let (Some(path), Some(fingerprint)) = (&options.cache_path, options.fingerprint) {
-                write_cache(path, fingerprint, &schema, &encoded)?;
-                cache_written = true;
-            }
-            (encoded, confidences)
-        }
-    };
+        builder.push_batch(&chunk);
+        peak_bytes =
+            peak_bytes.max(approx_dataset_bytes(&chunk) + builder.approx_bytes() + 8 * confidences.len());
+    }
+    let encoded = builder.finish();
+    peak_bytes = peak_bytes.max(encoded.approx_bytes() + 8 * confidences.len());
 
     // Fit from the encoding + confidences: the same entry point the
     // in-RAM one-shot fit reaches after its own encode + confidence sweep.
@@ -216,8 +140,7 @@ pub fn clean_stream<S: ChunkSource + ?Sized>(
         rows: encoded.num_rows(),
         chunks: outcome.chunks,
         peak_bytes: outcome.peak_bytes,
-        encode_skipped,
-        cache_written,
+        encode_skipped: false,
     })
 }
 
@@ -230,9 +153,9 @@ pub fn clean_stream_with_model<S: ChunkSource + ?Sized>(
     model: &BCleanModel,
     source: &mut S,
     options: &StreamOptions,
-) -> Result<StreamOutcome, StreamError> {
+) -> Result<StreamOutcome, DataError> {
     let schema = source.schema().clone();
-    let mut writer = CleanedCsvWriter::new(options.cleaned_path.as_deref());
+    let mut writer = CleanedCsvWriter::create(options.cleaned_path.as_deref())?;
     let mut repairs: Vec<Repair> = Vec::new();
     let mut stats = CleaningStats::default();
     let mut rows = 0usize;
@@ -246,16 +169,7 @@ pub fn clean_stream_with_model<S: ChunkSource + ?Sized>(
         chunks += 1;
     }
     writer.finish(&schema)?;
-    Ok(StreamOutcome {
-        artifact: None,
-        repairs,
-        stats,
-        rows,
-        chunks,
-        peak_bytes,
-        encode_skipped: false,
-        cache_written: false,
-    })
+    Ok(StreamOutcome { artifact: None, repairs, stats, rows, chunks, peak_bytes, encode_skipped: false })
 }
 
 /// The shared cleaning pass: decode the encoding chunk by chunk, clean
@@ -266,8 +180,8 @@ fn clean_encoded_chunks(
     schema: &Schema,
     options: &StreamOptions,
     mut peak_bytes: usize,
-) -> Result<ChunksOutcome, StreamError> {
-    let mut writer = CleanedCsvWriter::new(options.cleaned_path.as_deref());
+) -> Result<ChunksOutcome, DataError> {
+    let mut writer = CleanedCsvWriter::create(options.cleaned_path.as_deref())?;
     let mut repairs: Vec<Repair> = Vec::new();
     let mut stats = CleaningStats::default();
     let mut chunks = 0usize;
@@ -307,154 +221,74 @@ fn absorb_chunk(
     result: crate::report::CleaningResult,
     offset: usize,
     writer: &mut CleanedCsvWriter,
-) -> Result<(), StreamError> {
+) -> Result<(), DataError> {
     repairs.extend(result.repairs.into_iter().map(|mut repair| {
         repair.at.row += offset;
         repair
     }));
     stats.merge(&result.stats);
     stats.duration += result.stats.duration;
-    writer.push(&result.cleaned)?;
-    Ok(())
+    writer.push(&result.cleaned)
 }
 
-/// Incremental cleaned-CSV writer: buffers the header + rows as chunks
-/// arrive and writes the file once at the end of the pass. The bytes equal
-/// `write_csv_file` of the concatenated cleaned dataset. (Rows are
-/// rendered and the raw chunks dropped immediately; only the rendered text
-/// accumulates, which is the same order of magnitude as the file itself.)
+/// Incremental cleaned-CSV writer: each cleaned chunk is rendered and
+/// written through a buffered file as it arrives, so memory holds at most
+/// one rendered chunk. The header goes out with the first chunk; a run
+/// with zero chunks still writes a header-only file. The bytes equal
+/// `write_csv_file` of the concatenated cleaned dataset.
+///
+/// Rows go to `<path>.partial`, which `finish` renames over `path`: the
+/// target is never truncated while the source may still be read from it
+/// (an in-place `clean --stream -m data.csv -o data.csv`), and a failed run
+/// leaves the target untouched, with its rows so far in `<path>.partial`.
 struct CleanedCsvWriter {
-    path: Option<PathBuf>,
-    text: String,
+    /// `(target, partial file path, buffered partial file)`.
+    out: Option<(PathBuf, PathBuf, BufWriter<File>)>,
     wrote_header: bool,
 }
 
 impl CleanedCsvWriter {
-    fn new(path: Option<&Path>) -> CleanedCsvWriter {
-        CleanedCsvWriter { path: path.map(Path::to_path_buf), text: String::new(), wrote_header: false }
+    fn create(path: Option<&Path>) -> Result<CleanedCsvWriter, DataError> {
+        let out = match path {
+            None => None,
+            Some(path) => {
+                let mut partial = path.as_os_str().to_os_string();
+                partial.push(".partial");
+                let partial = PathBuf::from(partial);
+                let file = File::create(&partial).map_err(|e| write_error(&partial, e))?;
+                Some((path.to_path_buf(), partial, BufWriter::new(file)))
+            }
+        };
+        Ok(CleanedCsvWriter { out, wrote_header: false })
     }
 
-    fn push(&mut self, cleaned: &Dataset) -> Result<(), StreamError> {
-        if self.path.is_none() {
-            return Ok(());
-        }
+    fn push(&mut self, cleaned: &Dataset) -> Result<(), DataError> {
+        let Some((_, partial, file)) = &mut self.out else { return Ok(()) };
         let rendered = bclean_data::to_csv(cleaned);
-        if self.wrote_header {
-            let body = rendered.split_once('\n').map(|(_, rest)| rest).unwrap_or("");
-            self.text.push_str(body);
+        let text = if self.wrote_header {
+            rendered.split_once('\n').map_or("", |(_, body)| body)
         } else {
-            self.text.push_str(&rendered);
-            self.wrote_header = true;
-        }
-        Ok(())
+            rendered.as_str()
+        };
+        self.wrote_header = true;
+        file.write_all(text.as_bytes()).map_err(|e| write_error(partial, e))
     }
 
-    fn finish(self, schema: &Schema) -> Result<(), StreamError> {
-        let Some(path) = self.path else { return Ok(()) };
+    fn finish(mut self, schema: &Schema) -> Result<(), DataError> {
         if !self.wrote_header {
             // Zero chunks: still emit a header-only CSV, like the one-shot
             // path writing an empty cleaned dataset.
-            write_csv_file(&Dataset::new(schema.clone()), &path)?;
-            return Ok(());
+            self.push(&Dataset::new(schema.clone()))?;
         }
-        std::fs::write(&path, self.text).map_err(|e| {
-            StreamError::Data(DataError::Csv {
-                line: 0,
-                message: format!("cannot write {}: {e}", path.display()),
-            })
-        })
+        let Some((path, partial, mut file)) = self.out else { return Ok(()) };
+        file.flush().map_err(|e| write_error(&partial, e))?;
+        drop(file); // close before the rename
+        std::fs::rename(&partial, &path).map_err(|e| write_error(&path, e))
     }
 }
 
-/// Try to load a matching encoded-dataset cache. Returns `None` (a miss,
-/// not an error) when no cache is configured, the file does not exist, or
-/// the recorded fingerprint/schema disagree with the current source; typed
-/// errors only for a present-but-corrupt container.
-fn load_cache(schema: &Schema, options: &StreamOptions) -> Result<Option<EncodedDataset>, StreamError> {
-    let (Some(path), Some(fingerprint)) = (&options.cache_path, options.fingerprint) else {
-        return Ok(None);
-    };
-    if !path.exists() {
-        return Ok(None);
-    }
-    let bytes = read_container_file(path)?;
-    let reader = ContainerReader::parse(&bytes)?;
-    let mut schema_section = reader.section(SectionId::Schema)?;
-    let meta = read_schema(&mut schema_section)?;
-    schema_section.finish()?;
-    let mut data_section = reader.section(SectionId::EncodedData)?;
-    let (recorded, encoded) = read_encoded_dataset(&mut data_section)?;
-    data_section.finish()?;
-    if recorded != fingerprint {
-        return Ok(None); // source changed: rebuild
-    }
-    let current = SchemaMeta {
-        names: schema.names().iter().map(|s| s.to_string()).collect(),
-        types: schema.attributes().iter().map(|a| a.ty).collect(),
-    };
-    if meta.hash() != current.hash() {
-        return Ok(None); // same bytes fingerprinted but schema read differently
-    }
-    Ok(Some(encoded))
-}
-
-/// Write the encoded-dataset cache: a v4 container with `Schema` +
-/// `EncodedData` sections, CRC-checksummed like every `.bclean` file.
-fn write_cache(
-    path: &Path,
-    fingerprint: SourceFingerprint,
-    schema: &Schema,
-    encoded: &EncodedDataset,
-) -> Result<(), StreamError> {
-    let mut container = ContainerWriter::new();
-    let meta = SchemaMeta {
-        names: schema.names().iter().map(|s| s.to_string()).collect(),
-        types: schema.attributes().iter().map(|a| a.ty).collect(),
-    };
-    let mut schema_payload = ByteWriter::new();
-    write_schema(&mut schema_payload, &meta);
-    container.section(SectionId::Schema, schema_payload);
-    let mut data_payload = ByteWriter::new();
-    write_encoded_dataset(&mut data_payload, fingerprint, encoded);
-    container.section(SectionId::EncodedData, data_payload);
-    container.write_file(path)?;
-    Ok(())
-}
-
-/// The per-row tuple confidences of a cached encoding, recovered by
-/// decoding bounded row windows. Decoding returns the exact values the
-/// source parsed to, and the confidence sweep is a pure per-row function
-/// evaluated in row order, so the vector equals the one a fresh parse
-/// would produce (with any thread count — the parallel sweep flattens in
-/// row order too).
-fn confidences_from_encoded(
-    encoded: &EncodedDataset,
-    schema: &Schema,
-    constraints: &ConstraintSet,
-    lambda: f64,
-    limits: &ChunkLimits,
-) -> Vec<f64> {
-    let mut confidences = Vec::with_capacity(encoded.num_rows());
-    let window = limits.max_rows.max(1);
-    let mut row_buf: Vec<Value> = Vec::with_capacity(encoded.num_columns());
-    let mut start = 0usize;
-    while start < encoded.num_rows() {
-        let end = start.saturating_add(window).min(encoded.num_rows());
-        for r in start..end {
-            row_buf.clear();
-            row_buf.extend((0..encoded.num_columns()).map(|c| encoded.decode_cell(r, c).clone()));
-            confidences.push(constraints.tuple_confidence(schema, &row_buf, lambda));
-        }
-        start = end;
-    }
-    confidences
-}
-
-/// Rebuild a [`Schema`] from persisted schema metadata (names + types).
-pub fn schema_from_meta(meta: &SchemaMeta) -> Result<Schema, DataError> {
-    Schema::new(
-        meta.names.iter().zip(&meta.types).map(|(name, &ty)| Attribute::new(name.clone(), ty)).collect(),
-    )
+fn write_error(path: &Path, error: std::io::Error) -> DataError {
+    DataError::Csv { line: 0, message: format!("cannot write {}: {error}", path.display()) }
 }
 
 #[cfg(test)]
@@ -531,51 +365,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("cleaned.csv");
         let mut source = DatasetChunks::new(dataset.clone(), &[4]);
-        let options = StreamOptions {
-            limits: ChunkLimits::rows(4),
-            cleaned_path: Some(out.clone()),
-            ..StreamOptions::default()
-        };
+        let options = StreamOptions { limits: ChunkLimits::rows(4), cleaned_path: Some(out.clone()) };
         clean_stream(&cleaner, &mut source, &options).expect("stream clean");
         assert_eq!(std::fs::read_to_string(&out).unwrap(), to_csv(&expected.cleaned));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn encoded_cache_round_trip_skips_encode_and_preserves_repairs() {
-        let dataset = dirty_dataset();
-        let cleaner = cleaner(1);
-        let dir = std::env::temp_dir().join(format!("bclean-stream-cache-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let cache = dir.join("encoded.bclean");
-        let fingerprint = SourceFingerprint::of(to_csv(&dataset).as_bytes());
-        let options = StreamOptions {
-            limits: ChunkLimits::rows(5),
-            cache_path: Some(cache.clone()),
-            fingerprint: Some(fingerprint),
-            ..StreamOptions::default()
-        };
-
-        let mut source = DatasetChunks::new(dataset.clone(), &[5]);
-        let first = clean_stream(&cleaner, &mut source, &options).expect("first run");
-        assert!(!first.encode_skipped);
-        assert!(first.cache_written);
-        assert!(cache.exists());
-
-        let mut source = DatasetChunks::new(dataset.clone(), &[5]);
-        let second = clean_stream(&cleaner, &mut source, &options).expect("cached run");
-        assert!(second.encode_skipped);
-        assert!(!second.cache_written);
-        assert_eq!(repairs_to_csv(&second.repairs), repairs_to_csv(&first.repairs));
-        assert_eq!(second.artifact.unwrap().to_bytes().unwrap(), first.artifact.unwrap().to_bytes().unwrap());
-
-        // A different source fingerprint must miss and rebuild the cache.
-        let stale =
-            StreamOptions { fingerprint: Some(SourceFingerprint::of(b"different bytes")), ..options.clone() };
-        let mut source = DatasetChunks::new(dataset.clone(), &[5]);
-        let third = clean_stream(&cleaner, &mut source, &stale).expect("stale run");
-        assert!(!third.encode_skipped);
-        assert!(third.cache_written);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -613,6 +405,36 @@ mod tests {
         assert_eq!(outcome.chunks, 0);
         assert!(outcome.repairs.is_empty());
         assert_eq!(std::fs::read_to_string(&out).unwrap(), "A,B\n");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Cleaning a file in place (the output path names the source) must
+    /// still read every source row. The source outgrows the reader's 8 KiB
+    /// buffer, so writing straight into the target would cut the read short.
+    #[test]
+    fn in_place_model_stream_reads_the_whole_source() {
+        let dataset = dirty_dataset();
+        let mut big = Dataset::new(dataset.schema().clone());
+        for _ in 0..25 {
+            for row in dataset.rows() {
+                big.push_row(row.to_vec()).unwrap();
+            }
+        }
+        let dir = std::env::temp_dir().join(format!("bclean-stream-in-place-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("data.csv");
+        bclean_data::write_csv_file(&big, &path).unwrap();
+        assert!(std::fs::metadata(&path).unwrap().len() > 8 * 1024);
+        let source_rows = bclean_data::read_csv_file(&path).unwrap();
+        let model = cleaner(1).fit(&source_rows);
+        let expected = model.clean(&source_rows);
+
+        let limits = ChunkLimits::rows(64);
+        let mut source = bclean_data::CsvFileChunks::open(&path, limits).unwrap();
+        let options = StreamOptions { limits, cleaned_path: Some(path.clone()) };
+        let outcome = clean_stream_with_model(&model, &mut source, &options).expect("in-place stream");
+        assert_eq!(outcome.rows, source_rows.num_rows());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), to_csv(&expected.cleaned));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

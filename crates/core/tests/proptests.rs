@@ -168,9 +168,8 @@ proptest! {
             let repair_rank = ranked.iter().position(|(v, _)| v == &rep.to);
             let original_rank = ranked.iter().position(|(v, _)| v == &rep.from);
             prop_assert!(repair_rank.is_some());
-            match (repair_rank, original_rank) {
-                (Some(rr), Some(or)) => prop_assert!(rr <= or, "repair ranked below original: {rep:?}"),
-                _ => {}
+            if let (Some(rr), Some(or)) = (repair_rank, original_rank) {
+                prop_assert!(rr <= or, "repair ranked below original: {rep:?}");
             }
         }
     }

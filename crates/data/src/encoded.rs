@@ -521,37 +521,6 @@ impl EncodedDataset {
         self.dicts
     }
 
-    /// Reassemble an encoding from its complete persisted state: the
-    /// per-attribute dictionaries plus every column's code block. This is
-    /// the loading half of the `.bclean` encoded-dataset section — unlike
-    /// [`EncodedDataset::from_dicts`] the historical cell codes *are*
-    /// retained, so the result is fully equivalent to the encoding that was
-    /// saved (decodable, scoreable, appendable).
-    ///
-    /// Errors (as messages, mapped to typed store errors by the caller) when
-    /// the parts are inconsistent: column-count mismatch, a code block whose
-    /// length differs from `num_rows`, or a code outside its dictionary's
-    /// decodable space.
-    pub fn from_parts(
-        dicts: Vec<ColumnDict>,
-        columns: Vec<Vec<u32>>,
-        num_rows: usize,
-    ) -> Result<EncodedDataset, String> {
-        if columns.len() != dicts.len() {
-            return Err(format!("{} code columns for {} dictionaries", columns.len(), dicts.len()));
-        }
-        for (c, (dict, column)) in dicts.iter().zip(&columns).enumerate() {
-            if column.len() != num_rows {
-                return Err(format!("column {c} holds {} codes for {num_rows} rows", column.len()));
-            }
-            let space = dict.code_space() as u32;
-            if let Some(&bad) = column.iter().find(|&&code| code >= space) {
-                return Err(format!("column {c} contains code {bad} outside its code space {space}"));
-            }
-        }
-        Ok(EncodedDataset { dicts, columns, num_rows })
-    }
-
     /// Approximate in-memory bytes of the encoding: 4 bytes per cell code
     /// plus the dictionary values (the [`crate::stream::approx_row_bytes`]
     /// heuristic). Deterministic — used for the bounded-memory accounting of
@@ -822,8 +791,8 @@ mod tests {
         assert_eq!(report.grew, vec![true, true]);
         assert!(report.any_growth());
         // History untouched.
-        for c in 0..2 {
-            assert_eq!(&encoded.column(c)[..4], old_codes[c].as_slice());
+        for (c, old) in old_codes.iter().enumerate() {
+            assert_eq!(&encoded.column(c)[..4], old.as_slice());
         }
         for (r, row) in ds.rows().enumerate() {
             for (c, value) in row.iter().enumerate() {
@@ -1031,35 +1000,6 @@ mod tests {
         let empty = EncodedDatasetBuilder::new(2).finish();
         assert_eq!(empty.num_rows(), 0);
         assert_eq!(empty.dict(0).cardinality(), 0);
-    }
-
-    /// `from_parts` must round-trip an encoding through its persisted state
-    /// and reject inconsistent parts.
-    #[test]
-    fn from_parts_round_trips_and_validates() {
-        let ds = sample();
-        let encoded = EncodedDataset::from_dataset(&ds);
-        let dicts = encoded.dicts().to_vec();
-        let columns: Vec<Vec<u32>> = (0..ds.num_columns()).map(|c| encoded.column(c).to_vec()).collect();
-        let rebuilt = EncodedDataset::from_parts(dicts.clone(), columns.clone(), ds.num_rows()).unwrap();
-        for c in 0..ds.num_columns() {
-            assert_eq!(rebuilt.column(c), encoded.column(c));
-            assert_eq!(rebuilt.dict(c).values(), encoded.dict(c).values());
-        }
-        for (r, row) in ds.rows().enumerate() {
-            for (c, value) in row.iter().enumerate() {
-                assert_eq!(rebuilt.decode_cell(r, c), value);
-            }
-        }
-        assert!(rebuilt.approx_bytes() > 0);
-        // Column-count mismatch.
-        assert!(EncodedDataset::from_parts(dicts.clone(), columns[..1].to_vec(), ds.num_rows()).is_err());
-        // Row-count mismatch.
-        assert!(EncodedDataset::from_parts(dicts.clone(), columns.clone(), ds.num_rows() + 1).is_err());
-        // Out-of-range code.
-        let mut bad = columns.clone();
-        bad[0][0] = dicts[0].code_space() as u32;
-        assert!(EncodedDataset::from_parts(dicts, bad, ds.num_rows()).is_err());
     }
 
     /// The counting-sort argsort must reproduce `Dataset::argsort_by_column`

@@ -9,16 +9,15 @@
 //! multi-line field whose bytes straddle a chunk boundary. Peak memory is
 //! one chunk of rows plus the reader's line buffer.
 //!
-//! [`ChunkSource`] abstracts "a restartable stream of row chunks over a
-//! fixed schema": [`CsvFileChunks`] streams a CSV file from disk (the
-//! out-of-core path), [`DatasetChunks`] re-chunks an in-memory dataset (the
-//! equivalence-test harness). `bclean-core`'s streaming cleaner drives
-//! either through the same two-pass pipeline.
+//! [`ChunkSource`] abstracts "a stream of row chunks over a fixed schema":
+//! [`CsvFileChunks`] streams a CSV file from disk (the out-of-core path),
+//! [`DatasetChunks`] re-chunks an in-memory dataset (the equivalence-test
+//! harness). `bclean-core`'s streaming cleaner reads either exactly once.
 
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::dataset::Dataset;
 use crate::error::{DataError, DataResult};
@@ -297,24 +296,18 @@ impl<R: BufRead> CsvChunkReader<R> {
     }
 }
 
-/// A restartable stream of row chunks over a fixed schema — the input
-/// abstraction of `bclean-core`'s two-pass streaming cleaner (pass 1
-/// encodes and accumulates fit statistics, pass 2 cleans; both passes walk
-/// the same chunks).
+/// A stream of row chunks over a fixed schema — the input abstraction of
+/// `bclean-core`'s streaming cleaner, which reads every chunk once.
 pub trait ChunkSource {
     /// The fixed schema every chunk shares.
     fn schema(&self) -> &Schema;
     /// The next chunk, or `None` once exhausted.
     fn next_chunk(&mut self) -> DataResult<Option<Dataset>>;
-    /// Rewind to the first chunk (re-opening the underlying input).
-    fn restart(&mut self) -> DataResult<()>;
 }
 
 /// [`ChunkSource`] over a CSV file on disk: the out-of-core input.
-/// `restart` re-opens the file for the second pass.
 #[derive(Debug)]
 pub struct CsvFileChunks {
-    path: PathBuf,
     limits: ChunkLimits,
     reader: CsvChunkReader<BufReader<File>>,
 }
@@ -322,21 +315,13 @@ pub struct CsvFileChunks {
 impl CsvFileChunks {
     /// Open a CSV file for chunked reading.
     pub fn open(path: impl AsRef<Path>, limits: ChunkLimits) -> DataResult<CsvFileChunks> {
-        let path = path.as_ref().to_path_buf();
-        let reader = open_reader(&path)?;
-        Ok(CsvFileChunks { path, limits, reader })
+        let path = path.as_ref();
+        let file = File::open(path).map_err(|e| DataError::Csv {
+            line: 0,
+            message: format!("cannot read {}: {e}", path.display()),
+        })?;
+        Ok(CsvFileChunks { limits, reader: CsvChunkReader::new(BufReader::new(file))? })
     }
-
-    /// The underlying file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-fn open_reader(path: &Path) -> DataResult<CsvChunkReader<BufReader<File>>> {
-    let file = File::open(path)
-        .map_err(|e| DataError::Csv { line: 0, message: format!("cannot read {}: {e}", path.display()) })?;
-    CsvChunkReader::new(BufReader::new(file))
 }
 
 impl ChunkSource for CsvFileChunks {
@@ -346,18 +331,6 @@ impl ChunkSource for CsvFileChunks {
 
     fn next_chunk(&mut self) -> DataResult<Option<Dataset>> {
         self.reader.next_chunk(self.limits)
-    }
-
-    fn restart(&mut self) -> DataResult<()> {
-        let reader = open_reader(&self.path)?;
-        if reader.schema() != self.reader.schema() {
-            return Err(DataError::Csv {
-                line: 1,
-                message: format!("{} changed schema between passes", self.path.display()),
-            });
-        }
-        self.reader = reader;
-        Ok(())
     }
 }
 
@@ -378,11 +351,6 @@ impl DatasetChunks {
     pub fn new(dataset: Dataset, sizes: &[usize]) -> DatasetChunks {
         let sizes = if sizes.is_empty() { vec![usize::MAX] } else { sizes.to_vec() };
         DatasetChunks { dataset, sizes, row: 0, size_idx: 0 }
-    }
-
-    /// The full underlying dataset.
-    pub fn dataset(&self) -> &Dataset {
-        &self.dataset
     }
 }
 
@@ -405,12 +373,6 @@ impl ChunkSource for DatasetChunks {
         }
         self.row = end;
         Ok(Some(chunk))
-    }
-
-    fn restart(&mut self) -> DataResult<()> {
-        self.row = 0;
-        self.size_idx = 0;
-        Ok(())
     }
 }
 
@@ -533,8 +495,9 @@ mod tests {
         assert_eq!(total, 2);
     }
 
-    /// `CsvFileChunks` restarts from the top; `DatasetChunks` cycles its
-    /// size pattern and restarts cleanly.
+    /// `CsvFileChunks` reads the whole file in row-bounded chunks and
+    /// fails to open a missing file; `DatasetChunks` cycles its size
+    /// pattern.
     #[test]
     fn sources_restart() {
         let dir = std::env::temp_dir().join("bclean_stream_test");
@@ -543,27 +506,16 @@ mod tests {
         std::fs::write(&path, "a,b\n1,x\n2,y\n3,z\n").unwrap();
         let mut source = CsvFileChunks::open(&path, ChunkLimits::rows(2)).unwrap();
         assert_eq!(source.schema().names(), vec!["a", "b"]);
-        let mut pass1 = 0;
-        while let Some(chunk) = source.next_chunk().unwrap() {
-            pass1 += chunk.num_rows();
-        }
-        source.restart().unwrap();
-        let mut pass2 = 0;
-        while let Some(chunk) = source.next_chunk().unwrap() {
-            pass2 += chunk.num_rows();
-        }
-        assert_eq!(pass1, 3);
-        assert_eq!(pass2, 3);
+        let sizes: Vec<usize> =
+            std::iter::from_fn(|| source.next_chunk().unwrap()).map(|c| c.num_rows()).collect();
+        assert_eq!(sizes, vec![2, 1]);
         assert!(CsvFileChunks::open(dir.join("missing.csv"), ChunkLimits::default()).is_err());
 
         let ds = dataset_from(&["v"], &[vec!["a"], vec!["b"], vec!["c"], vec!["d"], vec!["e"]]);
-        let mut chunks = DatasetChunks::new(ds.clone(), &[1, 3]);
+        let mut chunks = DatasetChunks::new(ds, &[1, 3]);
         let sizes: Vec<usize> =
             std::iter::from_fn(|| chunks.next_chunk().unwrap()).map(|c| c.num_rows()).collect();
         assert_eq!(sizes, vec![1, 3, 1]);
-        chunks.restart().unwrap();
-        assert_eq!(chunks.next_chunk().unwrap().unwrap().num_rows(), 1);
-        assert_eq!(chunks.dataset().num_rows(), 5);
     }
 
     /// The byte estimators are deterministic and scale with content.

@@ -131,8 +131,8 @@ mod tests {
         .unwrap();
         let d = generate(400, 2);
         for row in d.rows() {
-            for c in 2..6 {
-                let t = row[c].to_string();
+            for value in &row[2..6] {
+                let t = value.to_string();
                 assert!(re.is_full_match(&t), "time {t} does not match the UC pattern");
             }
         }

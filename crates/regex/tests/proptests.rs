@@ -42,8 +42,7 @@ fn oracle_full_match(ast: &Ast, input: &[char]) -> bool {
                     pos: usize,
                     total: usize,
                     done: u32,
-                    min: u32,
-                    max: Option<u32>,
+                    (min, max): (u32, Option<u32>),
                     k: &mut dyn FnMut(usize) -> bool,
                 ) -> bool {
                     if done >= min && k(pos) {
@@ -61,11 +60,11 @@ fn oracle_full_match(ast: &Ast, input: &[char]) -> bool {
                             // Nullable body: counts as satisfying remaining minimum.
                             k(p)
                         } else {
-                            rep(node, input, p, total, done + 1, min, max, k)
+                            rep(node, input, p, total, done + 1, (min, max), k)
                         }
                     })
                 }
-                rep(node, input, pos, total, 0, *min, *max, k)
+                rep(node, input, pos, total, 0, (*min, *max), k)
             }
         }
     }

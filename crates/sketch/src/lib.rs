@@ -84,7 +84,7 @@ mod tests {
         // 8 frequent codes (1000 each) over a long tail of singletons.
         let mut stream = Vec::new();
         for code in 0..8u32 {
-            stream.extend(std::iter::repeat(code).take(1000));
+            stream.extend(std::iter::repeat_n(code, 1000));
         }
         stream.extend(1000..3000u32);
         let selected = heavy_hitter_codes(stream.iter().copied(), 8, 42);

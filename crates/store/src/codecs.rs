@@ -8,7 +8,7 @@
 //! failure, never as silent drift).
 
 use bclean_bayesnet::{CountsSnapshot, Dag, NodeCounts};
-use bclean_data::{AttrType, ColumnDict, EncodedDataset};
+use bclean_data::{AttrType, ColumnDict};
 
 use crate::codec::{ByteReader, ByteWriter};
 use crate::error::StoreError;
@@ -137,73 +137,6 @@ pub fn write_dicts(w: &mut ByteWriter, dicts: &[ColumnDict]) {
 pub fn read_dicts(r: &mut ByteReader<'_>) -> Result<Vec<ColumnDict>, StoreError> {
     let len = r.bounded_len(r.remaining(), "dictionary list")?;
     (0..len).map(|_| read_dict(r)).collect()
-}
-
-/// Identity of the raw source a persisted encoded dataset was built from:
-/// its byte length plus the CRC-32 of those bytes. An encoded-data cache is
-/// only valid for the exact source it encoded, so loaders compare the
-/// fingerprint of the current source before trusting the cache (a mismatch
-/// means the source changed and the cache must be rebuilt, not an error).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SourceFingerprint {
-    /// Byte length of the source document.
-    pub len: u64,
-    /// CRC-32 of the source document's bytes.
-    pub crc: u32,
-}
-
-impl SourceFingerprint {
-    /// Fingerprint a source document held in memory.
-    pub fn of(bytes: &[u8]) -> SourceFingerprint {
-        SourceFingerprint { len: bytes.len() as u64, crc: crate::crc::crc32(bytes) }
-    }
-
-    /// Fingerprint a source file in bounded memory (64 KiB blocks through
-    /// the streaming [`crate::crc::Crc32`]).
-    pub fn of_file(path: &std::path::Path) -> Result<SourceFingerprint, StoreError> {
-        use std::io::Read;
-        let mut file =
-            std::fs::File::open(path).map_err(|e| StoreError::io(path.display().to_string(), e))?;
-        let mut hasher = crate::crc::Crc32::new();
-        let mut len = 0u64;
-        let mut block = [0u8; 64 * 1024];
-        loop {
-            let read = file.read(&mut block).map_err(|e| StoreError::io(path.display().to_string(), e))?;
-            if read == 0 {
-                break;
-            }
-            len += read as u64;
-            hasher.update(&block[..read]);
-        }
-        Ok(SourceFingerprint { len, crc: hasher.finish() })
-    }
-}
-
-/// Encode a dictionary-encoded dataset (the v4 `EncodedData` section):
-/// source fingerprint, row count, dictionary layouts, then one `u32` code
-/// block per column. Deterministic like every other codec.
-pub fn write_encoded_dataset(w: &mut ByteWriter, fingerprint: SourceFingerprint, encoded: &EncodedDataset) {
-    w.u64(fingerprint.len);
-    w.u32(fingerprint.crc);
-    w.usize(encoded.num_rows());
-    write_dicts(w, encoded.dicts());
-    for col in 0..encoded.num_columns() {
-        w.u32_slice(encoded.column(col));
-    }
-}
-
-/// Decode a persisted encoded dataset, re-validating the parts (column
-/// count, per-column code-block length, code ranges) through
-/// [`EncodedDataset::from_parts`].
-pub fn read_encoded_dataset(
-    r: &mut ByteReader<'_>,
-) -> Result<(SourceFingerprint, EncodedDataset), StoreError> {
-    let fingerprint = SourceFingerprint { len: r.u64()?, crc: r.u32()? };
-    let num_rows = r.bounded_len(r.remaining(), "encoded rows")?;
-    let dicts = read_dicts(r)?;
-    let columns: Vec<Vec<u32>> = (0..dicts.len()).map(|_| r.u32_slice()).collect::<Result<_, _>>()?;
-    let encoded = EncodedDataset::from_parts(dicts, columns, num_rows).map_err(StoreError::Corrupt)?;
-    Ok((fingerprint, encoded))
 }
 
 /// Encode a DAG as node count + edge list (edges in the DAG's canonical
@@ -355,49 +288,6 @@ mod tests {
         let restored = read_counts(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(restored.snapshot(), counts.snapshot());
-    }
-
-    /// The encoded-dataset codec must round-trip dictionaries, code blocks
-    /// and the source fingerprint exactly, and surface tampered payloads as
-    /// typed corruption.
-    #[test]
-    fn encoded_dataset_codec_round_trips() {
-        let ds = dataset_from(
-            &["City", "Zip"],
-            &[vec!["sylacauga", "35150"], vec!["centre", "35960"], vec!["", ""]],
-        );
-        let encoded = EncodedDataset::from_dataset(&ds);
-        let fingerprint = SourceFingerprint::of(b"raw,csv\nbytes\n");
-        let mut w = ByteWriter::new();
-        write_encoded_dataset(&mut w, fingerprint, &encoded);
-        let bytes = w.into_bytes();
-        // Determinism: equal state encodes to equal bytes.
-        let mut w2 = ByteWriter::new();
-        write_encoded_dataset(&mut w2, fingerprint, &encoded);
-        assert_eq!(bytes, w2.into_bytes());
-
-        let mut r = ByteReader::new(&bytes, "encoded_data");
-        let (fp, restored) = read_encoded_dataset(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(fp, fingerprint);
-        assert_ne!(fingerprint, SourceFingerprint::of(b"different bytes"));
-        assert_eq!(restored.num_rows(), encoded.num_rows());
-        for c in 0..encoded.num_columns() {
-            assert_eq!(restored.column(c), encoded.column(c));
-            assert_eq!(restored.dict(c).values(), encoded.dict(c).values());
-        }
-        for (r_idx, row) in ds.rows().enumerate() {
-            for (c, value) in row.iter().enumerate() {
-                assert_eq!(restored.decode_cell(r_idx, c), value);
-            }
-        }
-
-        // A code pushed out of its dictionary's space is typed corruption.
-        let mut tampered = bytes.clone();
-        let last = tampered.len() - 4;
-        tampered[last..].copy_from_slice(&u32::MAX.to_le_bytes());
-        let mut r = ByteReader::new(&tampered, "encoded_data");
-        assert!(matches!(read_encoded_dataset(&mut r), Err(StoreError::Corrupt(_))));
     }
 
     #[test]

@@ -40,10 +40,9 @@ pub const FORMAT_VERSION: u32 = 4;
 /// fields); version 2 stores raw positive/negative tallies, which merge
 /// exactly across shards and batches; version 3 adds the fit-budget config
 /// fields and the per-column heavy-hitter lists backing bounded
-/// compensatory pair tables; version 4 adds the optional
-/// [`SectionId::EncodedData`] section persisting a dictionary-encoded
-/// dataset (source fingerprint + dict layouts + per-column code blocks) so
-/// re-cleaning the same file skips the encode pass.
+/// compensatory pair tables; version 4 added an `encoded_data` section
+/// (id 8) that no model artifact carries. That id is retired and never
+/// reused: the reader rejects it as an unknown section.
 pub const MIN_FORMAT_VERSION: u32 = 4;
 
 /// Well-known section ids of a model artifact container.
@@ -64,9 +63,6 @@ pub enum SectionId {
     NodeCounts = 6,
     /// Compensatory counters (pair stores, value counts, confidence sum).
     Compensatory = 7,
-    /// A persisted dictionary-encoded dataset: source fingerprint, row
-    /// count, dict layouts and per-column code blocks (format v4+).
-    EncodedData = 8,
 }
 
 impl SectionId {
@@ -80,7 +76,6 @@ impl SectionId {
             SectionId::Structure => "structure",
             SectionId::NodeCounts => "node_counts",
             SectionId::Compensatory => "compensatory",
-            SectionId::EncodedData => "encoded_data",
         }
     }
 
@@ -93,7 +88,6 @@ impl SectionId {
             5 => Some(SectionId::Structure),
             6 => Some(SectionId::NodeCounts),
             7 => Some(SectionId::Compensatory),
-            8 => Some(SectionId::EncodedData),
             _ => None,
         }
     }
@@ -133,11 +127,6 @@ impl ContainerWriter {
             out.extend_from_slice(payload);
         }
         out
-    }
-
-    /// Serialize and write to a file.
-    pub fn write_file(self, path: &std::path::Path) -> Result<(), StoreError> {
-        std::fs::write(path, self.into_bytes()).map_err(|e| StoreError::io(path.display().to_string(), e))
     }
 }
 
@@ -326,6 +315,23 @@ mod tests {
         bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(ContainerReader::parse(&bytes), Err(StoreError::Truncated { .. })));
+    }
+
+    #[test]
+    fn retired_section_id_is_rejected_as_unknown() {
+        // Id 8 (`encoded_data`, format v4) is retired; a section carrying it
+        // is corruption even when its CRC is valid.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC);
+        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&8u16.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        bytes.extend_from_slice(&crc32(&[]).to_le_bytes());
+        match ContainerReader::parse(&bytes) {
+            Err(StoreError::Corrupt(message)) => assert_eq!(message, "unknown section id 8"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]

@@ -25,44 +25,12 @@ fn table() -> &'static [u32; 256] {
 
 /// CRC-32 of a byte slice.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut hasher = Crc32::new();
-    hasher.update(bytes);
-    hasher.finish()
-}
-
-/// Streaming CRC-32: fold byte blocks in with [`Crc32::update`] and read
-/// the digest with [`Crc32::finish`]. Feeding a document in any block
-/// split produces exactly [`crc32`] of the concatenation — this is what
-/// lets large sources be fingerprinted in bounded memory.
-#[derive(Debug, Clone)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Default for Crc32 {
-    fn default() -> Crc32 {
-        Crc32::new()
+    let table = table();
+    let mut state = !0u32;
+    for &byte in bytes {
+        state = (state >> 8) ^ table[((state ^ byte as u32) & 0xFF) as usize];
     }
-}
-
-impl Crc32 {
-    /// Start a fresh digest.
-    pub fn new() -> Crc32 {
-        Crc32 { state: !0u32 }
-    }
-
-    /// Fold the next block of bytes into the digest.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let table = table();
-        for &byte in bytes {
-            self.state = (self.state >> 8) ^ table[((self.state ^ byte as u32) & 0xFF) as usize];
-        }
-    }
-
-    /// The digest of everything fed so far.
-    pub fn finish(&self) -> u32 {
-        !self.state
-    }
+    !state
 }
 
 #[cfg(test)]
@@ -75,19 +43,6 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
-    }
-
-    #[test]
-    fn streaming_matches_one_shot_for_any_block_split() {
-        let doc = b"The quick brown fox jumps over the lazy dog";
-        for block in [1, 3, 7, doc.len()] {
-            let mut hasher = Crc32::new();
-            for chunk in doc.chunks(block) {
-                hasher.update(chunk);
-            }
-            assert_eq!(hasher.finish(), crc32(doc), "block size {block}");
-        }
-        assert_eq!(Crc32::default().finish(), 0);
     }
 
     #[test]

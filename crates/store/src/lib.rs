@@ -29,12 +29,12 @@ pub mod error;
 
 pub use codec::{ByteReader, ByteWriter};
 pub use codecs::{
-    read_counts, read_dag, read_dict, read_dicts, read_encoded_dataset, read_schema, write_counts, write_dag,
-    write_dict, write_dicts, write_encoded_dataset, write_schema, SchemaMeta, SourceFingerprint,
+    read_counts, read_dag, read_dict, read_dicts, read_schema, write_counts, write_dag, write_dict,
+    write_dicts, write_schema, SchemaMeta,
 };
 pub use container::{
     read_container_file, ContainerReader, ContainerWriter, SectionId, FORMAT_VERSION, MAGIC,
     MIN_FORMAT_VERSION,
 };
-pub use crc::{crc32, Crc32};
+pub use crc::crc32;
 pub use error::StoreError;
