@@ -57,21 +57,6 @@ impl NodeCounts {
     /// dictionaries (every code in range), as produced by
     /// [`EncodedDataset::from_dataset`].
     pub fn accumulate(encoded: &EncodedDataset, node: usize, parents: &[usize]) -> NodeCounts {
-        NodeCounts::accumulate_range(encoded, node, parents, 0..encoded.num_rows())
-    }
-
-    /// [`NodeCounts::accumulate`] restricted to a row range — the per-shard
-    /// counting primitive of the sharded fit. Counts are integers, so
-    /// [`NodeCounts::merge`]-ing the partials of any partition of `0..n`
-    /// (in any order) equals one accumulation over all rows; the layout
-    /// decision depends only on the dictionaries, never on the range, so
-    /// every shard of one dataset picks the same layout.
-    pub fn accumulate_range(
-        encoded: &EncodedDataset,
-        node: usize,
-        parents: &[usize],
-        rows: std::ops::Range<usize>,
-    ) -> NodeCounts {
         let dicts = encoded.dicts();
         let value_slots = dicts[node].code_space();
         let (radices, strides, total_configs, overflow) = config_space(parents, dicts);
@@ -82,7 +67,7 @@ impl NodeCounts {
             && total_configs.saturating_mul(value_slots as u128 + 1) <= crate::compiled::DENSE_CELL_CAP;
 
         let mut marginal = vec![0u32; value_slots];
-        let node_codes = &encoded.column(node)[rows.clone()];
+        let node_codes = encoded.column(node);
         for &code in node_codes {
             marginal[code as usize] += 1;
         }
@@ -93,8 +78,7 @@ impl NodeCounts {
             let configs = total_configs as usize;
             let mut counts = vec![0u32; configs * value_slots];
             let mut totals = vec![0u32; configs];
-            for (offset, &code) in node_codes.iter().enumerate() {
-                let row = rows.start + offset;
+            for (row, &code) in node_codes.iter().enumerate() {
                 let mut index = 0usize;
                 for (i, &p) in parents.iter().enumerate() {
                     index += encoded.code(row, p) as usize * strides[i] as usize;
@@ -105,8 +89,7 @@ impl NodeCounts {
             CountLayout::Dense { counts, totals }
         } else {
             let mut map: HashMap<u128, (Vec<u32>, u32)> = HashMap::new();
-            for (offset, &code) in node_codes.iter().enumerate() {
-                let row = rows.start + offset;
+            for (row, &code) in node_codes.iter().enumerate() {
                 let mut index: u128 = 0;
                 for (i, &p) in parents.iter().enumerate() {
                     index += encoded.code(row, p) as u128 * strides[i];
@@ -128,41 +111,6 @@ impl NodeCounts {
             total: node_codes.len(),
             dense,
             layout,
-        }
-    }
-
-    /// Fold another shard's statistics of the *same* node into this one.
-    /// Both sides must have been accumulated against the same dictionaries
-    /// (same code spaces, hence the same layout decision); all counters are
-    /// integers, so the merge is exactly order-independent.
-    pub fn merge(&mut self, other: &NodeCounts) {
-        assert_eq!(self.node, other.node, "shard partials must describe one node");
-        assert_eq!(self.parents, other.parents, "shard partials must share the parent set");
-        assert_eq!(self.radices, other.radices, "shard partials must share one code space");
-        assert_eq!(self.value_slots, other.value_slots, "shard partials must share one code space");
-        for (mine, &theirs) in self.marginal.iter_mut().zip(&other.marginal) {
-            *mine += theirs;
-        }
-        self.total += other.total;
-        match (&mut self.layout, &other.layout) {
-            (CountLayout::Dense { counts, totals }, CountLayout::Dense { counts: oc, totals: ot }) => {
-                for (mine, &theirs) in counts.iter_mut().zip(oc) {
-                    *mine += theirs;
-                }
-                for (mine, &theirs) in totals.iter_mut().zip(ot) {
-                    *mine += theirs;
-                }
-            }
-            (CountLayout::Sparse(map), CountLayout::Sparse(other_map)) => {
-                for (&index, (row, config_total)) in other_map {
-                    let entry = map.entry(index).or_insert_with(|| (vec![0u32; other.value_slots], 0));
-                    for (mine, &theirs) in entry.0.iter_mut().zip(row) {
-                        *mine += theirs;
-                    }
-                    entry.1 += config_total;
-                }
-            }
-            _ => unreachable!("shard partials over one dictionary set always share a layout"),
         }
     }
 
@@ -613,46 +561,6 @@ mod tests {
                         reference_compiled.log_marginal(o).to_bits()
                     );
                 }
-            }
-        }
-    }
-
-    /// Merging per-shard `accumulate_range` partials — in any order — must
-    /// reproduce the one-shot accumulate exactly, for parentless, dense and
-    /// sparse layouts alike (the invariant the sharded fit relies on).
-    #[test]
-    fn merged_shard_partials_match_one_shot_accumulate() {
-        // High-cardinality columns so node 2's parent space takes the
-        // sparse layout; node 1 stays dense; node 0 is parentless.
-        let rows: Vec<Vec<String>> = (0..600)
-            .map(|i| {
-                vec![
-                    format!("k{:03}", i % 599),
-                    format!("b{:03}", i % 601),
-                    if i % 2 == 0 { "x" } else { "y" }.into(),
-                ]
-            })
-            .collect();
-        let refs: Vec<Vec<&str>> = rows.iter().map(|r| r.iter().map(|s| s.as_str()).collect()).collect();
-        let encoded = EncodedDataset::from_dataset(&dataset_from(&["a", "b", "c"], &refs));
-        let n = encoded.num_rows();
-        for (node, parents) in [(0usize, vec![]), (1, vec![0usize]), (2, vec![0, 1])] {
-            let one_shot = NodeCounts::accumulate(&encoded, node, &parents);
-            for bounds in [vec![0, n], vec![0, 151, n], vec![0, 1, 2, 599, n]] {
-                let mut partials: Vec<NodeCounts> = bounds
-                    .windows(2)
-                    .map(|w| NodeCounts::accumulate_range(&encoded, node, &parents, w[0]..w[1]))
-                    .collect();
-                assert!(
-                    partials.iter().all(|p| p.dense == one_shot.dense),
-                    "layout must not depend on the range"
-                );
-                // Merge right-to-left to prove order independence.
-                while partials.len() > 1 {
-                    let last = partials.pop().unwrap();
-                    partials.last_mut().unwrap().merge(&last);
-                }
-                assert_eq!(partials[0].snapshot(), one_shot.snapshot(), "node {node}, shards {bounds:?}");
             }
         }
     }

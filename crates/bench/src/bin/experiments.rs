@@ -131,7 +131,7 @@ fn print_help() {
          bench_clean / bench_fit / bench_stream / bench_scale additionally\n\
          write BENCH_clean.json / BENCH_fit.json / BENCH_stream.json /\n\
          BENCH_scale.json (machine-readable performance trajectories of the\n\
-         code-space, streaming and sharded engines vs their baselines); diff\n\
+         code-space, streaming and scale-tier engines vs their baselines); diff\n\
          two snapshots with `cargo run -p bclean-bench --bin bench_diff`."
     );
 }
@@ -1072,28 +1072,26 @@ fn bench_stream(scale: Scale) {
     }
 }
 
-/// Large-scale benchmark: the sharded cleaning pipeline on the wide-schema
-/// (32-column) scale dataset, at 10⁴ / 10⁵ / 10⁶ rows for
-/// `--scale small|default|full`.
+/// Large-scale benchmark: cleaning on the wide-schema (32-column) scale
+/// dataset, at 10⁴ / 10⁵ / 10⁶ rows for `--scale small|default|full`.
 ///
 /// Two families of runs land in `BENCH_scale.json`:
 ///
-/// * an **exact grid** over shards × threads — sharding is bit-identical to
-///   the serial clean (asserted here and guarded in
-///   `tests/stream_equivalence.rs`), so these rows chart how row-sharded
-///   work distribution scales with real cores (on a single-core runner they
-///   hover near 1×, which is the honest reading);
-/// * the **scale tier** — shards *plus* top-k candidate pruning
-///   (`candidate_top_k`, off by default in the library), whose speedup is
+/// * an **exact grid** over thread counts — the executor's ordered merge
+///   makes every thread count bit-identical to the serial clean (asserted
+///   here and guarded in `tests/e2e_determinism.rs`), so these rows chart
+///   how the row-block work distribution scales with real cores (on a
+///   single-core runner they hover near 1×, which is the honest reading);
+/// * the **scale tier** — top-k candidate pruning (`candidate_top_k`, off
+///   by default in the library), serial and at 4 threads, whose speedup is
 ///   algorithmic: error injection inflates every column's cardinality with
 ///   near-unique typo values, and capping candidate lists at the `TOP_K`
 ///   most frequent codes cuts per-cell scoring work by the cardinality
 ///   ratio, on any machine.
 ///
 /// The `speedups` records CI gates via `bench_diff` are the machine-stable
-/// algorithmic ones: pruned-vs-exact at the serial point, and the full
-/// scale tier (4 shards / 4 threads / top-k) against the serial exact
-/// baseline.
+/// algorithmic ones: pruned-vs-exact at the serial point, and the pruned
+/// clean at 4 threads against the serial exact baseline.
 fn bench_scale(scale: Scale) {
     let factor = match scale {
         Scale::Small => ScaleFactor::S10K,
@@ -1101,7 +1099,7 @@ fn bench_scale(scale: Scale) {
         Scale::Full => ScaleFactor::S1M,
     };
     let rows = factor.rows();
-    println!("## BENCH_scale — sharded cleaning scale tier (wide schema, {rows} rows)\n");
+    println!("## BENCH_scale — cleaning scale tier (wide schema, {rows} rows)\n");
     let total_start = std::time::Instant::now();
     let bench = build_wide(rows, EXPERIMENT_SEED);
     let cols = bench.dirty.num_columns();
@@ -1109,94 +1107,79 @@ fn bench_scale(scale: Scale) {
     const TOP_K: usize = 16;
     let clean_iters = if scale == Scale::Small { 2usize } else { 1 };
 
-    // One fit serves every grid point: shards, threads and the candidate
-    // cap are execution knobs on the artifact (sharded fitting is
-    // bit-identical to serial — see tests/stream_equivalence.rs), so the
-    // grid re-times cleaning, not fitting. The fit itself is timed at the
-    // serial and the 4-shard/4-thread configurations to record both paths.
+    // One fit serves every grid point: threads and the candidate cap are
+    // execution knobs on the artifact (the fit is bit-identical at every
+    // thread count — see tests/budgeted_fit.rs), so the grid re-times
+    // cleaning, not fitting. The fit itself is timed at 1 and 4 threads.
     let fit_start = std::time::Instant::now();
     let mut artifact =
         BClean::new(Variant::PartitionedInference.config().with_threads(1)).fit_artifact(&bench.dirty);
     let fit_serial_seconds = fit_start.elapsed().as_secs_f64();
     let fit_start = std::time::Instant::now();
-    let _ = BClean::new(Variant::PartitionedInference.config().with_threads(4).with_shards(4))
-        .fit_artifact(&bench.dirty);
-    let fit_sharded_seconds = fit_start.elapsed().as_secs_f64();
+    let _ = BClean::new(Variant::PartitionedInference.config().with_threads(4)).fit_artifact(&bench.dirty);
+    let fit_parallel_seconds = fit_start.elapsed().as_secs_f64();
 
-    let mut table = TextTable::new(vec![
-        "Config",
-        "Shards",
-        "Threads",
-        "Top-k",
-        "Clean (best)",
-        "Rows/s",
-        "Cells/s",
-        "Repairs",
-    ]);
+    let mut table =
+        TextTable::new(vec!["Config", "Threads", "Top-k", "Clean (best)", "Rows/s", "Cells/s", "Repairs"]);
     let mut runs_json: Vec<String> = Vec::new();
-    let mut timed_clean =
-        |artifact: &ModelArtifact, label: &str, shards: usize, threads: usize, pruned: bool| {
-            let model = artifact.compile();
-            let mut best = f64::INFINITY;
-            let mut repairs = Vec::new();
-            for _ in 0..clean_iters {
-                let start = std::time::Instant::now();
-                let result = model.clean(&bench.dirty);
-                best = best.min(start.elapsed().as_secs_f64());
-                repairs = result.repairs;
-            }
-            let rows_per_sec = rows as f64 / best.max(1e-12);
-            let cells_per_sec = cells as f64 / best.max(1e-12);
-            table.add_row(vec![
-                label.to_string(),
-                shards.to_string(),
-                threads.to_string(),
-                if pruned { TOP_K.to_string() } else { "exact".to_string() },
-                format!("{best:.4}s"),
-                format!("{rows_per_sec:.0}"),
-                format!("{cells_per_sec:.0}"),
-                repairs.len().to_string(),
-            ]);
-            runs_json.push(format!(
-                "    {{\"config\": \"{label}\", \"shards\": {shards}, \"threads\": {threads}, \
-             \"pruned\": {pruned}, \"clean_seconds\": {best:.6}, \"rows_per_sec\": {rows_per_sec:.2}, \
+    let mut timed_clean = |artifact: &ModelArtifact, label: &str, threads: usize, pruned: bool| {
+        let model = artifact.compile();
+        let mut best = f64::INFINITY;
+        let mut repairs = Vec::new();
+        for _ in 0..clean_iters {
+            let start = std::time::Instant::now();
+            let result = model.clean(&bench.dirty);
+            best = best.min(start.elapsed().as_secs_f64());
+            repairs = result.repairs;
+        }
+        let rows_per_sec = rows as f64 / best.max(1e-12);
+        let cells_per_sec = cells as f64 / best.max(1e-12);
+        table.add_row(vec![
+            label.to_string(),
+            threads.to_string(),
+            if pruned { TOP_K.to_string() } else { "exact".to_string() },
+            format!("{best:.4}s"),
+            format!("{rows_per_sec:.0}"),
+            format!("{cells_per_sec:.0}"),
+            repairs.len().to_string(),
+        ]);
+        runs_json.push(format!(
+            "    {{\"config\": \"{label}\", \"threads\": {threads}, \"pruned\": {pruned}, \
+             \"clean_seconds\": {best:.6}, \"rows_per_sec\": {rows_per_sec:.2}, \
              \"cells_per_sec\": {cells_per_sec:.2}, \"repairs\": {}}}",
-                repairs.len(),
-            ));
-            (best, repairs)
-        };
+            repairs.len(),
+        ));
+        (best, repairs)
+    };
 
-    // Exact grid: every point must merge to the serial baseline's repairs.
-    let (exact_serial_seconds, baseline_repairs) = timed_clean(&artifact, "exact/s1t1", 1, 1, false);
-    for (shards, threads) in [(2usize, 2usize), (4, 4), (8, 4)] {
-        artifact.set_shards(shards);
+    // Exact grid: every thread count must reproduce the serial repairs.
+    let (exact_serial_seconds, baseline_repairs) = timed_clean(&artifact, "exact/t1", 1, false);
+    for threads in [2usize, 4] {
         artifact.set_threads(threads);
-        let (_, repairs) =
-            timed_clean(&artifact, &format!("exact/s{shards}t{threads}"), shards, threads, false);
-        assert_eq!(repairs, baseline_repairs, "sharded clean diverged at {shards} shards");
+        let (_, repairs) = timed_clean(&artifact, &format!("exact/t{threads}"), threads, false);
+        assert_eq!(repairs, baseline_repairs, "exact clean diverged at {threads} threads");
     }
 
-    // Scale tier: candidate pruning, serial and sharded.
-    artifact.set_shards(1);
-    artifact.set_threads(1);
+    // Scale tier: candidate pruning, serial and at 4 threads.
     artifact.set_candidate_top_k(TOP_K);
-    let (pruned_serial_seconds, _) = timed_clean(&artifact, "pruned/s1t1", 1, 1, true);
-    artifact.set_shards(4);
+    artifact.set_threads(1);
+    let (pruned_serial_seconds, pruned_repairs) = timed_clean(&artifact, "pruned/t1", 1, true);
     artifact.set_threads(4);
-    let (scale_tier_seconds, _) = timed_clean(&artifact, "pruned/s4t4", 4, 4, true);
+    let (scale_tier_seconds, repairs) = timed_clean(&artifact, "pruned/t4", 4, true);
+    assert_eq!(repairs, pruned_repairs, "pruned clean diverged at 4 threads");
     println!("{}", table.render());
 
     let speedups = vec![
         ("wide/pruned-top16".to_string(), 1usize, exact_serial_seconds / pruned_serial_seconds.max(1e-12)),
-        ("wide/scale-tier-s4t4".to_string(), 4usize, exact_serial_seconds / scale_tier_seconds.max(1e-12)),
+        ("wide/scale-tier-t4".to_string(), 4usize, exact_serial_seconds / scale_tier_seconds.max(1e-12)),
     ];
     let min_speedup = speedups.iter().map(|(_, _, s)| *s).fold(f64::INFINITY, f64::min);
     let json = format!(
         "{{\n  \"benchmark\": \"WideScale\",\n  \"scale\": \"{:?}\",\n  \"scale_factor\": \"{}\",\n  \
          \"rows\": {},\n  \"columns\": {},\n  \"cells\": {},\n  \"candidate_top_k\": {},\n  \
          \"clean_iters\": {},\n  \"fits\": [\n    \
-         {{\"config\": \"exact/s1t1\", \"fit_seconds\": {:.6}}},\n    \
-         {{\"config\": \"exact/s4t4\", \"fit_seconds\": {:.6}}}\n  ],\n  \"runs\": [\n{}\n  ],\n{}",
+         {{\"config\": \"exact/t1\", \"fit_seconds\": {:.6}}},\n    \
+         {{\"config\": \"exact/t4\", \"fit_seconds\": {:.6}}}\n  ],\n  \"runs\": [\n{}\n  ],\n{}",
         scale,
         factor.name(),
         rows,
@@ -1205,7 +1188,7 @@ fn bench_scale(scale: Scale) {
         TOP_K,
         clean_iters,
         fit_serial_seconds,
-        fit_sharded_seconds,
+        fit_parallel_seconds,
         runs_json.join(",\n"),
         speedups_json(&speedups, &[], min_speedup, total_start.elapsed().as_secs_f64()),
     );

@@ -117,11 +117,11 @@ fn store_err(context: &str, error: bclean_store::StoreError) -> CliError {
 fn usage() -> &'static str {
     "usage:
   bclean fit     <data.csv> -o <model.bclean> [-c constraints.bc] [--suggest]
-                            [--variant basic|nouc|pi|pip] [--threads N] [--shards N]
+                            [--variant basic|nouc|pi|pip] [--threads N]
                             [--fit-sample ROWS] [--sketch-budget K]
   bclean clean   <data.csv> [-m model.bclean] [-o cleaned.csv] [--repairs repairs.csv]
                             [--report report.json] [-c constraints.bc]
-                            [--variant basic|nouc|pi|pip] [--threads N] [--shards N]
+                            [--variant basic|nouc|pi|pip] [--threads N]
                             [--max-repairs N] [--fit-sample ROWS] [--sketch-budget K]
                             [--stream] [--chunk-rows N] [--max-memory BYTES[K|M|G]]
   bclean ingest  <batch.csv> -m <model.bclean> [-o updated.bclean]
@@ -180,7 +180,6 @@ struct CommonArgs {
     report: Option<String>,
     variant: Option<Variant>,
     threads: Option<usize>,
-    shards: Option<usize>,
     suggest: bool,
     max_repairs: Option<usize>,
     fit_sample: Option<usize>,
@@ -276,11 +275,6 @@ fn parse_common(args: &[String]) -> Result<CommonArgs, CliError> {
             "--threads" => {
                 let n = flag_value("--threads")?;
                 parsed.threads = Some(n.parse().map_err(|_| usage_err(format!("invalid --threads {n:?}")))?);
-                i += 2;
-            }
-            "--shards" => {
-                let n = flag_value("--shards")?;
-                parsed.shards = Some(n.parse().map_err(|_| usage_err(format!("invalid --shards {n:?}")))?);
                 i += 2;
             }
             "--max-repairs" => {
@@ -394,9 +388,6 @@ fn fit_command(args: &[String]) -> Result<(), CliError> {
     if let Some(threads) = args.threads {
         config = config.with_threads(threads);
     }
-    if let Some(shards) = args.shards {
-        config = config.with_shards(shards);
-    }
     if let Some(budget) = args.fit_budget() {
         config = config.with_fit_budget(budget);
         let p = budget.params().expect("the flags always spell a budgeted fit");
@@ -458,9 +449,6 @@ fn clean_command(args: &[String]) -> Result<(), CliError> {
             if let Some(threads) = args.threads {
                 artifact.set_threads(threads);
             }
-            if let Some(shards) = args.shards {
-                artifact.set_shards(shards);
-            }
             artifact.compile().clean(&data)
         }
         // The one-shot path: fit in process (legacy `bclean clean data.csv`).
@@ -470,9 +458,6 @@ fn clean_command(args: &[String]) -> Result<(), CliError> {
             let mut config = variant.config();
             if let Some(threads) = args.threads {
                 config = config.with_threads(threads);
-            }
-            if let Some(shards) = args.shards {
-                config = config.with_shards(shards);
             }
             if let Some(budget) = args.fit_budget() {
                 config = config.with_fit_budget(budget);
@@ -539,9 +524,6 @@ fn stream_clean_command(args: &CommonArgs) -> Result<(), CliError> {
             if let Some(threads) = args.threads {
                 artifact.set_threads(threads);
             }
-            if let Some(shards) = args.shards {
-                artifact.set_shards(shards);
-            }
             let model = artifact.compile();
             clean_stream_with_model(&model, &mut source, &options)
         }
@@ -563,9 +545,6 @@ fn stream_clean_command(args: &CommonArgs) -> Result<(), CliError> {
             let mut config = variant.config();
             if let Some(threads) = args.threads {
                 config = config.with_threads(threads);
-            }
-            if let Some(shards) = args.shards {
-                config = config.with_shards(shards);
             }
             if let Some(budget) = args.fit_budget() {
                 config = config.with_fit_budget(budget);
@@ -646,7 +625,6 @@ fn ingest_command(args: &[String]) -> Result<(), CliError> {
             ("--repairs", args.repairs.is_some()),
             ("--report", args.report.is_some()),
             ("--threads", args.threads.is_some()),
-            ("--shards", args.shards.is_some()),
             ("--max-repairs", args.max_repairs.is_some()),
             ("--fit-sample", args.fit_sample.is_some()),
             ("--sketch-budget", args.sketch_budget.is_some()),
@@ -986,8 +964,6 @@ rule:    ends_with(code, zip)
             "pip",
             "--threads",
             "2",
-            "--shards",
-            "4",
             "--max-repairs",
             "7",
             "--suggest",
@@ -1003,7 +979,6 @@ rule:    ends_with(code, zip)
         assert_eq!(parsed.report.as_deref(), Some("r.json"));
         assert_eq!(parsed.variant, Some(Variant::PartitionedInferencePruning));
         assert_eq!(parsed.threads, Some(2));
-        assert_eq!(parsed.shards, Some(4));
         assert_eq!(parsed.max_repairs, Some(7));
         assert!(parsed.suggest);
         assert!(parse_common(&["--threads".to_string()]).is_err());

@@ -105,16 +105,8 @@ impl ModelArtifact {
         self.config.num_threads = threads;
     }
 
-    /// Override the row-shard count used by subsequent cleans (and refits).
-    /// Like the thread count, shards only change wall-clock: results are
-    /// bit-identical at every shard count (see [`crate::shard`]) — the CLI
-    /// exposes it as `--shards`.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.config.num_shards = shards;
-    }
-
     /// Override the per-column candidate cap used by subsequent cleans.
-    /// Unlike shards and threads this is *not* results-neutral: a cap below
+    /// Unlike the thread count this is *not* results-neutral: a cap below
     /// a column's cardinality trades exactness for speed (see
     /// [`BCleanConfig::with_candidate_top_k`]); `usize::MAX` restores the
     /// exact default.

@@ -146,9 +146,6 @@ impl BClean {
     /// Assemble the sufficient statistics of a fit over an already-encoded
     /// dataset: per-node [`NodeCounts`] (one independent pass per node,
     /// fanned out through the executor) and the parallel compensatory build.
-    /// With `config.num_shards > 1` both statistics are instead accumulated
-    /// as per-shard partials over a (task × shard) grid and merged in shard
-    /// order — bit-identical to the single-shard fit (see [`crate::shard`]).
     /// Shared by the one-shot fits above and the first batch of a
     /// [`crate::CleaningSession`] (whose encoding may carry appended
     /// dictionaries).
@@ -194,36 +191,21 @@ impl BClean {
         let rows = encoded.num_rows();
         assert_eq!(dag.num_nodes(), m, "DAG node count must match the dataset's attribute count");
         assert_eq!(confidences.len(), rows, "one tuple confidence per encoded row");
-        let shards = self.config.effective_shards().min(rows.max(1));
-        let shard_plan = if shards > 1 { Some(bclean_data::shard_ranges(rows, shards)) } else { None };
         let executor = self.fit_executor(m, rows, m);
-        let node_counts: Vec<NodeCounts> = match &shard_plan {
-            Some(ranges) => crate::shard::sharded_node_counts(encoded, &dag, &executor, ranges),
-            None => executor.map(m, |node| NodeCounts::accumulate(encoded, node, &dag.parents(node))),
-        };
+        let node_counts: Vec<NodeCounts> =
+            executor.map(m, |node| NodeCounts::accumulate(encoded, node, &dag.parents(node)));
         let constraints =
             if self.config.use_constraints { self.constraints.clone() } else { ConstraintSet::new() };
         let row_executor = self.fit_executor(m, rows, rows);
-        let compensatory = match (self.config.fit_budget.params(), &shard_plan) {
-            // The budgeted pair pass ignores the shard grid: hybrid
-            // core/tail tallies are integers owned per target column and
-            // filled in row order, so the result is shard-invariant by
-            // construction.
-            (Some(budget), _) => CompensatoryModel::build_budgeted_with_confidences(
+        let compensatory = match self.config.fit_budget.params() {
+            Some(budget) => CompensatoryModel::build_budgeted_with_confidences(
                 encoded,
                 self.config.params,
                 &row_executor,
                 budget,
                 confidences,
             ),
-            (None, Some(ranges)) => CompensatoryModel::build_sharded_with_confidences(
-                encoded,
-                self.config.params,
-                &row_executor,
-                ranges,
-                confidences,
-            ),
-            (None, None) => CompensatoryModel::build_parallel_with_confidences(
+            None => CompensatoryModel::build_parallel_with_confidences(
                 encoded,
                 self.config.params,
                 &row_executor,
@@ -407,11 +389,7 @@ impl BCleanModel {
 
     /// Clean a dataset (inference stage, Algorithm 1). Row ranges are
     /// processed through the shared [`ParallelExecutor`], whose ordered merge
-    /// makes the result identical for every thread count. With
-    /// `config.num_shards > 1` the rows are instead partitioned into
-    /// contiguous shards (see [`crate::shard`]) cleaned concurrently against
-    /// this shared model; per-row inference is independent, so the
-    /// shard-ordered merge is bit-identical to the single-shard run.
+    /// makes the result identical for every thread count.
     ///
     /// The dataset is dictionary-encoded against the model's fit-time
     /// [`ColumnDict`]s up front (values the model never observed map to
@@ -434,26 +412,10 @@ impl BCleanModel {
         let rules_by_col = self.rules_by_col(dataset.schema());
         let pruned_by_col: Vec<Option<Vec<u32>>> =
             (0..dicts.len()).map(|col| self.pruned_candidates(col)).collect();
-        let shards = self.config.effective_shards().min(n.max(1));
-        let batches = if shards > 1 {
-            let ranges = bclean_data::shard_ranges(n, shards);
-            let executor = ParallelExecutor::for_config(&self.config, shards);
-            executor.map(shards, |s| {
-                self.clean_rows(
-                    dataset,
-                    &codes,
-                    &rules_by_col,
-                    &pruned_by_col,
-                    ranges[s].start,
-                    ranges[s].end,
-                )
-            })
-        } else {
-            let executor = ParallelExecutor::for_config(&self.config, n);
-            executor.execute(n, |rows| {
-                self.clean_rows(dataset, &codes, &rules_by_col, &pruned_by_col, rows.start, rows.end)
-            })
-        };
+        let executor = ParallelExecutor::for_config(&self.config, n);
+        let batches = executor.execute(n, |rows| {
+            self.clean_rows(dataset, &codes, &rules_by_col, &pruned_by_col, rows.start, rows.end)
+        });
         let (code_repairs, mut stats) = merge_cleaning_batches(batches);
         debug_assert!(
             code_repairs.windows(2).all(|w| (w[0].at.row, w[0].at.col) < (w[1].at.row, w[1].at.col)),
@@ -739,8 +701,8 @@ impl BCleanModel {
         // Candidates are enumerated in sorted value order — for fresh
         // dictionaries that *is* the code order; appended dictionaries
         // (streaming sessions) walk their code→sorted-rank remap so tie
-        // breaking, pruning truncation and candidate caps behave exactly as
-        // over a freshly sorted dictionary.
+        // breaking and pruning truncation behave exactly as over a freshly
+        // sorted dictionary.
         let accept = |code: u32, scratch: &mut Vec<Value>, out: &mut Vec<u32>| {
             if self.config.use_constraints {
                 if !self.attr_uc_ok[col][code as usize] {
@@ -792,12 +754,6 @@ impl BCleanModel {
             scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
             out.clear();
             out.extend(scored.into_iter().take(self.config.domain_top_k).map(|(_, c)| c));
-        }
-
-        if out.len() > self.config.max_candidates {
-            // Deterministic cap for pathological domains: keep the most frequent values.
-            out.sort_by_key(|&c| std::cmp::Reverse(self.compensatory.value_count_code(col, c)));
-            out.truncate(self.config.max_candidates);
         }
 
         if !row[col].is_null() && !out.contains(&original_code) {

@@ -52,8 +52,8 @@ impl Default for CompensatoryParams {
 /// counts observations in reliable tuples (`conf ≥ τ`), `neg` in penalised
 /// ones. The signed correlation of Algorithm 2 is *derived* — `pos − β·neg`
 /// — instead of stored as a running `f64` sum, so accumulating the counters
-/// in any order (row order, batch splits, shard merges) produces exactly the
-/// same entry; this is what makes sharded fitting bit-identical to one-shot
+/// in any order (row order, batch splits) produces exactly the same entry;
+/// this is what makes incremental absorbs bit-identical to one-shot fitting
 /// for every β, not just integral ones.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct PairEntry {
@@ -79,12 +79,6 @@ impl PairEntry {
     #[inline]
     pub(crate) fn is_zero(&self) -> bool {
         self.pos == 0 && self.neg == 0
-    }
-
-    #[inline]
-    fn merge(&mut self, other: PairEntry) {
-        self.pos += other.pos;
-        self.neg += other.neg;
     }
 }
 
@@ -309,40 +303,6 @@ impl PairStore {
                     entry.neg += 1;
                 }
             }
-        }
-    }
-
-    /// Fold another store of the *same* column pair (and hence the same
-    /// layout — layout is a pure function of the code spaces) into this one.
-    /// Entries are integer tallies, so merging shard partials in any order
-    /// equals one accumulation pass over all rows.
-    pub(crate) fn merge(&mut self, other: &PairStore) {
-        match (self, other) {
-            (PairStore::Empty, PairStore::Empty) => {}
-            (PairStore::Dense { cells, .. }, PairStore::Dense { cells: other_cells, .. }) => {
-                debug_assert_eq!(cells.len(), other_cells.len(), "shards share one code space");
-                for (mine, theirs) in cells.iter_mut().zip(other_cells) {
-                    mine.merge(*theirs);
-                }
-            }
-            (PairStore::Map(map), PairStore::Map(other_map)) => {
-                for (&key, entry) in other_map {
-                    map.entry(key).or_default().merge(*entry);
-                }
-            }
-            (
-                PairStore::Bounded { a, b, cells, tail },
-                PairStore::Bounded { a: oa, b: ob, cells: other_cells, tail: other_tail },
-            ) => {
-                debug_assert!(a == oa && b == ob, "shard partials of one pair share a bounded layout");
-                for (mine, theirs) in cells.iter_mut().zip(other_cells) {
-                    mine.merge(*theirs);
-                }
-                for (&key, entry) in other_tail {
-                    tail.entry(key).or_default().merge(*entry);
-                }
-            }
-            _ => unreachable!("shard partials of one pair always share a layout"),
         }
     }
 
@@ -719,100 +679,6 @@ impl CompensatoryModel {
         }
     }
 
-    /// Shard-parallel [`CompensatoryModel::build_parallel`]: splits stage 2
-    /// into `columns × shards` independent tasks — each builds the pair
-    /// stores of one target column over one shard's row range — and folds
-    /// the shard partials per column *in shard order*. The counters are
-    /// integer tallies (`PairEntry`), so the merged model is bit-identical
-    /// to the serial and column-parallel builders at every shard count and
-    /// thread count; the confidence sum is still folded in global row order.
-    pub fn build_sharded(
-        dataset: &Dataset,
-        encoded: &EncodedDataset,
-        constraints: &ConstraintSet,
-        params: CompensatoryParams,
-        executor: &ParallelExecutor,
-        ranges: &[std::ops::Range<usize>],
-    ) -> CompensatoryModel {
-        assert_eq!(encoded.num_rows(), dataset.num_rows(), "encoded dataset must match the value dataset");
-        let confidences = tuple_confidences(dataset, constraints, params.lambda, executor);
-        CompensatoryModel::build_sharded_with_confidences(encoded, params, executor, ranges, &confidences)
-    }
-
-    /// The encoded-only core of [`CompensatoryModel::build_sharded`] (see
-    /// [`CompensatoryModel::build_parallel_with_confidences`]).
-    pub(crate) fn build_sharded_with_confidences(
-        encoded: &EncodedDataset,
-        params: CompensatoryParams,
-        executor: &ParallelExecutor,
-        ranges: &[std::ops::Range<usize>],
-        confidences: &[f64],
-    ) -> CompensatoryModel {
-        let m = encoded.num_columns();
-        let n = encoded.num_rows();
-        assert_eq!(n, confidences.len(), "one tuple confidence per encoded row");
-        debug_assert_eq!(ranges.iter().map(|r| r.len()).sum::<usize>(), n, "shards must cover all rows");
-        let spaces: Vec<usize> = encoded.dicts().iter().map(|d| d.code_space()).collect();
-
-        let conf_sum: f64 = confidences.iter().sum();
-        let positives: Vec<bool> = confidences.iter().map(|&c| c >= params.tau).collect();
-
-        // One task per (target column, shard): tasks are keyed
-        // `i * shards + s`, so per-column partials come back shard-ordered.
-        let shards = ranges.len().max(1);
-        let partials: Vec<(Vec<u32>, Vec<PairStore>)> = executor.map(m * shards, |t| {
-            let (i, s) = (t / shards, t % shards);
-            let rows = ranges.get(s).cloned().unwrap_or(0..0);
-            let mut value_counts = vec![0u32; spaces[i]];
-            let mut stores: Vec<PairStore> = (0..m)
-                .map(|j| if i == j { PairStore::Empty } else { PairStore::with_spaces(spaces[i], spaces[j]) })
-                .collect();
-            let column = encoded.column(i);
-            for r in rows {
-                let a = column[r];
-                value_counts[a as usize] += 1;
-                let positive = positives[r];
-                for (j, store) in stores.iter_mut().enumerate() {
-                    if j != i {
-                        store.add(a, encoded.code(r, j), positive);
-                    }
-                }
-            }
-            (value_counts, stores)
-        });
-
-        let mut pairs: Vec<PairStore> = Vec::with_capacity(m * m);
-        let mut value_counts: Vec<Vec<u32>> = Vec::with_capacity(m);
-        for i in 0..m {
-            let mut merged_counts = vec![0u32; spaces[i]];
-            let mut merged_stores: Vec<PairStore> = (0..m)
-                .map(|j| if i == j { PairStore::Empty } else { PairStore::with_spaces(spaces[i], spaces[j]) })
-                .collect();
-            for s in 0..shards {
-                let (counts, stores) = &partials[i * shards + s];
-                for (mine, &theirs) in merged_counts.iter_mut().zip(counts) {
-                    *mine += theirs;
-                }
-                for (merged, partial) in merged_stores.iter_mut().zip(stores) {
-                    merged.merge(partial);
-                }
-            }
-            value_counts.push(merged_counts);
-            pairs.extend(merged_stores);
-        }
-
-        CompensatoryModel {
-            params,
-            dicts: encoded.dicts().to_vec(),
-            pairs,
-            value_counts,
-            num_rows: n,
-            num_cols: m,
-            conf_sum,
-            tracked: vec![None; m],
-        }
-    }
-
     /// Budget-bounded [`CompensatoryModel::build_parallel`]: the fit-time
     /// pair pass of a budgeted fit (`BCleanConfig::fit_budget`).
     ///
@@ -830,11 +696,10 @@ impl CompensatoryModel {
     /// distribution (a few percent of incidences on heavy-tailed columns)
     /// instead of on every row as in the exact `Map` layout.
     ///
-    /// The build ignores any configured shard grid: cells and tail tallies
-    /// are integers owned by one worker per target column and filled in row
-    /// order, and the confidence sum folds in row order, so the budgeted
-    /// model is bit-identical at every shard *and* thread count by
-    /// construction.
+    /// Cells and tail tallies are integers owned by one worker per target
+    /// column and filled in row order, and the confidence sum folds in row
+    /// order, so the budgeted model is bit-identical at every thread count
+    /// by construction.
     pub fn build_budgeted(
         dataset: &Dataset,
         encoded: &EncodedDataset,
@@ -1584,59 +1449,6 @@ mod tests {
                     parallel.fd_confidence_matrix(),
                     "threads {threads}"
                 );
-            }
-        }
-    }
-
-    /// Sharded builds — per-(column, shard) counter partials merged in
-    /// shard order — must be bit-identical to the serial build for every
-    /// shard and thread count, including a non-integral β (the integer
-    /// pos/neg tallies make the merge exact regardless of β).
-    #[test]
-    fn sharded_build_is_bit_identical_to_serial() {
-        let d = data();
-        let encoded = EncodedDataset::from_dataset(&d);
-        for params in
-            [CompensatoryParams::default(), CompensatoryParams { lambda: 0.25, beta: 0.3, tau: 0.75 }]
-        {
-            let serial = CompensatoryModel::build_encoded(&d, &encoded, &spellcheck_constraints(), params);
-            for shards in [1usize, 2, 3, 5] {
-                for threads in [1usize, 2, 8] {
-                    let executor = crate::exec::ParallelExecutor::new(threads).with_block_size(2);
-                    let ranges = bclean_data::shard_ranges(d.num_rows(), shards);
-                    let sharded = CompensatoryModel::build_sharded(
-                        &d,
-                        &encoded,
-                        &spellcheck_constraints(),
-                        params,
-                        &executor,
-                        &ranges,
-                    );
-                    assert_eq!(serial.mean_confidence().to_bits(), sharded.mean_confidence().to_bits());
-                    assert_eq!(serial.num_rows(), sharded.num_rows());
-                    for (r, row) in d.rows().enumerate() {
-                        let codes: Vec<u32> =
-                            row.iter().zip(serial.dicts()).map(|(v, dict)| dict.encode_lossy(v)).collect();
-                        for col in 0..d.num_columns() {
-                            for candidate in 0..=serial.dicts()[col].unseen_code() {
-                                assert_eq!(
-                                    serial.score_corr_codes(&codes, col, candidate).to_bits(),
-                                    sharded.score_corr_codes(&codes, col, candidate).to_bits(),
-                                    "score row {r} col {col} cand {candidate} shards {shards} threads {threads}"
-                                );
-                                assert_eq!(
-                                    serial.value_count_code(col, candidate),
-                                    sharded.value_count_code(col, candidate)
-                                );
-                            }
-                        }
-                    }
-                    assert_eq!(
-                        serial.fd_confidence_matrix(),
-                        sharded.fd_confidence_matrix(),
-                        "shards {shards} threads {threads}"
-                    );
-                }
             }
         }
     }

@@ -80,8 +80,6 @@ pub struct BCleanConfig {
     pub tau_clean: f64,
     /// Number of candidates kept by domain pruning.
     pub domain_top_k: usize,
-    /// Hard cap on candidates evaluated per cell (`usize::MAX` = unlimited).
-    pub max_candidates: usize,
     /// Minimum log-score advantage a candidate needs over the observed value
     /// before a repair is applied. Ties and noise-level differences keep the
     /// observed value (Algorithm 1 only replaces on a strict improvement).
@@ -99,14 +97,8 @@ pub struct BCleanConfig {
     /// a corroborating determinant, only overwhelming evidence may overwrite
     /// the observed value.
     pub no_anchor_margin: f64,
-    /// Number of worker threads for the cleaning loop (0 = use all cores).
+    /// Number of worker threads for fitting and cleaning (0 = use all cores).
     pub num_threads: usize,
-    /// Number of row shards for partition-level parallelism (0 or 1 = one
-    /// shard). Fitting accumulates per-shard sufficient statistics and
-    /// merges them in shard order; cleaning processes shards concurrently
-    /// and merges repairs in shard order. Both are bit-identical to the
-    /// single-shard run at every shard count (see `bclean_core::shard`).
-    pub num_shards: usize,
     /// Candidate pruning for high-cardinality columns: when a column's
     /// dictionary holds more than this many values, candidate enumeration is
     /// restricted to the `candidate_top_k` most frequent values (ties broken
@@ -138,13 +130,11 @@ impl Default for BCleanConfig {
             domain_pruning: false,
             tau_clean: 0.35,
             domain_top_k: 24,
-            max_candidates: usize::MAX,
             repair_margin: 0.5,
             anchored_candidates: true,
             anchor_min_confidence: 0.65,
             no_anchor_margin: 2.5,
             num_threads: 0,
-            num_shards: 1,
             candidate_top_k: usize::MAX,
             fit_budget: FitBudget::Exact,
         }
@@ -169,12 +159,6 @@ impl BCleanConfig {
         self
     }
 
-    /// Builder-style override of the shard count.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.num_shards = shards;
-        self
-    }
-
     /// Builder-style override of the high-cardinality candidate pruning
     /// threshold (`usize::MAX` = exact, the default).
     pub fn with_candidate_top_k(mut self, top_k: usize) -> Self {
@@ -188,11 +172,6 @@ impl BCleanConfig {
     pub fn with_fit_budget(mut self, budget: FitBudget) -> Self {
         self.fit_budget = budget;
         self
-    }
-
-    /// Effective number of row shards (at least 1).
-    pub fn effective_shards(&self) -> usize {
-        self.num_shards.max(1)
     }
 
     /// Effective number of worker threads.
@@ -257,14 +236,11 @@ mod tests {
     }
 
     #[test]
-    fn shard_and_pruning_defaults_are_exact() {
+    fn pruning_defaults_are_exact() {
         let cfg = BCleanConfig::default();
-        assert_eq!(cfg.effective_shards(), 1);
         assert_eq!(cfg.candidate_top_k, usize::MAX, "candidate pruning must default to off");
-        let sharded = BCleanConfig::default().with_shards(4).with_candidate_top_k(64);
-        assert_eq!(sharded.effective_shards(), 4);
-        assert_eq!(sharded.candidate_top_k, 64);
-        assert_eq!(BCleanConfig::default().with_shards(0).effective_shards(), 1);
+        let pruned = BCleanConfig::default().with_candidate_top_k(64);
+        assert_eq!(pruned.candidate_top_k, 64);
     }
 
     #[test]

@@ -50,7 +50,6 @@ pub mod persist;
 pub mod reference;
 pub mod report;
 pub mod session;
-pub mod shard;
 pub mod stream;
 
 pub use artifact::{CompileCache, ModelArtifact};

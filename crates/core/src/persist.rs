@@ -292,13 +292,11 @@ fn write_config(w: &mut ByteWriter, config: &BCleanConfig) {
     w.bool(config.domain_pruning);
     w.f64(config.tau_clean);
     w.usize(config.domain_top_k);
-    w.usize(config.max_candidates);
     w.f64(config.repair_margin);
     w.bool(config.anchored_candidates);
     w.f64(config.anchor_min_confidence);
     w.f64(config.no_anchor_margin);
     w.usize(config.num_threads);
-    w.usize(config.num_shards);
     w.usize(config.candidate_top_k);
     match config.fit_budget.params() {
         None => w.bool(false),
@@ -350,13 +348,11 @@ fn read_config(r: &mut ByteReader<'_>) -> Result<BCleanConfig, StoreError> {
         domain_pruning: r.bool()?,
         tau_clean: r.f64()?,
         domain_top_k: r.usize()?,
-        max_candidates: r.usize()?,
         repair_margin: r.f64()?,
         anchored_candidates: r.bool()?,
         anchor_min_confidence: r.f64()?,
         no_anchor_margin: r.f64()?,
         num_threads: r.usize()?,
-        num_shards: r.usize()?,
         candidate_top_k: r.usize()?,
         fit_budget: read_fit_budget(r)?,
     })
@@ -683,9 +679,7 @@ mod tests {
         config.alpha = 0.7;
         config.structure.max_parents = 5;
         config.structure.glasso.rho = 0.42;
-        config.max_candidates = 1234;
         config.repair_margin = 0.125;
-        config.num_shards = 4;
         config.candidate_top_k = 64;
         config.fit_budget = FitBudget::Budgeted(BudgetParams {
             sample_rows: 5_000,

@@ -307,11 +307,6 @@ impl ReferenceModel {
             candidates = scored.into_iter().take(self.model.config.domain_top_k).map(|(_, c)| c).collect();
         }
 
-        if candidates.len() > self.model.config.max_candidates {
-            candidates.sort_by_key(|c| std::cmp::Reverse(domain.count(c)));
-            candidates.truncate(self.model.config.max_candidates);
-        }
-
         if !original.is_null() && !candidates.iter().any(|c| c == original) {
             candidates.push(original.clone());
         }

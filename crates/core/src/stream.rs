@@ -86,8 +86,8 @@ pub struct StreamOutcome {
 /// Fit and clean a chunked source end to end with bounded peak memory (see
 /// the module docs for the two-pass structure and the bit-identity
 /// argument). The source's schema must be the training schema; all of the
-/// cleaner's configuration — threads, shards, variant, fit budget,
-/// constraints — applies exactly as in `BClean::fit` + `clean`.
+/// cleaner's configuration — threads, variant, fit budget, constraints —
+/// applies exactly as in `BClean::fit` + `clean`.
 pub fn clean_stream<S: ChunkSource + ?Sized>(
     cleaner: &BClean,
     source: &mut S,

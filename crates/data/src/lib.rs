@@ -34,7 +34,6 @@ pub mod domain;
 pub mod encoded;
 pub mod error;
 pub mod schema;
-pub mod shard;
 pub mod stream;
 pub mod value;
 
@@ -49,7 +48,6 @@ pub use domain::{AttributeDomain, Domains};
 pub use encoded::{BatchAppend, ColumnDict, EncodedDataset, EncodedDatasetBuilder};
 pub use error::{DataError, DataResult};
 pub use schema::{AttrType, Attribute, Schema};
-pub use shard::shard_ranges;
 pub use stream::{
     approx_dataset_bytes, approx_row_bytes, ChunkLimits, ChunkSource, CsvChunkReader, CsvFileChunks,
     DatasetChunks,

@@ -1,10 +1,10 @@
 //! Scale factors and the wide-schema variant for large-scale runs.
 //!
 //! The Table-2 benchmarks top out at 20 000 rows in the default harness,
-//! which is far below the "million-row" regime the sharded cleaning path
-//! targets. [`ScaleFactor`] names the three canonical sizes of the scale
-//! tier (10⁴, 10⁵, 10⁶ rows) so that benches, tests and docs all agree on
-//! what "large" means, and [`build_at_scale`]/[`build_wide`] produce
+//! which is far below the "million-row" regime the scale tier targets.
+//! [`ScaleFactor`] names the three canonical sizes of the scale tier (10⁴,
+//! 10⁵, 10⁶ rows) so that benches, tests and docs all agree on what
+//! "large" means, and [`build_at_scale`]/[`build_wide`] produce
 //! reproducible dirty/clean pairs at those sizes entirely offline.
 //!
 //! Neither the scale factors nor the wide dataset participate in
@@ -61,7 +61,7 @@ impl ScaleFactor {
 /// Build a Table-2 benchmark pair scaled to `factor.rows()` rows. The
 /// generators are entity-pool based, so larger sizes revisit the same value
 /// pools with the same functional structure — cardinalities stay fixed
-/// while row counts grow, exactly the regime sharded counting is built for.
+/// while row counts grow, exactly the regime the scale tier measures.
 pub fn build_at_scale(dataset: BenchmarkDataset, factor: ScaleFactor, seed: u64) -> DirtyDataset {
     dataset.build_sized(factor.rows(), seed)
 }

@@ -15,11 +15,10 @@
 //!
 //! Sections appear in ascending id order and each id appears at most once;
 //! the reader verifies every CRC before any payload is handed out. Readers
-//! refuse versions newer than [`FORMAT_VERSION`] — the policy is that any
-//! incompatible layout change bumps the version and regenerates committed
-//! fixtures (see the README's "Persistence & CLI" section); CI's
-//! golden-artifact gate exists to catch layout changes that forget the
-//! bump.
+//! accept exactly [`FORMAT_VERSION`] — the policy is that any incompatible
+//! layout change bumps the version and regenerates committed fixtures (see
+//! the README's "Persistence & CLI" section); CI's golden-artifact gate
+//! exists to catch layout changes that forget the bump.
 
 use crate::codec::{ByteReader, ByteWriter};
 use crate::crc::crc32;
@@ -28,22 +27,14 @@ use crate::error::StoreError;
 /// The 8 magic bytes every `.bclean` container starts with.
 pub const MAGIC: [u8; 8] = *b"BCLNMODL";
 
-/// Current container format version. Bump on any incompatible change to
-/// the header, the section set, or any section's payload layout — and
-/// regenerate `tests/fixtures/hospital.bclean` (the golden CI gate fails
-/// otherwise, by design). See `docs/FORMAT.md` for the full byte-layout
-/// contract and version history.
-pub const FORMAT_VERSION: u32 = 4;
-
-/// Oldest format version this reader still understands. Version 1 carried
-/// a β-folded f64 per compensatory pair entry (and no shard/pruning config
-/// fields); version 2 stores raw positive/negative tallies, which merge
-/// exactly across shards and batches; version 3 adds the fit-budget config
-/// fields and the per-column heavy-hitter lists backing bounded
-/// compensatory pair tables; version 4 added an `encoded_data` section
-/// (id 8) that no model artifact carries. That id is retired and never
-/// reused: the reader rejects it as an unknown section.
-pub const MIN_FORMAT_VERSION: u32 = 4;
+/// The container format version this build writes, and the only one it
+/// reads. Bump on any incompatible change to the header, the section set,
+/// or any section's payload layout — and regenerate
+/// `tests/fixtures/hospital.bclean` (the golden CI gate fails otherwise, by
+/// design). See `docs/FORMAT.md` for the full byte-layout contract and
+/// version history. Section id 8 (format v4's `encoded_data`) is retired
+/// and never reused: the reader rejects it as an unknown section.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Well-known section ids of a model artifact container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -158,7 +149,7 @@ impl<'a> ContainerReader<'a> {
         }
         let mut header = ByteReader::new(&bytes[MAGIC.len()..], "container header");
         let version = header.u32()?;
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(StoreError::UnsupportedVersion { found: version, supported: FORMAT_VERSION });
         }
         let section_count = header.u32()? as usize;
@@ -273,13 +264,17 @@ mod tests {
     #[test]
     fn future_versions_are_rejected() {
         let mut bytes = sample();
-        bytes[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-        match ContainerReader::parse(&bytes) {
-            Err(StoreError::UnsupportedVersion { found, supported }) => {
-                assert_eq!(found, FORMAT_VERSION + 1);
-                assert_eq!(supported, FORMAT_VERSION);
+        // The next version, and the previous one: the reader accepts
+        // exactly the version it writes.
+        for version in [FORMAT_VERSION + 1, FORMAT_VERSION - 1] {
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            match ContainerReader::parse(&bytes) {
+                Err(StoreError::UnsupportedVersion { found, supported }) => {
+                    assert_eq!(found, version);
+                    assert_eq!(supported, FORMAT_VERSION);
+                }
+                other => panic!("expected UnsupportedVersion, got {other:?}"),
             }
-            other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
         // Version 0 predates the format.
         bytes[8..12].copy_from_slice(&0u32.to_le_bytes());

@@ -24,13 +24,13 @@ pub enum StoreError {
         /// The bytes actually found (at most the magic's length).
         found: Vec<u8>,
     },
-    /// The file's format version is outside the supported range. The
+    /// The file's format version is not the one this build reads. The
     /// sanctioned escape hatch is regenerating the artifact with the
     /// current writer (see the README's format-version policy).
     UnsupportedVersion {
         /// Version recorded in the file.
         found: u32,
-        /// Newest version this reader supports.
+        /// The one version this reader supports.
         supported: u32,
     },
     /// The file ended before the announced structure was complete.
@@ -70,8 +70,8 @@ impl fmt::Display for StoreError {
             }
             StoreError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "unsupported container format version {found} (this build reads up to {supported}); \
-                 regenerate the artifact with `bclean fit`"
+                "unsupported container format version {found} (this build reads only version \
+                 {supported}); regenerate the artifact with `bclean fit`"
             ),
             StoreError::Truncated { context } => {
                 write!(f, "truncated container (while reading {context})")

@@ -34,7 +34,6 @@ pub use codecs::{
 };
 pub use container::{
     read_container_file, ContainerReader, ContainerWriter, SectionId, FORMAT_VERSION, MAGIC,
-    MIN_FORMAT_VERSION,
 };
 pub use crc::crc32;
 pub use error::StoreError;

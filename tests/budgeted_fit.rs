@@ -3,12 +3,12 @@
 //! Three contracts:
 //!
 //! 1. **Exact is exact.** The default `FitBudget::Exact` must produce
-//!    artifact bytes that are bit-identical at every thread count and shard
-//!    count, for every paper variant — the budgeted machinery must be
-//!    invisible unless asked for.
+//!    artifact bytes that are bit-identical at every thread count, for
+//!    every paper variant — the budgeted machinery must be invisible unless
+//!    asked for.
 //! 2. **Budgeted is deterministic.** A budgeted fit is seeded end to end:
 //!    same data + same budget ⇒ identical artifact bytes, again at every
-//!    thread and shard count, and the artifact round-trips through the
+//!    thread count, and the artifact round-trips through the
 //!    `.bclean` container (bounded pair tables, tracked heavy-hitter lists
 //!    and the budget itself included).
 //! 3. **Budgeted is close.** At generous budgets the budgeted model's
@@ -23,8 +23,11 @@ const SEED: u64 = 20240817;
 
 fn hospital() -> DirtyDataset {
     // Large enough that cols x rows crosses the fit executor's serial
-    // fallback threshold, so the parallel fit stages genuinely run.
-    BenchmarkDataset::Hospital.build_sized(4000, SEED)
+    // fallback threshold (2^16 cells), so the parallel fit stages genuinely
+    // run.
+    let bench = BenchmarkDataset::Hospital.build_sized(4400, SEED);
+    assert!(bench.dirty.num_cells() >= 1 << 16, "the fixture must reach the parallel fit");
+    bench
 }
 
 /// A budget small enough to genuinely approximate on the Hospital fixture:
@@ -34,7 +37,7 @@ fn tight_budget() -> BudgetParams {
 }
 
 #[test]
-fn exact_fit_bytes_are_invariant_across_threads_and_shards() {
+fn exact_fit_bytes_are_invariant_across_threads() {
     let bench = hospital();
     let constraints = bclean_constraints(BenchmarkDataset::Hospital);
     for variant in Variant::all() {
@@ -44,29 +47,25 @@ fn exact_fit_bytes_are_invariant_across_threads_and_shards() {
         let baseline_bytes = baseline.to_bytes().unwrap();
         let baseline_repairs = baseline.compile().clean(&bench.dirty).repairs;
         for threads in [2usize, 8] {
-            for shards in [1usize, 4] {
-                let artifact = BClean::new(variant.config().with_threads(threads).with_shards(shards))
-                    .with_constraints(constraints.clone())
-                    .fit_artifact(&bench.dirty);
-                // The config section legitimately records the thread/shard
-                // knobs; the *model* sections must not move. Normalise the
-                // knobs and byte-compare everything.
-                let mut artifact = artifact;
-                artifact.set_threads(1);
-                artifact.set_shards(1);
-                assert_eq!(
-                    artifact.to_bytes().unwrap(),
-                    baseline_bytes,
-                    "exact fit drifted: variant {variant:?} threads {threads} shards {shards}"
-                );
-                assert_eq!(artifact.compile().clean(&bench.dirty).repairs, baseline_repairs);
-            }
+            let mut artifact = BClean::new(variant.config().with_threads(threads))
+                .with_constraints(constraints.clone())
+                .fit_artifact(&bench.dirty);
+            // The config section legitimately records the thread knob; the
+            // *model* sections must not move. Normalise the knob and
+            // byte-compare everything.
+            artifact.set_threads(1);
+            assert_eq!(
+                artifact.to_bytes().unwrap(),
+                baseline_bytes,
+                "exact fit drifted: variant {variant:?} threads {threads}"
+            );
+            assert_eq!(artifact.compile().clean(&bench.dirty).repairs, baseline_repairs);
         }
     }
 }
 
 #[test]
-fn budgeted_fit_is_deterministic_and_thread_shard_invariant() {
+fn budgeted_fit_is_deterministic_and_thread_invariant() {
     let bench = hospital();
     let constraints = bclean_constraints(BenchmarkDataset::Hospital);
     let budget = FitBudget::Budgeted(tight_budget());
@@ -83,24 +82,12 @@ fn budgeted_fit_is_deterministic_and_thread_shard_invariant() {
     assert_eq!(again.to_bytes().unwrap(), baseline_bytes);
 
     for threads in [2usize, 8] {
-        for shards in [1usize, 4] {
-            let mut artifact = BClean::new(
-                Variant::PartitionedInference
-                    .config()
-                    .with_threads(threads)
-                    .with_shards(shards)
-                    .with_fit_budget(budget),
-            )
-            .with_constraints(constraints.clone())
-            .fit_artifact(&bench.dirty);
-            artifact.set_threads(1);
-            artifact.set_shards(1);
-            assert_eq!(
-                artifact.to_bytes().unwrap(),
-                baseline_bytes,
-                "budgeted fit drifted: threads {threads} shards {shards}"
-            );
-        }
+        let mut artifact =
+            BClean::new(Variant::PartitionedInference.config().with_threads(threads).with_fit_budget(budget))
+                .with_constraints(constraints.clone())
+                .fit_artifact(&bench.dirty);
+        artifact.set_threads(1);
+        assert_eq!(artifact.to_bytes().unwrap(), baseline_bytes, "budgeted fit drifted: threads {threads}");
     }
 
     // A different seed is a different (but equally deterministic) model.

@@ -11,9 +11,8 @@
 //! batch, and batches that introduce values and nulls the session has never
 //! seen.
 //!
-//! The same guard covers the sharded pipeline: fitting and cleaning in row
-//! shards (any shard count × any thread count, shards composing with
-//! streaming sessions and with candidate pruning) must reproduce the serial
+//! The same guard covers the thread count: fitting and cleaning at any
+//! thread count (composing with candidate pruning) must reproduce the serial
 //! one-shot artifact byte-for-byte and its repairs repair-for-repair.
 
 use bclean::core::CleaningSession;
@@ -173,13 +172,12 @@ fn empty_batches_are_noops() {
     assert_eq!(session.finalize().repairs, oneshot.repairs);
 }
 
-/// Sharded fit + sharded clean must be bit-identical to the one-shot
-/// pipeline for every paper variant, shard count and thread count: the
-/// serialized artifact bytes match (after normalising the persisted
-/// shard/thread knobs, which are execution hints, not statistics) and the
-/// cleaning output matches repair-for-repair.
+/// Fit + clean at any thread count must be bit-identical to the serial
+/// one-shot pipeline for every paper variant: the serialized artifact bytes
+/// match (after normalising the persisted thread knob, an execution hint,
+/// not a statistic) and the cleaning output matches repair-for-repair.
 #[test]
-fn sharded_fit_and_clean_match_one_shot_for_every_variant() {
+fn threaded_fit_and_clean_match_one_shot_for_every_variant() {
     let bench = BenchmarkDataset::Hospital.build_sized(ROWS, SEED);
     let constraints = bclean_constraints(BenchmarkDataset::Hospital);
     let mut total_repairs = 0usize;
@@ -190,57 +188,33 @@ fn sharded_fit_and_clean_match_one_shot_for_every_variant() {
         let baseline_bytes = baseline.to_bytes().expect("artifact serialises");
         let oneshot = baseline.compile().clean(&bench.dirty);
         total_repairs += oneshot.repairs.len();
-        for shards in [2usize, 4, 8] {
-            for threads in [1usize, 2, 8] {
-                let cleaner = BClean::new(variant.config().with_threads(threads).with_shards(shards))
-                    .with_constraints(constraints.clone());
-                let mut artifact = cleaner.fit_artifact(&bench.dirty);
-                let result = artifact.compile().clean(&bench.dirty);
+        for threads in [1usize, 2, 8] {
+            let cleaner =
+                BClean::new(variant.config().with_threads(threads)).with_constraints(constraints.clone());
+            let mut artifact = cleaner.fit_artifact(&bench.dirty);
+            let result = artifact.compile().clean(&bench.dirty);
 
-                // Statistics are bit-identical: serialise with the execution
-                // knobs normalised back to the baseline's and compare bytes.
-                artifact.set_shards(1);
-                artifact.set_threads(1);
-                assert_eq!(
-                    artifact.to_bytes().expect("artifact serialises"),
-                    baseline_bytes,
-                    "artifact diverged: variant {variant:?} shards {shards} threads {threads}"
-                );
+            // Statistics are bit-identical: serialise with the execution
+            // knob normalised back to the baseline's and compare bytes.
+            artifact.set_threads(1);
+            assert_eq!(
+                artifact.to_bytes().expect("artifact serialises"),
+                baseline_bytes,
+                "artifact diverged: variant {variant:?} threads {threads}"
+            );
 
-                // The sharded clean path merges to the same output.
-                assert_eq!(
-                    result.repairs, oneshot.repairs,
-                    "repairs diverged: variant {variant:?} shards {shards} threads {threads}"
-                );
-                assert_eq!(result.cleaned, oneshot.cleaned);
-                assert_eq!(result.stats.cells_examined, oneshot.stats.cells_examined);
-                assert_eq!(result.stats.cells_skipped, oneshot.stats.cells_skipped);
-                assert_eq!(result.stats.candidates_evaluated, oneshot.stats.candidates_evaluated);
-            }
+            // The executor's ordered merge yields the same output.
+            assert_eq!(
+                result.repairs, oneshot.repairs,
+                "repairs diverged: variant {variant:?} threads {threads}"
+            );
+            assert_eq!(result.cleaned, oneshot.cleaned);
+            assert_eq!(result.stats.cells_examined, oneshot.stats.cells_examined);
+            assert_eq!(result.stats.cells_skipped, oneshot.stats.cells_skipped);
+            assert_eq!(result.stats.candidates_evaluated, oneshot.stats.candidates_evaluated);
         }
     }
     assert!(total_repairs > 0, "the fixture must exercise actual repairs");
-}
-
-/// Sharding composes with streaming: a session whose config fits and cleans
-/// in shards finalizes to the exact one-shot, unsharded repairs.
-#[test]
-fn sharded_session_matches_unsharded_one_shot() {
-    let bench = BenchmarkDataset::Hospital.build_sized(ROWS, SEED + 3);
-    let constraints = bclean_constraints(BenchmarkDataset::Hospital);
-    let oneshot = BClean::new(Variant::PartitionedInference.config().with_threads(1))
-        .with_constraints(constraints.clone())
-        .fit(&bench.dirty)
-        .clean(&bench.dirty);
-    let cleaner = BClean::new(Variant::PartitionedInference.config().with_threads(2).with_shards(4))
-        .with_constraints(constraints);
-    let mut session = CleaningSession::new(cleaner, bench.dirty.schema().clone());
-    for batch in split(&bench.dirty, &[13, 50, 97]) {
-        session.ingest(&batch);
-    }
-    let result = session.finalize();
-    assert_eq!(result.repairs, oneshot.repairs);
-    assert_eq!(result.cleaned, oneshot.cleaned);
 }
 
 /// The candidate-pruning escape hatch: with `top_k` at or above every
@@ -288,12 +262,11 @@ fn candidate_pruning_is_exact_above_cardinality_and_prunes_below() {
     assert_eq!(pruned.stats.cells_examined, exact.stats.cells_examined);
     assert_eq!(scored_candidates(&pruned_model), pruned.stats.candidates_evaluated);
 
-    // Pruned cleaning is still deterministic under sharding.
-    let pruned_sharded =
-        fit(Variant::PartitionedInference.config().with_threads(2).with_shards(4).with_candidate_top_k(3))
-            .clean(&bench.dirty);
-    assert_eq!(pruned_sharded.repairs, pruned.repairs);
-    assert_eq!(pruned_sharded.cleaned, pruned.cleaned);
+    // Pruned cleaning is still deterministic across thread counts.
+    let pruned_parallel = fit(Variant::PartitionedInference.config().with_threads(2).with_candidate_top_k(3))
+        .clean(&bench.dirty);
+    assert_eq!(pruned_parallel.repairs, pruned.repairs);
+    assert_eq!(pruned_parallel.cleaned, pruned.cleaned);
 }
 
 /// The out-of-core pipeline (`bclean_core::stream`): fitting and cleaning
@@ -423,30 +396,19 @@ proptest! {
     }
 }
 
-fn shard_strategy() -> impl Strategy<Value = (BenchmarkDataset, usize, u64, usize, usize)> {
-    (
-        0usize..BenchmarkDataset::all().len(),
-        30usize..90,
-        0u64..1_000_000,
-        // Shard counts deliberately exceed the row count sometimes, to hit
-        // the clamp-to-rows path.
-        1usize..200,
-        1usize..5,
-    )
-        .prop_map(|(idx, rows, seed, shards, threads)| {
-            (BenchmarkDataset::all()[idx], rows, seed, shards, threads)
-        })
+fn thread_strategy() -> impl Strategy<Value = (BenchmarkDataset, usize, u64, usize)> {
+    (0usize..BenchmarkDataset::all().len(), 30usize..90, 0u64..1_000_000, 1usize..5)
+        .prop_map(|(idx, rows, seed, threads)| (BenchmarkDataset::all()[idx], rows, seed, threads))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Across every datagen benchmark family and random shard/thread
-    /// counts (including shard counts past the row count), the sharded
+    /// Across every datagen benchmark family and random thread counts, the
     /// fit + clean pipeline reproduces the serial one-shot output exactly.
     #[test]
-    fn random_shard_counts_agree_with_one_shot(
-        (dataset, rows, seed, shards, threads) in shard_strategy()
+    fn random_thread_counts_agree_with_one_shot(
+        (dataset, rows, seed, threads) in thread_strategy()
     ) {
         let bench = dataset.build_sized(rows, seed);
         let constraints = bclean_constraints(dataset);
@@ -454,14 +416,12 @@ proptest! {
             .with_constraints(constraints.clone())
             .fit(&bench.dirty)
             .clean(&bench.dirty);
-        let sharded = BClean::new(
-            Variant::PartitionedInference.config().with_threads(threads).with_shards(shards),
-        )
-        .with_constraints(constraints)
-        .fit(&bench.dirty)
-        .clean(&bench.dirty);
-        prop_assert_eq!(&sharded.repairs, &oneshot.repairs);
-        prop_assert_eq!(&sharded.cleaned, &oneshot.cleaned);
-        prop_assert_eq!(sharded.stats.candidates_evaluated, oneshot.stats.candidates_evaluated);
+        let threaded = BClean::new(Variant::PartitionedInference.config().with_threads(threads))
+            .with_constraints(constraints)
+            .fit(&bench.dirty)
+            .clean(&bench.dirty);
+        prop_assert_eq!(&threaded.repairs, &oneshot.repairs);
+        prop_assert_eq!(&threaded.cleaned, &oneshot.cleaned);
+        prop_assert_eq!(threaded.stats.candidates_evaluated, oneshot.stats.candidates_evaluated);
     }
 }
