@@ -53,64 +53,74 @@ pub struct NodeCounts {
 
 impl NodeCounts {
     /// Accumulate the statistics of `node` given `parents` in one pass over
-    /// the encoded columns. The dataset must be encoded against its own
-    /// dictionaries (every code in range), as produced by
+    /// the encoded columns: empty counts over the dictionaries' code spaces
+    /// plus [`NodeCounts::absorb`] of every row. The dataset must be encoded
+    /// against its own dictionaries (every code in range), as produced by
     /// [`EncodedDataset::from_dataset`].
     pub fn accumulate(encoded: &EncodedDataset, node: usize, parents: &[usize]) -> NodeCounts {
         let dicts = encoded.dicts();
-        let value_slots = dicts[node].code_space();
-        let (radices, strides, total_configs, overflow) = config_space(parents, dicts);
-        // Same dense criterion as the compiled table (which has two extra
-        // slots per row: the null slot is part of `value_slots` here, the
-        // zero-count slot never holds a count).
+        let radices = parent_radices(parents, dicts);
+        let marginal = vec![0u32; dicts[node].code_space()];
+        let mut counts = NodeCounts::from_observed(node, parents.to_vec(), radices, marginal, 0, Vec::new());
+        counts.absorb(encoded, 0..encoded.num_rows());
+        counts
+    }
+
+    /// The one constructor: statistics with the given marginal and observed
+    /// parent configurations `(mixed-radix index, per-value counts, total)`,
+    /// laid out dense or sparse by the criterion shared with
+    /// [`crate::CompiledCpt`] (which has two extra slots per row: the null
+    /// slot is part of the marginal's width here, the zero-count slot never
+    /// holds a count). Every index must lie in the radices' configuration
+    /// space and every row must be as wide as the marginal.
+    fn from_observed(
+        node: usize,
+        parents: Vec<usize>,
+        radices: Vec<u32>,
+        marginal: Vec<u32>,
+        total: usize,
+        observed: Vec<(u128, Vec<u32>, u32)>,
+    ) -> NodeCounts {
+        let value_slots = marginal.len();
+        let (strides, total_configs, overflow) = config_space_from_radices(&radices);
         let dense = !overflow
             && total_configs.saturating_mul(value_slots as u128 + 1) <= crate::compiled::DENSE_CELL_CAP;
-
-        let mut marginal = vec![0u32; value_slots];
-        let node_codes = encoded.column(node);
-        for &code in node_codes {
-            marginal[code as usize] += 1;
-        }
-
         let layout = if parents.is_empty() {
             CountLayout::Dense { counts: Vec::new(), totals: Vec::new() }
         } else if dense {
             let configs = total_configs as usize;
             let mut counts = vec![0u32; configs * value_slots];
             let mut totals = vec![0u32; configs];
-            for (row, &code) in node_codes.iter().enumerate() {
-                let mut index = 0usize;
-                for (i, &p) in parents.iter().enumerate() {
-                    index += encoded.code(row, p) as usize * strides[i] as usize;
-                }
-                counts[index * value_slots + code as usize] += 1;
-                totals[index] += 1;
+            for (index, row, config_total) in observed {
+                let config = index as usize;
+                counts[config * value_slots..(config + 1) * value_slots].copy_from_slice(&row);
+                totals[config] = config_total;
             }
             CountLayout::Dense { counts, totals }
         } else {
-            let mut map: HashMap<u128, (Vec<u32>, u32)> = HashMap::new();
-            for (row, &code) in node_codes.iter().enumerate() {
-                let mut index: u128 = 0;
-                for (i, &p) in parents.iter().enumerate() {
-                    index += encoded.code(row, p) as u128 * strides[i];
-                }
-                let entry = map.entry(index).or_insert_with(|| (vec![0u32; value_slots], 0));
-                entry.0[code as usize] += 1;
-                entry.1 += 1;
-            }
-            CountLayout::Sparse(map)
+            CountLayout::Sparse(
+                observed.into_iter().map(|(index, row, config_total)| (index, (row, config_total))).collect(),
+            )
         };
+        NodeCounts { node, parents, radices, strides, value_slots, marginal, total, dense, layout }
+    }
 
-        NodeCounts {
-            node,
-            parents: parents.to_vec(),
-            radices,
-            strides,
-            value_slots,
-            marginal,
-            total: node_codes.len(),
-            dense,
-            layout,
+    /// The observed parent configurations `(mixed-radix index, per-value
+    /// counts, total)`, in no particular order.
+    fn observed_configs(&self) -> Vec<(u128, Vec<u32>, u32)> {
+        let slots = self.value_slots;
+        match &self.layout {
+            CountLayout::Dense { counts, totals } => totals
+                .iter()
+                .enumerate()
+                .filter(|(_, &total)| total > 0)
+                .map(|(config, &total)| {
+                    (config as u128, counts[config * slots..(config + 1) * slots].to_vec(), total)
+                })
+                .collect(),
+            CountLayout::Sparse(map) => {
+                map.iter().map(|(&index, (row, total))| (index, row.clone(), *total)).collect()
+            }
         }
     }
 
@@ -134,13 +144,13 @@ impl NodeCounts {
     /// code space, so existing counts keep their (decomposed) coordinates:
     /// the marginal extends with zero slots, every stored configuration row
     /// widens, and parent configurations are re-addressed from the old
-    /// mixed-radix strides to the new ones. The dense/sparse decision is
-    /// re-evaluated with the shared criterion, so the layout always matches
-    /// what a fresh [`NodeCounts::accumulate`] over the grown dictionaries
-    /// would choose. Returns `true` when anything changed.
+    /// mixed-radix strides to the new ones. The layout is rebuilt by the
+    /// constructor every count goes through, so it always matches what a
+    /// fresh [`NodeCounts::accumulate`] over the grown dictionaries would
+    /// choose. Returns `true` when anything changed.
     pub fn ensure_code_spaces(&mut self, dicts: &[ColumnDict]) -> bool {
         let new_slots = dicts[self.node].code_space();
-        let (new_radices, new_strides, total_configs, overflow) = config_space(&self.parents, dicts);
+        let new_radices = parent_radices(&self.parents, dicts);
         if new_slots == self.value_slots && new_radices == self.radices {
             return false;
         }
@@ -148,65 +158,26 @@ impl NodeCounts {
             new_slots >= self.value_slots && new_radices.iter().zip(&self.radices).all(|(n, o)| n >= o),
             "code spaces never shrink"
         );
-        let new_dense = !overflow
-            && total_configs.saturating_mul(new_slots as u128 + 1) <= crate::compiled::DENSE_CELL_CAP;
-        self.marginal.resize(new_slots, 0);
-
-        if !self.parents.is_empty() {
-            let old_radices = self.radices.clone();
-            let old_strides = self.strides.clone();
-            let remap = |old_index: u128| -> u128 {
-                let mut index = 0u128;
-                for i in 0..old_radices.len() {
-                    let code = (old_index / old_strides[i]) % old_radices[i] as u128;
-                    index += code * new_strides[i];
-                }
-                index
-            };
-            // Collect the observed configurations of the old layout, then
-            // re-address them into the new one.
-            let observed: Vec<(u128, Vec<u32>, u32)> = match &self.layout {
-                CountLayout::Dense { counts, totals } => totals
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &total)| total > 0)
-                    .map(|(config, &total)| {
-                        let mut row =
-                            counts[config * self.value_slots..(config + 1) * self.value_slots].to_vec();
-                        row.resize(new_slots, 0);
-                        (remap(config as u128), row, total)
-                    })
-                    .collect(),
-                CountLayout::Sparse(map) => map
-                    .iter()
-                    .map(|(&index, (row, total))| {
-                        let mut row = row.clone();
-                        row.resize(new_slots, 0);
-                        (remap(index), row, *total)
-                    })
-                    .collect(),
-            };
-            self.layout = if new_dense {
-                let configs = total_configs as usize;
-                let mut counts = vec![0u32; configs * new_slots];
-                let mut totals = vec![0u32; configs];
-                for (index, row, total) in observed {
-                    let config = index as usize;
-                    counts[config * new_slots..(config + 1) * new_slots].copy_from_slice(&row);
-                    totals[config] = total;
-                }
-                CountLayout::Dense { counts, totals }
-            } else {
-                CountLayout::Sparse(
-                    observed.into_iter().map(|(index, row, total)| (index, (row, total))).collect(),
-                )
-            };
-        }
-
-        self.radices = new_radices;
-        self.strides = new_strides;
-        self.value_slots = new_slots;
-        self.dense = new_dense;
+        let (new_strides, _, _) = config_space_from_radices(&new_radices);
+        let remap = |old_index: u128| -> u128 {
+            let old_addressing = self.strides.iter().zip(&self.radices);
+            old_addressing
+                .zip(&new_strides)
+                .map(|((&stride, &radix), &new_stride)| (old_index / stride) % radix as u128 * new_stride)
+                .sum()
+        };
+        let observed = self
+            .observed_configs()
+            .into_iter()
+            .map(|(index, mut row, total)| {
+                row.resize(new_slots, 0);
+                (remap(index), row, total)
+            })
+            .collect();
+        let mut marginal = std::mem::take(&mut self.marginal);
+        marginal.resize(new_slots, 0);
+        let parents = std::mem::take(&mut self.parents);
+        *self = NodeCounts::from_observed(self.node, parents, new_radices, marginal, self.total, observed);
         true
     }
 
@@ -220,25 +191,34 @@ impl NodeCounts {
         for &code in node_codes {
             self.marginal[code as usize] += 1;
         }
-        if !self.parents.is_empty() {
-            let slots = self.value_slots;
-            for (offset, &code) in node_codes.iter().enumerate() {
-                let row = rows.start + offset;
-                let mut index: u128 = 0;
-                for (i, &p) in self.parents.iter().enumerate() {
-                    index += encoded.code(row, p) as u128 * self.strides[i];
+        let parent_codes: Vec<&[u32]> =
+            self.parents.iter().map(|&p| &encoded.column(p)[rows.clone()]).collect();
+        let slots = self.value_slots;
+        // The layout is matched once, outside the row loops.
+        match &mut self.layout {
+            _ if parent_codes.is_empty() => {}
+            CountLayout::Dense { counts, totals } => {
+                // A dense configuration space fits the cell cap, so its
+                // strides fit `usize`.
+                let strides: Vec<usize> = self.strides.iter().map(|&s| s as usize).collect();
+                for (offset, &code) in node_codes.iter().enumerate() {
+                    let mut config = 0usize;
+                    for (codes, &stride) in parent_codes.iter().zip(&strides) {
+                        config += codes[offset] as usize * stride;
+                    }
+                    counts[config * slots + code as usize] += 1;
+                    totals[config] += 1;
                 }
-                match &mut self.layout {
-                    CountLayout::Dense { counts, totals } => {
-                        let config = index as usize;
-                        counts[config * slots + code as usize] += 1;
-                        totals[config] += 1;
+            }
+            CountLayout::Sparse(map) => {
+                for (offset, &code) in node_codes.iter().enumerate() {
+                    let mut index = 0u128;
+                    for (codes, &stride) in parent_codes.iter().zip(&self.strides) {
+                        index += codes[offset] as u128 * stride;
                     }
-                    CountLayout::Sparse(map) => {
-                        let entry = map.entry(index).or_insert_with(|| (vec![0u32; slots], 0));
-                        entry.0[code as usize] += 1;
-                        entry.1 += 1;
-                    }
+                    let entry = map.entry(index).or_insert_with(|| (vec![0u32; slots], 0));
+                    entry.0[code as usize] += 1;
+                    entry.1 += 1;
                 }
             }
         }
@@ -250,9 +230,14 @@ impl NodeCounts {
 /// strides, total configuration count and an overflow flag (shared between
 /// the counting and compiled layers so their layout decisions agree).
 pub(crate) fn config_space(parents: &[usize], dicts: &[ColumnDict]) -> (Vec<u32>, Vec<u128>, u128, bool) {
-    let radices: Vec<u32> = parents.iter().map(|&p| dicts[p].code_space() as u32).collect();
+    let radices = parent_radices(parents, dicts);
     let (strides, total_configs, overflow) = config_space_from_radices(&radices);
     (radices, strides, total_configs, overflow)
+}
+
+/// The parents' code spaces (`cardinality + 1` each, nulls included).
+fn parent_radices(parents: &[usize], dicts: &[ColumnDict]) -> Vec<u32> {
+    parents.iter().map(|&p| dicts[p].code_space() as u32).collect()
 }
 
 /// The stride/total/overflow half of [`config_space`], from bare radices —
@@ -303,23 +288,7 @@ pub struct CountsSnapshot {
 impl NodeCounts {
     /// Export the statistics as their plain-data persistent form.
     pub fn snapshot(&self) -> CountsSnapshot {
-        let mut configs: Vec<(u128, Vec<u32>, u32)> = match &self.layout {
-            CountLayout::Dense { counts, totals } => totals
-                .iter()
-                .enumerate()
-                .filter(|(_, &total)| total > 0)
-                .map(|(config, &total)| {
-                    (
-                        config as u128,
-                        counts[config * self.value_slots..(config + 1) * self.value_slots].to_vec(),
-                        total,
-                    )
-                })
-                .collect(),
-            CountLayout::Sparse(map) => {
-                map.iter().map(|(&index, (row, total))| (index, row.clone(), *total)).collect()
-            }
-        };
+        let mut configs = self.observed_configs();
         configs.sort_by_key(|&(index, _, _)| index);
         CountsSnapshot {
             node: self.node,
@@ -348,57 +317,33 @@ impl NodeCounts {
         if marginal.iter().map(|&c| c as u64).sum::<u64>() != total as u64 {
             return Err("marginal counts do not sum to the absorbed row count".to_string());
         }
-        let (strides, total_configs, overflow) = config_space_from_radices(&radices);
-        let dense = !overflow
-            && total_configs.saturating_mul(value_slots as u128 + 1) <= crate::compiled::DENSE_CELL_CAP;
-        let layout = if parents.is_empty() {
-            if !configs.is_empty() {
-                return Err("parentless node carries parent configurations".to_string());
+        let (_, total_configs, overflow) = config_space_from_radices(&radices);
+        if parents.is_empty() && !configs.is_empty() {
+            return Err("parentless node carries parent configurations".to_string());
+        }
+        if !configs.windows(2).all(|w| w[0].0 < w[1].0) {
+            return Err("configurations must be sorted by index and distinct".to_string());
+        }
+        let mut config_total = 0u64;
+        for &(index, ref row, config_count) in &configs {
+            if !overflow && index >= total_configs {
+                return Err(format!("configuration index {index} outside space {total_configs}"));
             }
-            CountLayout::Dense { counts: Vec::new(), totals: Vec::new() }
-        } else {
-            if !configs.windows(2).all(|w| w[0].0 < w[1].0) {
-                return Err("configurations must be sorted by index and distinct".to_string());
+            if row.len() != value_slots {
+                return Err(format!("configuration row of {} slots, expected {value_slots}", row.len()));
             }
-            let mut config_total = 0u64;
-            for &(index, ref row, config_count) in &configs {
-                if !overflow && index >= total_configs {
-                    return Err(format!("configuration index {index} outside space {total_configs}"));
-                }
-                if row.len() != value_slots {
-                    return Err(format!("configuration row of {} slots, expected {value_slots}", row.len()));
-                }
-                if row.iter().map(|&c| c as u64).sum::<u64>() != config_count as u64 {
-                    return Err("configuration counts do not sum to the configuration total".to_string());
-                }
-                if config_count == 0 {
-                    return Err("snapshot carries an unobserved configuration".to_string());
-                }
-                config_total += config_count as u64;
+            if row.iter().map(|&c| c as u64).sum::<u64>() != config_count as u64 {
+                return Err("configuration counts do not sum to the configuration total".to_string());
             }
-            if config_total != total as u64 {
-                return Err("configuration totals do not sum to the absorbed row count".to_string());
+            if config_count == 0 {
+                return Err("snapshot carries an unobserved configuration".to_string());
             }
-            if dense {
-                let num_configs = total_configs as usize;
-                let mut counts = vec![0u32; num_configs * value_slots];
-                let mut totals = vec![0u32; num_configs];
-                for (index, row, config_count) in configs {
-                    let config = index as usize;
-                    counts[config * value_slots..(config + 1) * value_slots].copy_from_slice(&row);
-                    totals[config] = config_count;
-                }
-                CountLayout::Dense { counts, totals }
-            } else {
-                CountLayout::Sparse(
-                    configs
-                        .into_iter()
-                        .map(|(index, row, config_count)| (index, (row, config_count)))
-                        .collect(),
-                )
-            }
-        };
-        Ok(NodeCounts { node, parents, radices, strides, value_slots, marginal, total, dense, layout })
+            config_total += config_count as u64;
+        }
+        if !parents.is_empty() && config_total != total as u64 {
+            return Err("configuration totals do not sum to the absorbed row count".to_string());
+        }
+        Ok(NodeCounts::from_observed(node, parents, radices, marginal, total, configs))
     }
 }
 
@@ -535,8 +480,8 @@ mod tests {
         for (node, parents) in [(1usize, vec![0usize]), (0, vec![]), (2, vec![0, 1])] {
             let mut counts = NodeCounts::accumulate(&streaming, node, &parents);
             let mut grown = streaming.clone();
-            let report = grown.append_batch(&batch);
-            counts.absorb(&grown, report.rows.clone());
+            let rows = grown.append_batch(&batch);
+            counts.absorb(&grown, rows);
             assert_eq!(counts.rows_absorbed(), combined.num_rows());
             let reference = NodeCounts::accumulate(&oneshot_encoded, node, &parents);
             let mut probes: Vec<Value> = oneshot_encoded.dict(node).values().to_vec();

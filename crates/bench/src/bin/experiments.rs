@@ -974,7 +974,7 @@ fn bench_stream(scale: Scale) {
     );
 
     // Accuracy-vs-speed: the same streamed pipeline under a sketch fit
-    // budget — the documented large-scale mode (`bclean clean --stream
+    // budget — the documented large-scale mode (`bclean clean
     // --fit-sample`), where structure search runs on a sample while the
     // clean itself still sees every row.
     let ooc_budget = BudgetParams {

@@ -15,6 +15,14 @@
 //! bclean serve   -m model.bclean --addr 127.0.0.1:7345  # resident cleaning daemon
 //! ```
 //!
+//! `bclean clean` always streams its input in bounded chunks
+//! (`bclean_core::clean_stream`, or `clean_stream_with_model` with `-m`):
+//! `--chunk-rows` and `--max-memory` bound the chunks, and the repairs and
+//! cleaned rows equal those of an in-memory fit and clean. The one case that
+//! holds the whole dataset in memory is constraint auto-suggestion (no `-c`
+//! and no `-m`), which reads the file once in full, as `bclean fit` does,
+//! before streaming it.
+//!
 //! Exit codes are distinct per failure class so scripts can react without
 //! scraping stderr: `0` success, `2` usage error (bad flags/arguments —
 //! usage text follows the error), `3` file I/O failure, `4` invalid input
@@ -40,7 +48,7 @@ use bclean_core::{
     clean_stream, clean_stream_with_model, repairs_to_csv, BClean, BudgetParams, ConstraintSet, FitBudget,
     ModelArtifact, Repair, StreamOptions, StreamOutcome, UserConstraint, Variant,
 };
-use bclean_data::{read_csv_file, write_csv_file, ChunkLimits, ChunkSource, CsvFileChunks, Dataset};
+use bclean_data::{read_csv_file, ChunkLimits, ChunkSource, CsvFileChunks, Dataset};
 use bclean_profile::{find_outliers, suggest_constraints, DatasetProfile, OutlierConfig, SuggestConfig};
 use bclean_store::{read_container_file, ContainerReader};
 
@@ -123,7 +131,7 @@ fn usage() -> &'static str {
                             [--report report.json] [-c constraints.bc]
                             [--variant basic|nouc|pi|pip] [--threads N]
                             [--max-repairs N] [--fit-sample ROWS] [--sketch-budget K]
-                            [--stream] [--chunk-rows N] [--max-memory BYTES[K|M|G]]
+                            [--chunk-rows N] [--max-memory BYTES[K|M|G]]
   bclean ingest  <batch.csv> -m <model.bclean> [-o updated.bclean]
   bclean inspect <model.bclean>
   bclean profile <data.csv>
@@ -184,7 +192,6 @@ struct CommonArgs {
     max_repairs: Option<usize>,
     fit_sample: Option<usize>,
     sketch_budget: Option<usize>,
-    stream: bool,
     chunk_rows: Option<usize>,
     max_memory: Option<usize>,
 }
@@ -210,7 +217,7 @@ impl CommonArgs {
         Some(FitBudget::Budgeted(params))
     }
 
-    /// The per-chunk bounds the streaming flags spell out. `--chunk-rows`
+    /// The per-chunk bounds the chunking flags spell out. `--chunk-rows`
     /// caps rows per chunk; `--max-memory` caps the raw-chunk buffer at
     /// half the stated budget, leaving the other half as headroom for the
     /// resident encoded columns and the confidence vector (see
@@ -295,10 +302,6 @@ fn parse_common(args: &[String]) -> Result<CommonArgs, CliError> {
                     Some(n.parse().map_err(|_| usage_err(format!("invalid --sketch-budget {n:?}")))?);
                 i += 2;
             }
-            "--stream" => {
-                parsed.stream = true;
-                i += 1;
-            }
             "--chunk-rows" => {
                 let n = flag_value("--chunk-rows")?;
                 parsed.chunk_rows =
@@ -349,7 +352,12 @@ fn reject_unused_flags(context: &str, flags: &[(&str, bool)]) -> Result<(), CliE
 /// auto-suggestion (`--suggest`, also the default when `-c` is absent so
 /// `bclean fit data.csv` works out of the box; the suggestion source is
 /// reported on stderr). Passing both is a conflict, not a silent pick.
-fn resolve_constraints(data: &Dataset, args: &CommonArgs) -> Result<ConstraintSet, CliError> {
+/// Suggestion reads the whole of `input` unless `data` already holds it.
+fn resolve_constraints(
+    input: &str,
+    data: Option<&Dataset>,
+    args: &CommonArgs,
+) -> Result<ConstraintSet, CliError> {
     if let Some(path) = &args.constraints {
         if args.suggest {
             return Err(usage_err("pass either -c <constraints.bc> or --suggest, not both"));
@@ -357,6 +365,14 @@ fn resolve_constraints(data: &Dataset, args: &CommonArgs) -> Result<ConstraintSe
         let text = std::fs::read_to_string(path).map_err(|e| io_err(format!("cannot read {path}: {e}")))?;
         return ConstraintSet::from_spec_text(&text).map_err(|e| model_err(format!("{path}: {e}")));
     }
+    let loaded;
+    let data = match data {
+        Some(data) => data,
+        None => {
+            loaded = load(input)?;
+            &loaded
+        }
+    };
     let (suggested, suggestions) = suggest_constraints(data, SuggestConfig::default());
     eprintln!("using {} auto-suggested constraints (see `bclean suggest`)", suggestions.len());
     Ok(suggested)
@@ -374,7 +390,6 @@ fn fit_command(args: &[String]) -> Result<(), CliError> {
             ("--repairs", args.repairs.is_some()),
             ("--report", args.report.is_some()),
             ("--max-repairs", args.max_repairs.is_some()),
-            ("--stream", args.stream),
             ("--chunk-rows", args.chunk_rows.is_some()),
             ("--max-memory", args.max_memory.is_some()),
         ],
@@ -382,7 +397,7 @@ fn fit_command(args: &[String]) -> Result<(), CliError> {
     let input = args.input.as_deref().ok_or_else(|| usage_err("missing <data.csv>"))?;
     let output = args.output.as_deref().ok_or_else(|| usage_err("missing -o <model.bclean>"))?;
     let data = load(input)?;
-    let constraints = resolve_constraints(&data, &args)?;
+    let constraints = resolve_constraints(input, Some(&data), &args)?;
     let variant = args.variant.unwrap_or(Variant::PartitionedInference);
     let mut config = variant.config();
     if let Some(threads) = args.threads {
@@ -414,21 +429,20 @@ fn fit_command(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
+/// `bclean clean`: the CSV is read in bounded chunks (`--chunk-rows`,
+/// `--max-memory`), the fit accumulates the encoding and per-row
+/// confidences chunk by chunk, and cleaning decodes bounded windows —
+/// repairs, cleaned rows and artifact equal an in-memory fit and clean (see
+/// `bclean_core::stream`). With `-m` there is no fit: the chunks are
+/// cleaned against the persisted model in one pass.
 fn clean_command(args: &[String]) -> Result<(), CliError> {
     let args = parse_common(args)?;
-    if args.stream {
-        return stream_clean_command(&args);
-    }
-    // The chunking flags shape only the streaming pipeline; accepted and
-    // ignored they would look like a memory bound that was never enforced.
-    reject_unused_flags(
-        "without --stream",
-        &[("--chunk-rows", args.chunk_rows.is_some()), ("--max-memory", args.max_memory.is_some())],
-    )?;
     let input = args.input.as_deref().ok_or_else(|| usage_err("missing <data.csv>"))?;
-    let data = load(input)?;
+    let limits = args.chunk_limits();
+    let options = StreamOptions { limits, cleaned_path: args.output.as_ref().map(std::path::PathBuf::from) };
+    let open = || CsvFileChunks::open(input, limits).map_err(|e| io_err(format!("cannot read {input}: {e}")));
 
-    let result = match &args.model {
+    let streamed = match &args.model {
         // The fit-once/clean-many path: load the persisted artifact and
         // clean against its model — no fitting in this process, so the
         // fit-shaping flags must not pretend to apply.
@@ -443,104 +457,20 @@ fn clean_command(args: &[String]) -> Result<(), CliError> {
                     ("--sketch-budget", args.sketch_budget.is_some()),
                 ],
             )?;
-            let mut artifact =
-                ModelArtifact::load(path).map_err(|e| store_err(&format!("cannot load {path}"), e))?;
-            artifact.check_schema(data.schema()).map_err(|e| model_err(format!("{input}: {e}")))?;
-            if let Some(threads) = args.threads {
-                artifact.set_threads(threads);
-            }
-            artifact.compile().clean(&data)
-        }
-        // The one-shot path: fit in process (legacy `bclean clean data.csv`).
-        None => {
-            let constraints = resolve_constraints(&data, &args)?;
-            let variant = args.variant.unwrap_or(Variant::PartitionedInference);
-            let mut config = variant.config();
-            if let Some(threads) = args.threads {
-                config = config.with_threads(threads);
-            }
-            if let Some(budget) = args.fit_budget() {
-                config = config.with_fit_budget(budget);
-            }
-            let model = BClean::new(config).with_constraints(constraints).fit(&data);
-            model.clean(&data)
-        }
-    };
-
-    println!(
-        "{} repairs across {} cells ({} rows) in {:?}",
-        result.repairs.len(),
-        data.num_cells(),
-        data.num_rows(),
-        result.stats.duration
-    );
-    print_repair_lines(&result.repairs, args.max_repairs.unwrap_or(50));
-
-    if let Some(path) = &args.output {
-        write_csv_file(&result.cleaned, path).map_err(|e| io_err(format!("cannot write {path}: {e}")))?;
-        println!("cleaned dataset written to {path}");
-    }
-    if let Some(path) = &args.repairs {
-        std::fs::write(path, repairs_to_csv(&result.repairs))
-            .map_err(|e| io_err(format!("cannot write {path}: {e}")))?;
-        println!("repairs written to {path}");
-    }
-    if let Some(path) = &args.report {
-        std::fs::write(path, report_json(input, &result))
-            .map_err(|e| io_err(format!("cannot write {path}: {e}")))?;
-        println!("report written to {path}");
-    }
-    Ok(())
-}
-
-/// `bclean clean --stream`: the out-of-core path. The CSV is read in
-/// bounded chunks (never fully resident), the fit accumulates the encoding
-/// and per-row confidences chunk by chunk, and cleaning re-decodes bounded
-/// windows — repairs and artifact are bit-identical to the in-RAM run (see
-/// `bclean_core::stream`).
-fn stream_clean_command(args: &CommonArgs) -> Result<(), CliError> {
-    let input = args.input.as_deref().ok_or_else(|| usage_err("missing <data.csv>"))?;
-    let limits = args.chunk_limits();
-    let mut source =
-        CsvFileChunks::open(input, limits).map_err(|e| io_err(format!("cannot stream {input}: {e}")))?;
-    let options = StreamOptions { limits, cleaned_path: args.output.as_ref().map(std::path::PathBuf::from) };
-
-    let streamed = match &args.model {
-        // Stream-clean against a persisted model: no fitting, one pass.
-        Some(path) => {
-            reject_unused_flags(
-                "when cleaning with -m (the artifact's persisted constraints and variant apply)",
-                &[
-                    ("-c/--constraints", args.constraints.is_some()),
-                    ("--variant", args.variant.is_some()),
-                    ("--suggest", args.suggest),
-                    ("--fit-sample", args.fit_sample.is_some()),
-                    ("--sketch-budget", args.sketch_budget.is_some()),
-                ],
-            )?;
+            let mut source = open()?;
             let mut artifact =
                 ModelArtifact::load(path).map_err(|e| store_err(&format!("cannot load {path}"), e))?;
             artifact.check_schema(source.schema()).map_err(|e| model_err(format!("{input}: {e}")))?;
             if let Some(threads) = args.threads {
                 artifact.set_threads(threads);
             }
-            let model = artifact.compile();
-            clean_stream_with_model(&model, &mut source, &options)
+            clean_stream_with_model(&artifact.compile(), &mut source, &options)
         }
-        // Stream fit + clean in one process. Constraint auto-suggestion
-        // needs the whole dataset in memory — exactly what --stream rules
-        // out — so the constraints file must be explicit.
+        // The one-shot path: fit in process, then clean. Auto-suggested
+        // constraints read the whole input once before it streams.
         None => {
-            if args.suggest {
-                return Err(usage_err("--suggest needs the full dataset in memory; --stream requires an explicit -c <constraints.bc>"));
-            }
-            let constraints_path = args.constraints.as_deref().ok_or_else(|| {
-                usage_err("--stream requires -c <constraints.bc> (constraint auto-suggestion needs the full dataset in memory)")
-            })?;
-            let text = std::fs::read_to_string(constraints_path)
-                .map_err(|e| io_err(format!("cannot read {constraints_path}: {e}")))?;
-            let constraints = ConstraintSet::from_spec_text(&text)
-                .map_err(|e| model_err(format!("{constraints_path}: {e}")))?;
+            let constraints = resolve_constraints(input, None, &args)?;
+            let mut source = open()?;
             let variant = args.variant.unwrap_or(Variant::PartitionedInference);
             let mut config = variant.config();
             if let Some(threads) = args.threads {
@@ -549,11 +479,10 @@ fn stream_clean_command(args: &CommonArgs) -> Result<(), CliError> {
             if let Some(budget) = args.fit_budget() {
                 config = config.with_fit_budget(budget);
             }
-            let cleaner = BClean::new(config).with_constraints(constraints);
-            clean_stream(&cleaner, &mut source, &options)
+            clean_stream(&BClean::new(config).with_constraints(constraints), &mut source, &options)
         }
     };
-    let outcome = streamed.map_err(|e| io_err(format!("cannot stream {input}: {e}")))?;
+    let outcome = streamed.map_err(|e| io_err(format!("cannot clean {input}: {e}")))?;
 
     println!(
         "{} repairs across {} rows in {} chunks in {:?} (peak chunk memory ~{})",
@@ -574,15 +503,14 @@ fn stream_clean_command(args: &CommonArgs) -> Result<(), CliError> {
         println!("repairs written to {path}");
     }
     if let Some(path) = &args.report {
-        std::fs::write(path, stream_report_json(input, &outcome))
+        std::fs::write(path, report_json(input, &outcome))
             .map_err(|e| io_err(format!("cannot write {path}: {e}")))?;
         println!("report written to {path}");
     }
     Ok(())
 }
 
-/// The shared per-repair console lines of `bclean clean` and
-/// `bclean clean --stream`.
+/// The per-repair console lines of `bclean clean`.
 fn print_repair_lines(repairs: &[Repair], shown: usize) {
     for repair in repairs.iter().take(shown) {
         println!(
@@ -628,7 +556,6 @@ fn ingest_command(args: &[String]) -> Result<(), CliError> {
             ("--max-repairs", args.max_repairs.is_some()),
             ("--fit-sample", args.fit_sample.is_some()),
             ("--sketch-budget", args.sketch_budget.is_some()),
-            ("--stream", args.stream),
             ("--chunk-rows", args.chunk_rows.is_some()),
             ("--max-memory", args.max_memory.is_some()),
         ],
@@ -794,41 +721,10 @@ fn constraint_to_spec(constraint: &UserConstraint) -> String {
 }
 
 /// Machine-readable cleaning report (the workspace builds offline, so the
-/// JSON is written by hand like the `BENCH_*.json` snapshots).
-fn report_json(input: &str, result: &bclean_core::CleaningResult) -> String {
-    let mut repairs = String::new();
-    for (i, repair) in result.repairs.iter().enumerate() {
-        let _ = write!(
-            repairs,
-            "    {{\"row\": {}, \"col\": {}, \"attribute\": {}, \"from\": {}, \"to\": {}, \
-             \"score_gain\": {}}}{}",
-            repair.at.row,
-            repair.at.col,
-            json_string(&repair.attribute),
-            json_string(&repair.from.to_string()),
-            json_string(&repair.to.to_string()),
-            json_number(repair.score_gain),
-            if i + 1 < result.repairs.len() { ",\n" } else { "\n" }
-        );
-    }
-    format!(
-        "{{\n  \"input\": {},\n  \"rows\": {},\n  \"cells_examined\": {},\n  \"cells_skipped\": {},\n  \
-         \"candidates_evaluated\": {},\n  \"num_repairs\": {},\n  \"clean_seconds\": {:.6},\n  \
-         \"repairs\": [\n{}  ]\n}}\n",
-        json_string(input),
-        result.cleaned.num_rows(),
-        result.stats.cells_examined,
-        result.stats.cells_skipped,
-        result.stats.candidates_evaluated,
-        result.repairs.len(),
-        result.stats.duration.as_secs_f64(),
-        repairs
-    )
-}
-
-/// Machine-readable report of a streaming clean: the [`report_json`] keys
-/// plus the out-of-core telemetry (chunks, peak-memory proxy).
-fn stream_report_json(input: &str, outcome: &StreamOutcome) -> String {
+/// JSON is written by hand like the `BENCH_*.json` snapshots): the cleaning
+/// counters, the fit and clean times, and the out-of-core telemetry
+/// (chunks, peak-memory proxy).
+fn report_json(input: &str, outcome: &StreamOutcome) -> String {
     let mut repairs = String::new();
     for (i, repair) in outcome.repairs.iter().enumerate() {
         let _ = write!(
@@ -988,12 +884,11 @@ rule:    ends_with(code, zip)
 
     #[test]
     fn stream_flags_parse_and_shape_chunk_limits() {
-        let args: Vec<String> = ["data.csv", "--stream", "--chunk-rows", "512", "--max-memory", "64M"]
+        let args: Vec<String> = ["data.csv", "--chunk-rows", "512", "--max-memory", "64M"]
             .iter()
             .map(|s| s.to_string())
             .collect();
         let parsed = parse_common(&args).unwrap();
-        assert!(parsed.stream);
         assert_eq!(parsed.chunk_rows, Some(512));
         assert_eq!(parsed.max_memory, Some(64 << 20));
         let limits = parsed.chunk_limits();
@@ -1039,9 +934,8 @@ rule:    ends_with(code, zip)
 
     #[test]
     fn report_json_is_well_formed_and_escaped() {
-        let cleaned = bclean_data::dataset_from(&["a"], &[vec!["x"]]);
-        let result = bclean_core::CleaningResult {
-            cleaned,
+        let outcome = StreamOutcome {
+            artifact: None,
             repairs: vec![Repair {
                 at: CellRef::new(0, 0),
                 attribute: "a\"quote".into(),
@@ -1050,12 +944,19 @@ rule:    ends_with(code, zip)
                 score_gain: f64::INFINITY,
             }],
             stats: Default::default(),
+            rows: 1,
+            chunks: 1,
+            peak_bytes: 64,
+            encode_skipped: false,
         };
-        let json = report_json("in.csv", &result);
+        let json = report_json("in.csv", &outcome);
         assert!(json.contains("\"a\\\"quote\""));
         assert!(json.contains("\\n"));
         assert!(json.contains("1e308"));
         assert!(json.contains("\"num_repairs\": 1"));
+        for key in ["\"fit_seconds\"", "\"chunks\": 1", "\"peak_bytes\": 64"] {
+            assert!(json.contains(key), "missing {key} in {json}");
+        }
         assert_eq!(json_number(f64::NEG_INFINITY), "-1e308");
     }
 }

@@ -77,6 +77,7 @@ fn usage_errors_exit_2_and_print_usage() {
         &["fit", &csv, "-o"],                                            // flag without a value
         &["clean", &csv, "--threads", "many"],                           // unparsable value
         &["clean", &csv, "--bogus"],                                     // unknown flag
+        &["clean", &csv, "--stream"],                                    // retired flag: clean always streams
         &["ingest", &csv],                                               // missing -m
         &["inspect"],                                                    // missing path
         &["inspect", "a.bclean", "b.bclean"],                            // extra argument

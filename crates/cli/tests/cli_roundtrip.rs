@@ -1,7 +1,8 @@
 //! Cross-process equivalence of the `bclean` CLI: `bclean fit` in one
 //! process followed by `bclean clean -m` in another must produce repairs
 //! bit-identical to an in-process `fit_artifact` + compile + clean over the
-//! same inputs, for every worker-thread count; `bclean ingest` must leave
+//! same inputs, for every worker-thread count and chunk size, and so must a
+//! fit-free `bclean clean -c`, cleaned rows included; `bclean ingest` must leave
 //! the persisted artifact byte-identical to an in-process absorb. This is
 //! the executable half of the acceptance criterion the in-process
 //! `tests/artifact_roundtrip.rs` covers from the library side.
@@ -9,8 +10,8 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use bclean_core::{repairs_to_csv, BClean, ConstraintSet, ModelArtifact, Variant};
-use bclean_data::{read_csv_file, write_csv_file, Dataset, EncodedDataset};
+use bclean_core::{repairs_to_csv, BClean, CleaningResult, ConstraintSet, ModelArtifact, Variant};
+use bclean_data::{read_csv_file, to_csv, write_csv_file, Dataset, EncodedDataset};
 use bclean_datagen::BenchmarkDataset;
 use bclean_eval::bclean_constraints;
 
@@ -108,7 +109,8 @@ fn fit_then_clean_across_processes_matches_in_process() {
         let artifact = BClean::new(variant.config().with_threads(1))
             .with_constraints(constraints.clone())
             .fit_artifact(&data);
-        let expected_repairs = artifact.compile().clean(&data).repairs;
+        let CleaningResult { cleaned: expected_cleaned, repairs: expected_repairs, .. } =
+            artifact.compile().clean(&data);
         assert!(!expected_repairs.is_empty(), "the fixture must exercise repairs");
 
         // The persisted artifact is byte-identical to the in-process one.
@@ -116,25 +118,55 @@ fn fit_then_clean_across_processes_matches_in_process() {
         assert_eq!(on_disk, artifact.to_bytes().expect("serializable"), "variant {variant_flag}");
 
         // A separate `clean` invocation reproduces the repairs bit for bit,
-        // at every thread count.
+        // at every thread count and chunk size.
+        let csv_path = ws.str("hospital.csv");
         for threads in ["1", "2", "8"] {
             let repairs_path = ws.str(&format!("repairs-{variant_flag}-{threads}.csv"));
-            bclean(&[
-                "clean",
-                &ws.str("hospital.csv"),
-                "-m",
-                &model_path,
-                "--repairs",
-                &repairs_path,
-                "--threads",
-                threads,
-            ]);
+            let mut args =
+                vec!["clean", &csv_path, "-m", &model_path, "--repairs", &repairs_path, "--threads", threads];
+            if threads == "2" {
+                args.extend(["--chunk-rows", "7"]);
+            }
+            bclean(&args);
             let got = std::fs::read_to_string(&repairs_path).expect("repairs file");
             assert_eq!(
                 got,
                 repairs_to_csv(&expected_repairs),
                 "variant {variant_flag} threads {threads} diverged from the in-process repairs"
             );
+        }
+
+        // A fit-free `clean -c` fits and cleans in one process and writes
+        // the in-process cleaned rows and repairs.
+        let (cleaned_path, repairs_path, report_path) = (
+            ws.str(&format!("cleaned-{variant_flag}.csv")),
+            ws.str(&format!("fit-free-repairs-{variant_flag}.csv")),
+            ws.str(&format!("report-{variant_flag}.json")),
+        );
+        bclean(&[
+            "clean",
+            &csv_path,
+            "-c",
+            &ws.str("hospital.bc"),
+            "--variant",
+            variant_flag,
+            "--threads",
+            "1",
+            "-o",
+            &cleaned_path,
+            "--repairs",
+            &repairs_path,
+            "--report",
+            &report_path,
+        ]);
+        assert_eq!(std::fs::read_to_string(&cleaned_path).expect("cleaned file"), to_csv(&expected_cleaned));
+        assert_eq!(
+            std::fs::read_to_string(&repairs_path).expect("repairs file"),
+            repairs_to_csv(&expected_repairs)
+        );
+        let report = std::fs::read_to_string(&report_path).expect("report file");
+        for key in ["\"chunks\"", "\"peak_bytes\"", "\"fit_seconds\""] {
+            assert!(report.contains(key), "variant {variant_flag}: report lacks {key}:\n{report}");
         }
     }
 }
@@ -182,8 +214,8 @@ fn ingest_across_processes_matches_in_process_absorb() {
         .with_constraints(constraints)
         .fit_artifact(&first);
     let mut encoded = EncodedDataset::from_dataset(&first);
-    let report = encoded.append_batch(&second);
-    oracle.absorb(&second, &encoded, report.rows);
+    let rows = encoded.append_batch(&second);
+    oracle.absorb(&second, &encoded, rows);
 
     let on_disk = std::fs::read(&updated_path).expect("updated model exists");
     assert_eq!(on_disk, oracle.to_bytes().expect("serializable"));

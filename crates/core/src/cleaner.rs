@@ -197,21 +197,13 @@ impl BClean {
         let constraints =
             if self.config.use_constraints { self.constraints.clone() } else { ConstraintSet::new() };
         let row_executor = self.fit_executor(m, rows, rows);
-        let compensatory = match self.config.fit_budget.params() {
-            Some(budget) => CompensatoryModel::build_budgeted_with_confidences(
-                encoded,
-                self.config.params,
-                &row_executor,
-                budget,
-                confidences,
-            ),
-            None => CompensatoryModel::build_parallel_with_confidences(
-                encoded,
-                self.config.params,
-                &row_executor,
-                confidences,
-            ),
-        };
+        let compensatory = CompensatoryModel::build_parallel_with_confidences(
+            encoded,
+            self.config.params,
+            &row_executor,
+            self.config.fit_budget.params(),
+            confidences,
+        );
         crate::ModelArtifact::from_parts(
             self.config.clone(),
             constraints,

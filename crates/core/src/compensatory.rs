@@ -80,17 +80,31 @@ impl PairEntry {
     pub(crate) fn is_zero(&self) -> bool {
         self.pos == 0 && self.neg == 0
     }
+
+    /// Count one observation: `pos` in a reliable tuple, `neg` otherwise.
+    #[inline]
+    fn bump(&mut self, positive: bool) {
+        if positive {
+            self.pos += 1;
+        } else {
+            self.neg += 1;
+        }
+    }
 }
 
 /// Dense pair tables above this cell count switch to the hash-map layout.
 const DENSE_PAIR_CELL_CAP: usize = 1 << 14;
 
+/// The slot a tracked [`BoundedSide`] maps its untracked codes to: pairs
+/// touching such a code live in the exact tail, not the dense core.
+const UNTRACKED: u32 = u32::MAX;
+
 /// One axis of a [`PairStore::Bounded`] table: a total map from the column's
-/// code space onto a small dense slot space. A *tracked* side collapses
-/// everything but its heavy-hitter codes into one aggregation slot (null
-/// keeps a slot of its own so FD statistics can still exclude it by
-/// position); an *identity* side — a column whose cardinality fit the budget
-/// — keeps every code as its own slot.
+/// code space onto a small dense slot space. A *tracked* side gives its
+/// heavy-hitter codes and its null code (so FD statistics can still exclude
+/// it by position) a slot each and maps every other code to [`UNTRACKED`];
+/// an *identity* side — a column whose cardinality fit the budget — keeps
+/// every code as its own slot.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct BoundedSide {
     /// `code -> slot` over the column's full code space.
@@ -101,37 +115,26 @@ pub(crate) struct BoundedSide {
     dims: usize,
     /// The column's null code (its slot is `map[null_code]`).
     null_code: u32,
-    /// Aggregation slot for untracked codes; `u32::MAX` on identity sides,
-    /// which have no such slot.
-    other_slot: u32,
 }
 
 impl BoundedSide {
     /// A heavy-hitter side: the `tracked` codes (ascending value codes) get
-    /// slots `0..t`, null gets slot `t`, every other code aggregates into
-    /// slot `t + 1`.
+    /// slots `0..t`, null gets slot `t`, every other code is [`UNTRACKED`].
     fn with_tracked(space: usize, null_code: u32, tracked: &[u32]) -> BoundedSide {
         let t = tracked.len();
-        let other_slot = (t + 1) as u32;
-        let mut map = vec![other_slot; space];
+        let mut map = vec![UNTRACKED; space];
         for (slot, &code) in tracked.iter().enumerate() {
             map[code as usize] = slot as u32;
         }
         if (null_code as usize) < space {
             map[null_code as usize] = t as u32;
         }
-        BoundedSide { map, tracked: Some(tracked.to_vec()), dims: t + 2, null_code, other_slot }
+        BoundedSide { map, tracked: Some(tracked.to_vec()), dims: t + 1, null_code }
     }
 
     /// An identity side: every code of the (small) space is its own slot.
     fn identity(space: usize, null_code: u32) -> BoundedSide {
-        BoundedSide {
-            map: (0..space as u32).collect(),
-            tracked: None,
-            dims: space,
-            null_code,
-            other_slot: u32::MAX,
-        }
+        BoundedSide { map: (0..space as u32).collect(), tracked: None, dims: space, null_code }
     }
 
     /// Slot of the column's null code.
@@ -140,19 +143,17 @@ impl BoundedSide {
         self.map.get(self.null_code as usize).copied().unwrap_or(u32::MAX)
     }
 
-    /// The original code a slot stands for; `None` for the aggregation slot.
-    fn code_of_slot(&self, slot: usize) -> Option<u32> {
+    /// The original code a slot stands for.
+    fn code_of_slot(&self, slot: usize) -> u32 {
         match &self.tracked {
-            None => Some(slot as u32),
-            Some(codes) if slot < codes.len() => Some(codes[slot]),
-            Some(codes) if slot == codes.len() => Some(self.null_code),
-            Some(_) => None,
+            None => slot as u32,
+            Some(codes) => codes.get(slot).copied().unwrap_or(self.null_code),
         }
     }
 
     /// Grow the side to a larger code space (appends only add codes at the
-    /// tail). Tracked sides route every new code into the aggregation slot —
-    /// the tracked set is frozen at fit time — so their `dims` never change;
+    /// tail). Tracked sides map every new code to [`UNTRACKED`] — the
+    /// tracked set is frozen at fit time — so their `dims` never change;
     /// identity sides extend the identity map and report the dims change so
     /// the owning store can regrow its cell matrix.
     fn grow(&mut self, new_space: usize) -> bool {
@@ -161,8 +162,7 @@ impl BoundedSide {
         }
         match &self.tracked {
             Some(_) => {
-                let fill = self.other_slot;
-                self.map.resize(new_space, fill);
+                self.map.resize(new_space, UNTRACKED);
                 false
             }
             None => {
@@ -187,17 +187,15 @@ pub(crate) enum PairStore {
     /// Sparse map over observed code pairs.
     Map(HashMap<(u32, u32), PairEntry>),
     /// Budget-bounded hybrid table (see
-    /// [`CompensatoryModel::build_budgeted`]): a dense heavy-hitter core
-    /// plus a sparse exact tail. Each axis maps its full code space onto at
-    /// most `heavy_hitters + 2` slots; pairs where both codes are tracked
-    /// land in the dense `cells` as O(1) array bumps, and the few pairs
-    /// touching an untracked code spill into the `tail` map with their
-    /// original codes. Because heavy-hitter lists are chosen by frequency,
-    /// the tail sees only the rare-value fraction of the row mass — the
-    /// store keeps *exact* tallies for every pair while paying hash-map
-    /// costs only on that sliver. (The aggregation slots of the dense core
-    /// are reserved by the layout but never written: the tail holds the
-    /// untracked mass exactly.)
+    /// [`CompensatoryModel::build_parallel`] with a budget): a dense
+    /// heavy-hitter core plus a sparse exact tail. A tracked axis maps its
+    /// tracked codes and its null code onto `heavy_hitters + 1` slots; pairs
+    /// where both codes have a slot land in the dense `cells` as O(1) array
+    /// bumps, and the few pairs touching an untracked code spill into the
+    /// `tail` map with their original codes. Because heavy-hitter lists are
+    /// chosen by frequency, the tail sees only the rare-value fraction of
+    /// the row mass — the store keeps *exact* tallies for every pair while
+    /// paying hash-map costs only on that sliver.
     Bounded { a: BoundedSide, b: BoundedSide, cells: Vec<PairEntry>, tail: HashMap<(u32, u32), PairEntry> },
 }
 
@@ -266,41 +264,56 @@ impl PairStore {
         }
     }
 
+    /// Count one observation of the code pair `(a, b)`.
     #[inline]
     fn add(&mut self, a: u32, b: u32, positive: bool) {
         match self {
             PairStore::Empty => unreachable!("diagonal pair stores are never updated"),
-            PairStore::Dense { cols, cells } => {
-                let entry = &mut cells[a as usize * *cols + b as usize];
-                if positive {
-                    entry.pos += 1;
-                } else {
-                    entry.neg += 1;
-                }
-            }
-            PairStore::Map(map) => {
-                let entry = map.entry((a, b)).or_default();
-                if positive {
-                    entry.pos += 1;
-                } else {
-                    entry.neg += 1;
-                }
-            }
+            PairStore::Dense { cols, cells } => cells[a as usize * *cols + b as usize].bump(positive),
+            PairStore::Map(map) => map.entry((a, b)).or_default().bump(positive),
             PairStore::Bounded { a: side_a, b: side_b, cells, tail } => {
                 // Heavy-hitter pairs take the O(1) dense path; the rare
                 // fraction touching an untracked code spills into the exact
                 // tail under its original code pair.
                 let sa = side_a.map[a as usize];
                 let sb = side_b.map[b as usize];
-                let entry = if sa == side_a.other_slot || sb == side_b.other_slot {
+                let entry = if sa == UNTRACKED || sb == UNTRACKED {
                     tail.entry((a, b)).or_default()
                 } else {
                     &mut cells[sa as usize * side_b.dims + sb as usize]
                 };
-                if positive {
-                    entry.pos += 1;
-                } else {
-                    entry.neg += 1;
+                entry.bump(positive);
+            }
+        }
+    }
+
+    /// Count every row of two code columns: [`PairStore::add`] over whole
+    /// columns, with the layout matched once and a tight loop per layout.
+    fn add_columns(&mut self, col_a: &[u32], col_b: &[u32], positives: &[bool]) {
+        let rows = col_a.iter().zip(col_b).zip(positives);
+        match self {
+            PairStore::Empty => unreachable!("diagonal pair stores are never updated"),
+            PairStore::Dense { cols, cells } => {
+                let cols = *cols;
+                for ((&a, &b), &positive) in rows {
+                    cells[a as usize * cols + b as usize].bump(positive);
+                }
+            }
+            PairStore::Map(map) => {
+                for ((&a, &b), &positive) in rows {
+                    map.entry((a, b)).or_default().bump(positive);
+                }
+            }
+            PairStore::Bounded { a: side_a, b: side_b, cells, tail } => {
+                let (map_a, map_b, dims_b) = (&side_a.map[..], &side_b.map[..], side_b.dims);
+                for ((&a, &b), &positive) in rows {
+                    let (sa, sb) = (map_a[a as usize], map_b[b as usize]);
+                    let entry = if sa == UNTRACKED || sb == UNTRACKED {
+                        tail.entry((a, b)).or_default()
+                    } else {
+                        &mut cells[sa as usize * dims_b + sb as usize]
+                    };
+                    entry.bump(positive);
                 }
             }
         }
@@ -327,7 +340,7 @@ impl PairStore {
                 let (Some(&sa), Some(&sb)) = (side_a.map.get(a as usize), side_b.map.get(b as usize)) else {
                     return PairEntry::default();
                 };
-                if sa == side_a.other_slot || sb == side_b.other_slot {
+                if sa == UNTRACKED || sb == UNTRACKED {
                     return tail.get(&(a, b)).copied().unwrap_or_default();
                 }
                 cells[sa as usize * side_b.dims + sb as usize]
@@ -336,8 +349,8 @@ impl PairStore {
     }
 
     /// The store's non-zero entries as `(code_a, code_b, entry)` triples
-    /// sorted by code pair — the persistence wire form. Bounded aggregation
-    /// slots serialise with the `u32::MAX` sentinel in place of a code.
+    /// sorted by code pair — the persistence wire form. Every code lies in
+    /// its column's code space.
     pub(crate) fn persisted_entries(&self) -> Vec<(u32, u32, PairEntry)> {
         let mut entries: Vec<(u32, u32, PairEntry)> = match self {
             PairStore::Empty => Vec::new(),
@@ -354,7 +367,7 @@ impl PairStore {
                 .filter(|(_, e)| !e.is_zero())
                 .map(|(i, e)| {
                     let (sa, sb) = (i / b.dims, i % b.dims);
-                    (a.code_of_slot(sa).unwrap_or(u32::MAX), b.code_of_slot(sb).unwrap_or(u32::MAX), *e)
+                    (a.code_of_slot(sa), b.code_of_slot(sb), *e)
                 })
                 .chain(tail.iter().map(|(&(a, b), e)| (a, b, *e)))
                 .collect(),
@@ -394,27 +407,14 @@ impl PairStore {
     }
 
     /// Resolve a persisted code onto a bounded side's dense slot —
-    /// `Ok(None)` marks an untracked code (a tail entry), and codes the
-    /// fit-time layout could never have emitted are rejected. The
-    /// `u32::MAX` aggregation sentinel is accepted for compatibility with
-    /// artifacts written before the exact tail existed; its mass lands in
-    /// the (otherwise unwritten) aggregation slot, which no query reads.
+    /// `Ok(None)` marks an untracked code (a tail entry), and a code outside
+    /// the column's code space is rejected.
     fn persisted_slot(side: &BoundedSide, code: u32) -> Result<Option<usize>, String> {
-        if code == u32::MAX {
-            if side.tracked.is_none() {
-                return Err("aggregation sentinel on an identity side".to_string());
-            }
-            return Ok(Some(side.other_slot as usize));
+        match side.map.get(code as usize) {
+            None => Err(format!("code {code} outside the code space")),
+            Some(&UNTRACKED) => Ok(None),
+            Some(&slot) => Ok(Some(slot as usize)),
         }
-        let slot = side
-            .map
-            .get(code as usize)
-            .copied()
-            .ok_or_else(|| format!("code {code} outside the code space"))?;
-        if side.tracked.is_some() && slot == side.other_slot {
-            return Ok(None);
-        }
-        Ok(Some(slot as usize))
     }
 }
 
@@ -441,8 +441,8 @@ pub struct CompensatoryModel {
     pub(crate) conf_sum: f64,
     /// Per-column heavy-hitter code lists of a budgeted fit (ascending value
     /// codes), `None` for columns stored exactly. Exact models are all
-    /// `None`. Frozen at fit time: absorbs route new codes into the
-    /// aggregation slots, so the bounded layouts never reshuffle.
+    /// `None`. Frozen at fit time: absorbs count new codes in the exact
+    /// tails, so the bounded layouts never reshuffle.
     pub(crate) tracked: Vec<Option<Vec<u32>>>,
 }
 
@@ -470,11 +470,6 @@ pub(crate) fn pair_store_for(
     PairStore::bounded(side(j), side(k))
 }
 
-/// The tracked heavy-hitter list of one column under a budget: the
-/// `heavy_hitters` most frequent value codes (ties broken by ascending
-/// code), returned ascending — or `None` when the whole domain fits the
-/// budget. Null and unseen sentinels always keep their own slots and are
-/// never tracked.
 /// Per-row tuple confidences (Eq. 3) of a dataset: the user-constraint
 /// sweep shared by every compensatory builder, and the builders' **only**
 /// use of raw `Value` rows. Blocks execute in parallel and flatten in block
@@ -498,11 +493,11 @@ pub(crate) fn tuple_confidences(
         .collect()
 }
 
-pub(crate) fn tracked_codes_for(
-    dict: &ColumnDict,
-    value_counts: &[u32],
-    heavy_hitters: usize,
-) -> Option<Vec<u32>> {
+/// The tracked heavy-hitter list of one column under a budget: the
+/// `heavy_hitters` most frequent value codes (ties broken by ascending
+/// code), returned ascending — or `None` when the whole domain fits the
+/// budget. Null and unseen sentinels are never tracked.
+fn tracked_codes_for(dict: &ColumnDict, value_counts: &[u32], heavy_hitters: usize) -> Option<Vec<u32>> {
     if dict.cardinality() <= heavy_hitters.max(1) {
         return None;
     }
@@ -516,94 +511,51 @@ pub(crate) fn tracked_codes_for(
 }
 
 impl CompensatoryModel {
+    /// A model with no rows absorbed, over the given dictionaries, in the
+    /// exact store layouts.
+    pub(crate) fn empty(dicts: Vec<ColumnDict>, params: CompensatoryParams) -> CompensatoryModel {
+        let m = dicts.len();
+        let tracked = vec![None; m];
+        let pairs = (0..m)
+            .flat_map(|j| (0..m).map(move |k| (j, k)))
+            .map(|(j, k)| pair_store_for(&dicts, &tracked, j, k))
+            .collect();
+        let value_counts = dicts.iter().map(|d| vec![0u32; d.code_space()]).collect();
+        CompensatoryModel {
+            params,
+            dicts,
+            pairs,
+            value_counts,
+            num_rows: 0,
+            num_cols: m,
+            conf_sum: 0.0,
+            tracked,
+        }
+    }
+
     /// Build the model from the observed dataset and the user constraints
-    /// (Algorithm 2). With an empty constraint set every tuple has confidence
-    /// 1, so all pairs count positively — the `BClean-UC` behaviour.
+    /// (Algorithm 2): an empty model over the dataset's encoding plus
+    /// [`CompensatoryModel::absorb`] of every row, in row order — the serial
+    /// reference the parallel builder is checked against. With an empty
+    /// constraint set every tuple has confidence 1, so all pairs count
+    /// positively — the `BClean-UC` behaviour.
     pub fn build(
         dataset: &Dataset,
         constraints: &ConstraintSet,
         params: CompensatoryParams,
     ) -> CompensatoryModel {
         let encoded = EncodedDataset::from_dataset(dataset);
-        CompensatoryModel::build_encoded(dataset, &encoded, constraints, params)
+        let mut model = CompensatoryModel::empty(encoded.dicts().to_vec(), params);
+        model.absorb(dataset, constraints, &encoded, 0..encoded.num_rows());
+        model
     }
 
-    /// Build from a dataset that has already been dictionary-encoded (the
-    /// fit pipeline encodes once and shares the result). `encoded` must be
-    /// the encoding of `dataset`; tuple confidences still need the `Value`
-    /// rows because user constraints are arbitrary value predicates.
-    pub fn build_encoded(
-        dataset: &Dataset,
-        encoded: &EncodedDataset,
-        constraints: &ConstraintSet,
-        params: CompensatoryParams,
-    ) -> CompensatoryModel {
-        let m = encoded.num_columns();
-        let n = encoded.num_rows();
-        assert_eq!(n, dataset.num_rows(), "encoded dataset must match the value dataset");
-        let spaces: Vec<usize> = encoded.dicts().iter().map(|d| d.code_space()).collect();
-        for (col, &space) in spaces.iter().enumerate() {
-            assert!(
-                encoded.column(col).iter().all(|&code| (code as usize) < space),
-                "column {col} contains codes outside its own dictionary: the model must be \
-                 built from an encoding of the fitting dataset (EncodedDataset::from_dataset), \
-                 not a lossy re-encoding against foreign dictionaries"
-            );
-        }
-        let mut pairs: Vec<PairStore> = Vec::with_capacity(m * m);
-        for j in 0..m {
-            for k in 0..m {
-                pairs.push(if j == k {
-                    PairStore::Empty
-                } else {
-                    PairStore::with_spaces(spaces[j], spaces[k])
-                });
-            }
-        }
-        let mut value_counts: Vec<Vec<u32>> = spaces.iter().map(|&s| vec![0u32; s]).collect();
-        let mut conf_sum = 0.0;
-
-        for (r, row) in dataset.rows().enumerate() {
-            let conf = constraints.tuple_confidence(dataset.schema(), row, params.lambda);
-            conf_sum += conf;
-            let positive = conf >= params.tau;
-            for i in 0..m {
-                let a = encoded.code(r, i);
-                value_counts[i][a as usize] += 1;
-                for j in 0..m {
-                    if i == j {
-                        continue;
-                    }
-                    pairs[i * m + j].add(a, encoded.code(r, j), positive);
-                }
-            }
-        }
-
-        CompensatoryModel {
-            params,
-            dicts: encoded.dicts().to_vec(),
-            pairs,
-            value_counts,
-            num_rows: n,
-            num_cols: m,
-            conf_sum,
-            tracked: vec![None; m],
-        }
-    }
-
-    /// Parallel [`CompensatoryModel::build_encoded`]: the fit-pipeline entry
-    /// point, spreading Algorithm 2 across the shared [`ParallelExecutor`]
-    /// in two stages while producing a **bit-identical** model for every
-    /// thread count (including the serial builder's):
-    ///
-    /// 1. tuple confidences (Eq. 3 — the per-row user-constraint sweep, the
-    ///    expensive `Value`-touching part) run over row blocks, merged in
-    ///    block order, and are summed in row order exactly like the serial
-    ///    pass;
-    /// 2. each *target column* builds its own value counts and its ordered
-    ///    pair stores against every other column. A given `(j, k)` counter
-    ///    is owned by exactly one worker and accumulates in row order, so
-    ///    even the signed `f64` correlations add in the serial order.
+    /// The fit pipeline's exact builder: tuple confidences (Eq. 3, the
+    /// per-row user-constraint sweep and the only use of the `Value` rows)
+    /// over row blocks of the shared [`ParallelExecutor`], then the
+    /// column-parallel builder `build_parallel_with_confidences` without a
+    /// budget. Bit-identical to [`CompensatoryModel::build`] at every thread
+    /// count.
     pub fn build_parallel(
         dataset: &Dataset,
         encoded: &EncodedDataset,
@@ -613,186 +565,75 @@ impl CompensatoryModel {
     ) -> CompensatoryModel {
         assert_eq!(encoded.num_rows(), dataset.num_rows(), "encoded dataset must match the value dataset");
         let confidences = tuple_confidences(dataset, constraints, params.lambda, executor);
-        CompensatoryModel::build_parallel_with_confidences(encoded, params, executor, &confidences)
+        CompensatoryModel::build_parallel_with_confidences(encoded, params, executor, None, &confidences)
     }
 
-    /// The encoded-only core of [`CompensatoryModel::build_parallel`]:
-    /// builds from pre-computed per-row tuple confidences instead of the
-    /// raw `Value` dataset. The confidence sweep is the builders' *only*
-    /// use of raw rows, so a streaming fit that accumulates confidences
-    /// chunk-by-chunk (in row order) lands here and produces the identical
-    /// model without ever materialising the full dataset.
+    /// The column-parallel builder, from pre-computed per-row tuple
+    /// confidences instead of the raw `Value` dataset, so a streaming fit
+    /// that accumulates confidences chunk by chunk (in row order) lands here
+    /// and produces the identical model without materialising the dataset.
+    /// `encoded` must be an encoding of the fitting dataset against its own
+    /// dictionaries.
+    ///
+    /// Each *target column* is one work item: its value counts, then its
+    /// ordered pair stores against every other column, each filled by one
+    /// tight pass over two code columns. A `(j, k)` counter is owned by one
+    /// worker and holds integer tallies, and the confidence sum folds in row
+    /// order, so the model is bit-identical at every thread count.
+    ///
+    /// With a `budget` (`BCleanConfig::fit_budget`), every statistic the
+    /// scorers read stays **exact**; the budget changes the pair stores'
+    /// *representation*, not their answers. Every column whose cardinality
+    /// exceeds `budget.heavy_hitters` tracks its most frequent value codes
+    /// (from the exact counts; ties break by ascending code), and each pair
+    /// store touching such a column becomes a hybrid `PairStore::Bounded`
+    /// whose hash-map tail is paid only on the rare-value fraction of the
+    /// rows (a few percent of incidences on heavy-tailed columns) instead of
+    /// on every row as in the exact `Map` layout.
     pub(crate) fn build_parallel_with_confidences(
         encoded: &EncodedDataset,
         params: CompensatoryParams,
         executor: &ParallelExecutor,
+        budget: Option<&bclean_sketch::BudgetParams>,
         confidences: &[f64],
     ) -> CompensatoryModel {
         let m = encoded.num_columns();
         let n = encoded.num_rows();
         assert_eq!(n, confidences.len(), "one tuple confidence per encoded row");
-        let spaces: Vec<usize> = encoded.dicts().iter().map(|d| d.code_space()).collect();
-        for (col, &space) in spaces.iter().enumerate() {
-            assert!(
-                encoded.column(col).iter().all(|&code| (code as usize) < space),
-                "column {col} contains codes outside its own dictionary: the model must be \
-                 built from an encoding of the fitting dataset (EncodedDataset::from_dataset), \
-                 not a lossy re-encoding against foreign dictionaries"
-            );
-        }
-
-        let conf_sum: f64 = confidences.iter().sum();
-        let positives: Vec<bool> = confidences.iter().map(|&c| c >= params.tau).collect();
-
-        let per_column: Vec<(Vec<u32>, Vec<PairStore>)> = executor.map(m, |i| {
-            let mut value_counts = vec![0u32; spaces[i]];
-            let mut stores: Vec<PairStore> = (0..m)
-                .map(|j| if i == j { PairStore::Empty } else { PairStore::with_spaces(spaces[i], spaces[j]) })
-                .collect();
-            for (r, &a) in encoded.column(i).iter().enumerate() {
-                value_counts[a as usize] += 1;
-                let positive = positives[r];
-                for (j, store) in stores.iter_mut().enumerate() {
-                    if j != i {
-                        store.add(a, encoded.code(r, j), positive);
-                    }
-                }
-            }
-            (value_counts, stores)
-        });
-        let mut pairs: Vec<PairStore> = Vec::with_capacity(m * m);
-        let mut value_counts: Vec<Vec<u32>> = Vec::with_capacity(m);
-        for (counts, stores) in per_column {
-            value_counts.push(counts);
-            pairs.extend(stores);
-        }
-
-        CompensatoryModel {
-            params,
-            dicts: encoded.dicts().to_vec(),
-            pairs,
-            value_counts,
-            num_rows: n,
-            num_cols: m,
-            conf_sum,
-            tracked: vec![None; m],
-        }
-    }
-
-    /// Budget-bounded [`CompensatoryModel::build_parallel`]: the fit-time
-    /// pair pass of a budgeted fit (`BCleanConfig::fit_budget`).
-    ///
-    /// Every statistic the scorers read — value counts, tuple confidences,
-    /// the row count *and* the pair tallies — stays **exact**; the budget
-    /// changes the pair stores' *representation*, not their answers. Every
-    /// column whose cardinality exceeds `budget.heavy_hitters` gets a
-    /// tracked list of its most frequent value codes (from the exact
-    /// counts; ties break by ascending code), and each pair store touching
-    /// such a column becomes a hybrid `PairStore::Bounded`: pairs of
-    /// tracked codes count into a dense `≤ (heavy_hitters + 2)²` core with
-    /// O(1) array bumps, while the rare fraction touching an untracked code
-    /// spills into a sparse exact tail. Heavy-hitter lists are frequency-
-    /// ranked, so the hash-map path is paid only on the tail of the mass
-    /// distribution (a few percent of incidences on heavy-tailed columns)
-    /// instead of on every row as in the exact `Map` layout.
-    ///
-    /// Cells and tail tallies are integers owned by one worker per target
-    /// column and filled in row order, and the confidence sum folds in row
-    /// order, so the budgeted model is bit-identical at every thread count
-    /// by construction.
-    pub fn build_budgeted(
-        dataset: &Dataset,
-        encoded: &EncodedDataset,
-        constraints: &ConstraintSet,
-        params: CompensatoryParams,
-        executor: &ParallelExecutor,
-        budget: &bclean_sketch::BudgetParams,
-    ) -> CompensatoryModel {
-        assert_eq!(encoded.num_rows(), dataset.num_rows(), "encoded dataset must match the value dataset");
-        let confidences = tuple_confidences(dataset, constraints, params.lambda, executor);
-        CompensatoryModel::build_budgeted_with_confidences(encoded, params, executor, budget, &confidences)
-    }
-
-    /// The encoded-only core of [`CompensatoryModel::build_budgeted`] (see
-    /// [`CompensatoryModel::build_parallel_with_confidences`]).
-    pub(crate) fn build_budgeted_with_confidences(
-        encoded: &EncodedDataset,
-        params: CompensatoryParams,
-        executor: &ParallelExecutor,
-        budget: &bclean_sketch::BudgetParams,
-        confidences: &[f64],
-    ) -> CompensatoryModel {
-        let m = encoded.num_columns();
-        let n = encoded.num_rows();
-        assert_eq!(n, confidences.len(), "one tuple confidence per encoded row");
-        let spaces: Vec<usize> = encoded.dicts().iter().map(|d| d.code_space()).collect();
-
-        let conf_sum: f64 = confidences.iter().sum();
-        let positives: Vec<bool> = confidences.iter().map(|&c| c >= params.tau).collect();
-
-        // Exact value counts first: the tracked lists derive from them, and
-        // they stay exact in the model (domains, anchors and group-size
-        // guards keep their unbudgeted semantics).
+        let dicts = encoded.dicts();
         let value_counts: Vec<Vec<u32>> = executor.map(m, |i| {
-            let mut counts = vec![0u32; spaces[i]];
+            // Indexing by code also checks that the encoding is against the
+            // column's own dictionary: a lossy re-encoding against foreign
+            // dictionaries carries unseen codes, which panic here.
+            let mut counts = vec![0u32; dicts[i].code_space()];
             for &a in encoded.column(i) {
                 counts[a as usize] += 1;
             }
             counts
         });
-        let tracked: Vec<Option<Vec<u32>>> = (0..m)
-            .map(|i| tracked_codes_for(&encoded.dicts()[i], &value_counts[i], budget.heavy_hitters))
-            .collect();
-
-        let per_column: Vec<Vec<PairStore>> = executor.map(m, |i| {
-            let mut stores: Vec<PairStore> =
-                (0..m).map(|j| pair_store_for(encoded.dicts(), &tracked, i, j)).collect();
-            let col_i = encoded.column(i);
-            for (j, store) in stores.iter_mut().enumerate() {
-                if j == i {
-                    continue;
-                }
-                let col_j = encoded.column(j);
-                // One tight pass per ordered pair: the store variant is
-                // matched once out here (not per row), and the hot Bounded
-                // arm runs over two contiguous code columns with the side
-                // maps borrowed up front — this pass is the entire
-                // row-linear cost of a budgeted fit.
-                match store {
-                    PairStore::Bounded { a: side_a, b: side_b, cells, tail } => {
-                        let (map_a, map_b) = (&side_a.map[..], &side_b.map[..]);
-                        let (other_a, other_b) = (side_a.other_slot, side_b.other_slot);
-                        let dims_b = side_b.dims;
-                        for ((&a, &b), &positive) in col_i.iter().zip(col_j).zip(&positives) {
-                            let sa = map_a[a as usize];
-                            let sb = map_b[b as usize];
-                            let entry = if sa == other_a || sb == other_b {
-                                tail.entry((a, b)).or_default()
-                            } else {
-                                &mut cells[sa as usize * dims_b + sb as usize]
-                            };
-                            if positive {
-                                entry.pos += 1;
-                            } else {
-                                entry.neg += 1;
-                            }
-                        }
-                    }
-                    _ => {
-                        for ((&a, &b), &positive) in col_i.iter().zip(col_j).zip(&positives) {
-                            store.add(a, b, positive);
-                        }
-                    }
-                }
+        let tracked: Vec<Option<Vec<u32>>> = match budget {
+            Some(budget) => {
+                (0..m).map(|i| tracked_codes_for(&dicts[i], &value_counts[i], budget.heavy_hitters)).collect()
             }
-            stores
+            None => vec![None; m],
+        };
+        let conf_sum: f64 = confidences.iter().sum();
+        let positives: Vec<bool> = confidences.iter().map(|&c| c >= params.tau).collect();
+        let per_column: Vec<Vec<PairStore>> = executor.map(m, |i| {
+            (0..m)
+                .map(|j| {
+                    let mut store = pair_store_for(dicts, &tracked, i, j);
+                    if j != i {
+                        store.add_columns(encoded.column(i), encoded.column(j), &positives);
+                    }
+                    store
+                })
+                .collect()
         });
-        let pairs: Vec<PairStore> = per_column.into_iter().flatten().collect();
-
         CompensatoryModel {
             params,
-            dicts: encoded.dicts().to_vec(),
-            pairs,
+            dicts: dicts.to_vec(),
+            pairs: per_column.into_iter().flatten().collect(),
             value_counts,
             num_rows: n,
             num_cols: m,
@@ -801,14 +642,13 @@ impl CompensatoryModel {
         }
     }
 
-    /// Absorb a freshly appended batch into the counters (the streaming
-    /// counterpart of Algorithm 2's per-tuple loop). `encoded` is the
-    /// accumulated encoding with the batch already appended at `rows`; the
-    /// batch's `Value` rows are still needed because tuple confidences (Eq.
-    /// 3) evaluate arbitrary value predicates. Pair counters are integer
-    /// tallies (`PairEntry`) and the confidence sum accumulates in row
-    /// order, so absorbing any batch split of a dataset reproduces the
-    /// one-shot build bit-for-bit.
+    /// Absorb a batch into the counters: Algorithm 2's per-tuple loop, run
+    /// serially in row order. `encoded` is the accumulated encoding with the
+    /// batch already appended at `rows`; the batch's `Value` rows are still
+    /// needed because tuple confidences (Eq. 3) evaluate arbitrary value
+    /// predicates. Pair counters are integer tallies (`PairEntry`) and the
+    /// confidence sum accumulates in row order, so absorbing any batch split
+    /// of a dataset reproduces the one-shot build bit-for-bit.
     pub fn absorb(
         &mut self,
         batch: &Dataset,
@@ -962,18 +802,16 @@ impl CompensatoryModel {
                         // Dense core first (tracked × tracked groups), then
                         // the exact tail — together they cover every
                         // observed pair, so the statistic matches the exact
-                        // builders'. Aggregation slots are never written
-                        // and are skipped by position like nulls.
+                        // builders'. Null slots are skipped by position.
                         let (null_slot_k, null_slot_j) = (side_k.null_slot(), side_j.null_slot());
                         for slot_a in 0..side_k.dims {
-                            if slot_a as u32 == null_slot_k || slot_a as u32 == side_k.other_slot {
+                            if slot_a as u32 == null_slot_k {
                                 continue;
                             }
-                            let Some(code_a) = side_k.code_of_slot(slot_a) else { continue };
-                            let slot = &mut stats[code_a as usize];
+                            let slot = &mut stats[side_k.code_of_slot(slot_a) as usize];
                             let row = &cells[slot_a * side_j.dims..(slot_a + 1) * side_j.dims];
                             for (slot_b, entry) in row.iter().enumerate() {
-                                if slot_b as u32 == null_slot_j || slot_b as u32 == side_j.other_slot {
+                                if slot_b as u32 == null_slot_j {
                                     continue;
                                 }
                                 slot.0 += entry.count() as u64;
@@ -1410,7 +1248,7 @@ mod tests {
         for params in
             [CompensatoryParams::default(), CompensatoryParams { lambda: 0.25, beta: 0.3, tau: 0.75 }]
         {
-            let serial = CompensatoryModel::build_encoded(&d, &encoded, &spellcheck_constraints(), params);
+            let serial = CompensatoryModel::build(&d, &spellcheck_constraints(), params);
             for threads in [1usize, 2, 8] {
                 let executor = crate::exec::ParallelExecutor::new(threads).with_block_size(2);
                 let parallel = CompensatoryModel::build_parallel(

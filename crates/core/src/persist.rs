@@ -264,8 +264,8 @@ impl ModelArtifact {
     pub fn ingest_batch(&mut self, batch: &Dataset) -> Result<usize, StoreError> {
         self.check_schema(batch.schema())?;
         let mut encoded = EncodedDataset::from_dicts(self.compensatory.dicts().to_vec(), self.num_rows());
-        let report = encoded.append_batch(batch);
-        self.absorb(batch, &encoded, report.rows);
+        let rows = encoded.append_batch(batch);
+        self.absorb(batch, &encoded, rows);
         Ok(self.num_rows())
     }
 }
@@ -483,28 +483,9 @@ fn read_compensatory(
                 let a = r.u32()?;
                 let b = r.u32()?;
                 let entry = PairEntry { pos: r.u32()?, neg: r.u32()? };
-                // `u32::MAX` is the "other"-bucket sentinel, legal only on a
-                // side that tracks heavy hitters; plain codes must fit the
-                // code space (`insert_persisted` routes untracked plain
-                // codes into a bounded store's exact tail).
-                if a == u32::MAX {
-                    if tracked[j].is_none() {
-                        return Err(StoreError::Corrupt(format!(
-                            "pair ({j}, {k}) uses the aggregation sentinel on untracked column {j}"
-                        )));
-                    }
-                } else if (a as usize) >= spaces[j] {
-                    return Err(StoreError::Corrupt(format!(
-                        "pair ({j}, {k}) entry ({a}, {b}) outside the code spaces"
-                    )));
-                }
-                if b == u32::MAX {
-                    if tracked[k].is_none() {
-                        return Err(StoreError::Corrupt(format!(
-                            "pair ({j}, {k}) uses the aggregation sentinel on untracked column {k}"
-                        )));
-                    }
-                } else if (b as usize) >= spaces[k] {
+                // Codes must fit the code spaces (`insert_persisted` routes
+                // untracked codes into a bounded store's exact tail).
+                if (a as usize) >= spaces[j] || (b as usize) >= spaces[k] {
                     return Err(StoreError::Corrupt(format!(
                         "pair ({j}, {k}) entry ({a}, {b}) outside the code spaces"
                     )));
@@ -629,6 +610,32 @@ mod tests {
         assert!(matches!(artifact.to_bytes(), Err(StoreError::Unsupported(_))));
     }
 
+    /// Every persisted pair code lies in its column's code space: a
+    /// `u32::MAX` code in a bounded store is corrupt like any other
+    /// out-of-range code.
+    #[test]
+    fn bounded_store_rejects_out_of_space_codes() {
+        let budget = BudgetParams { heavy_hitters: 1, ..BudgetParams::default() };
+        let config = Variant::PartitionedInference.config().with_fit_budget(FitBudget::Budgeted(budget));
+        let artifact = BClean::new(config).with_constraints(constraints()).fit_artifact(&dirty());
+        let mut model = (*artifact.compensatory).clone();
+        let tail = model
+            .pairs
+            .iter_mut()
+            .find_map(|store| match store {
+                crate::compensatory::PairStore::Bounded { tail, .. } => Some(tail),
+                _ => None,
+            })
+            .expect("a one-hitter budget bounds the pair stores");
+        tail.insert((u32::MAX, 0), PairEntry { pos: 1, neg: 0 });
+        let mut w = ByteWriter::new();
+        write_compensatory(&mut w, &model);
+        let bytes = w.into_bytes();
+        let err = read_compensatory(&mut ByteReader::new(&bytes, "compensatory"), model.dicts.clone())
+            .expect_err("the out-of-space code is rejected");
+        assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
+    }
+
     /// Cross-process ingest (placeholder history) must leave the artifact
     /// in the exact state an in-process absorb over live history reaches.
     #[test]
@@ -647,8 +654,8 @@ mod tests {
         // In-process: live encoding of the full history.
         let mut live = cleaner.fit_artifact(&data);
         let mut encoded = EncodedDataset::from_dataset(&data);
-        let report = encoded.append_batch(&batch);
-        live.absorb(&batch, &encoded, report.rows);
+        let rows = encoded.append_batch(&batch);
+        live.absorb(&batch, &encoded, rows);
 
         // Cross-process: save, load, ingest without history.
         let mut restored =

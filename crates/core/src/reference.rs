@@ -67,12 +67,8 @@ impl BClean {
         } else {
             Vec::new()
         };
-        let compensatory = std::sync::Arc::new(CompensatoryModel::build_encoded(
-            dataset,
-            &encoded,
-            &constraints,
-            config.params,
-        ));
+        let mut compensatory = CompensatoryModel::empty(dicts.to_vec(), config.params);
+        compensatory.absorb(dataset, &constraints, &encoded, 0..dataset.num_rows());
         let domains = Domains::compute(dataset);
         let fd_confidence = fd_confidence_matrix(dataset);
         let model = BCleanModel {
@@ -81,7 +77,7 @@ impl BClean {
             dag: network.dag().clone(),
             attribute_names: network.attribute_names().to_vec(),
             compiled,
-            compensatory,
+            compensatory: std::sync::Arc::new(compensatory),
             domains,
             fd_confidence,
             attr_uc_ok,

@@ -149,7 +149,7 @@ impl CleaningSession {
         self.stats.rows += batch.num_rows();
 
         let absorb_start = Instant::now();
-        let report = self.encoded.append_batch(batch);
+        let rows = self.encoded.append_batch(batch);
         for row in batch.rows() {
             self.accumulated.push_row(row.to_vec()).expect("batch row arity matches the schema");
         }
@@ -169,7 +169,7 @@ impl CleaningSession {
                 self.stats.refit_seconds += refit_start.elapsed().as_secs_f64();
             }
             Some(artifact) => {
-                artifact.absorb(batch, &self.encoded, report.rows.clone());
+                artifact.absorb(batch, &self.encoded, rows.clone());
                 self.stats.absorb_seconds += absorb_start.elapsed().as_secs_f64();
                 self.batches_since_refit += 1;
                 if self.batches_since_refit >= self.refit_every {
@@ -182,7 +182,7 @@ impl CleaningSession {
         let model = self.model.as_ref().expect("ingesting rows always leaves a model behind");
         let mut repairs = model.clean(batch).repairs;
         for repair in &mut repairs {
-            repair.at.row += report.rows.start;
+            repair.at.row += rows.start;
         }
         self.stats.clean_seconds += clean_start.elapsed().as_secs_f64();
         repairs

@@ -4,9 +4,10 @@
 //! [`clean_stream`] reads the source once and works in two passes:
 //!
 //! 1. **Encode + fit.** Each raw chunk feeds an [`EncodedDatasetBuilder`]
-//!    (which reproduces `EncodedDataset::from_dataset` on the concatenation
-//!    exactly — first-appearance interning is chunk-order-invariant) and a
-//!    per-row tuple-confidence accumulator, then is dropped. Structure
+//!    (the one encoder — `EncodedDataset::from_dataset` is the builder fed
+//!    one batch, and first-appearance interning makes the result
+//!    independent of the chunking) and a per-row tuple-confidence
+//!    accumulator, then is dropped. Structure
 //!    learning and every fit statistic run over the finished encoding plus
 //!    the confidence vector through
 //!    `BClean::artifact_from_encoded_parts` — the confidence sweep is the
@@ -35,8 +36,8 @@ use std::time::Instant;
 
 use bclean_bayesnet::{learn_structure_budgeted, learn_structure_encoded};
 use bclean_data::{
-    approx_dataset_bytes, AttrType, ChunkLimits, ChunkSource, DataError, Dataset, EncodedDataset,
-    EncodedDatasetBuilder, Schema, Value,
+    approx_dataset_bytes, approx_values_bytes, AttrType, ChunkLimits, ChunkSource, DataError, Dataset,
+    EncodedDataset, EncodedDatasetBuilder, Schema, Value,
 };
 
 use crate::cleaner::{BClean, BCleanModel};
@@ -145,7 +146,7 @@ pub fn clean_stream<S: ChunkSource + ?Sized>(
 }
 
 /// Clean a chunked source against an already-fitted model (the
-/// `bclean clean --stream -m` path): no fitting, one pass, repairs shifted
+/// `bclean clean -m` path): no fitting, one pass, repairs shifted
 /// to global row indices and cleaned rows streamed out chunk by chunk.
 /// Produces exactly the repairs of `model.clean` over the concatenated
 /// dataset, because inference is per-row independent.
@@ -172,8 +173,10 @@ pub fn clean_stream_with_model<S: ChunkSource + ?Sized>(
     Ok(StreamOutcome { artifact: None, repairs, stats, rows, chunks, peak_bytes, encode_skipped: false })
 }
 
-/// The shared cleaning pass: decode the encoding chunk by chunk, clean
-/// each chunk, shift repairs, stream cleaned rows.
+/// The cleaning pass of [`clean_stream`]: decode the encoding window by
+/// window, clean each window, shift repairs, stream cleaned rows. A window
+/// closes when either bound of the limits is reached and holds at least one
+/// row, like the chunks pass 1 reads.
 fn clean_encoded_chunks(
     model: &BCleanModel,
     encoded: &EncodedDataset,
@@ -185,17 +188,20 @@ fn clean_encoded_chunks(
     let mut repairs: Vec<Repair> = Vec::new();
     let mut stats = CleaningStats::default();
     let mut chunks = 0usize;
-    let max_rows = options.limits.max_rows.max(1);
+    let ChunkLimits { max_rows, max_bytes } = options.limits;
     let mut start = 0usize;
     while start < encoded.num_rows() {
-        let end = start.saturating_add(max_rows).min(encoded.num_rows());
         let mut chunk = Dataset::new(schema.clone());
-        for r in start..end {
+        let mut bytes = 0usize;
+        let mut end = start;
+        while end < encoded.num_rows() && chunk.num_rows() < max_rows.max(1) && bytes < max_bytes.max(1) {
             let row: Vec<Value> =
-                (0..encoded.num_columns()).map(|c| encoded.decode_cell(r, c).clone()).collect();
+                (0..encoded.num_columns()).map(|c| encoded.decode_cell(end, c).clone()).collect();
+            bytes += approx_values_bytes(&row);
             chunk.push_row(row)?;
+            end += 1;
         }
-        peak_bytes = peak_bytes.max(encoded.approx_bytes() + 2 * approx_dataset_bytes(&chunk));
+        peak_bytes = peak_bytes.max(encoded.approx_bytes() + 2 * bytes);
         let result = model.clean(&chunk);
         absorb_chunk(&mut repairs, &mut stats, result, start, &mut writer)?;
         chunks += 1;
@@ -239,7 +245,7 @@ fn absorb_chunk(
 ///
 /// Rows go to `<path>.partial`, which `finish` renames over `path`: the
 /// target is never truncated while the source may still be read from it
-/// (an in-place `clean --stream -m data.csv -o data.csv`), and a failed run
+/// (an in-place `clean -m data.csv -o data.csv`), and a failed run
 /// leaves the target untouched, with its rows so far in `<path>.partial`.
 struct CleanedCsvWriter {
     /// `(target, partial file path, buffered partial file)`.
@@ -329,12 +335,15 @@ mod tests {
             let expected_artifact = cleaner.fit_artifact(&dataset);
             let expected = expected_artifact.compile().clean(&dataset);
             let expected_bytes = expected_artifact.to_bytes().expect("serialize one-shot artifact");
-            for sizes in [vec![1usize], vec![3, 1, 2], vec![usize::MAX]] {
+            for (sizes, limits) in [
+                (vec![1usize], ChunkLimits::rows(1)),
+                (vec![3, 1, 2], ChunkLimits::rows(3)),
+                (vec![usize::MAX], ChunkLimits::rows(usize::MAX)),
+                // A byte budget alone bounds the cleaning windows too.
+                (vec![5], ChunkLimits::bytes(256)),
+            ] {
                 let mut source = DatasetChunks::new(dataset.clone(), &sizes);
-                let options = StreamOptions {
-                    limits: ChunkLimits::rows(*sizes.first().unwrap()),
-                    ..StreamOptions::default()
-                };
+                let options = StreamOptions { limits, ..StreamOptions::default() };
                 let outcome = clean_stream(&cleaner, &mut source, &options).expect("stream clean");
                 let artifact = outcome.artifact.as_ref().expect("fitted artifact");
                 assert_eq!(
@@ -352,6 +361,9 @@ mod tests {
                 assert_eq!(outcome.stats.cells_examined, expected.stats.cells_examined);
                 assert!(outcome.peak_bytes > 0);
                 assert!(!outcome.encode_skipped);
+                if limits.max_bytes != usize::MAX {
+                    assert!(outcome.chunks > 1, "byte-bounded windows (threads {threads})");
+                }
             }
         }
     }

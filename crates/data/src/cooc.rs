@@ -595,8 +595,8 @@ mod tests {
         );
         let mut encoded = EncodedDataset::from_dataset(&first);
         let mut streaming = PairCounts::from_encoded(&encoded, 0, 1);
-        let report = encoded.append_batch(&batch);
-        streaming.absorb(&encoded, 0, 1, report.rows);
+        let rows = encoded.append_batch(&batch);
+        streaming.absorb(&encoded, 0, 1, rows);
         assert_eq!(streaming.rows_absorbed(), 7);
         let mut combined = first.clone();
         for row in batch.rows() {

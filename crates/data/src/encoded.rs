@@ -1,6 +1,8 @@
 //! Dictionary encoding of datasets: per-attribute [`ColumnDict`]s mapping
-//! `Value ↔ u32` codes, and a columnar [`EncodedDataset`] built once from a
-//! [`Dataset`].
+//! `Value ↔ u32` codes, and a columnar [`EncodedDataset`] built by one
+//! encoder, [`EncodedDatasetBuilder`], from a [`Dataset`] fed in one batch
+//! ([`EncodedDataset::from_dataset`]) or chunk by chunk (the out-of-core
+//! pipeline).
 //!
 //! BClean's inference stage scores millions of `(row, column, candidate)`
 //! combinations; doing that over heap-allocated [`Value`]s means hashing and
@@ -93,22 +95,6 @@ pub struct ColumnDict {
 }
 
 impl ColumnDict {
-    /// Build a dictionary from any collection of values. Nulls are dropped,
-    /// duplicates collapse, and the remaining values are sorted so codes
-    /// follow the shared domain order.
-    pub fn from_values<'a>(values: impl IntoIterator<Item = &'a Value>) -> ColumnDict {
-        let mut distinct: Vec<Value> = values.into_iter().filter(|v| !v.is_null()).cloned().collect();
-        distinct.sort();
-        distinct.dedup();
-        let index = distinct.iter().enumerate().map(|(i, v)| (v.clone(), i as u32)).collect();
-        ColumnDict { values: distinct, index, sorted_codes: None, ranks: None, frozen_null: None }
-    }
-
-    /// Build the dictionary of column `col` of `dataset`.
-    pub fn from_column(dataset: &Dataset, col: usize) -> ColumnDict {
-        ColumnDict::from_values(dataset.rows().map(|row| &row[col]))
-    }
-
     /// The decode table, in code order. For fresh dictionaries this is the
     /// distinct non-null values, sorted; after an append it additionally
     /// carries the [`Value::Null`] placeholder at the frozen null position
@@ -308,63 +294,13 @@ pub struct EncodedDataset {
 }
 
 impl EncodedDataset {
-    /// Encode a dataset with dictionaries built from its own columns. Every
+    /// Encode a dataset with dictionaries built from its own columns: the
+    /// [`EncodedDatasetBuilder`] fed the whole dataset as one batch. Every
     /// cell is representable, so no code is [`ColumnDict::unseen_code`].
     pub fn from_dataset(dataset: &Dataset) -> EncodedDataset {
-        // Single interning pass instead of build-dicts-then-re-encode: every
-        // cell is hashed once to a first-appearance code per column, then
-        // only the *distinct* values (not all n rows) are sorted and the
-        // interim codes rewritten through the resulting permutation. The
-        // dictionaries and code columns are exactly those of
-        // `ColumnDict::from_column` + `encode_with` — same sorted distinct
-        // values, same codes — just without per-row clones or n·log n
-        // value sorts.
-        let num_rows = dataset.num_rows();
-        let m = dataset.num_columns();
-        let mut interned: Vec<HashMap<&Value, u32>> = (0..m).map(|_| HashMap::new()).collect();
-        let mut columns: Vec<Vec<u32>> = (0..m).map(|_| Vec::with_capacity(num_rows)).collect();
-        for row in dataset.rows() {
-            for (c, value) in row.iter().enumerate() {
-                let code = if value.is_null() {
-                    NULL_INTERIM
-                } else {
-                    let next = interned[c].len() as u32;
-                    *interned[c].entry(value).or_insert(next)
-                };
-                columns[c].push(code);
-            }
-        }
-        let mut dicts = Vec::with_capacity(m);
-        for (c, intern) in interned.into_iter().enumerate() {
-            let mut distinct: Vec<(&Value, u32)> = intern.into_iter().collect();
-            distinct.sort_by(|x, y| x.0.cmp(y.0));
-            let mut remap = vec![0u32; distinct.len()];
-            for (code, &(_, interim)) in distinct.iter().enumerate() {
-                remap[interim as usize] = code as u32;
-            }
-            let null_code = distinct.len() as u32;
-            for code in &mut columns[c] {
-                *code = if *code == NULL_INTERIM { null_code } else { remap[*code as usize] };
-            }
-            let values: Vec<Value> = distinct.iter().map(|&(v, _)| v.clone()).collect();
-            let index = values.iter().enumerate().map(|(i, v)| (v.clone(), i as u32)).collect();
-            dicts.push(ColumnDict { values, index, sorted_codes: None, ranks: None, frozen_null: None });
-        }
-        EncodedDataset { dicts, columns, num_rows }
-    }
-
-    /// Encode a dataset against pre-built dictionaries (typically the ones a
-    /// model was fit with). Values absent from a dictionary encode to that
-    /// column's [`ColumnDict::unseen_code`].
-    pub fn encode_with(dicts: Vec<ColumnDict>, dataset: &Dataset) -> EncodedDataset {
-        let num_rows = dataset.num_rows();
-        let mut columns: Vec<Vec<u32>> = dicts.iter().map(|_| Vec::with_capacity(num_rows)).collect();
-        for row in dataset.rows() {
-            for (col, value) in row.iter().enumerate() {
-                columns[col].push(dicts[col].encode_lossy(value));
-            }
-        }
-        EncodedDataset { dicts, columns, num_rows }
+        let mut builder = EncodedDatasetBuilder::new(dataset.num_columns());
+        builder.push_batch(dataset);
+        builder.finish()
     }
 
     /// Reassemble an encoding from persisted dictionaries plus a historical
@@ -414,14 +350,6 @@ impl EncodedDataset {
         self.columns[col][row]
     }
 
-    /// Gather one row's codes into `buf` (length must equal the column count).
-    pub fn copy_row_into(&self, row: usize, buf: &mut [u32]) {
-        debug_assert_eq!(buf.len(), self.columns.len());
-        for (slot, column) in buf.iter_mut().zip(&self.columns) {
-            *slot = column[row];
-        }
-    }
-
     /// The codes of one row, gathered into a fresh vector.
     pub fn row_codes(&self, row: usize) -> Vec<u32> {
         self.columns.iter().map(|column| column[row]).collect()
@@ -443,21 +371,17 @@ impl EncodedDataset {
     /// module docs). Appending to an **empty** encoding builds the fresh
     /// sorted layout, exactly as [`EncodedDataset::from_dataset`] would, so
     /// a session fed its whole dataset as one batch is indistinguishable
-    /// from a one-shot encoding. Returns the report streaming consumers use
-    /// to absorb the delta (row range plus per-column code-space growth).
-    pub fn append_batch(&mut self, batch: &Dataset) -> BatchAppend {
+    /// from a one-shot encoding. Returns the global row range the batch now
+    /// occupies, which streaming consumers absorb.
+    pub fn append_batch(&mut self, batch: &Dataset) -> Range<usize> {
         assert_eq!(
             batch.num_columns(),
             self.dicts.len(),
             "appended batch must have the encoding's column count"
         );
-        let old_spaces: Vec<usize> = self.dicts.iter().map(|d| d.code_space()).collect();
         if self.num_rows == 0 {
             *self = EncodedDataset::from_dataset(batch);
-            return BatchAppend {
-                rows: 0..self.num_rows,
-                grew: (0..self.dicts.len()).map(|c| self.dicts[c].code_space() != old_spaces[c]).collect(),
-            };
+            return 0..self.num_rows;
         }
         for (col, dict) in self.dicts.iter_mut().enumerate() {
             dict.append_values(batch.rows().map(|row| &row[col]));
@@ -470,10 +394,7 @@ impl EncodedDataset {
             }
         }
         self.num_rows += batch.num_rows();
-        BatchAppend {
-            rows: start..self.num_rows,
-            grew: (0..self.dicts.len()).map(|c| self.dicts[c].code_space() != old_spaces[c]).collect(),
-        }
+        start..self.num_rows
     }
 
     /// Row indices sorted by the values of one column — the code-space twin
@@ -512,13 +433,6 @@ impl EncodedDataset {
             *bucket += 1;
         }
         order
-    }
-
-    /// Consume the encoded dataset, keeping only the dictionaries. Models
-    /// that compile their own code-indexed tables use this to retain the
-    /// encoding without the per-cell codes.
-    pub fn into_dicts(self) -> Vec<ColumnDict> {
-        self.dicts
     }
 
     /// Approximate in-memory bytes of the encoding: 4 bytes per cell code
@@ -560,20 +474,20 @@ impl EncodedDataset {
     }
 }
 
-/// An incremental [`EncodedDataset::from_dataset`]: feed row batches with
+/// The dictionary encoder: feed row batches with
 /// [`EncodedDatasetBuilder::push_batch`], then [`EncodedDatasetBuilder::finish`]
-/// to obtain the encoding of their concatenation — **bit-identical** to a
-/// one-shot `from_dataset` on the whole dataset, for any batch sizes.
+/// to obtain the encoding of their concatenation in the fresh sorted layout.
+/// [`EncodedDataset::from_dataset`] is this builder fed one batch, and the
+/// result is the same for any batch sizes.
 ///
-/// Why that holds: `from_dataset` assigns per-column *interim* codes in
-/// first-appearance order, then sorts only the distinct values and rewrites
-/// the interim codes through the resulting permutation. First-appearance
-/// order over the concatenation is independent of where batch boundaries
-/// fall, so the builder reproduces the interim coding exactly and the final
-/// sort/remap step is shared verbatim. This is what lets the out-of-core
-/// pipeline encode a CSV stream chunk-by-chunk (holding one raw chunk plus
-/// the growing code columns, never the full `Value` dataset) and still meet
-/// the fresh sorted dictionary layout that model artifacts persist.
+/// Why that holds: each column assigns *interim* codes in first-appearance
+/// order, and `finish` sorts only the distinct values and rewrites the
+/// interim codes through the resulting permutation. First-appearance order
+/// over the concatenation is independent of where batch boundaries fall.
+/// This is what lets the out-of-core pipeline encode a CSV stream
+/// chunk-by-chunk (holding one raw chunk plus the growing code columns,
+/// never the full `Value` dataset) and still meet the fresh sorted
+/// dictionary layout that model artifacts persist.
 #[derive(Debug, Clone)]
 pub struct EncodedDatasetBuilder {
     /// Per-column first-appearance interim codes (owned: batches are
@@ -601,13 +515,24 @@ impl EncodedDatasetBuilder {
             self.columns.len(),
             "pushed batch must have the builder's column count"
         );
+        for column in &mut self.columns {
+            column.reserve(batch.num_rows());
+        }
         for row in batch.rows() {
             for (c, value) in row.iter().enumerate() {
                 let code = if value.is_null() {
                     NULL_INTERIM
                 } else {
-                    let next = self.interned[c].len() as u32;
-                    *self.interned[c].entry(value.clone()).or_insert(next)
+                    let intern = &mut self.interned[c];
+                    match intern.get(value) {
+                        Some(&code) => code,
+                        // Clone a value only the first time it appears.
+                        None => {
+                            let code = intern.len() as u32;
+                            intern.insert(value.clone(), code);
+                            code
+                        }
+                    }
                 };
                 self.columns[c].push(code);
             }
@@ -663,25 +588,6 @@ impl EncodedDatasetBuilder {
             dicts.push(ColumnDict { values, index, sorted_codes: None, ranks: None, frozen_null: None });
         }
         EncodedDataset { dicts, columns, num_rows }
-    }
-}
-
-/// What [`EncodedDataset::append_batch`] changed: the global row range the
-/// batch now occupies and, per column, whether the decodable code space grew
-/// (i.e. the batch introduced values that column had never seen — the signal
-/// for code-indexed tables to resize before absorbing the rows).
-#[derive(Debug, Clone)]
-pub struct BatchAppend {
-    /// Global row indices of the appended batch.
-    pub rows: Range<usize>,
-    /// `grew[col]`: did column `col`'s code space grow?
-    pub grew: Vec<bool>,
-}
-
-impl BatchAppend {
-    /// Did any column's code space grow?
-    pub fn any_growth(&self) -> bool {
-        self.grew.iter().any(|&g| g)
     }
 }
 
@@ -743,23 +649,18 @@ mod tests {
         assert_eq!(dict.encode(&Value::text("gadsden")), None);
         assert_eq!(dict.encode_lossy(&Value::text("gadsden")), dict.unseen_code());
         assert_eq!(dict.unseen_code(), dict.null_code() + 1);
-        // Encoding another dataset against these dictionaries marks unseen cells.
-        let other = dataset_from(&["City", "Zip"], &[vec!["gadsden", "35150"]]);
-        let view = EncodedDataset::encode_with(encoded.dicts().to_vec(), &other);
-        assert_eq!(view.code(0, 0), dict.unseen_code());
-        assert_eq!(view.code(0, 1), view.dict(1).encode(&Value::parse("35150")).unwrap());
+        // Values inside the dictionary encode losslessly.
+        let zip = encoded.dict(1);
+        assert_eq!(zip.encode_lossy(&Value::parse("35150")), zip.encode(&Value::parse("35150")).unwrap());
     }
 
     #[test]
     fn row_gather_and_iteration() {
         let ds = sample();
         let encoded = EncodedDataset::from_dataset(&ds);
-        let mut buf = vec![0u32; 2];
-        encoded.copy_row_into(1, &mut buf);
-        assert_eq!(buf, encoded.row_codes(1));
+        assert_eq!(encoded.row_codes(1), vec![encoded.code(1, 0), encoded.code(1, 1)]);
         assert_eq!(encoded.rows().count(), 4);
-        let dicts = encoded.clone().into_dicts();
-        assert_eq!(dicts.len(), 2);
+        assert_eq!(encoded.rows().nth(1), Some(encoded.row_codes(1)));
     }
 
     #[test]
@@ -782,14 +683,15 @@ mod tests {
         let mut encoded = EncodedDataset::from_dataset(&ds);
         let old_codes: Vec<Vec<u32>> = (0..2).map(|c| encoded.column(c).to_vec()).collect();
         let old_null = encoded.dict(0).null_code();
+        let old_spaces: Vec<usize> = encoded.dicts().iter().map(|d| d.code_space()).collect();
         let batch = dataset_from(
             &["City", "Zip"],
             &[vec!["auburn", "35150"], vec!["", "36000"], vec!["sylacauga", ""]],
         );
-        let report = encoded.append_batch(&batch);
-        assert_eq!(report.rows, 4..7);
-        assert_eq!(report.grew, vec![true, true]);
-        assert!(report.any_growth());
+        assert_eq!(encoded.append_batch(&batch), 4..7);
+        for (c, &old) in old_spaces.iter().enumerate() {
+            assert!(encoded.dict(c).code_space() > old, "column {c} grew");
+        }
         // History untouched.
         for (c, old) in old_codes.iter().enumerate() {
             assert_eq!(&encoded.column(c)[..4], old.as_slice());
@@ -826,8 +728,9 @@ mod tests {
             assert_eq!(dict.sort_rank(code) as usize, rank);
         }
         // Appending values already in the dictionary changes nothing.
-        let again = encoded.append_batch(&dataset_from(&["City", "Zip"], &[vec!["centre", "35960"]]));
-        assert_eq!(again.grew, vec![false, false]);
+        let spaces: Vec<usize> = encoded.dicts().iter().map(|d| d.code_space()).collect();
+        encoded.append_batch(&dataset_from(&["City", "Zip"], &[vec!["centre", "35960"]]));
+        assert_eq!(encoded.dicts().iter().map(|d| d.code_space()).collect::<Vec<_>>(), spaces);
         assert_eq!(encoded.dict(0).cardinality(), 3);
     }
 
@@ -924,18 +827,15 @@ mod tests {
         let mut restored = EncodedDataset::from_dicts(live.dicts().to_vec(), live.num_rows());
         assert_eq!(restored.num_rows(), live.num_rows());
         let batch = dataset_from(&["City", "Zip"], &[vec!["auburn", "35150"], vec!["", "36000"]]);
-        let live_report = live.append_batch(&batch);
-        let restored_report = restored.append_batch(&batch);
-        assert_eq!(live_report.rows, restored_report.rows);
-        assert_eq!(live_report.grew, restored_report.grew);
+        let live_rows = live.append_batch(&batch);
+        let restored_rows = restored.append_batch(&batch);
+        assert_eq!(live_rows, restored_rows);
         for c in 0..2 {
             assert_eq!(live.dict(c).values(), restored.dict(c).values());
             assert_eq!(live.dict(c).frozen_null_code(), restored.dict(c).frozen_null_code());
+            assert_eq!(live.dict(c).code_space(), restored.dict(c).code_space());
             // The appended range carries real codes in both encodings.
-            assert_eq!(
-                &live.column(c)[live_report.rows.clone()],
-                &restored.column(c)[restored_report.rows.clone()]
-            );
+            assert_eq!(&live.column(c)[live_rows.clone()], &restored.column(c)[restored_rows.clone()]);
         }
     }
 

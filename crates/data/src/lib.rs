@@ -45,11 +45,11 @@ pub use csv::{parse_csv, read_csv_file, to_csv, write_csv_file};
 pub use dataset::{dataset_from, dataset_with_attrs, CellRef, Dataset};
 pub use diff::{diff, error_cells, noise_rate, CellChange};
 pub use domain::{AttributeDomain, Domains};
-pub use encoded::{BatchAppend, ColumnDict, EncodedDataset, EncodedDatasetBuilder};
+pub use encoded::{ColumnDict, EncodedDataset, EncodedDatasetBuilder};
 pub use error::{DataError, DataResult};
 pub use schema::{AttrType, Attribute, Schema};
 pub use stream::{
-    approx_dataset_bytes, approx_row_bytes, ChunkLimits, ChunkSource, CsvChunkReader, CsvFileChunks,
-    DatasetChunks,
+    approx_dataset_bytes, approx_row_bytes, approx_values_bytes, ChunkLimits, ChunkSource, CsvChunkReader,
+    CsvFileChunks, DatasetChunks,
 };
 pub use value::{format_number, Value};

@@ -1,24 +1,26 @@
 //! Chunked CSV streaming: bounded-memory readers that yield a dataset a
 //! chunk at a time instead of materialising the whole file.
 //!
-//! [`CsvChunkReader`] is an *incremental* twin of [`crate::csv::parse_csv`]:
-//! it carries the RFC 4180 state machine (quoting, `""` escapes, `\r\n`,
-//! blank-line skipping, arity checks) across reads, so for **any** sequence
-//! of chunk sizes the concatenation of the yielded chunks is exactly the
-//! dataset `parse_csv` produces on the whole document — including a quoted
+//! [`CsvChunkReader`] feeds the CSV state machine of [`crate::csv`] line by
+//! line from a reader and turns its records into rows through the same
+//! step [`crate::csv::parse_csv`] uses, so for **any** sequence of chunk
+//! sizes the concatenation of the yielded chunks is exactly the dataset
+//! `parse_csv` produces on the whole document — including a quoted
 //! multi-line field whose bytes straddle a chunk boundary. Peak memory is
 //! one chunk of rows plus the reader's line buffer.
 //!
 //! [`ChunkSource`] abstracts "a stream of row chunks over a fixed schema":
-//! [`CsvFileChunks`] streams a CSV file from disk (the out-of-core path),
-//! [`DatasetChunks`] re-chunks an in-memory dataset (the equivalence-test
-//! harness). `bclean-core`'s streaming cleaner reads either exactly once.
+//! [`CsvFileChunks`] streams a CSV file from disk (the out-of-core path, and
+//! [`crate::csv::read_csv_file`] as one whole-file chunk), [`DatasetChunks`]
+//! re-chunks an in-memory dataset (the equivalence-test harness).
+//! `bclean-core`'s streaming cleaner reads either exactly once.
 
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufRead, BufReader};
 use std::path::Path;
 
+use crate::csv::{missing_header, push_record, Record, RecordParser};
 use crate::dataset::Dataset;
 use crate::error::{DataError, DataResult};
 use crate::schema::Schema;
@@ -65,127 +67,25 @@ pub fn approx_row_bytes(fields: &[String]) -> usize {
     fields.iter().map(|f| f.len() + PER_CELL).sum::<usize>()
 }
 
-/// Heuristic in-memory size of a dataset's cell values (the [`Dataset`]
-/// twin of [`approx_row_bytes`]).
-pub fn approx_dataset_bytes(dataset: &Dataset) -> usize {
+/// Heuristic in-memory size of one row of parsed [`Value`]s (the twin of
+/// [`approx_row_bytes`] over values instead of raw fields).
+pub fn approx_values_bytes(row: &[Value]) -> usize {
     const PER_CELL: usize = 48;
-    let mut bytes = 0usize;
-    for row in dataset.rows() {
-        for value in row {
-            bytes += PER_CELL
+    row.iter()
+        .map(|value| {
+            PER_CELL
                 + match value {
                     Value::Text(s) => s.len(),
                     _ => 0,
-                };
-        }
-    }
-    bytes
-}
-
-/// One parsed record: its fields and the 1-based line it started on.
-#[derive(Debug)]
-struct Record {
-    line: usize,
-    fields: Vec<String>,
-}
-
-/// The resumable RFC 4180 state machine. Semantically identical to
-/// `csv::parse_records`, but fed incrementally: the one-character lookahead
-/// that implementation uses for `""` escapes becomes an explicit
-/// `quote_pending` state so a chunk boundary can fall *between* the two
-/// quote characters.
-#[derive(Debug)]
-struct RecordParser {
-    fields: Vec<String>,
-    field: String,
-    in_quotes: bool,
-    /// A `"` was seen inside a quoted field; the next character decides
-    /// whether it was an escape (`""`) or the closing quote.
-    quote_pending: bool,
-    line: usize,
-    record_line: usize,
-    saw_any: bool,
-}
-
-impl RecordParser {
-    fn new() -> RecordParser {
-        RecordParser {
-            fields: Vec::new(),
-            field: String::new(),
-            in_quotes: false,
-            quote_pending: false,
-            line: 1,
-            record_line: 1,
-            saw_any: false,
-        }
-    }
-
-    /// Feed one character; returns a record when `c` terminates one.
-    fn feed(&mut self, c: char) -> DataResult<Option<Record>> {
-        self.saw_any = true;
-        if self.quote_pending {
-            self.quote_pending = false;
-            if c == '"' {
-                self.field.push('"');
-                return Ok(None);
-            }
-            self.in_quotes = false;
-            // Fall through: `c` is handled as an ordinary unquoted character.
-        } else if self.in_quotes {
-            match c {
-                '"' => self.quote_pending = true,
-                '\n' => {
-                    self.line += 1;
-                    self.field.push('\n');
                 }
-                _ => self.field.push(c),
-            }
-            return Ok(None);
-        }
-        match c {
-            '"' => {
-                if self.field.is_empty() {
-                    self.in_quotes = true;
-                } else {
-                    return Err(DataError::Csv {
-                        line: self.line,
-                        message: "unexpected quote inside unquoted field".into(),
-                    });
-                }
-            }
-            ',' => self.fields.push(std::mem::take(&mut self.field)),
-            '\r' => {
-                // Swallow; the following '\n' terminates the record.
-            }
-            '\n' => {
-                self.line += 1;
-                self.fields.push(std::mem::take(&mut self.field));
-                let record = Record { line: self.record_line, fields: std::mem::take(&mut self.fields) };
-                self.record_line = self.line;
-                return Ok(Some(record));
-            }
-            _ => self.field.push(c),
-        }
-        Ok(None)
-    }
+        })
+        .sum()
+}
 
-    /// Signal end of input; returns the trailing record of a document
-    /// without a final newline, if any.
-    fn finish(&mut self) -> DataResult<Option<Record>> {
-        if self.quote_pending {
-            // A closing quote at the very end of the document.
-            self.quote_pending = false;
-            self.in_quotes = false;
-        }
-        if self.in_quotes {
-            return Err(DataError::Csv { line: self.line, message: "unterminated quoted field".into() });
-        }
-        if self.saw_any && (!self.field.is_empty() || !self.fields.is_empty()) {
-            self.fields.push(std::mem::take(&mut self.field));
-            return Ok(Some(Record { line: self.record_line, fields: std::mem::take(&mut self.fields) }));
-        }
-        Ok(None)
-    }
+/// Heuristic in-memory size of a dataset's cell values (the [`Dataset`]
+/// twin of [`approx_row_bytes`]).
+pub fn approx_dataset_bytes(dataset: &Dataset) -> usize {
+    dataset.rows().map(approx_values_bytes).sum()
 }
 
 /// An incremental CSV reader yielding row chunks with bounded peak memory
@@ -219,9 +119,7 @@ impl<R: BufRead> CsvChunkReader<R> {
             pending: VecDeque::new(),
             eof: false,
         };
-        let header = reader
-            .next_record()?
-            .ok_or(DataError::Csv { line: 1, message: "empty document (missing header)".into() })?;
+        let header = reader.next_record()?.ok_or_else(missing_header)?;
         reader.schema = Schema::from_names(&header.fields)?;
         Ok(reader)
     }
@@ -252,42 +150,27 @@ impl<R: BufRead> CsvChunkReader<R> {
                 }
                 continue;
             }
-            let line = std::mem::take(&mut self.buf);
-            for c in line.chars() {
-                if let Some(record) = self.parser.feed(c)? {
-                    self.pending.push_back(record);
-                }
-            }
-            self.buf = line;
+            let pending = &mut self.pending;
+            self.parser.feed_str(&self.buf, |record| {
+                pending.push_back(record);
+                Ok(())
+            })?;
         }
     }
 
     /// Yield the next chunk of rows, or `None` once the document is
-    /// exhausted. Blank lines are skipped for multi-column schemas and
-    /// arity mismatches error with the offending line number — the exact
-    /// [`crate::csv::parse_csv`] semantics.
+    /// exhausted. Records become rows through the step
+    /// [`crate::csv::parse_csv`] uses: blank lines are skipped for
+    /// multi-column schemas and arity mismatches error with the offending
+    /// line number.
     pub fn next_chunk(&mut self, limits: ChunkLimits) -> DataResult<Option<Dataset>> {
         let mut chunk = Dataset::new(self.schema.clone());
         let mut bytes = 0usize;
         while chunk.num_rows() < limits.max_rows.max(1) && bytes < limits.max_bytes.max(1) {
             let Some(record) = self.next_record()? else { break };
-            // A blank line is ignored for multi-column schemas (RFC 4180
-            // style); for single-column schemas it is a legitimate null cell.
-            if self.schema.arity() > 1 && record.fields.len() == 1 && record.fields[0].is_empty() {
-                continue;
+            if push_record(&mut chunk, &record)? {
+                bytes += approx_row_bytes(&record.fields);
             }
-            if record.fields.len() != self.schema.arity() {
-                return Err(DataError::Csv {
-                    line: record.line,
-                    message: format!(
-                        "expected {} fields, found {}",
-                        self.schema.arity(),
-                        record.fields.len()
-                    ),
-                });
-            }
-            bytes += approx_row_bytes(&record.fields);
-            chunk.push_row(record.fields.iter().map(|f| Value::parse(f)).collect())?;
         }
         if chunk.num_rows() == 0 {
             return Ok(None);

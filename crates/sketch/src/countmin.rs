@@ -8,9 +8,7 @@
 //! the minimum over `depth` independent rows.
 //!
 //! All row hashes derive from a caller-provided seed (splitmix64, see
-//! `crate::hash`), so estimates are reproducible across runs and shards;
-//! two sketches built with the same shape and seed can be merged by adding
-//! cells.
+//! `crate::hash`), so estimates are reproducible across runs.
 
 use crate::hash::seeded;
 
@@ -67,18 +65,6 @@ impl CountMinSketch {
         (0..self.depth).map(|row| self.cells[self.cell_index(row, key)]).min().unwrap_or(0)
     }
 
-    /// Fold another sketch (same shape and seed) into this one; the result
-    /// estimates the combined stream.
-    pub fn merge(&mut self, other: &CountMinSketch) {
-        assert_eq!(self.width, other.width, "merged count-min sketches must share a width");
-        assert_eq!(self.depth, other.depth, "merged count-min sketches must share a depth");
-        assert_eq!(self.seed, other.seed, "merged count-min sketches must share a seed");
-        for (cell, &value) in self.cells.iter_mut().zip(&other.cells) {
-            *cell += value;
-        }
-        self.total += other.total;
-    }
-
     fn cell_index(&self, row: usize, key: u64) -> usize {
         let hash = seeded(self.seed.wrapping_add(row as u64), key);
         row * self.width + (hash as usize & (self.width - 1))
@@ -97,26 +83,6 @@ mod tests {
         assert_eq!(sketch.width(), 128);
         assert_eq!(sketch.depth(), 1);
         assert_eq!(CountMinSketch::new(0, 99, 1).depth(), 8);
-    }
-
-    #[test]
-    fn merge_equals_one_shot() {
-        let mut oneshot = CountMinSketch::new(64, 4, 9);
-        let mut left = CountMinSketch::new(64, 4, 9);
-        let mut right = CountMinSketch::new(64, 4, 9);
-        for key in 0..500u64 {
-            oneshot.add(key % 37, 1);
-            if key % 2 == 0 {
-                left.add(key % 37, 1);
-            } else {
-                right.add(key % 37, 1);
-            }
-        }
-        left.merge(&right);
-        assert_eq!(left.total(), oneshot.total());
-        for key in 0..37 {
-            assert_eq!(left.estimate(key), oneshot.estimate(key));
-        }
     }
 
     proptest! {

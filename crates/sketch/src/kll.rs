@@ -71,23 +71,6 @@ impl KllSketch {
         self.compact_overfull();
     }
 
-    /// Fold another sketch (same `k`) into this one. Counts add, items keep
-    /// their weights, and the merged error bound is the sum of both
-    /// certificates plus whatever the merge's own compactions cost.
-    pub fn merge(&mut self, other: &KllSketch) {
-        assert_eq!(self.k, other.k, "merged KLL sketches must share a capacity");
-        if self.levels.len() < other.levels.len() {
-            self.levels.resize_with(other.levels.len(), Vec::new);
-        }
-        for (level, items) in other.levels.iter().enumerate() {
-            self.levels[level].extend_from_slice(items);
-        }
-        self.count += other.count;
-        self.error_bound += other.error_bound;
-        self.coin = mix64(self.coin ^ other.coin);
-        self.compact_overfull();
-    }
-
     /// Estimated number of absorbed observations strictly less than `value`.
     pub fn rank(&self, value: f64) -> u64 {
         let mut rank = 0u64;
@@ -277,35 +260,6 @@ mod tests {
                 "certificate {} exceeds n/10 = {}",
                 sketch.error_bound(), n / 10
             );
-        }
-
-        /// Merging per-shard sketches keeps the (summed) certificate honest.
-        #[test]
-        fn merged_sketches_keep_the_certificate(
-            values in proptest::collection::vec(-500i32..500, 2..2000),
-            splits in 2usize..5,
-            k in 8usize..40,
-        ) {
-            let data: Vec<f64> = values.iter().map(|&v| v as f64).collect();
-            let shard = data.len().div_ceil(splits);
-            let mut merged = KllSketch::new(k, 3);
-            for chunk in data.chunks(shard) {
-                let mut partial = KllSketch::new(k, 3);
-                for &v in chunk {
-                    partial.update(v);
-                }
-                merged.merge(&partial);
-            }
-            prop_assert_eq!(merged.count(), data.len() as u64);
-            for probe in [-600.0, 0.0, 250.0, 600.0] {
-                let estimated = merged.rank(probe) as i64;
-                let exact = exact_rank(&data, probe) as i64;
-                prop_assert!(
-                    (estimated - exact).unsigned_abs() <= merged.error_bound(),
-                    "merged rank({}) = {} vs exact {} exceeds certificate {}",
-                    probe, estimated, exact, merged.error_bound()
-                );
-            }
         }
 
         /// Quantile estimates always return observed values with a rank near

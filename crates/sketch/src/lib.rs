@@ -1,13 +1,12 @@
-//! Deterministic, mergeable sketches for sub-linear model fitting.
+//! Deterministic sketches for sub-linear model fitting.
 //!
 //! Exact fitting is O(rows × column-pairs); at scale the statistics feeding
 //! *structure search* do not need that precision. This crate provides the
 //! summaries the budgeted fit path (`BCleanConfig::fit_budget`) is built
 //! from:
 //!
-//! * [`RowReservoir`] — a bottom-k row sample: deterministic per seed,
-//!   order-independent, and shard-composable (merging per-shard reservoirs
-//!   yields exactly the one-shot sample);
+//! * [`RowReservoir`] — a bottom-k row sample: deterministic per seed and
+//!   independent of the order rows are offered in;
 //! * [`KllSketch`] — a KLL-style quantile sketch replacing exact sorts for
 //!   numeric/ordinal summaries, with a worst-case rank-error bound;
 //! * [`CountMinSketch`] — conservative frequency estimation (never
@@ -21,9 +20,8 @@
 //! Every sketch here is **deterministic**: all hashing is seeded splitmix64,
 //! KLL compaction offsets come from a counter-derived bit stream, and no
 //! sketch consults ambient randomness or time. Rebuilding a sketch from the
-//! same stream (in any order, via any merge tree for the mergeable ones)
-//! reproduces it exactly — the property the budgeted fit's per-seed
-//! reproducibility tests lean on.
+//! same stream reproduces it exactly — the property the budgeted fit's
+//! per-seed reproducibility tests lean on.
 
 mod hash;
 

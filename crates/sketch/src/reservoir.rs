@@ -1,13 +1,10 @@
-//! Deterministic, mergeable bottom-k row sampling.
+//! Deterministic bottom-k row sampling.
 //!
 //! A classic reservoir sample (Vitter's algorithm R) depends on the order
-//! rows are offered in, which breaks shard composability: per-shard samples
-//! cannot be merged into the sample a one-shot pass would have drawn. The
-//! *bottom-k* formulation fixes that — hash every row index under a seed and
-//! keep the `k` smallest hashes. Selection is then a pure function of the
-//! offered index **set** and the seed: offering in any order, or merging any
-//! partition of the indices sampled independently, reproduces the one-shot
-//! sample exactly.
+//! rows are offered in. The *bottom-k* formulation does not — hash every row
+//! index under a seed and keep the `k` smallest hashes. Selection is then a
+//! pure function of the offered index **set** and the seed: offering in any
+//! order reproduces the same sample exactly.
 
 use std::collections::BTreeSet;
 
@@ -64,20 +61,9 @@ impl RowReservoir {
         }
     }
 
-    /// Offer every index of a range (e.g. one shard's row range).
+    /// Offer every index of a range.
     pub fn offer_range(&mut self, rows: std::ops::Range<usize>) {
         for index in rows {
-            self.offer(index);
-        }
-    }
-
-    /// Fold another reservoir (same seed and capacity) into this one. The
-    /// result equals a single reservoir offered the union of both index
-    /// sets — bottom-k selection commutes with any merge tree.
-    pub fn merge(&mut self, other: &RowReservoir) {
-        assert_eq!(self.seed, other.seed, "merged reservoirs must share a seed");
-        assert_eq!(self.capacity, other.capacity, "merged reservoirs must share a capacity");
-        for &(_, index) in &other.entries {
             self.offer(index);
         }
     }
@@ -105,22 +91,6 @@ mod tests {
         }
         assert_eq!(forward.selected_rows(), backward.selected_rows());
         assert_eq!(forward.len(), 10);
-    }
-
-    #[test]
-    fn sharded_merge_equals_one_shot() {
-        let mut oneshot = RowReservoir::new(25, 7);
-        oneshot.offer_range(0..5000);
-        for splits in [2usize, 3, 7] {
-            let mut merged = RowReservoir::new(25, 7);
-            let shard = 5000usize.div_ceil(splits);
-            for s in 0..splits {
-                let mut partial = RowReservoir::new(25, 7);
-                partial.offer_range(s * shard..((s + 1) * shard).min(5000));
-                merged.merge(&partial);
-            }
-            assert_eq!(merged.selected_rows(), oneshot.selected_rows(), "splits={splits}");
-        }
     }
 
     #[test]

@@ -131,7 +131,7 @@ fn budgeted_artifact_round_trips_and_absorbs() {
 
     // Ingesting new rows (which appends fresh dictionary codes) must agree
     // between the live artifact and the reloaded one: bounded pair tables
-    // route unseen codes into their aggregation buckets identically.
+    // count unseen codes in their exact tails identically.
     let batch = BenchmarkDataset::Hospital.build_sized(200, SEED + 1).dirty;
     let mut live = artifact;
     let mut reloaded = loaded;
