@@ -543,8 +543,8 @@ mod tests {
     /// Compiling a `Value`-learned CPT against *appended* dictionaries
     /// (frozen null code mid-space, new values at the tail) must score every
     /// value exactly like compiling against freshly sorted dictionaries of
-    /// the same data — the layout `edit_network` hits for models that came
-    /// out of a streaming session.
+    /// the same data — the layout `edit_network` hits for models grown by
+    /// ingest.
     #[test]
     fn compile_handles_appended_dictionary_layout() {
         let first = dataset_from(

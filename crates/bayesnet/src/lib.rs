@@ -51,7 +51,6 @@ pub use network::{log_softmax_to_probs, BayesianNetwork, DEFAULT_ALPHA};
 pub use sim::{edit_similarity, levenshtein, numeric_similarity, value_similarity, value_similarity_typed};
 pub use structure::{
     autoregression_matrix, budget_row_sample, learn_structure, learn_structure_budgeted,
-    learn_structure_encoded, learn_structure_encoded_cached, similarity_samples, similarity_samples_encoded,
-    similarity_samples_encoded_cached, threshold_to_dag, FdxConfig, LearnedStructure, StructureCaches,
-    StructureConfig,
+    learn_structure_encoded, similarity_samples, similarity_samples_encoded, threshold_to_dag, FdxConfig,
+    LearnedStructure, StructureConfig,
 };

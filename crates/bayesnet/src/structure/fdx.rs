@@ -20,11 +20,11 @@ use bclean_linalg::Matrix;
 use crate::sim::value_similarity_typed;
 
 /// Minimal multiplicative hasher for small fixed-width keys (code pairs).
-/// The similarity caches are lookup-only — their iteration order is never
+/// The similarity memos are lookup-only — their iteration order is never
 /// observed — so a fast deterministic hash is safe and removes the SipHash
-/// cost from the structure-relearn hot loop.
-#[derive(Debug, Default, Clone)]
-pub struct CodePairHasher(u64);
+/// cost from the sampling hot loop.
+#[derive(Default)]
+struct CodePairHasher(u64);
 
 impl Hasher for CodePairHasher {
     #[inline]
@@ -56,87 +56,39 @@ impl Hasher for CodePairHasher {
 /// to the hash-map layout (8 MiB of `f64` cells per column at the cap).
 const DENSE_SIM_CELL_CAP: usize = 1 << 20;
 
-/// A per-column `(code, code) → similarity` memo (see
-/// [`similarity_samples_encoded_cached`]): a dense `code_space²` matrix
-/// (NaN = not yet computed) for small domains — one load per probe on the
-/// sampling hot loop — or a hash map for large ones. Codes are stable
-/// across dictionary appends, so entries stay valid as the encoding grows;
-/// the dense matrix reindexes itself when the code space does.
-#[derive(Debug, Clone, Default)]
-pub struct SimilarityCache {
-    /// Code space the dense matrix is laid out for.
-    space: usize,
-    dense: Option<Vec<f64>>,
-    map: HashMap<(u32, u32), f64, BuildHasherDefault<CodePairHasher>>,
+/// One column's `(code, code) → similarity` memo for one sampling pass (see
+/// [`similarity_samples_encoded`]), laid out once for the column's code
+/// space: a dense `code_space²` matrix (NaN = not yet computed) for small
+/// domains — one load per probe on the sampling hot loop — or a hash map
+/// for large ones.
+enum SimilarityMemo {
+    Dense { space: usize, cells: Vec<f64> },
+    Map(HashMap<(u32, u32), f64, BuildHasherDefault<CodePairHasher>>),
 }
 
-impl SimilarityCache {
-    /// Lay the cache out for the column's current code space (reindexing
-    /// dense entries after a dictionary append). Called once per sampling
-    /// pass, not per probe.
-    fn ensure_space(&mut self, space: usize) {
-        if space == self.space {
-            return;
+impl SimilarityMemo {
+    fn new(space: usize) -> SimilarityMemo {
+        if space.saturating_mul(space) <= DENSE_SIM_CELL_CAP {
+            SimilarityMemo::Dense { space, cells: vec![f64::NAN; space * space] }
+        } else {
+            SimilarityMemo::Map(HashMap::default())
         }
-        let dense_fits = space.saturating_mul(space) <= DENSE_SIM_CELL_CAP;
-        match (&mut self.dense, dense_fits) {
-            (Some(old), true) => {
-                let mut grown = vec![f64::NAN; space * space];
-                for a in 0..self.space {
-                    grown[a * space..a * space + self.space]
-                        .copy_from_slice(&old[a * self.space..(a + 1) * self.space]);
-                }
-                self.dense = Some(grown);
-            }
-            (Some(old), false) => {
-                // Outgrew the dense budget: spill to the map.
-                for a in 0..self.space {
-                    for b in 0..self.space {
-                        let sim = old[a * self.space + b];
-                        if !sim.is_nan() {
-                            self.map.insert((a as u32, b as u32), sim);
-                        }
-                    }
-                }
-                self.dense = None;
-            }
-            (None, true) if self.map.is_empty() => {
-                self.dense = Some(vec![f64::NAN; space * space]);
-            }
-            // A map that already has entries stays a map: the layouts answer
-            // identically, so there is nothing to gain from migrating back.
-            (None, _) => {}
-        }
-        self.space = space;
     }
 
     /// The memoised similarity of a code pair, computing (and storing) it on
     /// first sight.
     #[inline]
     fn get_or_insert_with(&mut self, pair: (u32, u32), compute: impl FnOnce() -> f64) -> f64 {
-        match &mut self.dense {
-            Some(cells) => {
-                let slot = pair.0 as usize * self.space + pair.1 as usize;
+        match self {
+            SimilarityMemo::Dense { space, cells } => {
+                let slot = pair.0 as usize * *space + pair.1 as usize;
                 if cells[slot].is_nan() {
                     cells[slot] = compute();
                 }
                 cells[slot]
             }
-            None => *self.map.entry(pair).or_insert_with(compute),
+            SimilarityMemo::Map(map) => *map.entry(pair).or_insert_with(compute),
         }
-    }
-
-    /// Number of memoised pairs (diagnostics/tests).
-    pub fn len(&self) -> usize {
-        match &self.dense {
-            Some(cells) => cells.iter().filter(|s| !s.is_nan()).count(),
-            None => self.map.len(),
-        }
-    }
-
-    /// Is the cache empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -210,39 +162,17 @@ pub fn similarity_samples_encoded(
     types: &[AttrType],
     config: FdxConfig,
 ) -> Option<Matrix> {
-    let mut caches: Vec<SimilarityCache> = vec![SimilarityCache::default(); encoded.num_columns()];
-    similarity_samples_encoded_cached(encoded, types, config, &mut caches)
-}
-
-/// [`similarity_samples_encoded`] with caller-owned similarity caches.
-///
-/// Streaming sessions re-learn structure over the accumulated data on every
-/// refit; the expensive part of that is the edit-distance kernel behind the
-/// per-code-pair memoisation. Dictionary codes are stable across batch
-/// appends, so the caches themselves are **delta-updatable**: pass the same
-/// `caches` back on every refit and only the pairs brought in by new rows
-/// (or new adjacencies) are ever computed. The sample matrix is identical
-/// to the uncached call — cache entries hold exactly what
-/// [`crate::sim::value_similarity_typed`] returns for the decoded values.
-pub fn similarity_samples_encoded_cached(
-    encoded: &EncodedDataset,
-    types: &[AttrType],
-    config: FdxConfig,
-    caches: &mut Vec<SimilarityCache>,
-) -> Option<Matrix> {
     let n = encoded.num_rows();
     let m = encoded.num_columns();
     if n < 2 || m == 0 {
         return None;
     }
     debug_assert_eq!(types.len(), m);
-    caches.resize(m, SimilarityCache::default());
-    for (c, cache) in caches.iter_mut().enumerate() {
-        cache.ensure_space(encoded.dict(c).code_space());
-    }
+    let mut memos: Vec<SimilarityMemo> =
+        (0..m).map(|c| SimilarityMemo::new(encoded.dict(c).code_space())).collect();
     // Samples are assembled straight into the flat row-major matrix buffer
     // (the per-sample `Vec` allocations of the `Value`-path twin would
-    // dominate a warm-cache relearn).
+    // dominate the memoised loop).
     let mut data: Vec<f64> = Vec::new();
     let mut sample_rows = 0usize;
     for sort_attr in 0..m {
@@ -257,9 +187,9 @@ pub fn similarity_samples_encoded_cached(
         while (k as usize) < pairs {
             let i = k as usize;
             let (ra, rb) = (order[i], order[i + 1]);
-            for (c, cache) in caches.iter_mut().enumerate() {
+            for (c, memo) in memos.iter_mut().enumerate() {
                 let pair = (encoded.code(ra, c), encoded.code(rb, c));
-                data.push(cache.get_or_insert_with(pair, || {
+                data.push(memo.get_or_insert_with(pair, || {
                     let dict = encoded.dict(c);
                     value_similarity_typed(types[c], dict.decode(pair.0), dict.decode(pair.1))
                 }));

@@ -6,11 +6,8 @@ pub mod fdx;
 pub mod skeleton;
 
 pub use budgeted::{budget_row_sample, learn_structure_budgeted};
-pub use fdx::{
-    similarity_samples, similarity_samples_encoded, similarity_samples_encoded_cached, CodePairHasher,
-    FdxConfig, SimilarityCache,
-};
+pub use fdx::{similarity_samples, similarity_samples_encoded, FdxConfig};
 pub use skeleton::{
-    autoregression_matrix, learn_structure, learn_structure_encoded, learn_structure_encoded_cached,
-    threshold_to_dag, LearnedStructure, StructureCaches, StructureConfig,
+    autoregression_matrix, learn_structure, learn_structure_encoded, threshold_to_dag, LearnedStructure,
+    StructureConfig,
 };

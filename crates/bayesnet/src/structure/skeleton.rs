@@ -18,15 +18,11 @@
 //! always repair a wrong orientation through the network editor, exactly as
 //! the paper's user-interaction step does.
 
-use std::collections::HashMap;
-
 use bclean_data::{mode_share, AttrType, Dataset, Domains, EncodedDataset, PairCounts};
 use bclean_linalg::{correlation_matrix, graphical_lasso, ldl, GlassoConfig, Matrix};
 
 use crate::graph::Dag;
-use crate::structure::fdx::{
-    similarity_samples, similarity_samples_encoded_cached, FdxConfig, SimilarityCache,
-};
+use crate::structure::fdx::{similarity_samples, similarity_samples_encoded, FdxConfig};
 
 /// Configuration for structure learning.
 #[derive(Debug, Clone, Copy)]
@@ -115,7 +111,7 @@ pub fn learn_structure(dataset: &Dataset, config: StructureConfig) -> LearnedStr
 
 /// Code-space [`learn_structure`]: the identical pipeline over a
 /// dictionary-encoded dataset. Sampling runs through the memoised
-/// [`similarity_samples_encoded`](crate::similarity_samples_encoded), the cardinality ordering reads the
+/// [`similarity_samples_encoded`], the cardinality ordering reads the
 /// dictionaries directly, and the low-lift edge pruning replaces its
 /// `Value` hash-map groupings with dense [`PairCounts`] contingency tables —
 /// every step reproduces its `Value`-path twin bit-for-bit, so the learned
@@ -128,38 +124,6 @@ pub fn learn_structure_encoded(
     types: &[AttrType],
     config: StructureConfig,
 ) -> LearnedStructure {
-    learn_structure_encoded_cached(encoded, types, config, &mut StructureCaches::default())
-}
-
-/// Delta-updatable state a streaming session threads through repeated
-/// structure relearns over a growing [`EncodedDataset`]:
-///
-/// * the per-column FDX similarity caches (see
-///   [`similarity_samples_encoded_cached`]) — only code pairs introduced by
-///   new rows ever hit the edit-distance kernel again;
-/// * per-edge [`PairCounts`] contingency tables for the low-lift pruning —
-///   each table absorbs only the rows appended since it was built.
-///
-/// Codes are stable across appends, so carrying the caches forward never
-/// changes a learned structure: [`learn_structure_encoded_cached`] with a
-/// warm cache returns exactly what a cold call returns.
-#[derive(Debug, Default)]
-pub struct StructureCaches {
-    /// Per-column `(code, code) → similarity` memos.
-    pub similarity: Vec<SimilarityCache>,
-    /// Per ordered column pair contingency tables for edge pruning.
-    pair_counts: HashMap<(usize, usize), PairCounts>,
-}
-
-/// [`learn_structure_encoded`] with caller-owned [`StructureCaches`]: the
-/// streaming-refit entry point. Pass the same caches on every refit of the
-/// same growing encoding; the learned structure is identical to a cold call.
-pub fn learn_structure_encoded_cached(
-    encoded: &EncodedDataset,
-    types: &[AttrType],
-    config: StructureConfig,
-    caches: &mut StructureCaches,
-) -> LearnedStructure {
     let m = encoded.num_columns();
     let empty = || LearnedStructure {
         dag: Dag::new(m),
@@ -168,8 +132,7 @@ pub fn learn_structure_encoded_cached(
         ordering: (0..m).collect(),
     };
 
-    let Some(samples) = similarity_samples_encoded_cached(encoded, types, config.fdx, &mut caches.similarity)
-    else {
+    let Some(samples) = similarity_samples_encoded(encoded, types, config.fdx) else {
         return empty();
     };
     let Ok(cov) = correlation_matrix(&samples) else {
@@ -188,32 +151,20 @@ pub fn learn_structure_encoded_cached(
 
     let weights = autoregression_matrix(&precision, &ordering);
     let mut dag = threshold_to_dag(&weights, config.weight_threshold, config.max_parents);
-    prune_low_lift_edges_encoded(encoded, &mut dag, config.min_fd_lift, &mut caches.pair_counts);
+    prune_low_lift_edges_encoded(encoded, &mut dag, config.min_fd_lift);
     LearnedStructure { dag, weights, precision, ordering }
 }
 
 /// Code-space [`prune_low_lift_edges`]: softened-FD confidence from a
 /// [`PairCounts`] contingency table per surviving edge, marginal mode share
 /// from the column code counts — the same integer ratios the `Value`
-/// groupings produce. Tables are cached per column pair and absorb only the
-/// rows appended since they were built.
-fn prune_low_lift_edges_encoded(
-    encoded: &EncodedDataset,
-    dag: &mut Dag,
-    min_lift: f64,
-    tables: &mut HashMap<(usize, usize), PairCounts>,
-) {
+/// groupings produce.
+fn prune_low_lift_edges_encoded(encoded: &EncodedDataset, dag: &mut Dag, min_lift: f64) {
     if encoded.num_rows() == 0 || min_lift <= 0.0 {
         return;
     }
-    let n = encoded.num_rows();
     for (from, to) in dag.edges() {
-        let table = tables.entry((from, to)).or_insert_with(|| PairCounts::empty(encoded, from, to));
-        let done = table.rows_absorbed();
-        if done < n {
-            table.absorb(encoded, from, to, done..n);
-        }
-        let conf = table.fd_confidence();
+        let conf = PairCounts::from_encoded(encoded, from, to).fd_confidence();
         let baseline = mode_share(encoded, to);
         if conf < baseline + min_lift && conf < 0.999 {
             let _ = dag.remove_edge(from, to);
@@ -491,53 +442,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Relearning over a growing encoding with warm caches must match a
-    /// cold learn over the same data at every step.
-    #[test]
-    fn warm_caches_match_cold_relearns() {
-        let zips = ["35150", "35960", "36750", "35901"];
-        let states = ["CA", "KT", "AL", "NY"];
-        let all: Vec<Vec<String>> = (0..72)
-            .map(|i| {
-                let z = i % 4;
-                vec![zips[z].to_string(), states[z].to_string(), format!("n{}", (i * 7) % 9)]
-            })
-            .collect();
-        let refs = |rows: &[Vec<String>]| -> Vec<Vec<String>> { rows.to_vec() };
-        let first = dataset_from(
-            &["Zip", "State", "Noise"],
-            &refs(&all[..40]).iter().map(|r| r.iter().map(|s| s.as_str()).collect()).collect::<Vec<_>>(),
-        );
-        let types: Vec<_> =
-            (0..first.num_columns()).map(|c| first.schema().attribute(c).unwrap().ty).collect();
-        let mut encoded = EncodedDataset::from_dataset(&first);
-        let mut combined = first.clone();
-        let mut caches = StructureCaches::default();
-        for chunk in all[40..].chunks(16) {
-            let batch = dataset_from(
-                &["Zip", "State", "Noise"],
-                &chunk.iter().map(|r| r.iter().map(|s| s.as_str()).collect()).collect::<Vec<_>>(),
-            );
-            encoded.append_batch(&batch);
-            for row in batch.rows() {
-                combined.push_row(row.to_vec()).unwrap();
-            }
-            let warm =
-                learn_structure_encoded_cached(&encoded, &types, StructureConfig::default(), &mut caches);
-            let cold_encoded = EncodedDataset::from_dataset(&combined);
-            let cold = learn_structure_encoded(&cold_encoded, &types, StructureConfig::default());
-            assert_eq!(warm.dag.edges(), cold.dag.edges());
-            assert_eq!(warm.ordering, cold.ordering);
-            for i in 0..3 {
-                for j in 0..3 {
-                    assert_eq!(warm.weights.get(i, j).to_bits(), cold.weights.get(i, j).to_bits());
-                }
-            }
-            assert_eq!(warm.dag.edges(), learn_structure(&combined, StructureConfig::default()).dag.edges());
-        }
-        assert!(!caches.similarity.iter().all(|c| c.is_empty()), "the similarity caches must be warm");
     }
 
     #[test]

@@ -67,8 +67,6 @@ const KNOWN_TOP_LEVEL_KEYS: &[&str] = &[
     "clean_iters",
     "fit_iters",
     "chunks",
-    "refit_every",
-    "min_throughput_ratio",
     "fits",
     "runs",
     "speedups",

@@ -18,8 +18,8 @@ use std::time::Duration;
 use bclean_bayesnet::NetworkEdit;
 use bclean_bench::{Scale, EXPERIMENT_SEED};
 use bclean_core::{
-    clean_stream, repairs_to_csv, BClean, BCleanConfig, BudgetParams, CleaningSession, CompensatoryParams,
-    ConstraintKind, FitBudget, ModelArtifact, StreamOptions, Variant,
+    clean_stream, repairs_to_csv, BClean, BCleanConfig, BudgetParams, CompensatoryParams, ConstraintKind,
+    FitBudget, ModelArtifact, StreamOptions, Variant,
 };
 use bclean_data::{approx_dataset_bytes, read_csv_file, write_csv_file, ChunkLimits, CsvFileChunks};
 use bclean_datagen::{
@@ -131,7 +131,7 @@ fn print_help() {
          bench_clean / bench_fit / bench_stream / bench_scale additionally\n\
          write BENCH_clean.json / BENCH_fit.json / BENCH_stream.json /\n\
          BENCH_scale.json (machine-readable performance trajectories of the\n\
-         code-space, streaming and scale-tier engines vs their baselines); diff\n\
+         code-space, ingest and scale-tier engines vs their baselines); diff\n\
          two snapshots with `cargo run -p bclean-bench --bin bench_diff`."
     );
 }
@@ -746,24 +746,22 @@ fn bench_fit(scale: Scale, threads_sweep: &[usize]) {
     }
 }
 
-/// Streaming-session benchmark: chunked `CleaningSession::ingest` against
-/// the equivalent one-shot `fit` + `clean`, across two benchmark families
-/// (Hospital and the error-heavier Flights) and every variant.
+/// Ingest benchmark: growing a model batch by batch through
+/// `ModelArtifact::ingest_batch` against refitting it from scratch, across
+/// two benchmark families (Hospital and the error-heavier Flights) and
+/// every variant, at one thread.
 ///
-/// Two headline numbers per run land in `BENCH_stream.json`:
+/// Each run splits the dirty table into equal batches, fits the first one
+/// (`fit_artifact`) and then times `ingest_batch` + `compile` for every
+/// later batch — the work `bclean ingest` and the daemon's `/ingest` do per
+/// batch. The baseline is the best of two from-scratch `fit_artifact` +
+/// `compile` runs over all rows. `ingest_speedup` is the baseline over the
+/// mean per-batch ingest time, and the grown model's repairs are asserted
+/// equal to `fit_with_structure` over all rows with the first batch's
+/// structure.
 ///
-/// * `throughput_ratio` — amortized streaming cells/sec (absorbs, cadence
-///   refits and per-batch cleans included) over the cells/sec of the
-///   *equivalent one-shot work* (encoded `fit` + `clean`) on the same data;
-///   `clean_only_ratio` additionally records the stricter comparison
-///   against the one-shot clean alone (the session is maintaining the
-///   model *and* cleaning, so this one dips below 1 by construction);
-/// * `refit_speedup` — a full refit (one-shot `fit` over everything the
-///   session absorbed) over the session's average *incremental* refit,
-///   which reuses dictionary codes, similarity caches and per-node counts.
-///
-/// The `speedups` records gate the refit speedups in CI via `bench_diff`,
-/// keyed `"<benchmark>/<variant>"` with the session's thread count.
+/// The `speedups` records gate the ingest speedups in CI via `bench_diff`,
+/// keyed `"<benchmark>/<variant>"` with thread count 1.
 ///
 /// A second, **out-of-core tier** exercises the bounded-memory
 /// [`clean_stream`] pipeline at scale-factor row counts (10⁴ / 10⁵ / 10⁶
@@ -777,147 +775,103 @@ fn bench_fit(scale: Scale, threads_sweep: &[usize]) {
 /// `bench_diff` warns on snapshot keys it does not know rather than
 /// failing, so adding tiers like this one never breaks an older gate.
 fn bench_stream(scale: Scale) {
-    println!("## BENCH_stream — chunked streaming sessions vs one-shot fit+clean\n");
+    println!("## BENCH_stream — ingest_batch + compile vs a from-scratch fit\n");
     let total_start = std::time::Instant::now();
     let chunks = 8usize;
-    let refit_every = 2usize;
-    let clean_iters = 2usize;
+    let fit_iters = 2usize;
 
     let mut table = TextTable::new(vec![
         "Benchmark",
         "Variant",
-        "Ingest",
-        "Stream cells/s",
-        "1-shot fit+clean cells/s",
-        "Ratio",
-        "Incr refit",
-        "Full refit",
-        "Refit speedup",
+        "First fit",
+        "Ingest + compile (avg)",
+        "Full fit + compile",
+        "Ingest speedup",
+        "Repairs",
     ]);
     let mut runs_json: Vec<String> = Vec::new();
     let mut speedups: Vec<(String, usize, f64)> = Vec::new();
-    let mut min_ratio = f64::INFINITY;
     for benchmark in [BenchmarkDataset::Hospital, BenchmarkDataset::Flights] {
         let rows = scale.rows(benchmark);
         let bench = benchmark.build_sized(rows, EXPERIMENT_SEED);
         let constraints = bclean_constraints(benchmark);
         let cols = bench.dirty.num_columns();
-        let cells = (rows * cols) as f64;
         let chunk_rows = rows.div_ceil(chunks);
+        let batches: Vec<bclean_data::Dataset> = (0..chunks)
+            .map(|chunk_idx| chunk_idx * chunk_rows..((chunk_idx + 1) * chunk_rows).min(rows))
+            .filter(|range| !range.is_empty())
+            .map(|range| {
+                let mut batch = bclean_data::Dataset::new(bench.dirty.schema().clone());
+                for r in range {
+                    batch.push_row(bench.dirty.row(r).expect("row in range").to_vec()).expect("arity");
+                }
+                batch
+            })
+            .collect();
         for variant in Variant::all() {
             let cleaner = BClean::new(variant.config().with_threads(1)).with_constraints(constraints.clone());
 
-            // One-shot baseline: best-of fits (a fit from scratch is also
-            // the full-refit baseline — exactly what a session would pay to
-            // refit without its incremental statistics), then best-of clean.
-            let mut full_refit_seconds = f64::INFINITY;
-            let mut model = None;
-            for _ in 0..clean_iters {
-                let fit_start = std::time::Instant::now();
-                model = Some(cleaner.fit(&bench.dirty));
-                full_refit_seconds = full_refit_seconds.min(fit_start.elapsed().as_secs_f64());
-            }
-            let model = model.expect("at least one fit ran");
-            let mut oneshot_clean_seconds = f64::INFINITY;
-            let mut oneshot_repairs = 0usize;
-            for _ in 0..clean_iters {
+            // Baseline: the best of `fit_iters` from-scratch fits + compiles
+            // over all rows — what growing the model would cost without
+            // ingest.
+            let mut full_seconds = f64::INFINITY;
+            for _ in 0..fit_iters {
                 let start = std::time::Instant::now();
-                oneshot_repairs = model.clean(&bench.dirty).repairs.len();
-                oneshot_clean_seconds = oneshot_clean_seconds.min(start.elapsed().as_secs_f64());
+                std::hint::black_box(cleaner.fit_artifact(&bench.dirty).compile());
+                full_seconds = full_seconds.min(start.elapsed().as_secs_f64());
             }
-            let oneshot_cells_per_sec = cells / oneshot_clean_seconds.max(1e-12);
 
-            // Streaming: equal chunks, cadence refits, provisional repairs.
-            let mut session = CleaningSession::new(cleaner.clone(), bench.dirty.schema().clone())
-                .with_refit_every(refit_every);
-            let mut stream_repairs = 0usize;
-            let mut first_refit_seconds = 0.0;
-            let mut first_refits = 0usize;
-            let ingest_start = std::time::Instant::now();
-            for chunk_idx in 0..chunks {
-                let lo = chunk_idx * chunk_rows;
-                let hi = ((chunk_idx + 1) * chunk_rows).min(rows);
-                if lo >= hi {
-                    continue;
-                }
-                let mut batch = bclean_data::Dataset::new(bench.dirty.schema().clone());
-                for r in lo..hi {
-                    batch.push_row(bench.dirty.row(r).expect("row in range").to_vec()).expect("arity");
-                }
-                stream_repairs += session.ingest(&batch).len();
-                if chunk_idx == 0 {
-                    // The first ingest is the initial full fit, not an
-                    // incremental refit; exclude it from the average.
-                    first_refit_seconds = session.stats().refit_seconds;
-                    first_refits = session.stats().refits;
-                }
+            // Grow: fit the first batch, then ingest + compile each later one.
+            let start = std::time::Instant::now();
+            let mut artifact = cleaner.fit_artifact(&batches[0]);
+            let first_fit_seconds = start.elapsed().as_secs_f64();
+            let mut ingest_seconds = 0.0;
+            let mut model = None;
+            for batch in &batches[1..] {
+                let start = std::time::Instant::now();
+                artifact.ingest_batch(batch).expect("batch shares the fitting schema");
+                model = Some(artifact.compile());
+                ingest_seconds += start.elapsed().as_secs_f64();
             }
-            let ingest_seconds = ingest_start.elapsed().as_secs_f64();
-            let stats = session.stats();
-            let final_repairs = session.finalize().repairs.len();
+            let ingests = batches.len() - 1;
+            let ingest_seconds_avg = ingest_seconds / ingests.max(1) as f64;
+            let model = model.unwrap_or_else(|| artifact.compile());
+            let repairs = model.clean(&bench.dirty).repairs;
+            let oneshot_repairs =
+                cleaner.fit_with_structure(&bench.dirty, artifact.dag().clone()).clean(&bench.dirty).repairs;
             assert_eq!(
-                final_repairs, oneshot_repairs,
-                "a finalized session must reproduce the one-shot repairs"
+                repairs, oneshot_repairs,
+                "a grown model must clean like fit_with_structure over all rows"
             );
 
-            let stream_cells_per_sec = cells / ingest_seconds.max(1e-12);
-            let oneshot_total_seconds = full_refit_seconds + oneshot_clean_seconds;
-            let oneshot_total_cells_per_sec = cells / oneshot_total_seconds.max(1e-12);
-            let throughput_ratio = stream_cells_per_sec / oneshot_total_cells_per_sec.max(1e-12);
-            let clean_only_ratio = stream_cells_per_sec / oneshot_cells_per_sec.max(1e-12);
-            min_ratio = min_ratio.min(throughput_ratio);
-            let incremental_refits = stats.refits.saturating_sub(first_refits).max(1);
-            let incremental_refit_seconds =
-                (stats.refit_seconds - first_refit_seconds).max(0.0) / incremental_refits as f64;
-            let refit_speedup = full_refit_seconds / incremental_refit_seconds.max(1e-12);
-            speedups.push((format!("{}/{}", benchmark.name(), variant.name()), 1, refit_speedup));
-
+            let ingest_speedup = full_seconds / ingest_seconds_avg.max(1e-12);
+            speedups.push((format!("{}/{}", benchmark.name(), variant.name()), 1, ingest_speedup));
             table.add_row(vec![
                 benchmark.name().to_string(),
                 variant.name().to_string(),
-                format!("{ingest_seconds:.4}s"),
-                format!("{stream_cells_per_sec:.0}"),
-                format!("{oneshot_total_cells_per_sec:.0}"),
-                format!("{throughput_ratio:.2}"),
-                format!("{:.4}s", incremental_refit_seconds),
-                format!("{full_refit_seconds:.4}s"),
-                format!("{refit_speedup:.2}x"),
+                format!("{first_fit_seconds:.4}s"),
+                format!("{ingest_seconds_avg:.4}s"),
+                format!("{full_seconds:.4}s"),
+                format!("{ingest_speedup:.2}x"),
+                repairs.len().to_string(),
             ]);
             runs_json.push(format!(
                 "    {{\"benchmark\": \"{}\", \"variant\": \"{}\", \"threads\": 1, \"rows\": {}, \
-                 \"columns\": {}, \"chunks\": {}, \"refit_every\": {}, \
-                 \"oneshot_fit_seconds\": {:.6}, \"oneshot_clean_seconds\": {:.6}, \
-                 \"oneshot_total_cells_per_sec\": {:.2}, \"oneshot_clean_cells_per_sec\": {:.2}, \
-                 \"stream_ingest_seconds\": {:.6}, \"stream_cells_per_sec\": {:.2}, \
-                 \"throughput_ratio\": {:.4}, \"clean_only_ratio\": {:.4}, \
-                 \"absorb_seconds\": {:.6}, \"refit_seconds\": {:.6}, \"clean_seconds\": {:.6}, \
-                 \"refits\": {}, \"incremental_refit_seconds_avg\": {:.6}, \
-                 \"full_refit_seconds\": {:.6}, \"refit_speedup\": {:.3}, \
-                 \"stream_repairs\": {}, \"final_repairs\": {}, \"oneshot_repairs\": {}}}",
+                 \"columns\": {}, \"first_fit_rows\": {}, \"first_fit_seconds\": {:.6}, \
+                 \"ingests\": {}, \"ingest_seconds_avg\": {:.6}, \"full_fit_seconds\": {:.6}, \
+                 \"ingest_speedup\": {:.3}, \"structure_edges\": {}, \"repairs\": {}}}",
                 benchmark.name(),
                 variant.name(),
                 rows,
                 cols,
-                chunks,
-                refit_every,
-                full_refit_seconds,
-                oneshot_clean_seconds,
-                oneshot_total_cells_per_sec,
-                oneshot_cells_per_sec,
-                ingest_seconds,
-                stream_cells_per_sec,
-                throughput_ratio,
-                clean_only_ratio,
-                stats.absorb_seconds,
-                stats.refit_seconds,
-                stats.clean_seconds,
-                stats.refits,
-                incremental_refit_seconds,
-                full_refit_seconds,
-                refit_speedup,
-                stream_repairs,
-                final_repairs,
-                oneshot_repairs,
+                batches[0].num_rows(),
+                first_fit_seconds,
+                ingests,
+                ingest_seconds_avg,
+                full_seconds,
+                ingest_speedup,
+                artifact.dag().num_edges(),
+                repairs.len(),
             ));
         }
     }
@@ -1030,7 +984,7 @@ fn bench_stream(scale: Scale) {
     }
     println!("{}", ooc_table.render());
     println!(
-        "out-of-core tier: peak chunk memory {:.1}% of resident, budgeted agreement \
+        "out-of-core tier: peak memory proxy {:.1}% of resident, budgeted agreement \
          {budgeted_agreement:.4}\n",
         memory_ratio * 100.0
     );
@@ -1053,21 +1007,16 @@ fn bench_stream(scale: Scale) {
     let min_speedup = speedups.iter().map(|(_, _, s)| *s).fold(f64::INFINITY, f64::min);
     let json = format!(
         "{{\n  \"benchmarks\": [\"Hospital\", \"Flights\"],\n  \"scale\": \"{:?}\",\n  \
-         \"chunks\": {},\n  \"refit_every\": {},\n  \"clean_iters\": {},\n  \
-         \"min_throughput_ratio\": {:.4},\n  \"runs\": [\n{}\n  ],\n{}\n{}",
+         \"chunks\": {},\n  \"fit_iters\": {},\n  \"runs\": [\n{}\n  ],\n{}\n{}",
         scale,
         chunks,
-        refit_every,
-        clean_iters,
-        min_ratio,
+        fit_iters,
         runs_json.join(",\n"),
         ooc_json,
         speedups_json(&speedups, &[], min_speedup, total_start.elapsed().as_secs_f64()),
     );
     match std::fs::write("BENCH_stream.json", &json) {
-        Ok(()) => println!(
-            "wrote BENCH_stream.json (min refit speedup {min_speedup:.2}x, min throughput ratio {min_ratio:.2})\n"
-        ),
+        Ok(()) => println!("wrote BENCH_stream.json (min ingest speedup {min_speedup:.2}x)\n"),
         Err(e) => eprintln!("could not write BENCH_stream.json: {e}"),
     }
 }

@@ -218,10 +218,12 @@ impl CommonArgs {
     }
 
     /// The per-chunk bounds the chunking flags spell out. `--chunk-rows`
-    /// caps rows per chunk; `--max-memory` caps the raw-chunk buffer at
-    /// half the stated budget, leaving the other half as headroom for the
-    /// resident encoded columns and the confidence vector (see
-    /// docs/ARCHITECTURE.md, "Out-of-core cleaning").
+    /// caps rows per chunk; `--max-memory B` caps each raw chunk and each
+    /// decoded cleaning window at `B / 2`, and nothing else. The encoded
+    /// columns (4 bytes per cell plus the dictionaries) and the 8-byte
+    /// per-row confidence vector stay resident and grow with the row
+    /// count, so a long input's peak exceeds `B` (see docs/ARCHITECTURE.md,
+    /// "Out-of-core cleaning").
     fn chunk_limits(&self) -> ChunkLimits {
         let mut limits = ChunkLimits::default();
         if let Some(rows) = self.chunk_rows {
@@ -485,7 +487,7 @@ fn clean_command(args: &[String]) -> Result<(), CliError> {
     let outcome = streamed.map_err(|e| io_err(format!("cannot clean {input}: {e}")))?;
 
     println!(
-        "{} repairs across {} rows in {} chunks in {:?} (peak chunk memory ~{})",
+        "{} repairs across {} rows in {} chunks in {:?} (peak memory proxy ~{})",
         outcome.repairs.len(),
         outcome.rows,
         outcome.chunks,

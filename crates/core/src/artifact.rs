@@ -1,19 +1,17 @@
 //! The detachable, delta-updatable model artifact.
 //!
-//! [`crate::BClean::fit`] used to produce only a compiled [`BCleanModel`]
-//! whose sufficient statistics died with it. [`ModelArtifact`] extracts
-//! everything the fit actually *learns* — the structure, the per-node
-//! [`NodeCounts`], the compensatory counters and the effective constraint
-//! set — into a value that is serialisable in spirit: plain counts and
-//! tables, no borrowed data, no closures. Two operations make it the
-//! substrate of streaming cleaning (see [`crate::CleaningSession`]):
+//! [`ModelArtifact`] holds everything a fit *learns* — the structure, the
+//! per-node [`NodeCounts`], the compensatory counters and the effective
+//! constraint set — as plain counts and tables: no borrowed data, no
+//! closures. A model grows one way, in process, in `bclean ingest` and in
+//! the daemon's `/ingest` alike:
 //!
-//! * [`ModelArtifact::absorb`] folds a freshly appended batch into every
-//!   statistic in row order (bit-identical to having fit on the
-//!   concatenation from scratch);
-//! * [`ModelArtifact::compile_cached`] rebuilds the compiled scoring model,
-//!   reusing every per-node table and per-column constraint table whose
-//!   inputs did not change since the last compile.
+//! * [`ModelArtifact::absorb`] (reached through
+//!   [`ModelArtifact::ingest_batch`]) folds a freshly appended batch into
+//!   every statistic in row order, leaving the state a fit over the
+//!   concatenation with the same structure reaches;
+//! * [`ModelArtifact::compile`] builds the compiled scoring model from
+//!   those statistics.
 
 use std::sync::Arc;
 
@@ -43,9 +41,10 @@ pub struct ModelArtifact {
     pub(crate) dag: Dag,
     pub(crate) node_counts: Vec<NodeCounts>,
     /// Shared copy-on-write with the compiled models: a compile hands the
-    /// current counters to the model by reference count, and the next
-    /// absorb detaches the artifact's copy (one deep clone per compile
-    /// cycle, paid at absorb time instead of on the refit critical path).
+    /// current counters to the model by reference count (the daemon's
+    /// served snapshots keep theirs), and the next absorb detaches the
+    /// artifact's copy (one deep clone per compile cycle, paid at absorb
+    /// time instead of on the compile path).
     pub(crate) compensatory: Arc<CompensatoryModel>,
 }
 
@@ -138,81 +137,20 @@ impl ModelArtifact {
         }
     }
 
-    /// Install a (re)learned structure: nodes whose parent set changed are
-    /// recounted from the accumulated encoding; everyone else keeps their
-    /// incrementally absorbed counts (integer-identical to a recount).
-    /// Returns the nodes that were recounted.
-    pub fn set_structure(&mut self, dag: Dag, encoded: &EncodedDataset) -> Vec<usize> {
-        assert_eq!(dag.num_nodes(), self.node_counts.len(), "structure arity must match the artifact");
-        let mut recounted = Vec::new();
-        for (node, counts) in self.node_counts.iter_mut().enumerate() {
-            let parents = dag.parents(node);
-            if counts.parents() != parents.as_slice() {
-                *counts = NodeCounts::accumulate(encoded, node, &parents);
-                recounted.push(node);
-            } else {
-                counts.ensure_code_spaces(encoded.dicts());
-            }
-        }
-        self.dag = dag;
-        recounted
-    }
-
     /// Compile the artifact into a ready-to-clean [`BCleanModel`], building
-    /// every table from scratch.
+    /// every table from the statistics.
     pub fn compile(&self) -> BCleanModel {
-        self.compile_cached(&mut CompileCache::default(), None)
-    }
-
-    /// Compile with incremental reuse: the cache remembers what each table
-    /// was last built from (per-node count stamps, per-column dictionary
-    /// code spaces), and `previous` — typically the model of the last
-    /// compile — is the donor whose unchanged tables are cloned instead of
-    /// rebuilt. Nothing is deep-copied for tables that *did* change, so on
-    /// the common every-batch cadence this costs exactly what an uncached
-    /// compile costs, while a refit that changed nothing (e.g. the forced
-    /// refit of `finalize` right after a cadence refit) only clones.
-    pub fn compile_cached(&self, cache: &mut CompileCache, previous: Option<&BCleanModel>) -> BCleanModel {
         let start = std::time::Instant::now();
         let m = self.node_counts.len();
         let dicts = self.compensatory.dicts();
-        cache.nodes.resize_with(m, || None);
-        cache.attr_uc.resize_with(dicts.len(), || None);
-
-        let stamp_of = |node: usize| NodeStamp {
-            rows: self.node_counts[node].rows_absorbed(),
-            parents: self.node_counts[node].parents().to_vec(),
-            code_space: dicts[node].code_space(),
-        };
         let executor = ParallelExecutor::for_config(&self.config, m);
-        let compiled_cpts: Vec<CompiledCpt> = executor.map(m, |node| {
-            if let (Some(donor), Some(cached_stamp)) = (previous, &cache.nodes[node]) {
-                if *cached_stamp == stamp_of(node) {
-                    return donor.compiled.node(node).clone();
-                }
-            }
-            CompiledCpt::from_counts(&self.node_counts[node], self.config.alpha)
-        });
-        for node in 0..m {
-            cache.nodes[node] = Some(stamp_of(node));
-        }
+        let compiled_cpts: Vec<CompiledCpt> =
+            executor.map(m, |node| CompiledCpt::from_counts(&self.node_counts[node], self.config.alpha));
         let compiled = CompiledNetwork::from_parts(compiled_cpts, &self.dag);
-
         let attr_uc_ok = if self.config.use_constraints {
-            let tables: Vec<Vec<bool>> = executor.map(dicts.len(), |col| {
-                if let (Some(donor), Some(cached_space)) = (previous, cache.attr_uc[col]) {
-                    if cached_space == dicts[col].code_space() {
-                        if let Some(table) = donor.attr_uc_ok.get(col) {
-                            return table.clone();
-                        }
-                    }
-                }
+            executor.map(dicts.len(), |col| {
                 attr_uc_column(self.attribute_names.get(col), &dicts[col], &self.constraints)
-            });
-            for (col, dict) in dicts.iter().enumerate() {
-                cache.attr_uc[col] = Some(dict.code_space());
-            }
-            tables
+            })
         } else {
             Vec::new()
         };
@@ -234,7 +172,7 @@ impl ModelArtifact {
     /// Compile by consuming the artifact (the one-shot fit path). `start`
     /// stamps the model's fit duration.
     pub(crate) fn into_model_timed(self, start: std::time::Instant) -> BCleanModel {
-        let mut model = self.compile_cached(&mut CompileCache::default(), None);
+        let mut model = self.compile();
         model.fit_duration = start.elapsed();
         model
     }
@@ -256,21 +194,4 @@ impl ModelArtifact {
                 .collect(),
         )
     }
-}
-
-/// Validity stamp of one node's cached compiled tables.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct NodeStamp {
-    rows: usize,
-    parents: Vec<usize>,
-    code_space: usize,
-}
-
-/// Reusable compile state of one artifact lineage: only validity stamps —
-/// the tables themselves are reused from the previous compile's model (see
-/// [`ModelArtifact::compile_cached`]), so caching adds no copies.
-#[derive(Debug, Default)]
-pub struct CompileCache {
-    nodes: Vec<Option<NodeStamp>>,
-    attr_uc: Vec<Option<usize>>,
 }

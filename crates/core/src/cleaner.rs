@@ -106,7 +106,7 @@ impl BClean {
     /// across the shared [`ParallelExecutor`]. Internally the fit first
     /// assembles a [`crate::ModelArtifact`] (the detachable sufficient
     /// statistics) and then compiles it; [`BClean::fit_artifact`] returns
-    /// the artifact itself for streaming/incremental use. The pre-refactor
+    /// the artifact itself for persistence and ingest. The pre-refactor
     /// `Value`-path construction survives as [`BClean::fit_reference`] (see
     /// [`crate::reference`]) and produces the same model.
     pub fn fit(&self, dataset: &Dataset) -> BCleanModel {
@@ -118,22 +118,28 @@ impl BClean {
     /// instead of a compiled model: learned structure plus every sufficient
     /// statistic (`NodeCounts`, compensatory counters, constraint tables in
     /// spirit). The artifact can be compiled into a [`BCleanModel`] any
-    /// number of times and absorbs new batches incrementally (see
-    /// [`crate::CleaningSession`]).
+    /// number of times and grows with new batches through
+    /// [`crate::ModelArtifact::ingest_batch`].
     pub fn fit_artifact(&self, dataset: &Dataset) -> crate::ModelArtifact {
         let encoded = EncodedDataset::from_dataset(dataset);
         let types: Vec<AttrType> = (0..dataset.num_columns())
             .map(|c| dataset.schema().attribute(c).expect("column in range").ty)
             .collect();
-        // With a fit budget, structure learning runs over a deterministic
-        // row reservoir and bucketed contingency tables (see
-        // `bclean_bayesnet::structure::budgeted`); everything downstream of
-        // the structure choice still sees every row.
+        let dag = self.learn_structure(&encoded, &types);
+        self.artifact_from_encoded(dataset, &encoded, dag)
+    }
+
+    /// Structure learning over a freshly encoded dataset, the one dispatch
+    /// behind [`BClean::fit_artifact`] and [`crate::clean_stream`]. With a
+    /// fit budget it runs over a deterministic row reservoir and bucketed
+    /// contingency tables (see `bclean_bayesnet::structure::budgeted`);
+    /// everything downstream of the structure choice still sees every row.
+    pub(crate) fn learn_structure(&self, encoded: &EncodedDataset, types: &[AttrType]) -> Dag {
         let structure = match self.config.fit_budget.params() {
-            Some(budget) => learn_structure_budgeted(&encoded, &types, self.config.structure, budget),
-            None => learn_structure_encoded(&encoded, &types, self.config.structure),
+            Some(budget) => learn_structure_budgeted(encoded, types, self.config.structure, budget),
+            None => learn_structure_encoded(encoded, types, self.config.structure),
         };
-        self.artifact_from_encoded(dataset, &encoded, structure.dag)
+        structure.dag
     }
 
     /// Construction stage with a user-provided (or user-edited) structure.
@@ -146,10 +152,8 @@ impl BClean {
     /// Assemble the sufficient statistics of a fit over an already-encoded
     /// dataset: per-node [`NodeCounts`] (one independent pass per node,
     /// fanned out through the executor) and the parallel compensatory build.
-    /// Shared by the one-shot fits above and the first batch of a
-    /// [`crate::CleaningSession`] (whose encoding may carry appended
-    /// dictionaries).
-    pub(crate) fn artifact_from_encoded(
+    /// Shared by the one-shot fits above.
+    fn artifact_from_encoded(
         &self,
         dataset: &Dataset,
         encoded: &EncodedDataset,
@@ -692,9 +696,9 @@ impl BCleanModel {
         out.clear();
         // Candidates are enumerated in sorted value order — for fresh
         // dictionaries that *is* the code order; appended dictionaries
-        // (streaming sessions) walk their code→sorted-rank remap so tie
-        // breaking and pruning truncation behave exactly as over a freshly
-        // sorted dictionary.
+        // (models grown by `ingest_batch`) walk their code→sorted-rank
+        // remap so tie breaking and pruning truncation behave exactly as
+        // over a freshly sorted dictionary.
         let accept = |code: u32, scratch: &mut Vec<Value>, out: &mut Vec<u32>| {
             if self.config.use_constraints {
                 if !self.attr_uc_ok[col][code as usize] {

@@ -49,10 +49,9 @@ pub mod exec;
 pub mod persist;
 pub mod reference;
 pub mod report;
-pub mod session;
 pub mod stream;
 
-pub use artifact::{CompileCache, ModelArtifact};
+pub use artifact::ModelArtifact;
 pub use cleaner::{BClean, BCleanModel};
 pub use compensatory::{CompensatoryModel, CompensatoryParams};
 pub use config::{BCleanConfig, Variant};
@@ -60,7 +59,6 @@ pub use constraints::{AttributeConstraints, ConstraintKind, ConstraintSet, UserC
 pub use exec::ParallelExecutor;
 pub use reference::ReferenceModel;
 pub use report::{repairs_to_csv, CleaningResult, CleaningStats, Repair};
-pub use session::{CleaningSession, SessionStats};
 pub use stream::{clean_stream, clean_stream_with_model, StreamOptions, StreamOutcome};
 
 // Re-export the pieces of the substrate crates that appear in this crate's

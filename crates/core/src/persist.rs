@@ -4,7 +4,7 @@
 //! # What is stored
 //!
 //! The container carries exactly the state [`ModelArtifact`] +
-//! [`ModelArtifact::compile_cached`] need — the fit products, none of the
+//! [`ModelArtifact::compile`] need — the fit products, none of the
 //! derived tables:
 //!
 //! | section        | contents                                                    |
@@ -252,14 +252,17 @@ impl ModelArtifact {
         Ok(())
     }
 
-    /// Cross-process ingest: absorb a batch into the artifact's sufficient
-    /// statistics without the historical rows. A placeholder encoding is
-    /// reassembled from the persisted dictionaries
-    /// ([`EncodedDataset::from_dicts`]); appending the batch grows them
-    /// exactly like a live [`crate::CleaningSession`] would, and the
-    /// absorbed statistics end up identical because absorbs only ever read
-    /// the appended row range. The structure is kept as-is (relearning it
-    /// needs the full dataset — use a session for that). Returns the new
+    /// Grow the model by one batch: the one ingest path, behind
+    /// `bclean ingest`, the daemon's `/ingest` and in-process callers alike.
+    /// The batch is absorbed into the artifact's sufficient statistics
+    /// without the historical rows: a placeholder encoding is reassembled
+    /// from the persisted dictionaries ([`EncodedDataset::from_dicts`]),
+    /// appending the batch grows them with fresh tail codes, and absorbs
+    /// only ever read the appended row range. The structure is kept as-is,
+    /// so [`ModelArtifact::compile`] afterwards equals
+    /// [`crate::BClean::fit_with_structure`] over all rows with this
+    /// structure; relearning the structure needs the full dataset and a new
+    /// fit. An empty batch leaves the artifact unchanged. Returns the new
     /// total row count.
     pub fn ingest_batch(&mut self, batch: &Dataset) -> Result<usize, StoreError> {
         self.check_schema(batch.schema())?;

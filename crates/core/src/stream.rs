@@ -34,10 +34,9 @@ use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use bclean_bayesnet::{learn_structure_budgeted, learn_structure_encoded};
 use bclean_data::{
-    approx_dataset_bytes, approx_values_bytes, AttrType, ChunkLimits, ChunkSource, DataError, Dataset,
-    EncodedDataset, EncodedDatasetBuilder, Schema, Value,
+    approx_dataset_bytes, approx_values_bytes, push_csv_record, AttrType, ChunkLimits, ChunkSource,
+    DataError, Dataset, EncodedDataset, EncodedDatasetBuilder, Schema, Value,
 };
 
 use crate::cleaner::{BClean, BCleanModel};
@@ -119,12 +118,9 @@ pub fn clean_stream<S: ChunkSource + ?Sized>(
     // Fit from the encoding + confidences: the same entry point the
     // in-RAM one-shot fit reaches after its own encode + confidence sweep.
     let types: Vec<AttrType> = schema.attributes().iter().map(|a| a.ty).collect();
-    let structure = match cleaner.config().fit_budget.params() {
-        Some(budget) => learn_structure_budgeted(&encoded, &types, cleaner.config().structure, budget),
-        None => learn_structure_encoded(&encoded, &types, cleaner.config().structure),
-    };
+    let dag = cleaner.learn_structure(&encoded, &types);
     let names: Vec<String> = schema.names().iter().map(|s| s.to_string()).collect();
-    let artifact = cleaner.artifact_from_encoded_parts(names, types, &encoded, structure.dag, &confidences);
+    let artifact = cleaner.artifact_from_encoded_parts(names, types, &encoded, dag, &confidences);
     let fit_duration = fit_start.elapsed();
 
     // Pass 2: compile once, clean decoded chunks, shift repairs to global
@@ -155,8 +151,7 @@ pub fn clean_stream_with_model<S: ChunkSource + ?Sized>(
     source: &mut S,
     options: &StreamOptions,
 ) -> Result<StreamOutcome, DataError> {
-    let schema = source.schema().clone();
-    let mut writer = CleanedCsvWriter::create(options.cleaned_path.as_deref())?;
+    let mut writer = CleanedCsvWriter::create(options.cleaned_path.as_deref(), source.schema())?;
     let mut repairs: Vec<Repair> = Vec::new();
     let mut stats = CleaningStats::default();
     let mut rows = 0usize;
@@ -169,7 +164,7 @@ pub fn clean_stream_with_model<S: ChunkSource + ?Sized>(
         rows += chunk.num_rows();
         chunks += 1;
     }
-    writer.finish(&schema)?;
+    writer.finish()?;
     Ok(StreamOutcome { artifact: None, repairs, stats, rows, chunks, peak_bytes, encode_skipped: false })
 }
 
@@ -184,7 +179,7 @@ fn clean_encoded_chunks(
     options: &StreamOptions,
     mut peak_bytes: usize,
 ) -> Result<ChunksOutcome, DataError> {
-    let mut writer = CleanedCsvWriter::create(options.cleaned_path.as_deref())?;
+    let mut writer = CleanedCsvWriter::create(options.cleaned_path.as_deref(), schema)?;
     let mut repairs: Vec<Repair> = Vec::new();
     let mut stats = CleaningStats::default();
     let mut chunks = 0usize;
@@ -207,7 +202,7 @@ fn clean_encoded_chunks(
         chunks += 1;
         start = end;
     }
-    writer.finish(schema)?;
+    writer.finish()?;
     Ok(ChunksOutcome { repairs, stats, chunks, peak_bytes })
 }
 
@@ -237,11 +232,13 @@ fn absorb_chunk(
     writer.push(&result.cleaned)
 }
 
-/// Incremental cleaned-CSV writer: each cleaned chunk is rendered and
-/// written through a buffered file as it arrives, so memory holds at most
-/// one rendered chunk. The header goes out with the first chunk; a run
-/// with zero chunks still writes a header-only file. The bytes equal
-/// `write_csv_file` of the concatenated cleaned dataset.
+/// Incremental cleaned-CSV writer: the header goes out when the writer is
+/// created, then each cleaned chunk's rows are rendered and written through
+/// a buffered file as they arrive, so memory holds at most one rendered
+/// chunk and a run with zero chunks still writes a header-only file. Every
+/// record goes through `push_csv_record`, the record writer of `to_csv`, so
+/// the bytes equal `write_csv_file` of the concatenated cleaned dataset
+/// whatever the chunking.
 ///
 /// Rows go to `<path>.partial`, which `finish` renames over `path`: the
 /// target is never truncated while the source may still be read from it
@@ -250,42 +247,31 @@ fn absorb_chunk(
 struct CleanedCsvWriter {
     /// `(target, partial file path, buffered partial file)`.
     out: Option<(PathBuf, PathBuf, BufWriter<File>)>,
-    wrote_header: bool,
 }
 
 impl CleanedCsvWriter {
-    fn create(path: Option<&Path>) -> Result<CleanedCsvWriter, DataError> {
-        let out = match path {
-            None => None,
-            Some(path) => {
-                let mut partial = path.as_os_str().to_os_string();
-                partial.push(".partial");
-                let partial = PathBuf::from(partial);
-                let file = File::create(&partial).map_err(|e| write_error(&partial, e))?;
-                Some((path.to_path_buf(), partial, BufWriter::new(file)))
-            }
-        };
-        Ok(CleanedCsvWriter { out, wrote_header: false })
+    fn create(path: Option<&Path>, schema: &Schema) -> Result<CleanedCsvWriter, DataError> {
+        let Some(path) = path else { return Ok(CleanedCsvWriter { out: None }) };
+        let mut partial = path.as_os_str().to_os_string();
+        partial.push(".partial");
+        let partial = PathBuf::from(partial);
+        let mut file = BufWriter::new(File::create(&partial).map_err(|e| write_error(&partial, e))?);
+        let mut header = String::new();
+        push_csv_record(&mut header, schema.names());
+        file.write_all(header.as_bytes()).map_err(|e| write_error(&partial, e))?;
+        Ok(CleanedCsvWriter { out: Some((path.to_path_buf(), partial, file)) })
     }
 
     fn push(&mut self, cleaned: &Dataset) -> Result<(), DataError> {
         let Some((_, partial, file)) = &mut self.out else { return Ok(()) };
-        let rendered = bclean_data::to_csv(cleaned);
-        let text = if self.wrote_header {
-            rendered.split_once('\n').map_or("", |(_, body)| body)
-        } else {
-            rendered.as_str()
-        };
-        self.wrote_header = true;
-        file.write_all(text.as_bytes()).map_err(|e| write_error(partial, e))
+        let mut rendered = String::new();
+        for row in cleaned.rows() {
+            push_csv_record(&mut rendered, row.iter().map(Value::as_text));
+        }
+        file.write_all(rendered.as_bytes()).map_err(|e| write_error(partial, e))
     }
 
-    fn finish(mut self, schema: &Schema) -> Result<(), DataError> {
-        if !self.wrote_header {
-            // Zero chunks: still emit a header-only CSV, like the one-shot
-            // path writing an empty cleaned dataset.
-            self.push(&Dataset::new(schema.clone()))?;
-        }
+    fn finish(self) -> Result<(), DataError> {
         let Some((path, partial, mut file)) = self.out else { return Ok(()) };
         file.flush().map_err(|e| write_error(&partial, e))?;
         drop(file); // close before the rename
@@ -305,7 +291,7 @@ mod tests {
     use crate::report::repairs_to_csv;
     use bclean_data::{dataset_from, to_csv, DatasetChunks};
 
-    fn dirty_dataset() -> Dataset {
+    fn dirty_rows() -> Vec<Vec<&'static str>> {
         let mut rows: Vec<Vec<&str>> = Vec::new();
         for _ in 0..6 {
             rows.push(vec!["sylacauga", "AL", "35150"]);
@@ -315,7 +301,11 @@ mod tests {
         rows.push(vec!["sylacauga", "KT", "35150"]); // wrong State for ZipCode
         rows.push(vec!["centre", "AL", "35960"]); // wrong State for ZipCode
         rows.push(vec!["dothan", "AL", ""]); // missing ZipCode
-        dataset_from(&["City", "State", "ZipCode"], &rows)
+        rows
+    }
+
+    fn dirty_dataset() -> Dataset {
+        dataset_from(&["City", "State", "ZipCode"], &dirty_rows())
     }
 
     fn cleaner(threads: usize) -> BClean {
@@ -370,16 +360,21 @@ mod tests {
 
     #[test]
     fn streamed_cleaned_csv_matches_one_shot_write() {
-        let dataset = dirty_dataset();
+        // The second input's header names hold a quoted line break and a
+        // comma, which must not change the bytes of a multi-chunk write.
+        let quoted = dataset_from(&["City\nname", "State", "Zip,Code"], &dirty_rows());
         let cleaner = cleaner(2);
-        let expected = cleaner.fit(&dataset).clean(&dataset);
         let dir = std::env::temp_dir().join(format!("bclean-stream-csv-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("cleaned.csv");
-        let mut source = DatasetChunks::new(dataset.clone(), &[4]);
-        let options = StreamOptions { limits: ChunkLimits::rows(4), cleaned_path: Some(out.clone()) };
-        clean_stream(&cleaner, &mut source, &options).expect("stream clean");
-        assert_eq!(std::fs::read_to_string(&out).unwrap(), to_csv(&expected.cleaned));
+        for (i, dataset) in [dirty_dataset(), quoted].iter().enumerate() {
+            let expected = cleaner.fit(dataset).clean(dataset);
+            let out = dir.join(format!("cleaned-{i}.csv"));
+            let mut source = DatasetChunks::new(dataset.clone(), &[4]);
+            let options = StreamOptions { limits: ChunkLimits::rows(4), cleaned_path: Some(out.clone()) };
+            let outcome = clean_stream(&cleaner, &mut source, &options).expect("stream clean");
+            assert!(outcome.chunks > 1, "input {i} must be cleaned in several chunks");
+            assert_eq!(std::fs::read_to_string(&out).unwrap(), to_csv(&expected.cleaned), "input {i}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -36,9 +36,7 @@ enum Store {
 
 /// A code-indexed contingency table of one ordered column pair: entry
 /// `(a, b)` counts the rows whose column-`A` code is `a` and column-`B`
-/// code is `b` (null codes included). Delta-updatable: streaming sessions
-/// keep tables alive across batches through [`PairCounts::absorb`], which
-/// also resizes the table when an appended dictionary grew a code space.
+/// code is `b` (null codes included).
 #[derive(Debug, Clone)]
 pub struct PairCounts {
     /// Code space of column A (`cardinality + 1`, nulls included).
@@ -50,108 +48,36 @@ pub struct PairCounts {
     null_a: u32,
     /// Null code of column B.
     null_b: u32,
-    /// Number of rows absorbed so far.
-    rows: usize,
     store: Store,
 }
 
 impl PairCounts {
-    /// An empty table sized for the current dictionaries of two columns.
-    pub fn empty(encoded: &EncodedDataset, col_a: usize, col_b: usize) -> PairCounts {
+    /// Count the co-occurrences of columns `col_a` and `col_b` of `encoded`
+    /// in one pass, in a table sized for the columns' dictionaries.
+    pub fn from_encoded(encoded: &EncodedDataset, col_a: usize, col_b: usize) -> PairCounts {
         let space_a = encoded.dict(col_a).code_space();
         let space_b = encoded.dict(col_b).code_space();
+        let pairs = encoded.column(col_a).iter().zip(encoded.column(col_b));
+        let store = if (space_a as u128) * (space_b as u128) <= DENSE_CELL_CAP {
+            let mut cells = vec![0u32; space_a * space_b];
+            for (&a, &b) in pairs {
+                cells[a as usize * space_b + b as usize] += 1;
+            }
+            Store::Dense(cells)
+        } else {
+            let mut map = HashMap::new();
+            for (&a, &b) in pairs {
+                *map.entry((a, b)).or_insert(0) += 1;
+            }
+            Store::Map(map)
+        };
         PairCounts {
             space_a,
             space_b,
             null_a: encoded.dict(col_a).null_code(),
             null_b: encoded.dict(col_b).null_code(),
-            rows: 0,
-            store: if (space_a as u128) * (space_b as u128) <= DENSE_CELL_CAP {
-                Store::Dense(vec![0u32; space_a * space_b])
-            } else {
-                Store::Map(HashMap::new())
-            },
+            store,
         }
-    }
-
-    /// Count the co-occurrences of columns `col_a` and `col_b` of `encoded`.
-    pub fn from_encoded(encoded: &EncodedDataset, col_a: usize, col_b: usize) -> PairCounts {
-        let mut counts = PairCounts::empty(encoded, col_a, col_b);
-        counts.absorb(encoded, col_a, col_b, 0..encoded.num_rows());
-        counts
-    }
-
-    /// Number of rows absorbed into the table.
-    pub fn rows_absorbed(&self) -> usize {
-        self.rows
-    }
-
-    /// Add the co-occurrences of a row range (typically a freshly appended
-    /// batch) to the table, first resizing it if either column's code space
-    /// grew since the table was built. Absorbing `0..n` into an empty table
-    /// equals [`PairCounts::from_encoded`]; counts are integers, so any
-    /// batch split of the same rows yields the identical table.
-    pub fn absorb(
-        &mut self,
-        encoded: &EncodedDataset,
-        col_a: usize,
-        col_b: usize,
-        rows: std::ops::Range<usize>,
-    ) {
-        self.resize_for(encoded, col_a, col_b);
-        let a_codes = &encoded.column(col_a)[rows.clone()];
-        let b_codes = &encoded.column(col_b)[rows.clone()];
-        let space_b = self.space_b;
-        match &mut self.store {
-            Store::Dense(cells) => {
-                for (&a, &b) in a_codes.iter().zip(b_codes) {
-                    cells[a as usize * space_b + b as usize] += 1;
-                }
-            }
-            Store::Map(map) => {
-                for (&a, &b) in a_codes.iter().zip(b_codes) {
-                    *map.entry((a, b)).or_insert(0) += 1;
-                }
-            }
-        }
-        self.rows += rows.len();
-    }
-
-    /// Grow the table to the columns' current code spaces (appends only ever
-    /// add codes at the tail, so old cells keep their coordinates).
-    fn resize_for(&mut self, encoded: &EncodedDataset, col_a: usize, col_b: usize) {
-        let space_a = encoded.dict(col_a).code_space();
-        let space_b = encoded.dict(col_b).code_space();
-        debug_assert!(space_a >= self.space_a && space_b >= self.space_b, "code spaces never shrink");
-        if space_a == self.space_a && space_b == self.space_b {
-            return;
-        }
-        self.null_a = encoded.dict(col_a).null_code();
-        self.null_b = encoded.dict(col_b).null_code();
-        if let Store::Dense(cells) = &self.store {
-            self.store = if (space_a as u128) * (space_b as u128) <= DENSE_CELL_CAP {
-                let mut grown = vec![0u32; space_a * space_b];
-                for a in 0..self.space_a {
-                    grown[a * space_b..a * space_b + self.space_b]
-                        .copy_from_slice(&cells[a * self.space_b..(a + 1) * self.space_b]);
-                }
-                Store::Dense(grown)
-            } else {
-                // The grown space no longer fits the dense budget.
-                let mut map = HashMap::new();
-                for a in 0..self.space_a {
-                    for b in 0..self.space_b {
-                        let count = cells[a * self.space_b + b];
-                        if count > 0 {
-                            map.insert((a as u32, b as u32), count);
-                        }
-                    }
-                }
-                Store::Map(map)
-            };
-        }
-        self.space_a = space_a;
-        self.space_b = space_b;
     }
 
     /// The observation count of one code pair.
@@ -330,17 +256,11 @@ pub struct BucketedPairCounts {
     buckets_a: CodeBuckets,
     buckets_b: CodeBuckets,
     cells: Vec<u32>,
-    rows: usize,
 }
 
 impl BucketedPairCounts {
-    /// An empty table over the given bucket maps.
-    pub fn empty(buckets_a: CodeBuckets, buckets_b: CodeBuckets) -> BucketedPairCounts {
-        let cells = vec![0u32; buckets_a.num_buckets() * buckets_b.num_buckets()];
-        BucketedPairCounts { buckets_a, buckets_b, cells, rows: 0 }
-    }
-
-    /// Count the bucketed co-occurrences of columns `col_a` and `col_b`.
+    /// Count the bucketed co-occurrences of columns `col_a` and `col_b` in
+    /// one pass.
     pub fn from_encoded(
         encoded: &EncodedDataset,
         col_a: usize,
@@ -348,33 +268,13 @@ impl BucketedPairCounts {
         buckets_a: CodeBuckets,
         buckets_b: CodeBuckets,
     ) -> BucketedPairCounts {
-        let mut counts = BucketedPairCounts::empty(buckets_a, buckets_b);
-        counts.absorb(encoded, col_a, col_b, 0..encoded.num_rows());
-        counts
-    }
-
-    /// Add the bucketed co-occurrences of a row range to the table. Counts
-    /// are integers, so any split of the same rows yields the same table.
-    pub fn absorb(
-        &mut self,
-        encoded: &EncodedDataset,
-        col_a: usize,
-        col_b: usize,
-        rows: std::ops::Range<usize>,
-    ) {
-        let a_codes = &encoded.column(col_a)[rows.clone()];
-        let b_codes = &encoded.column(col_b)[rows.clone()];
-        let width = self.buckets_b.num_buckets();
-        for (&a, &b) in a_codes.iter().zip(b_codes) {
-            let (p, q) = (self.buckets_a.bucket(a) as usize, self.buckets_b.bucket(b) as usize);
-            self.cells[p * width + q] += 1;
+        let width = buckets_b.num_buckets();
+        let mut cells = vec![0u32; buckets_a.num_buckets() * width];
+        for (&a, &b) in encoded.column(col_a).iter().zip(encoded.column(col_b)) {
+            let (p, q) = (buckets_a.bucket(a) as usize, buckets_b.bucket(b) as usize);
+            cells[p * width + q] += 1;
         }
-        self.rows += rows.len();
-    }
-
-    /// Number of rows absorbed into the table.
-    pub fn rows_absorbed(&self) -> usize {
-        self.rows
+        BucketedPairCounts { buckets_a, buckets_b, cells }
     }
 
     /// The observation count of one bucket pair.
@@ -583,8 +483,9 @@ mod tests {
         assert!((mode_share(&encoded, 1) - 4.0 / 6.0).abs() < 1e-12);
     }
 
-    /// Absorbing batches (with dictionary growth in between) must yield the
-    /// same table and statistics as a one-shot count of the concatenation.
+    /// A table counted over an appended encoding (dictionary growth between
+    /// batches, null code frozen mid-space) must yield the same statistics
+    /// as a one-shot count of the concatenation.
     #[test]
     fn absorbed_batches_match_one_shot_counts() {
         let first =
@@ -594,25 +495,29 @@ mod tests {
             &[vec!["35960", "KT"], vec!["35150", "KT"], vec!["36000", ""], vec!["35960", "KT"]],
         );
         let mut encoded = EncodedDataset::from_dataset(&first);
-        let mut streaming = PairCounts::from_encoded(&encoded, 0, 1);
-        let rows = encoded.append_batch(&batch);
-        streaming.absorb(&encoded, 0, 1, rows);
-        assert_eq!(streaming.rows_absorbed(), 7);
+        encoded.append_batch(&batch);
+        let appended = PairCounts::from_encoded(&encoded, 0, 1);
+        let (space_a, space_b) = (encoded.dict(0).code_space() as u32, encoded.dict(1).code_space() as u32);
+        let counted: u32 = (0..space_a)
+            .flat_map(|a| (0..space_b).map(move |b| (a, b)))
+            .map(|(a, b)| appended.count(a, b))
+            .sum();
+        assert_eq!(counted, 7);
         let mut combined = first.clone();
         for row in batch.rows() {
             combined.push_row(row.to_vec()).unwrap();
         }
-        // The one-shot table uses sorted dictionaries, the streaming one the
+        // The one-shot table uses sorted dictionaries, the other one the
         // appended layout: compare through values, not raw codes.
         let oneshot_encoded = EncodedDataset::from_dataset(&combined);
         let oneshot = PairCounts::from_encoded(&oneshot_encoded, 0, 1);
-        assert_eq!(streaming.fd_confidence().to_bits(), oneshot.fd_confidence().to_bits());
-        assert_eq!(streaming.fd_confidence().to_bits(), value_space_fd_confidence(&combined, 0, 1).to_bits());
+        assert_eq!(appended.fd_confidence().to_bits(), oneshot.fd_confidence().to_bits());
+        assert_eq!(appended.fd_confidence().to_bits(), value_space_fd_confidence(&combined, 0, 1).to_bits());
         for probe_a in ["35150", "35960", "36000"] {
             for probe_b in ["CA", "KT"] {
                 let (a, b) = (Value::parse(probe_a), Value::parse(probe_b));
                 let s =
-                    streaming.count(encoded.dict(0).encode(&a).unwrap(), encoded.dict(1).encode(&b).unwrap());
+                    appended.count(encoded.dict(0).encode(&a).unwrap(), encoded.dict(1).encode(&b).unwrap());
                 let o = oneshot.count(
                     oneshot_encoded.dict(0).encode(&a).unwrap(),
                     oneshot_encoded.dict(1).encode(&b).unwrap(),
@@ -690,7 +595,11 @@ mod tests {
         // which fd_confidence drops anyway (group < 2), so confidence agrees.
         let exact = PairCounts::from_encoded(&encoded, 0, 1);
         assert_eq!(bucketed.fd_confidence().to_bits(), exact.fd_confidence().to_bits());
-        assert_eq!(bucketed.rows_absorbed(), encoded.num_rows());
+        let counted: u32 = (0..buckets_a.num_buckets() as u32)
+            .flat_map(|p| (0..state.code_space() as u32).map(move |q| (p, q)))
+            .map(|(p, q)| bucketed.count(p, q))
+            .sum();
+        assert_eq!(counted as usize, encoded.num_rows());
         // Mode share over tracked buckets: 35150 appears 3 times of the 5
         // tracked non-null zips.
         assert!((bucketed_mode_share(&encoded, 0, &buckets_a) - 3.0 / 5.0).abs() < 1e-12);

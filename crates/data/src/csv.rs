@@ -46,15 +46,38 @@ pub fn parse_csv(input: &str) -> DataResult<Dataset> {
 /// Serialise a dataset to CSV (header + rows), quoting where required.
 pub fn to_csv(dataset: &Dataset) -> String {
     let mut out = String::new();
-    let names: Vec<String> = dataset.schema().names().iter().map(|n| escape_field(n)).collect();
-    out.push_str(&names.join(","));
-    out.push('\n');
+    push_csv_record(&mut out, dataset.schema().names());
     for row in dataset.rows() {
-        let fields: Vec<String> = row.iter().map(|v| escape_field(&v.as_text())).collect();
-        out.push_str(&fields.join(","));
-        out.push('\n');
+        push_csv_record(&mut out, row.iter().map(Value::as_text));
     }
     out
+}
+
+/// Append one CSV record to `out`: the fields joined by commas, each quoted
+/// when it holds a comma, a quote or a line break (quotes doubled inside),
+/// then a `\n`. Every record [`to_csv`] writes goes through here, so a
+/// writer that emits the header and the rows separately produces the same
+/// bytes.
+pub fn push_csv_record<S: AsRef<str>>(out: &mut String, fields: impl IntoIterator<Item = S>) {
+    for (i, field) in fields.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let field = field.as_ref();
+        if field.contains([',', '"', '\n', '\r']) {
+            out.push('"');
+            for c in field.chars() {
+                if c == '"' {
+                    out.push('"');
+                }
+                out.push(c);
+            }
+            out.push('"');
+        } else {
+            out.push_str(field);
+        }
+    }
+    out.push('\n');
 }
 
 /// Read a CSV file from disk: the chunked reader of [`crate::stream`] with
@@ -73,23 +96,6 @@ pub fn write_csv_file(dataset: &Dataset, path: impl AsRef<Path>) -> DataResult<(
         line: 0,
         message: format!("cannot write {}: {e}", path.as_ref().display()),
     })
-}
-
-fn escape_field(field: &str) -> String {
-    if field.contains([',', '"', '\n', '\r']) {
-        let mut s = String::with_capacity(field.len() + 2);
-        s.push('"');
-        for c in field.chars() {
-            if c == '"' {
-                s.push('"');
-            }
-            s.push(c);
-        }
-        s.push('"');
-        s
-    } else {
-        field.to_string()
-    }
 }
 
 /// The error of a document without a header record.

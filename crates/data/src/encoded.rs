@@ -38,7 +38,8 @@
 //!
 //! # Appending batches
 //!
-//! Streaming sessions grow an encoding batch by batch through
+//! Ingest (`ModelArtifact::ingest_batch` in `bclean-core`) grows a model's
+//! encoding batch by batch through
 //! [`EncodedDataset::append_batch`] **without re-encoding history**: codes
 //! already handed out never change. That relaxes the sorted layout the first
 //! time a column receives a value it has never seen:
@@ -312,7 +313,7 @@ impl EncodedDataset {
     /// historical rows contributed, so absorbing a fresh batch only ever
     /// reads the *appended* row range — the placeholders exist purely to
     /// keep global row indices (and [`EncodedDataset::append_batch`]'s
-    /// dictionary-growth behaviour) identical to a session that kept the
+    /// dictionary-growth behaviour) identical to an encoding that kept the
     /// history in memory. Do not score or decode historical rows of such an
     /// encoding.
     pub fn from_dicts(dicts: Vec<ColumnDict>, num_rows: usize) -> EncodedDataset {
@@ -369,10 +370,9 @@ impl EncodedDataset {
     /// encoding has never seen get fresh tail codes through
     /// [`ColumnDict::append_values`] (no historical code changes — see the
     /// module docs). Appending to an **empty** encoding builds the fresh
-    /// sorted layout, exactly as [`EncodedDataset::from_dataset`] would, so
-    /// a session fed its whole dataset as one batch is indistinguishable
-    /// from a one-shot encoding. Returns the global row range the batch now
-    /// occupies, which streaming consumers absorb.
+    /// sorted layout, exactly as [`EncodedDataset::from_dataset`] would.
+    /// Returns the global row range the batch now occupies, which ingest
+    /// absorbs.
     pub fn append_batch(&mut self, batch: &Dataset) -> Range<usize> {
         assert_eq!(
             batch.num_columns(),

@@ -41,7 +41,7 @@ pub use cooc::{
     bucketed_mode_share, column_code_counts, mode_share, BucketedPairCounts, CodeBuckets, PairCounts,
     DENSE_CELL_CAP,
 };
-pub use csv::{parse_csv, read_csv_file, to_csv, write_csv_file};
+pub use csv::{parse_csv, push_csv_record, read_csv_file, to_csv, write_csv_file};
 pub use dataset::{dataset_from, dataset_with_attrs, CellRef, Dataset};
 pub use diff::{diff, error_cells, noise_rate, CellChange};
 pub use domain::{AttributeDomain, Domains};

@@ -62,8 +62,8 @@ pub mod prelude {
     pub use bclean_baselines::{Cleaner, GarfLite, HoloCleanLite, PCleanLite, RahaBaranLite};
     pub use bclean_bayesnet::{Dag, NetworkEdit, StructureConfig};
     pub use bclean_core::{
-        BClean, BCleanConfig, BCleanModel, CleaningResult, CleaningSession, CompensatoryParams,
-        ConstraintSet, ModelArtifact, SessionStats, UserConstraint, Variant,
+        BClean, BCleanConfig, BCleanModel, CleaningResult, CompensatoryParams, ConstraintSet, ModelArtifact,
+        UserConstraint, Variant,
     };
     pub use bclean_data::{
         dataset_from, CellRef, ColumnDict, Dataset, Domains, EncodedDataset, Schema, Value,

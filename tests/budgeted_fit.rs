@@ -140,30 +140,6 @@ fn budgeted_artifact_round_trips_and_absorbs() {
     assert_eq!(live.to_bytes().unwrap(), reloaded.to_bytes().unwrap());
 }
 
-#[test]
-fn streaming_session_honours_the_budget() {
-    // A budgeted session must stay deterministic: two sessions fed the same
-    // batches end up with byte-identical artifacts.
-    let bench = BenchmarkDataset::Hospital.build_sized(600, SEED);
-    let constraints = bclean_constraints(BenchmarkDataset::Hospital);
-    let budget = FitBudget::Budgeted(tight_budget());
-    let run = || {
-        let cleaner = BClean::new(Variant::PartitionedInference.config().with_fit_budget(budget))
-            .with_constraints(constraints.clone());
-        let mut session = CleaningSession::new(cleaner, bench.dirty.schema().clone());
-        for chunk in 0..3 {
-            let mut batch = Dataset::new(bench.dirty.schema().clone());
-            for r in (chunk * 200)..((chunk + 1) * 200) {
-                batch.push_row(bench.dirty.row(r).unwrap().to_vec()).unwrap();
-            }
-            session.ingest(&batch);
-        }
-        session.finalize();
-        session.artifact().unwrap().to_bytes().unwrap()
-    };
-    assert_eq!(run(), run());
-}
-
 fn benchmark_strategy() -> impl Strategy<Value = (BenchmarkDataset, usize, u64)> {
     (0usize..BenchmarkDataset::all().len(), 120usize..300, 0u64..1_000_000)
         .prop_map(|(idx, rows, seed)| (BenchmarkDataset::all()[idx], rows, seed))

@@ -1,21 +1,25 @@
-//! Equivalence guard for the streaming engine: a [`CleaningSession`] that
-//! refits after every batch must end up in exactly the state a one-shot
-//! `BClean::fit` + `BCleanModel::clean` on the concatenated batches reaches —
-//! identical learned structures, bit-identical CPTs (compared through their
-//! probability APIs), identical domains and FD-confidence matrices, and
-//! byte-identical repairs from [`CleaningSession::finalize`] — for every
-//! paper variant and for 1, 2 and 8 worker threads, even though the
-//! session's dictionaries carry appended (unsorted) code layouts. A property
-//! test repeats the repair-level check across every datagen benchmark family
-//! under random batch splits, including single-row batches, one whole-dataset
-//! batch, and batches that introduce values and nulls the session has never
+//! Equivalence guards for the two ways a model meets more data than it
+//! was fit on.
+//!
+//! **Ingest.** A model grows one way: `BClean::fit_artifact` on the first
+//! rows, then `ModelArtifact::ingest_batch` for each later batch, then
+//! `compile`. The structure stays the one learned on the first rows, so the
+//! grown model must equal `BClean::fit_with_structure` over all rows with
+//! that structure — identical domains, bit-identical CPTs (compared through
+//! each model's own dictionaries, because ingest leaves appended, unsorted
+//! code layouts), byte-identical repairs and cleaned tables, and identical
+//! cleaning counters — for every paper variant and for 1, 2 and 8 worker
+//! threads. An empty batch must leave the artifact's bytes unchanged. A
+//! property test repeats the repair-level check across every datagen
+//! benchmark family under random batch splits, including single-row
+//! batches and batches that bring values and nulls the model has never
 //! seen.
 //!
-//! The same guard covers the thread count: fitting and cleaning at any
-//! thread count (composing with candidate pruning) must reproduce the serial
-//! one-shot artifact byte-for-byte and its repairs repair-for-repair.
+//! **Threads and chunks.** Fitting and cleaning at any thread count
+//! (composing with candidate pruning), and the out-of-core pipeline at any
+//! chunking, must reproduce the serial one-shot artifact byte-for-byte and
+//! its repairs repair-for-repair.
 
-use bclean::core::CleaningSession;
 use bclean::data::AttributeDomain;
 use bclean::eval::bclean_constraints;
 use bclean::prelude::*;
@@ -45,6 +49,18 @@ fn split(dataset: &Dataset, sizes: &[usize]) -> Vec<Dataset> {
     batches
 }
 
+/// Fit on the first batch and ingest the others: the one way a model grows.
+fn fit_then_ingest(cleaner: &BClean, batches: &[Dataset]) -> ModelArtifact {
+    let mut artifact = cleaner.fit_artifact(&batches[0]);
+    for batch in &batches[1..] {
+        artifact.ingest_batch(batch).expect("batch shares the fitting schema");
+    }
+    artifact
+}
+
+/// A streaming session — fit on a prefix, then ingest each later batch —
+/// ends in exactly the model `fit_with_structure` builds over all rows with
+/// the prefix's structure, at every thread count.
 #[test]
 fn session_matches_one_shot_for_every_variant_and_thread_count() {
     let bench = BenchmarkDataset::Hospital.build_sized(ROWS, SEED);
@@ -52,31 +68,21 @@ fn session_matches_one_shot_for_every_variant_and_thread_count() {
     let m = bench.dirty.num_columns();
     let mut total_repairs = 0usize;
     for variant in Variant::all() {
-        let oneshot_model = BClean::new(variant.config().with_threads(1))
-            .with_constraints(constraints.clone())
-            .fit(&bench.dirty);
-        let oneshot = oneshot_model.clean(&bench.dirty);
-        total_repairs += oneshot.repairs.len();
         for threads in [1usize, 2, 8] {
             let cleaner =
                 BClean::new(variant.config().with_threads(threads)).with_constraints(constraints.clone());
-            let mut session = CleaningSession::new(cleaner, bench.dirty.schema().clone());
-            // Uneven batches, including a single-row one, so later batches
-            // bring values (and nulls) the session has never seen.
-            let mut streamed = 0usize;
-            for batch in split(&bench.dirty, &[1, 40, 7, 64, 100]) {
-                streamed += session.ingest(&batch).len();
-            }
-            assert_eq!(session.num_rows(), bench.dirty.num_rows());
-            let result = session.finalize();
-            let model = session.model().expect("data was ingested");
-
-            // Identical structures.
-            assert_eq!(
-                model.dag().edges(),
-                oneshot_model.dag().edges(),
-                "structure diverged: variant {variant:?} threads {threads}"
-            );
+            // A 48-row prefix, then uneven batches, including a single-row
+            // one, so later batches bring values (and nulls) the model has
+            // never seen.
+            let batches = split(&bench.dirty, &[48, 1, 40, 7, 64]);
+            let artifact = fit_then_ingest(&cleaner, &batches);
+            assert_eq!(artifact.num_rows(), bench.dirty.num_rows());
+            assert!(artifact.dag().num_edges() > 0, "the prefix must learn a structure");
+            let model = artifact.compile();
+            let oneshot_model = BClean::new(variant.config().with_threads(1))
+                .with_constraints(constraints.clone())
+                .fit_with_structure(&bench.dirty, artifact.dag().clone());
+            assert_eq!(model.dag().edges(), oneshot_model.dag().edges());
             assert_eq!(model.attribute_names(), oneshot_model.attribute_names());
 
             // Identical domains, despite the appended dictionary layout.
@@ -96,7 +102,7 @@ fn session_matches_one_shot_for_every_variant_and_thread_count() {
                 row.iter().zip(model.dicts()).map(|(v, d)| d.encode(v).unwrap()).collect()
             };
             for (r, row) in bench.dirty.rows().enumerate() {
-                let (codes, oneshot_codes) = (codes_of(model, row), codes_of(&oneshot_model, row));
+                let (codes, oneshot_codes) = (codes_of(&model, row), codes_of(&oneshot_model, row));
                 for col in 0..m {
                     let mut probes: Vec<Value> = model.domains().attribute(col).values().to_vec();
                     probes.push(Value::Null);
@@ -120,7 +126,10 @@ fn session_matches_one_shot_for_every_variant_and_thread_count() {
                 }
             }
 
-            // Byte-identical authoritative repairs and counters.
+            // Byte-identical repairs and counters.
+            let result = model.clean(&bench.dirty);
+            let oneshot = oneshot_model.clean(&bench.dirty);
+            total_repairs += oneshot.repairs.len();
             assert_eq!(
                 result.repairs, oneshot.repairs,
                 "repairs diverged: variant {variant:?} threads {threads}"
@@ -129,47 +138,37 @@ fn session_matches_one_shot_for_every_variant_and_thread_count() {
             assert_eq!(result.stats.cells_examined, oneshot.stats.cells_examined);
             assert_eq!(result.stats.cells_skipped, oneshot.stats.cells_skipped);
             assert_eq!(result.stats.candidates_evaluated, oneshot.stats.candidates_evaluated);
-
-            // The per-ingest streams are provisional but must have flowed.
-            assert!(streamed > 0 || oneshot.repairs.is_empty(), "no streaming repairs were emitted");
-            let stats = session.stats();
-            assert_eq!(stats.rows, bench.dirty.num_rows());
-            assert!(stats.refits >= stats.batches, "refit-every-batch cadence must refit per batch");
         }
     }
     assert!(total_repairs > 0, "the fixture must exercise actual repairs");
 }
 
-/// Ingesting the whole dataset as one batch cleans it against the fully
-/// fitted model, so even the *streaming* repairs match one-shot cleaning.
-#[test]
-fn whole_dataset_batch_streams_one_shot_repairs() {
-    let bench = BenchmarkDataset::Hospital.build_sized(120, SEED + 1);
-    let constraints = bclean_constraints(BenchmarkDataset::Hospital);
-    let cleaner =
-        BClean::new(Variant::PartitionedInference.config().with_threads(2)).with_constraints(constraints);
-    let oneshot = cleaner.fit(&bench.dirty).clean(&bench.dirty);
-    let mut session = CleaningSession::new(cleaner, bench.dirty.schema().clone());
-    let streamed = session.ingest(&bench.dirty);
-    assert_eq!(streamed, oneshot.repairs);
-    assert_eq!(session.finalize().repairs, oneshot.repairs);
-}
-
-/// Empty batches are harmless no-ops at any point of the stream.
+/// Empty batches are harmless no-ops at any point of the stream: each one
+/// leaves the artifact's bytes unchanged, and the grown model still cleans
+/// exactly like `fit_with_structure` over all rows.
 #[test]
 fn empty_batches_are_noops() {
     let bench = BenchmarkDataset::Hospital.build_sized(60, SEED + 2);
     let constraints = bclean_constraints(BenchmarkDataset::Hospital);
-    let cleaner = BClean::new(Variant::Basic.config().with_threads(1)).with_constraints(constraints.clone());
+    let cleaner = BClean::new(Variant::Basic.config().with_threads(1)).with_constraints(constraints);
     let empty = Dataset::new(bench.dirty.schema().clone());
-    let mut session = CleaningSession::new(cleaner.clone(), bench.dirty.schema().clone());
-    assert!(session.ingest(&empty).is_empty());
-    assert!(session.model().is_none());
-    assert!(session.finalize().repairs.is_empty());
-    session.ingest(&bench.dirty);
-    assert!(session.ingest(&empty).is_empty());
-    let oneshot = cleaner.fit(&bench.dirty).clean(&bench.dirty);
-    assert_eq!(session.finalize().repairs, oneshot.repairs);
+    let batches = split(&bench.dirty, &[30, 30]);
+    let mut artifact = cleaner.fit_artifact(&batches[0]);
+    for batch in [&empty, &batches[1], &empty] {
+        let before = artifact.to_bytes().expect("artifact serialises");
+        let rows = artifact.ingest_batch(batch).expect("batch shares the fitting schema");
+        assert_eq!(rows, artifact.num_rows());
+        if batch.num_rows() == 0 {
+            assert_eq!(
+                artifact.to_bytes().expect("artifact serialises"),
+                before,
+                "an empty batch must leave the artifact unchanged"
+            );
+        }
+    }
+    assert_eq!(artifact.num_rows(), bench.dirty.num_rows());
+    let oneshot = cleaner.fit_with_structure(&bench.dirty, artifact.dag().clone()).clean(&bench.dirty);
+    assert_eq!(artifact.compile().clean(&bench.dirty).repairs, oneshot.repairs);
 }
 
 /// Fit + clean at any thread count must be bit-identical to the serial
@@ -370,8 +369,8 @@ proptest! {
 
     /// Across every datagen benchmark family, random sizes, seeds and batch
     /// splits (single-row batches included; any tail rows land in the last
-    /// batch), a refit-every-batch session must finalize to the one-shot
-    /// repairs.
+    /// batch), fitting the first batch and ingesting the rest must clean
+    /// like a fit over all rows with the first batch's structure.
     #[test]
     fn random_batch_splits_agree_with_one_shot(
         (dataset, rows, seed, sizes) in benchmark_strategy()
@@ -380,17 +379,10 @@ proptest! {
         let constraints = bclean_constraints(dataset);
         let cleaner = BClean::new(Variant::PartitionedInference.config().with_threads(2))
             .with_constraints(constraints);
-        let oneshot_model = cleaner.fit(&bench.dirty);
-        let oneshot = oneshot_model.clean(&bench.dirty);
-        let mut session = CleaningSession::new(cleaner, bench.dirty.schema().clone());
-        for batch in split(&bench.dirty, &sizes) {
-            session.ingest(&batch);
-        }
-        let result = session.finalize();
-        prop_assert_eq!(
-            session.model().unwrap().dag().edges(),
-            oneshot_model.dag().edges()
-        );
+        let artifact = fit_then_ingest(&cleaner, &split(&bench.dirty, &sizes));
+        prop_assert_eq!(artifact.num_rows(), bench.dirty.num_rows());
+        let result = artifact.compile().clean(&bench.dirty);
+        let oneshot = cleaner.fit_with_structure(&bench.dirty, artifact.dag().clone()).clean(&bench.dirty);
         prop_assert_eq!(&result.repairs, &oneshot.repairs);
         prop_assert_eq!(&result.cleaned, &oneshot.cleaned);
     }
