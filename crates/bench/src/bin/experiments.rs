@@ -10,7 +10,8 @@
 //! `table8`, `table9`, `table10`, `fig4a`, `fig4bcd`, `fig4ef`, `fig5`,
 //! `netedit`, or `all` (default). The default scale is `small` so the whole
 //! suite finishes quickly; use `--scale default` to reproduce at the paper's
-//! dataset sizes (see EXPERIMENTS.md).
+//! dataset sizes (`BenchmarkDataset::default_rows`: the paper's row counts,
+//! except Soccer at 20 000 of its 200 000 rows).
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -213,7 +214,7 @@ fn tables_4_and_7(scale: Scale) {
         runtime.add_row(trow);
     }
     println!("{}", quality.render());
-    println!("## Table 7 — execution time (user time is a human-study metric; see EXPERIMENTS.md)\n");
+    println!("## Table 7 — execution time (the paper's user-time column comes from a human study and is not reproduced)\n");
     if slate_threads > 1 {
         println!(
             "(smoke scale: methods ran {slate_threads} at a time, so times include contention; \
@@ -653,8 +654,8 @@ fn bench_fit(scale: Scale, threads_sweep: &[usize]) {
     // fit` runs (CPT compilation is a clean-time cost both paths share
     // unchanged). Repair agreement is measured outside the timing loop by
     // cleaning with both artifacts under the same top-k pruned config: the
-    // budget approximates structure *search* only (pair tallies stay exact
-    // through the hybrid stores), so agreement records how often the
+    // budget approximates structure *search* only (pair tallies stay
+    // exact), so agreement records how often the
     // sampled search still lands on repairs the exact fit would make.
     let factor = match scale {
         Scale::Small => ScaleFactor::S10K,

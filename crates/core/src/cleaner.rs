@@ -205,7 +205,6 @@ impl BClean {
             encoded,
             self.config.params,
             &row_executor,
-            self.config.fit_budget.params(),
             confidences,
         );
         crate::ModelArtifact::from_parts(

@@ -16,15 +16,20 @@
 //! # Storage
 //!
 //! The model is *dictionary-compiled*: every attribute value is translated
-//! to its `u32` code (see [`bclean_data::encoded`]) while the model is built,
-//! and all counters are stored per ordered column pair as either a dense
-//! `cardinality × cardinality` matrix (small domains) or a
-//! `HashMap<(u32, u32), _>` (large domains). The inference hot loop queries
-//! the `*_codes` methods with pre-encoded rows and never hashes or clones a
-//! [`Value`]; the `Value`-typed methods remain as a thin facade that encodes
-//! through the stored [`ColumnDict`]s before delegating.
+//! to its `u32` code (see [`bclean_data::encoded`]) while the model is built.
+//! The counters of each **unordered** column pair live in one `PairIndex`:
+//! the non-zero tallies in compressed sparse row (CSR) order — per code of
+//! the lower column, a run of the other column's codes, sorted — plus one
+//! permutation that gives the transposed runs. Both orientations are
+//! therefore posting lists, and every point query is one binary search in
+//! the run of the candidate's code. The index is built by counting sort and
+//! grown by merging sorted runs, so neither fitting nor scoring hashes
+//! anything. The inference hot loop queries the `*_codes` methods with
+//! pre-encoded rows and never hashes or clones a [`Value`]; the
+//! `Value`-typed methods remain as a thin facade that encodes through the
+//! stored [`ColumnDict`]s before delegating.
 
-use std::collections::HashMap;
+use std::ops::Range;
 
 use bclean_data::{ColumnDict, Dataset, EncodedDataset, Value};
 
@@ -90,335 +95,286 @@ impl PairEntry {
             self.neg += 1;
         }
     }
-}
 
-/// Dense pair tables above this cell count switch to the hash-map layout.
-const DENSE_PAIR_CELL_CAP: usize = 1 << 14;
-
-/// The slot a tracked [`BoundedSide`] maps its untracked codes to: pairs
-/// touching such a code live in the exact tail, not the dense core.
-const UNTRACKED: u32 = u32::MAX;
-
-/// One axis of a [`PairStore::Bounded`] table: a total map from the column's
-/// code space onto a small dense slot space. A *tracked* side gives its
-/// heavy-hitter codes and its null code (so FD statistics can still exclude
-/// it by position) a slot each and maps every other code to [`UNTRACKED`];
-/// an *identity* side — a column whose cardinality fit the budget — keeps
-/// every code as its own slot.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct BoundedSide {
-    /// `code -> slot` over the column's full code space.
-    map: Vec<u32>,
-    /// The tracked value codes, ascending; `None` marks an identity side.
-    tracked: Option<Vec<u32>>,
-    /// Slot-space size along this axis.
-    dims: usize,
-    /// The column's null code (its slot is `map[null_code]`).
-    null_code: u32,
-}
-
-impl BoundedSide {
-    /// A heavy-hitter side: the `tracked` codes (ascending value codes) get
-    /// slots `0..t`, null gets slot `t`, every other code is [`UNTRACKED`].
-    fn with_tracked(space: usize, null_code: u32, tracked: &[u32]) -> BoundedSide {
-        let t = tracked.len();
-        let mut map = vec![UNTRACKED; space];
-        for (slot, &code) in tracked.iter().enumerate() {
-            map[code as usize] = slot as u32;
-        }
-        if (null_code as usize) < space {
-            map[null_code as usize] = t as u32;
-        }
-        BoundedSide { map, tracked: Some(tracked.to_vec()), dims: t + 1, null_code }
-    }
-
-    /// An identity side: every code of the (small) space is its own slot.
-    fn identity(space: usize, null_code: u32) -> BoundedSide {
-        BoundedSide { map: (0..space as u32).collect(), tracked: None, dims: space, null_code }
-    }
-
-    /// Slot of the column's null code.
+    /// Add another tally of the same code pair.
     #[inline]
-    fn null_slot(&self) -> u32 {
-        self.map.get(self.null_code as usize).copied().unwrap_or(u32::MAX)
-    }
-
-    /// The original code a slot stands for.
-    fn code_of_slot(&self, slot: usize) -> u32 {
-        match &self.tracked {
-            None => slot as u32,
-            Some(codes) => codes.get(slot).copied().unwrap_or(self.null_code),
-        }
-    }
-
-    /// Grow the side to a larger code space (appends only add codes at the
-    /// tail). Tracked sides map every new code to [`UNTRACKED`] — the
-    /// tracked set is frozen at fit time — so their `dims` never change;
-    /// identity sides extend the identity map and report the dims change so
-    /// the owning store can regrow its cell matrix.
-    fn grow(&mut self, new_space: usize) -> bool {
-        if new_space <= self.map.len() {
-            return false;
-        }
-        match &self.tracked {
-            Some(_) => {
-                self.map.resize(new_space, UNTRACKED);
-                false
-            }
-            None => {
-                for code in self.map.len()..new_space {
-                    self.map.push(code as u32);
-                }
-                self.dims = new_space;
-                true
-            }
-        }
+    fn add(&mut self, other: PairEntry) {
+        self.pos += other.pos;
+        self.neg += other.neg;
     }
 }
 
-/// Co-occurrence counters of one ordered column pair `(j, k)`, indexed by the
-/// columns' dictionary codes (null codes included; unseen codes always miss).
-#[derive(Debug, Clone)]
-pub(crate) enum PairStore {
-    /// Placeholder for the diagonal `(j, j)` slots, which are never counted.
-    Empty,
-    /// Dense `code_space(j) × code_space(k)` matrix.
-    Dense { cols: usize, cells: Vec<PairEntry> },
-    /// Sparse map over observed code pairs.
-    Map(HashMap<(u32, u32), PairEntry>),
-    /// Budget-bounded hybrid table (see
-    /// [`CompensatoryModel::build_parallel`] with a budget): a dense
-    /// heavy-hitter core plus a sparse exact tail. A tracked axis maps its
-    /// tracked codes and its null code onto `heavy_hitters + 1` slots; pairs
-    /// where both codes have a slot land in the dense `cells` as O(1) array
-    /// bumps, and the few pairs touching an untracked code spill into the
-    /// `tail` map with their original codes. Because heavy-hitter lists are
-    /// chosen by frequency, the tail sees only the rare-value fraction of
-    /// the row mass — the store keeps *exact* tallies for every pair while
-    /// paying hash-map costs only on that sliver.
-    Bounded { a: BoundedSide, b: BoundedSide, cells: Vec<PairEntry>, tail: HashMap<(u32, u32), PairEntry> },
+/// The co-occurrence index of one unordered column pair `(lo, hi)`,
+/// `lo < hi`: every non-zero tally, in CSR order. The run of `lo`-code `a`
+/// is `keys[offsets[a]..offsets[a + 1]]` — the `hi` codes `a` co-occurred
+/// with, ascending — beside the matching slice of `entries`. The transposed
+/// run of `hi`-code `b` is `t_keys[t_offsets[b]..t_offsets[b + 1]]`, the
+/// `lo` codes ascending, and `t_perm` maps each of its slots to the entry
+/// it shares with the forward run. Only non-zero tallies are stored, so
+/// equal tallies give equal indexes whatever the order rows arrived in.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PairIndex {
+    offsets: Vec<u32>,
+    keys: Vec<u32>,
+    entries: Vec<PairEntry>,
+    t_offsets: Vec<u32>,
+    t_keys: Vec<u32>,
+    t_perm: Vec<u32>,
 }
 
-impl PairStore {
-    pub(crate) fn with_spaces(rows: usize, cols: usize) -> PairStore {
-        if rows.saturating_mul(cols) <= DENSE_PAIR_CELL_CAP {
-            PairStore::Dense { cols, cells: vec![PairEntry::default(); rows * cols] }
-        } else {
-            PairStore::Map(HashMap::new())
+/// Prefix sums of a code histogram: `starts[c]..starts[c + 1]` is where
+/// code `c`'s items land in a stable counting sort of `codes` over
+/// `space` codes.
+fn bucket_starts(codes: &[u32], space: usize) -> Vec<usize> {
+    let mut starts = vec![0usize; space + 1];
+    for &code in codes {
+        starts[code as usize + 1] += 1;
+    }
+    for c in 1..=space {
+        starts[c] += starts[c - 1];
+    }
+    starts
+}
+
+/// A run's slot range, or `None` for a code outside the offsets (unseen
+/// and candidate sentinels, which co-occur with nothing).
+#[inline]
+fn run_range(offsets: &[u32], code: u32) -> Option<Range<usize>> {
+    let code = code as usize;
+    Some(*offsets.get(code)? as usize..*offsets.get(code + 1)? as usize)
+}
+
+/// A `u32` offset; the tallies themselves are `u32`, so no column pair can
+/// hold more entries.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("pair entries fit the u32 tallies")
+}
+
+impl PairIndex {
+    /// An index with no tallies over code spaces of the given sizes.
+    fn empty(space_lo: usize, space_hi: usize) -> PairIndex {
+        PairIndex { offsets: vec![0; space_lo + 1], t_offsets: vec![0; space_hi + 1], ..PairIndex::default() }
+    }
+
+    /// Tally every row of two code columns, hashing nothing: a stable
+    /// counting sort by the `hi` code, then one by the `lo` code, leaves the
+    /// rows in `(lo, hi)` order, and equal neighbours collapse into one
+    /// entry.
+    fn from_columns(
+        lo: &[u32],
+        hi: &[u32],
+        positives: &[bool],
+        space_lo: usize,
+        space_hi: usize,
+    ) -> PairIndex {
+        let hi_starts = bucket_starts(hi, space_hi);
+        let mut next = hi_starts.clone();
+        let mut by_hi = vec![(0u32, false); lo.len()];
+        for ((&a, &b), &positive) in lo.iter().zip(hi).zip(positives) {
+            let slot = &mut next[b as usize];
+            by_hi[*slot] = (a, positive);
+            *slot += 1;
         }
-    }
-
-    /// A bounded store over the two sides' slot spaces, with an empty tail.
-    pub(crate) fn bounded(a: BoundedSide, b: BoundedSide) -> PairStore {
-        let cells = vec![PairEntry::default(); a.dims * b.dims];
-        PairStore::Bounded { a, b, cells, tail: HashMap::new() }
-    }
-
-    /// Grow a dense store to the columns' new code spaces (appends only ever
-    /// add codes at the tail, so existing cells keep their coordinates),
-    /// spilling to the map layout when the grown space exceeds the dense
-    /// budget. Both layouts answer queries identically, so resizing never
-    /// changes a score.
-    fn resize(&mut self, old_rows: usize, new_rows: usize, new_cols: usize) {
-        if let PairStore::Dense { cols, cells } = self {
-            let old_cols = *cols;
-            if old_cols == new_cols && cells.len() == new_rows * new_cols {
-                return;
-            }
-            if new_rows.saturating_mul(new_cols) <= DENSE_PAIR_CELL_CAP {
-                let mut grown = vec![PairEntry::default(); new_rows * new_cols];
-                for a in 0..old_rows {
-                    grown[a * new_cols..a * new_cols + old_cols]
-                        .copy_from_slice(&cells[a * old_cols..(a + 1) * old_cols]);
-                }
-                *cells = grown;
-                *cols = new_cols;
-            } else {
-                let mut map = HashMap::new();
-                for a in 0..old_rows {
-                    for b in 0..old_cols {
-                        let entry = cells[a * old_cols + b];
-                        if !entry.is_zero() {
-                            map.insert((a as u32, b as u32), entry);
-                        }
-                    }
-                }
-                *self = PairStore::Map(map);
-            }
-        } else if let PairStore::Bounded { a, b, cells, .. } = self {
-            // The tail is keyed by original codes, which appends never
-            // renumber, so only the dense core may need regrowing.
-            let (old_dims_a, old_dims_b) = (a.dims, b.dims);
-            let grew_a = a.grow(new_rows);
-            let grew_b = b.grow(new_cols);
-            if grew_a || grew_b {
-                // Only identity sides change dims, and they append slots at
-                // the tail, so existing cells keep their coordinates.
-                let mut grown = vec![PairEntry::default(); a.dims * b.dims];
-                for sa in 0..old_dims_a {
-                    grown[sa * b.dims..sa * b.dims + old_dims_b]
-                        .copy_from_slice(&cells[sa * old_dims_b..(sa + 1) * old_dims_b]);
-                }
-                *cells = grown;
-            }
-        }
-    }
-
-    /// Count one observation of the code pair `(a, b)`.
-    #[inline]
-    fn add(&mut self, a: u32, b: u32, positive: bool) {
-        match self {
-            PairStore::Empty => unreachable!("diagonal pair stores are never updated"),
-            PairStore::Dense { cols, cells } => cells[a as usize * *cols + b as usize].bump(positive),
-            PairStore::Map(map) => map.entry((a, b)).or_default().bump(positive),
-            PairStore::Bounded { a: side_a, b: side_b, cells, tail } => {
-                // Heavy-hitter pairs take the O(1) dense path; the rare
-                // fraction touching an untracked code spills into the exact
-                // tail under its original code pair.
-                let sa = side_a.map[a as usize];
-                let sb = side_b.map[b as usize];
-                let entry = if sa == UNTRACKED || sb == UNTRACKED {
-                    tail.entry((a, b)).or_default()
-                } else {
-                    &mut cells[sa as usize * side_b.dims + sb as usize]
-                };
-                entry.bump(positive);
+        let lo_starts = bucket_starts(lo, space_lo);
+        let mut next = lo_starts.clone();
+        let mut by_lo = vec![(0u32, false); lo.len()];
+        for b in 0..space_hi {
+            for &(a, positive) in &by_hi[hi_starts[b]..hi_starts[b + 1]] {
+                let slot = &mut next[a as usize];
+                by_lo[*slot] = (b as u32, positive);
+                *slot += 1;
             }
         }
+        let mut index = PairIndex { offsets: Vec::with_capacity(space_lo + 1), ..PairIndex::default() };
+        index.offsets.push(0);
+        for a in 0..space_lo {
+            let run_start = index.keys.len();
+            for &(b, positive) in &by_lo[lo_starts[a]..lo_starts[a + 1]] {
+                if index.keys.len() == run_start || index.keys.last() != Some(&b) {
+                    index.keys.push(b);
+                    index.entries.push(PairEntry::default());
+                }
+                index.entries.last_mut().expect("an entry was just pushed").bump(positive);
+            }
+            index.offsets.push(offset(index.keys.len()));
+        }
+        index.transpose(space_hi);
+        index
     }
 
-    /// Count every row of two code columns: [`PairStore::add`] over whole
-    /// columns, with the layout matched once and a tight loop per layout.
-    fn add_columns(&mut self, col_a: &[u32], col_b: &[u32], positives: &[bool]) {
-        let rows = col_a.iter().zip(col_b).zip(positives);
-        match self {
-            PairStore::Empty => unreachable!("diagonal pair stores are never updated"),
-            PairStore::Dense { cols, cells } => {
-                let cols = *cols;
-                for ((&a, &b), &positive) in rows {
-                    cells[a as usize * cols + b as usize].bump(positive);
-                }
-            }
-            PairStore::Map(map) => {
-                for ((&a, &b), &positive) in rows {
-                    map.entry((a, b)).or_default().bump(positive);
-                }
-            }
-            PairStore::Bounded { a: side_a, b: side_b, cells, tail } => {
-                let (map_a, map_b, dims_b) = (&side_a.map[..], &side_b.map[..], side_b.dims);
-                for ((&a, &b), &positive) in rows {
-                    let (sa, sb) = (map_a[a as usize], map_b[b as usize]);
-                    let entry = if sa == UNTRACKED || sb == UNTRACKED {
-                        tail.entry((a, b)).or_default()
-                    } else {
-                        &mut cells[sa as usize * dims_b + sb as usize]
-                    };
-                    entry.bump(positive);
-                }
+    /// Rebuild the transposed runs: a stable counting sort of the entries
+    /// by their `hi` code, which leaves each transposed run sorted by `lo`.
+    fn transpose(&mut self, space_hi: usize) {
+        let starts = bucket_starts(&self.keys, space_hi);
+        let mut next = starts.clone();
+        self.t_keys = vec![0; self.keys.len()];
+        self.t_perm = vec![0; self.keys.len()];
+        for (a, run) in self.offsets.windows(2).enumerate() {
+            for i in run[0] as usize..run[1] as usize {
+                let slot = &mut next[self.keys[i] as usize];
+                self.t_keys[*slot] = a as u32;
+                self.t_perm[*slot] = i as u32;
+                *slot += 1;
             }
         }
+        self.t_offsets = starts.into_iter().map(offset).collect();
     }
 
-    #[inline]
-    fn get(&self, a: u32, b: u32) -> PairEntry {
-        match self {
-            PairStore::Empty => PairEntry::default(),
-            PairStore::Dense { cols, cells } => {
-                let (a, b) = (a as usize, b as usize);
-                if b < *cols && a.saturating_mul(*cols) + b < cells.len() {
-                    cells[a * *cols + b]
-                } else {
-                    PairEntry::default()
-                }
-            }
-            PairStore::Map(map) => map.get(&(a, b)).copied().unwrap_or_default(),
-            PairStore::Bounded { a: side_a, b: side_b, cells, tail } => {
-                // Tracked pairs read the dense core; pairs touching an
-                // untracked code read the exact tail, so every point query
-                // answers the true tally (only out-of-range codes — foreign
-                // encodings, candidate sentinels — miss to zero).
-                let (Some(&sa), Some(&sb)) = (side_a.map.get(a as usize), side_b.map.get(b as usize)) else {
-                    return PairEntry::default();
-                };
-                if sa == UNTRACKED || sb == UNTRACKED {
-                    return tail.get(&(a, b)).copied().unwrap_or_default();
-                }
-                cells[sa as usize * side_b.dims + sb as usize]
-            }
-        }
-    }
-
-    /// The store's non-zero entries as `(code_a, code_b, entry)` triples
-    /// sorted by code pair — the persistence wire form. Every code lies in
-    /// its column's code space.
-    pub(crate) fn persisted_entries(&self) -> Vec<(u32, u32, PairEntry)> {
-        let mut entries: Vec<(u32, u32, PairEntry)> = match self {
-            PairStore::Empty => Vec::new(),
-            PairStore::Dense { cols, cells } => cells
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| !e.is_zero())
-                .map(|(i, e)| ((i / cols) as u32, (i % cols) as u32, *e))
-                .collect(),
-            PairStore::Map(map) => map.iter().map(|(&(a, b), e)| (a, b, *e)).collect(),
-            PairStore::Bounded { a, b, cells, tail } => cells
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| !e.is_zero())
-                .map(|(i, e)| {
-                    let (sa, sb) = (i / b.dims, i % b.dims);
-                    (a.code_of_slot(sa), b.code_of_slot(sb), *e)
-                })
-                .chain(tail.iter().map(|(&(a, b), e)| (a, b, *e)))
-                .collect(),
+    /// Fold in the tallies of `delta`, an index over code spaces at least as
+    /// large: each run becomes the sorted merge of the two runs, equal codes
+    /// adding their tallies, and the offsets grow to `delta`'s code spaces.
+    fn merge(&mut self, delta: &PairIndex) {
+        let space_hi = delta.t_offsets.len() - 1;
+        let mut merged = PairIndex {
+            offsets: Vec::with_capacity(delta.offsets.len()),
+            keys: Vec::with_capacity(self.keys.len() + delta.keys.len()),
+            entries: Vec::with_capacity(self.keys.len() + delta.keys.len()),
+            ..PairIndex::default()
         };
-        entries.sort_by_key(|&(a, b, _)| (a, b));
-        entries
-    }
-
-    /// Install one persisted entry (the inverse of
-    /// [`PairStore::persisted_entries`]); the caller has already validated
-    /// plain codes against the code spaces and the sorted-distinct order.
-    pub(crate) fn insert_persisted(&mut self, a: u32, b: u32, entry: PairEntry) -> Result<(), String> {
-        match self {
-            PairStore::Empty => Err("diagonal stores hold no entries".to_string()),
-            PairStore::Dense { cols, cells } => {
-                cells[a as usize * *cols + b as usize] = entry;
-                Ok(())
-            }
-            PairStore::Map(map) => {
-                map.insert((a, b), entry);
-                Ok(())
-            }
-            PairStore::Bounded { a: side_a, b: side_b, cells, tail } => {
-                let sa = Self::persisted_slot(side_a, a)?;
-                let sb = Self::persisted_slot(side_b, b)?;
-                match (sa, sb) {
-                    (Some(sa), Some(sb)) => cells[sa * side_b.dims + sb] = entry,
-                    // Entries touching an untracked code belong to the
-                    // exact tail, keyed by their original code pair.
-                    _ => {
-                        tail.insert((a, b), entry);
+        merged.offsets.push(0);
+        for a in 0..delta.offsets.len() as u32 - 1 {
+            let old = run_range(&self.offsets, a).unwrap_or(0..0);
+            let new = run_range(&delta.offsets, a).expect("delta covers its own code space");
+            if new.is_empty() {
+                merged.keys.extend_from_slice(&self.keys[old.clone()]);
+                merged.entries.extend_from_slice(&self.entries[old]);
+            } else {
+                let (mut i, mut j) = (old.start, new.start);
+                while i < old.end || j < new.end {
+                    let take_old = j == new.end || (i < old.end && self.keys[i] <= delta.keys[j]);
+                    let take_new = i == old.end || (j < new.end && delta.keys[j] <= self.keys[i]);
+                    let mut entry = PairEntry::default();
+                    if take_old {
+                        entry.add(self.entries[i]);
                     }
+                    if take_new {
+                        entry.add(delta.entries[j]);
+                    }
+                    merged.keys.push(if take_old { self.keys[i] } else { delta.keys[j] });
+                    merged.entries.push(entry);
+                    i += take_old as usize;
+                    j += take_new as usize;
                 }
-                Ok(())
+            }
+            merged.offsets.push(offset(merged.keys.len()));
+        }
+        merged.transpose(space_hi);
+        *self = merged;
+    }
+
+    /// The tallies of `lo`-code `a` with `hi`-code `b`, from the run of `a`.
+    #[inline]
+    fn get_by_lo(&self, a: u32, b: u32) -> PairEntry {
+        let Some(run) = run_range(&self.offsets, a) else {
+            return PairEntry::default();
+        };
+        match self.keys[run.clone()].binary_search(&b) {
+            Ok(i) => self.entries[run.start + i],
+            Err(_) => PairEntry::default(),
+        }
+    }
+
+    /// The tallies of `hi`-code `b` with `lo`-code `a`, from the run of `b`.
+    #[inline]
+    fn get_by_hi(&self, b: u32, a: u32) -> PairEntry {
+        let Some(run) = run_range(&self.t_offsets, b) else {
+            return PairEntry::default();
+        };
+        match self.t_keys[run.clone()].binary_search(&a) {
+            Ok(i) => self.entries[self.t_perm[run.start + i] as usize],
+            Err(_) => PairEntry::default(),
+        }
+    }
+
+    /// Visit every entry run by run: keyed by the `lo` codes when `by_lo`,
+    /// by the `hi` codes otherwise, as `(run code, other code, tallies)` in
+    /// run order and, within a run, ascending other code.
+    fn for_each(&self, by_lo: bool, mut visit: impl FnMut(usize, u32, PairEntry)) {
+        let (offsets, keys) =
+            if by_lo { (&self.offsets, &self.keys) } else { (&self.t_offsets, &self.t_keys) };
+        for (code, run) in offsets.windows(2).enumerate() {
+            let run = run[0] as usize..run[1] as usize;
+            for (i, &key) in run.clone().zip(&keys[run]) {
+                let entry = if by_lo { self.entries[i] } else { self.entries[self.t_perm[i] as usize] };
+                visit(code, key, entry);
             }
         }
     }
 
-    /// Resolve a persisted code onto a bounded side's dense slot —
-    /// `Ok(None)` marks an untracked code (a tail entry), and a code outside
-    /// the column's code space is rejected.
-    fn persisted_slot(side: &BoundedSide, code: u32) -> Result<Option<usize>, String> {
-        match side.map.get(code as usize) {
-            None => Err(format!("code {code} outside the code space")),
-            Some(&UNTRACKED) => Ok(None),
-            Some(&slot) => Ok(Some(slot as usize)),
+    /// The persisted form: the forward offsets, keys and tallies.
+    pub(crate) fn runs(&self) -> (&[u32], &[u32], &[PairEntry]) {
+        (&self.offsets, &self.keys, &self.entries)
+    }
+
+    /// Rebuild an index from its persisted form, checking every invariant
+    /// a live index keeps: one offset per `lo` code plus one, starting at 0,
+    /// never decreasing and ending at the entry count; keys inside the `hi`
+    /// code space and strictly ascending within each run; no all-zero
+    /// entry; and run tallies that sum to each code's value count, on both
+    /// sides. The code spaces are the lengths of the two value-count lists.
+    pub(crate) fn from_runs(
+        offsets: Vec<u32>,
+        keys: Vec<u32>,
+        entries: Vec<PairEntry>,
+        counts_lo: &[u32],
+        counts_hi: &[u32],
+    ) -> Result<PairIndex, String> {
+        if offsets.len() != counts_lo.len() + 1 {
+            return Err(format!("{} offsets for a code space of {}", offsets.len(), counts_lo.len()));
         }
+        if offsets[0] != 0 || offsets[offsets.len() - 1] as usize != keys.len() {
+            return Err(format!("offsets do not span the {} entries", keys.len()));
+        }
+        // Non-decreasing offsets that end at the entry count never overrun it.
+        if let Some(a) = offsets.windows(2).position(|run| run[0] > run[1]) {
+            return Err(format!("offsets decrease at code {a}"));
+        }
+        if keys.len() != entries.len() {
+            return Err(format!("{} keys for {} entries", keys.len(), entries.len()));
+        }
+        let mut hi_totals = vec![0u64; counts_hi.len()];
+        for (a, run) in offsets.windows(2).enumerate() {
+            let mut total = 0u64;
+            let mut previous: Option<u32> = None;
+            for i in run[0] as usize..run[1] as usize {
+                let (b, entry) = (keys[i], entries[i]);
+                if b as usize >= counts_hi.len() {
+                    return Err(format!("code {b} outside the code space of {}", counts_hi.len()));
+                }
+                if previous.is_some_and(|p| p >= b) {
+                    return Err(format!("run of code {a} is not sorted and distinct"));
+                }
+                if entry.is_zero() {
+                    return Err(format!("entry ({a}, {b}) is all zero"));
+                }
+                previous = Some(b);
+                let count = entry.pos as u64 + entry.neg as u64;
+                total += count;
+                hi_totals[b as usize] += count;
+            }
+            if total != counts_lo[a] as u64 {
+                return Err(format!(
+                    "run of code {a} tallies {total} rows, its value count is {}",
+                    counts_lo[a]
+                ));
+            }
+        }
+        if let Some(b) = (0..counts_hi.len()).find(|&b| hi_totals[b] != counts_hi[b] as u64) {
+            return Err(format!("transposed run of code {b} does not sum to its value count"));
+        }
+        let mut index = PairIndex { offsets, keys, entries, ..PairIndex::default() };
+        index.transpose(counts_hi.len());
+        Ok(index)
     }
 }
 
-/// The compensatory scoring model: code-indexed co-occurrence tables plus
+/// The unordered column pairs `(lo, hi)`, `lo < hi`, in the order
+/// [`CompensatoryModel::pairs`] stores their indexes.
+pub(crate) fn column_pairs(m: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..m).flat_map(move |lo| (lo + 1..m).map(move |hi| (lo, hi)))
+}
+
+/// The compensatory scoring model: code-indexed co-occurrence indexes plus
 /// per-attribute value counts, with the fitting dataset's [`ColumnDict`]s
 /// retained so `Value`-typed callers (and the cleaner, when it encodes a
 /// dataset for inference) share the model's code space.
@@ -427,8 +383,8 @@ pub struct CompensatoryModel {
     pub(crate) params: CompensatoryParams,
     /// The per-attribute dictionaries the model was compiled with.
     pub(crate) dicts: Vec<ColumnDict>,
-    /// Pair stores, addressed `pairs[j * m + k]` for the ordered pair (j, k).
-    pub(crate) pairs: Vec<PairStore>,
+    /// One index per unordered column pair, in [`column_pairs`] order.
+    pub(crate) pairs: Vec<PairIndex>,
     /// Per-attribute code-indexed value counts (null code included).
     pub(crate) value_counts: Vec<Vec<u32>>,
     /// Number of tuples |D|.
@@ -439,35 +395,6 @@ pub struct CompensatoryModel {
     /// the sum — not the mean — so streaming absorbs reproduce the one-shot
     /// float sequence exactly).
     pub(crate) conf_sum: f64,
-    /// Per-column heavy-hitter code lists of a budgeted fit (ascending value
-    /// codes), `None` for columns stored exactly. Exact models are all
-    /// `None`. Frozen at fit time: absorbs count new codes in the exact
-    /// tails, so the bounded layouts never reshuffle.
-    pub(crate) tracked: Vec<Option<Vec<u32>>>,
-}
-
-/// The pair-store layout of one ordered column pair under a (possibly empty)
-/// set of per-column tracked heavy-hitter lists: bounded as soon as either
-/// side is tracked, the exact dense/map choice otherwise. Pure function of
-/// the dictionaries and tracked lists, shared by the budgeted builder and
-/// the persistence reader so a reload always reconstructs the fit layout.
-pub(crate) fn pair_store_for(
-    dicts: &[ColumnDict],
-    tracked: &[Option<Vec<u32>>],
-    j: usize,
-    k: usize,
-) -> PairStore {
-    if j == k {
-        return PairStore::Empty;
-    }
-    if tracked[j].is_none() && tracked[k].is_none() {
-        return PairStore::with_spaces(dicts[j].code_space(), dicts[k].code_space());
-    }
-    let side = |col: usize| match &tracked[col] {
-        Some(codes) => BoundedSide::with_tracked(dicts[col].code_space(), dicts[col].null_code(), codes),
-        None => BoundedSide::identity(dicts[col].code_space(), dicts[col].null_code()),
-    };
-    PairStore::bounded(side(j), side(k))
 }
 
 /// Per-row tuple confidences (Eq. 3) of a dataset: the user-constraint
@@ -493,44 +420,15 @@ pub(crate) fn tuple_confidences(
         .collect()
 }
 
-/// The tracked heavy-hitter list of one column under a budget: the
-/// `heavy_hitters` most frequent value codes (ties broken by ascending
-/// code), returned ascending — or `None` when the whole domain fits the
-/// budget. Null and unseen sentinels are never tracked.
-fn tracked_codes_for(dict: &ColumnDict, value_counts: &[u32], heavy_hitters: usize) -> Option<Vec<u32>> {
-    if dict.cardinality() <= heavy_hitters.max(1) {
-        return None;
-    }
-    let null = dict.null_code();
-    let unseen = dict.unseen_code();
-    let mut ranked: Vec<u32> = (0..value_counts.len() as u32).filter(|&c| c != null && c != unseen).collect();
-    ranked.sort_by_key(|&c| (std::cmp::Reverse(value_counts[c as usize]), c));
-    ranked.truncate(heavy_hitters.max(1));
-    ranked.sort_unstable();
-    Some(ranked)
-}
-
 impl CompensatoryModel {
-    /// A model with no rows absorbed, over the given dictionaries, in the
-    /// exact store layouts.
+    /// A model with no rows absorbed, over the given dictionaries.
     pub(crate) fn empty(dicts: Vec<ColumnDict>, params: CompensatoryParams) -> CompensatoryModel {
         let m = dicts.len();
-        let tracked = vec![None; m];
-        let pairs = (0..m)
-            .flat_map(|j| (0..m).map(move |k| (j, k)))
-            .map(|(j, k)| pair_store_for(&dicts, &tracked, j, k))
+        let pairs = column_pairs(m)
+            .map(|(lo, hi)| PairIndex::empty(dicts[lo].code_space(), dicts[hi].code_space()))
             .collect();
         let value_counts = dicts.iter().map(|d| vec![0u32; d.code_space()]).collect();
-        CompensatoryModel {
-            params,
-            dicts,
-            pairs,
-            value_counts,
-            num_rows: 0,
-            num_cols: m,
-            conf_sum: 0.0,
-            tracked,
-        }
+        CompensatoryModel { params, dicts, pairs, value_counts, num_rows: 0, num_cols: m, conf_sum: 0.0 }
     }
 
     /// Build the model from the observed dataset and the user constraints
@@ -550,12 +448,11 @@ impl CompensatoryModel {
         model
     }
 
-    /// The fit pipeline's exact builder: tuple confidences (Eq. 3, the
-    /// per-row user-constraint sweep and the only use of the `Value` rows)
-    /// over row blocks of the shared [`ParallelExecutor`], then the
-    /// column-parallel builder `build_parallel_with_confidences` without a
-    /// budget. Bit-identical to [`CompensatoryModel::build`] at every thread
-    /// count.
+    /// The fit pipeline's builder: tuple confidences (Eq. 3, the per-row
+    /// user-constraint sweep and the only use of the `Value` rows) over row
+    /// blocks of the shared [`ParallelExecutor`], then the pair-parallel
+    /// builder `build_parallel_with_confidences`. Bit-identical to
+    /// [`CompensatoryModel::build`] at every thread count.
     pub fn build_parallel(
         dataset: &Dataset,
         encoded: &EncodedDataset,
@@ -565,36 +462,25 @@ impl CompensatoryModel {
     ) -> CompensatoryModel {
         assert_eq!(encoded.num_rows(), dataset.num_rows(), "encoded dataset must match the value dataset");
         let confidences = tuple_confidences(dataset, constraints, params.lambda, executor);
-        CompensatoryModel::build_parallel_with_confidences(encoded, params, executor, None, &confidences)
+        CompensatoryModel::build_parallel_with_confidences(encoded, params, executor, &confidences)
     }
 
-    /// The column-parallel builder, from pre-computed per-row tuple
+    /// The pair-parallel builder, from pre-computed per-row tuple
     /// confidences instead of the raw `Value` dataset, so a streaming fit
     /// that accumulates confidences chunk by chunk (in row order) lands here
     /// and produces the identical model without materialising the dataset.
     /// `encoded` must be an encoding of the fitting dataset against its own
     /// dictionaries.
     ///
-    /// Each *target column* is one work item: its value counts, then its
-    /// ordered pair stores against every other column, each filled by one
-    /// tight pass over two code columns. A `(j, k)` counter is owned by one
-    /// worker and holds integer tallies, and the confidence sum folds in row
-    /// order, so the model is bit-identical at every thread count.
-    ///
-    /// With a `budget` (`BCleanConfig::fit_budget`), every statistic the
-    /// scorers read stays **exact**; the budget changes the pair stores'
-    /// *representation*, not their answers. Every column whose cardinality
-    /// exceeds `budget.heavy_hitters` tracks its most frequent value codes
-    /// (from the exact counts; ties break by ascending code), and each pair
-    /// store touching such a column becomes a hybrid `PairStore::Bounded`
-    /// whose hash-map tail is paid only on the rare-value fraction of the
-    /// rows (a few percent of incidences on heavy-tailed columns) instead of
-    /// on every row as in the exact `Map` layout.
+    /// Each column's value counts are one work item, and so is each
+    /// unordered column pair's [`PairIndex`], counting-sorted from two code
+    /// columns. An index is owned by one worker and holds integer tallies,
+    /// and the confidence sum folds in row order, so the model is
+    /// bit-identical at every thread count.
     pub(crate) fn build_parallel_with_confidences(
         encoded: &EncodedDataset,
         params: CompensatoryParams,
         executor: &ParallelExecutor,
-        budget: Option<&bclean_sketch::BudgetParams>,
         confidences: &[f64],
     ) -> CompensatoryModel {
         let m = encoded.num_columns();
@@ -611,98 +497,81 @@ impl CompensatoryModel {
             }
             counts
         });
-        let tracked: Vec<Option<Vec<u32>>> = match budget {
-            Some(budget) => {
-                (0..m).map(|i| tracked_codes_for(&dicts[i], &value_counts[i], budget.heavy_hitters)).collect()
-            }
-            None => vec![None; m],
-        };
         let conf_sum: f64 = confidences.iter().sum();
         let positives: Vec<bool> = confidences.iter().map(|&c| c >= params.tau).collect();
-        let per_column: Vec<Vec<PairStore>> = executor.map(m, |i| {
-            (0..m)
-                .map(|j| {
-                    let mut store = pair_store_for(dicts, &tracked, i, j);
-                    if j != i {
-                        store.add_columns(encoded.column(i), encoded.column(j), &positives);
-                    }
-                    store
-                })
-                .collect()
+        let pair_cols: Vec<(usize, usize)> = column_pairs(m).collect();
+        let pairs = executor.map(pair_cols.len(), |p| {
+            let (lo, hi) = pair_cols[p];
+            PairIndex::from_columns(
+                encoded.column(lo),
+                encoded.column(hi),
+                &positives,
+                dicts[lo].code_space(),
+                dicts[hi].code_space(),
+            )
         });
         CompensatoryModel {
             params,
             dicts: dicts.to_vec(),
-            pairs: per_column.into_iter().flatten().collect(),
+            pairs,
             value_counts,
             num_rows: n,
             num_cols: m,
             conf_sum,
-            tracked,
         }
     }
 
-    /// Absorb a batch into the counters: Algorithm 2's per-tuple loop, run
-    /// serially in row order. `encoded` is the accumulated encoding with the
-    /// batch already appended at `rows`; the batch's `Value` rows are still
-    /// needed because tuple confidences (Eq. 3) evaluate arbitrary value
-    /// predicates. Pair counters are integer tallies (`PairEntry`) and the
-    /// confidence sum accumulates in row order, so absorbing any batch split
-    /// of a dataset reproduces the one-shot build bit-for-bit.
+    /// Absorb a batch into the counters: Algorithm 2's per-tuple loop in row
+    /// order. `encoded` holds the batch's codes at `rows`, against the
+    /// model's dictionaries grown at the tail; the batch's `Value` rows are
+    /// still needed because tuple confidences (Eq. 3) evaluate arbitrary
+    /// value predicates. Each pair index folds in the batch's own index by
+    /// merging sorted runs. Pair counters are integer tallies (`PairEntry`)
+    /// and the confidence sum accumulates in row order, so absorbing any
+    /// batch split of a dataset reproduces the one-shot build bit-for-bit.
     pub fn absorb(
         &mut self,
         batch: &Dataset,
         constraints: &ConstraintSet,
         encoded: &EncodedDataset,
-        rows: std::ops::Range<usize>,
+        rows: Range<usize>,
     ) {
         assert_eq!(batch.num_rows(), rows.len(), "batch rows must match the appended row range");
         self.sync_dicts(encoded);
-        let m = self.num_cols;
-        for (offset, row) in batch.rows().enumerate() {
-            let r = rows.start + offset;
+        let mut positives = Vec::with_capacity(rows.len());
+        for row in batch.rows() {
             let conf = constraints.tuple_confidence(batch.schema(), row, self.params.lambda);
             self.conf_sum += conf;
-            let positive = conf >= self.params.tau;
-            for i in 0..m {
-                let a = encoded.code(r, i);
-                self.value_counts[i][a as usize] += 1;
-                for j in 0..m {
-                    if i != j {
-                        self.pairs[i * m + j].add(a, encoded.code(r, j), positive);
-                    }
-                }
+            positives.push(conf >= self.params.tau);
+        }
+        for (col, counts) in self.value_counts.iter_mut().enumerate() {
+            for &a in &encoded.column(col)[rows.clone()] {
+                counts[a as usize] += 1;
             }
+        }
+        for ((lo, hi), index) in column_pairs(self.num_cols).zip(&mut self.pairs) {
+            index.merge(&PairIndex::from_columns(
+                &encoded.column(lo)[rows.clone()],
+                &encoded.column(hi)[rows.clone()],
+                &positives,
+                self.dicts[lo].code_space(),
+                self.dicts[hi].code_space(),
+            ));
         }
         self.num_rows += rows.len();
     }
 
-    /// Re-sync the model's dictionaries and counter shapes with an encoding
+    /// Re-sync the model's dictionaries and value counts with an encoding
     /// whose dictionaries may have grown since the model was built (appends
-    /// only add codes at the tail, so existing counters keep their slots).
+    /// only add codes at the tail, so existing counters keep their slots;
+    /// the pair indexes grow their offsets as they merge).
     fn sync_dicts(&mut self, encoded: &EncodedDataset) {
-        let m = self.num_cols;
-        let old_spaces: Vec<usize> = self.dicts.iter().map(|d| d.code_space()).collect();
-        let mut grew = false;
         for (col, dict) in encoded.dicts().iter().enumerate() {
             let space = dict.code_space();
-            debug_assert!(space >= old_spaces[col], "code spaces never shrink");
-            if space != old_spaces[col] {
-                grew = true;
+            debug_assert!(space >= self.dicts[col].code_space(), "code spaces never shrink");
+            if space != self.dicts[col].code_space() {
                 self.dicts[col] = dict.clone();
                 self.value_counts[col].resize(space, 0);
-            }
-        }
-        if !grew {
-            return;
-        }
-        for (i, &old_rows) in old_spaces.iter().enumerate() {
-            for j in 0..m {
-                if i != j {
-                    let space_i = self.dicts[i].code_space();
-                    let space_j = self.dicts[j].code_space();
-                    self.pairs[i * m + j].resize(old_rows, space_i, space_j);
-                }
             }
         }
     }
@@ -768,65 +637,20 @@ impl CompensatoryModel {
                 }
                 let null_j = self.dicts[j].null_code();
                 // Per k-value-code `(group_total, majority)` over the value
-                // codes of j — nulls on either side are excluded by code
-                // position, exactly like the Value-space grouping (for fresh
-                // dictionaries the null codes trail the values; for appended
-                // ones they sit frozen mid-space).
+                // codes of j, read from the runs keyed by k's codes — nulls
+                // on either side are excluded by code position, exactly like
+                // the Value-space grouping (for fresh dictionaries the null
+                // codes trail the values; for appended ones they sit frozen
+                // mid-space).
                 let mut stats = vec![(0u64, 0u32); space_k];
-                match self.pair(k, j) {
-                    PairStore::Empty => {}
-                    PairStore::Dense { cols, cells } => {
-                        for (a, slot) in stats.iter_mut().enumerate() {
-                            if a as u32 == null_k {
-                                continue;
-                            }
-                            for (b, entry) in cells[a * cols..(a + 1) * cols].iter().enumerate() {
-                                if b as u32 == null_j {
-                                    continue;
-                                }
-                                slot.0 += entry.count() as u64;
-                                slot.1 = slot.1.max(entry.count());
-                            }
-                        }
+                let (index, by_lo) = self.pair(k, j);
+                index.for_each(by_lo, |a, b, entry| {
+                    if b != null_j {
+                        let slot = &mut stats[a];
+                        slot.0 += entry.count() as u64;
+                        slot.1 = slot.1.max(entry.count());
                     }
-                    PairStore::Map(map) => {
-                        for (&(a, b), entry) in map {
-                            if a != null_k && b != null_j && (a as usize) < space_k {
-                                let slot = &mut stats[a as usize];
-                                slot.0 += entry.count() as u64;
-                                slot.1 = slot.1.max(entry.count());
-                            }
-                        }
-                    }
-                    PairStore::Bounded { a: side_k, b: side_j, cells, tail } => {
-                        // Dense core first (tracked × tracked groups), then
-                        // the exact tail — together they cover every
-                        // observed pair, so the statistic matches the exact
-                        // builders'. Null slots are skipped by position.
-                        let (null_slot_k, null_slot_j) = (side_k.null_slot(), side_j.null_slot());
-                        for slot_a in 0..side_k.dims {
-                            if slot_a as u32 == null_slot_k {
-                                continue;
-                            }
-                            let slot = &mut stats[side_k.code_of_slot(slot_a) as usize];
-                            let row = &cells[slot_a * side_j.dims..(slot_a + 1) * side_j.dims];
-                            for (slot_b, entry) in row.iter().enumerate() {
-                                if slot_b as u32 == null_slot_j {
-                                    continue;
-                                }
-                                slot.0 += entry.count() as u64;
-                                slot.1 = slot.1.max(entry.count());
-                            }
-                        }
-                        for (&(a, b), entry) in tail {
-                            if a != null_k && b != null_j && (a as usize) < space_k {
-                                let slot = &mut stats[a as usize];
-                                slot.0 += entry.count() as u64;
-                                slot.1 = slot.1.max(entry.count());
-                            }
-                        }
-                    }
-                }
+                });
                 let mut consistent = 0u64;
                 let mut total = 0u64;
                 for (a, &(group_total, majority)) in stats.iter().enumerate() {
@@ -844,9 +668,27 @@ impl CompensatoryModel {
         matrix
     }
 
+    /// The index of columns `col_j ≠ col_k`, and whether `col_j` is its
+    /// lower column (so its runs are the forward ones).
     #[inline]
-    fn pair(&self, col_j: usize, col_k: usize) -> &PairStore {
-        &self.pairs[col_j * self.num_cols + col_k]
+    fn pair(&self, col_j: usize, col_k: usize) -> (&PairIndex, bool) {
+        let (lo, hi) = if col_j < col_k { (col_j, col_k) } else { (col_k, col_j) };
+        let m = self.num_cols;
+        (&self.pairs[lo * (2 * m - lo - 1) / 2 + (hi - lo - 1)], col_j < col_k)
+    }
+
+    /// The tallies of code `c` of column `col_j` with code `e` of column
+    /// `col_k`, read from the run keyed by `c` (the candidate's side on the
+    /// scoring path). A column never pairs with itself.
+    #[inline]
+    fn entry(&self, col_j: usize, c: u32, col_k: usize, e: u32) -> PairEntry {
+        if col_j == col_k {
+            return PairEntry::default();
+        }
+        match self.pair(col_j, col_k) {
+            (index, true) => index.get_by_lo(c, e),
+            (index, false) => index.get_by_hi(c, e),
+        }
     }
 
     /// `corr(c, e, A_j, A_k)`: signed, |D|-normalised correlation of the value
@@ -860,7 +702,7 @@ impl CompensatoryModel {
         if self.num_rows == 0 {
             return 0.0;
         }
-        let entry = self.pair(col_j, col_k).get(c, e);
+        let entry = self.entry(col_j, c, col_k, e);
         if entry.is_zero() {
             0.0
         } else {
@@ -871,7 +713,7 @@ impl CompensatoryModel {
     /// Raw (unnormalised) signed correlation counter of a code pair.
     #[inline]
     fn raw_corr(&self, col_j: usize, c: u32, col_k: usize, e: u32) -> f64 {
-        self.pair(col_j, col_k).get(c, e).corr(self.params.beta)
+        self.entry(col_j, c, col_k, e).corr(self.params.beta)
     }
 
     /// `Score_corr(c, t, A_j)` (Eq. 2): accumulated correlation between the
@@ -953,7 +795,7 @@ impl CompensatoryModel {
     /// Code-space [`CompensatoryModel::pair_count`].
     #[inline]
     pub fn pair_count_codes(&self, col_j: usize, c: u32, col_k: usize, e: u32) -> usize {
-        self.pair(col_j, col_k).get(c, e).count() as usize
+        self.entry(col_j, c, col_k, e).count() as usize
     }
 
     /// Count of a single value in its attribute, `count(v)`.
@@ -1058,6 +900,8 @@ impl CompensatoryModel {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use crate::constraints::UserConstraint;
     use bclean_data::dataset_from;
@@ -1344,19 +1188,5 @@ mod tests {
                 assert_eq!(actual.to_bits(), expected.to_bits(), "pair ({k}, {j})");
             }
         }
-    }
-
-    /// Large domains use the sparse map layout; counts must not change.
-    #[test]
-    fn sparse_pair_layout_counts_match() {
-        let rows: Vec<Vec<String>> = (0..300).map(|i| vec![format!("a{i}"), format!("b{}", i % 3)]).collect();
-        let refs: Vec<Vec<&str>> = rows.iter().map(|r| r.iter().map(|s| s.as_str()).collect()).collect();
-        let d = dataset_from(&["big", "small"], &refs);
-        let model = CompensatoryModel::build(&d, &ConstraintSet::new(), CompensatoryParams::default());
-        // big × big pair space is 301², above the dense cap → Map layout.
-        assert_eq!(model.pair_count(0, &Value::text("a7"), 1, &Value::text("b1")), 1);
-        assert_eq!(model.pair_count(1, &Value::text("b0"), 0, &Value::text("a0")), 1);
-        assert_eq!(model.value_count(0, &Value::text("a299")), 1);
-        assert_eq!(model.value_count(1, &Value::text("b0")), 100);
     }
 }

@@ -109,11 +109,10 @@ pub struct BCleanConfig {
     /// Fit-time approximation budget (sketch-based sub-linear fitting).
     /// [`FitBudget::Exact`] — the default — fits bit-identically to the
     /// pre-budget pipeline; [`FitBudget::Budgeted`] learns the structure
-    /// from a deterministic row reservoir, buckets structure-search
+    /// from a deterministic row reservoir and buckets structure-search
     /// contingency tables through quantile sketches and heavy-hitter
-    /// summaries, and bounds the compensatory pair tables to per-column
-    /// heavy hitters. CPT counts, value counts and tuple confidences stay
-    /// exact over all rows either way.
+    /// summaries. CPT counts, compensatory tallies, value counts and tuple
+    /// confidences stay exact over all rows either way.
     pub fit_budget: FitBudget,
 }
 

@@ -15,7 +15,7 @@
 //! | `dicts`        | per-column [`bclean_data::ColumnDict`] layouts (code space) |
 //! | `structure`    | the learned DAG                                             |
 //! | `node_counts`  | per-node sufficient statistics ([`bclean_bayesnet::NodeCounts`]) |
-//! | `compensatory` | pair counters, value counts, row count, confidence sum, per-column heavy-hitter lists |
+//! | `compensatory` | value counts, row count, confidence sum, one CSR co-occurrence index per column pair |
 //!
 //! Compiled CPTs, the per-column UC verdict tables and the observed
 //! domains are *derived* state: `compile` rebuilds them deterministically
@@ -44,7 +44,7 @@ use bclean_store::{
 use bclean_sketch::{BudgetParams, FitBudget};
 
 use crate::artifact::ModelArtifact;
-use crate::compensatory::{pair_store_for, CompensatoryModel, CompensatoryParams, PairEntry};
+use crate::compensatory::{column_pairs, CompensatoryModel, CompensatoryParams, PairEntry, PairIndex};
 use crate::config::BCleanConfig;
 use crate::constraints::ConstraintSet;
 
@@ -255,18 +255,18 @@ impl ModelArtifact {
     /// Grow the model by one batch: the one ingest path, behind
     /// `bclean ingest`, the daemon's `/ingest` and in-process callers alike.
     /// The batch is absorbed into the artifact's sufficient statistics
-    /// without the historical rows: a placeholder encoding is reassembled
-    /// from the persisted dictionaries ([`EncodedDataset::from_dicts`]),
-    /// appending the batch grows them with fresh tail codes, and absorbs
-    /// only ever read the appended row range. The structure is kept as-is,
-    /// so [`ModelArtifact::compile`] afterwards equals
+    /// without the historical rows: only the batch is encoded, against the
+    /// persisted dictionaries grown with fresh tail codes
+    /// ([`EncodedDataset::with_dicts`]), and the absorbs read its rows
+    /// `0..batch`. The structure is kept as-is, so
+    /// [`ModelArtifact::compile`] afterwards equals
     /// [`crate::BClean::fit_with_structure`] over all rows with this
     /// structure; relearning the structure needs the full dataset and a new
     /// fit. An empty batch leaves the artifact unchanged. Returns the new
     /// total row count.
     pub fn ingest_batch(&mut self, batch: &Dataset) -> Result<usize, StoreError> {
         self.check_schema(batch.schema())?;
-        let mut encoded = EncodedDataset::from_dicts(self.compensatory.dicts().to_vec(), self.num_rows());
+        let mut encoded = EncodedDataset::with_dicts(self.compensatory.dicts().to_vec(), self.num_rows());
         let rows = encoded.append_batch(batch);
         self.absorb(batch, &encoded, rows);
         Ok(self.num_rows())
@@ -361,9 +361,11 @@ fn read_config(r: &mut ByteReader<'_>) -> Result<BCleanConfig, StoreError> {
     })
 }
 
-/// Encode the compensatory counters. Pair entries are written sorted by
-/// code pair, so equal models produce equal bytes regardless of the map
-/// layout's iteration order.
+/// Encode the compensatory counters: the parameters and scalars, the
+/// value counts, then each unordered column pair's index once, in
+/// [`column_pairs`] order and CSR form — the forward offsets, the keys and
+/// the `(pos, neg)` tallies. The transposed runs are derived, so they are
+/// rebuilt on load instead of stored.
 fn write_compensatory(w: &mut ByteWriter, model: &CompensatoryModel) {
     w.f64(model.params.lambda);
     w.f64(model.params.beta);
@@ -375,39 +377,22 @@ fn write_compensatory(w: &mut ByteWriter, model: &CompensatoryModel) {
     for counts in &model.value_counts {
         w.u32_slice(counts);
     }
-    // Per-column heavy-hitter lists (budgeted fits only; every entry is
-    // `false` after an exact fit). These decide each pair store's layout on
-    // read, so they precede the entry lists.
-    w.usize(model.tracked.len());
-    for tracked in &model.tracked {
-        match tracked {
-            None => w.bool(false),
-            Some(codes) => {
-                w.bool(true);
-                w.u32_slice(codes);
-            }
-        }
-    }
-    let m = model.num_cols;
-    for j in 0..m {
-        for k in 0..m {
-            if j == k {
-                continue;
-            }
-            let entries = model.pairs[j * m + k].persisted_entries();
-            w.usize(entries.len());
-            for (a, b, entry) in entries {
-                w.u32(a);
-                w.u32(b);
-                w.u32(entry.pos);
-                w.u32(entry.neg);
-            }
+    for index in &model.pairs {
+        let (offsets, keys, entries) = index.runs();
+        w.u32_slice(offsets);
+        w.u32_slice(keys);
+        for entry in entries {
+            w.u32(entry.pos);
+            w.u32(entry.neg);
         }
     }
 }
 
 /// Decode the compensatory counters against the already-loaded
 /// dictionaries (which define the code spaces every entry must fit).
+/// Every index is checked against its invariants and the value counts
+/// ([`PairIndex::from_runs`]); lengths are bounded by the remaining input
+/// before anything is allocated for them.
 fn read_compensatory(
     r: &mut ByteReader<'_>,
     dicts: Vec<bclean_data::ColumnDict>,
@@ -422,14 +407,14 @@ fn read_compensatory(
         )));
     }
     let conf_sum = r.f64()?;
-    let spaces: Vec<usize> = dicts.iter().map(|d| d.code_space()).collect();
     let listed = r.bounded_len(num_cols, "value-count list")?;
     if listed != num_cols {
         return Err(StoreError::Corrupt(format!("{listed} value-count columns, expected {num_cols}")));
     }
     let mut value_counts = Vec::with_capacity(num_cols);
-    for (col, &space) in spaces.iter().enumerate() {
+    for (col, dict) in dicts.iter().enumerate() {
         let counts = r.u32_slice()?;
+        let space = dict.code_space();
         if counts.len() != space {
             return Err(StoreError::Corrupt(format!(
                 "column {col} value counts cover {} codes, dictionary has {space}",
@@ -443,70 +428,18 @@ fn read_compensatory(
         }
         value_counts.push(counts);
     }
-    let listed = r.bounded_len(num_cols, "tracked-code list")?;
-    if listed != num_cols {
-        return Err(StoreError::Corrupt(format!("{listed} tracked-code columns, expected {num_cols}")));
+    let mut pairs = Vec::new();
+    for (lo, hi) in column_pairs(num_cols) {
+        let offsets = r.u32_slice()?;
+        let keys = r.u32_slice()?;
+        let entries = (0..keys.len())
+            .map(|_| Ok(PairEntry { pos: r.u32()?, neg: r.u32()? }))
+            .collect::<Result<Vec<PairEntry>, StoreError>>()?;
+        let index = PairIndex::from_runs(offsets, keys, entries, &value_counts[lo], &value_counts[hi])
+            .map_err(|e| StoreError::Corrupt(format!("column pair ({lo}, {hi}): {e}")))?;
+        pairs.push(index);
     }
-    let mut tracked: Vec<Option<Vec<u32>>> = Vec::with_capacity(num_cols);
-    for (col, dict) in dicts.iter().enumerate() {
-        if !r.bool()? {
-            tracked.push(None);
-            continue;
-        }
-        let codes = r.u32_slice()?;
-        let space = dict.code_space();
-        let mut previous: Option<u32> = None;
-        for &code in &codes {
-            if (code as usize) >= space || code == dict.null_code() || code == dict.unseen_code() {
-                return Err(StoreError::Corrupt(format!(
-                    "column {col} tracks code {code}, which its dictionary cannot track"
-                )));
-            }
-            if previous.is_some_and(|p| p >= code) {
-                return Err(StoreError::Corrupt(format!(
-                    "column {col} tracked codes are not sorted and distinct"
-                )));
-            }
-            previous = Some(code);
-        }
-        tracked.push(Some(codes));
-    }
-    let m = num_cols;
-    let mut pairs = Vec::with_capacity(m * m);
-    for j in 0..m {
-        for k in 0..m {
-            let mut store = pair_store_for(&dicts, &tracked, j, k);
-            if j == k {
-                pairs.push(store);
-                continue;
-            }
-            let len = r.bounded_len(r.remaining() / 16, "pair entries")?;
-            let mut previous: Option<(u32, u32)> = None;
-            for _ in 0..len {
-                let a = r.u32()?;
-                let b = r.u32()?;
-                let entry = PairEntry { pos: r.u32()?, neg: r.u32()? };
-                // Codes must fit the code spaces (`insert_persisted` routes
-                // untracked codes into a bounded store's exact tail).
-                if (a as usize) >= spaces[j] || (b as usize) >= spaces[k] {
-                    return Err(StoreError::Corrupt(format!(
-                        "pair ({j}, {k}) entry ({a}, {b}) outside the code spaces"
-                    )));
-                }
-                if previous.is_some_and(|p| p >= (a, b)) {
-                    return Err(StoreError::Corrupt(format!(
-                        "pair ({j}, {k}) entries are not sorted and distinct"
-                    )));
-                }
-                previous = Some((a, b));
-                store
-                    .insert_persisted(a, b, entry)
-                    .map_err(|e| StoreError::Corrupt(format!("pair ({j}, {k}) entry ({a}, {b}): {e}")))?;
-            }
-            pairs.push(store);
-        }
-    }
-    Ok(CompensatoryModel { params, dicts, pairs, value_counts, tracked, num_rows, num_cols, conf_sum })
+    Ok(CompensatoryModel { params, dicts, pairs, value_counts, num_rows, num_cols, conf_sum })
 }
 
 #[cfg(test)]
@@ -613,34 +546,130 @@ mod tests {
         assert!(matches!(artifact.to_bytes(), Err(StoreError::Unsupported(_))));
     }
 
-    /// Every persisted pair code lies in its column's code space: a
-    /// `u32::MAX` code in a bounded store is corrupt like any other
-    /// out-of-range code.
-    #[test]
-    fn bounded_store_rejects_out_of_space_codes() {
-        let budget = BudgetParams { heavy_hitters: 1, ..BudgetParams::default() };
-        let config = Variant::PartitionedInference.config().with_fit_budget(FitBudget::Budgeted(budget));
-        let artifact = BClean::new(config).with_constraints(constraints()).fit_artifact(&dirty());
-        let mut model = (*artifact.compensatory).clone();
-        let tail = model
-            .pairs
-            .iter_mut()
-            .find_map(|store| match store {
-                crate::compensatory::PairStore::Bounded { tail, .. } => Some(tail),
-                _ => None,
-            })
-            .expect("a one-hitter budget bounds the pair stores");
-        tail.insert((u32::MAX, 0), PairEntry { pos: 1, neg: 0 });
+    /// One column pair's persisted `(offsets, keys, entries)`.
+    type Runs = (Vec<u32>, Vec<u32>, Vec<PairEntry>);
+    type Mutation<'a> = Box<dyn Fn(&mut Runs) + 'a>;
+
+    /// The compensatory payload of `model` with its pair runs replaced by
+    /// `runs`, one per column pair.
+    fn payload_with_runs(model: &CompensatoryModel, runs: &[Runs]) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        write_compensatory(&mut w, &model);
-        let bytes = w.into_bytes();
-        let err = read_compensatory(&mut ByteReader::new(&bytes, "compensatory"), model.dicts.clone())
-            .expect_err("the out-of-space code is rejected");
-        assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
+        write_compensatory(&mut w, &CompensatoryModel { pairs: Vec::new(), ..model.clone() });
+        for (offsets, keys, entries) in runs {
+            w.u32_slice(offsets);
+            w.u32_slice(keys);
+            for entry in entries {
+                w.u32(entry.pos);
+                w.u32(entry.neg);
+            }
+        }
+        w.into_bytes()
     }
 
-    /// Cross-process ingest (placeholder history) must leave the artifact
-    /// in the exact state an in-process absorb over live history reaches.
+    /// `bytes` with the compensatory section (the last one) replaced by
+    /// `payload` and its CRC recomputed, so the container still verifies.
+    fn resealed(bytes: &[u8], payload: &[u8]) -> Vec<u8> {
+        let container = ContainerReader::parse(bytes).unwrap();
+        let (id, len) = *container.section_sizes().last().unwrap();
+        assert_eq!(id, SectionId::Compensatory);
+        let mut out = bytes[..bytes.len() - len - 12].to_vec();
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&bclean_store::crc32(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
+
+    /// Structurally malformed compensatory payloads that pass the CRC are
+    /// refused with typed errors — never a panic, and never an allocation
+    /// the remaining input cannot back.
+    #[test]
+    fn malformed_compensatory_payloads_are_rejected() {
+        let artifact = BClean::new(Variant::PartitionedInference.config())
+            .with_constraints(constraints())
+            .fit_artifact(&dirty());
+        let bytes = artifact.to_bytes().unwrap();
+        let model = &*artifact.compensatory;
+        let runs: Vec<Runs> = model
+            .pairs
+            .iter()
+            .map(|index| {
+                let (offsets, keys, entries) = index.runs();
+                (offsets.to_vec(), keys.to_vec(), entries.to_vec())
+            })
+            .collect();
+        let unchanged = payload_with_runs(model, &runs);
+        let loaded = ModelArtifact::from_bytes(&resealed(&bytes, &unchanged)).unwrap();
+        assert_eq!(loaded.to_bytes().unwrap(), bytes, "the re-sealed original loads unchanged");
+
+        // Pair (0, 1) is City × State: runs of several entries to mutate.
+        let (offsets, keys, _) = &runs[0];
+        let long_run = (0..offsets.len() - 1)
+            .find(|&a| offsets[a + 1] - offsets[a] >= 2)
+            .expect("some city co-occurs with two states");
+        let first = offsets[long_run] as usize;
+        let space_hi = model.dicts[1].code_space() as u32;
+        let mutations: Vec<(&str, Mutation)> = vec![
+            ("decreasing offsets", Box::new(|run| run.0.swap(long_run, long_run + 1))),
+            ("offsets past the entries", Box::new(|run| *run.0.last_mut().unwrap() += 1)),
+            ("offsets below the entries", Box::new(|run| *run.0.last_mut().unwrap() -= 1)),
+            ("a run out of order", Box::new(move |run| run.1.swap(first, first + 1))),
+            ("a duplicate key", Box::new(move |run| run.1[first + 1] = run.1[first])),
+            ("a code outside its space", Box::new(move |run| run.1[keys.len() - 1] = space_hi)),
+            ("a u32::MAX code", Box::new(move |run| run.1[keys.len() - 1] = u32::MAX)),
+            ("an all-zero entry", Box::new(|run| run.2[0] = PairEntry::default())),
+            ("a run over its value count", Box::new(|run| run.2[0].pos += 1)),
+            (
+                "a tally moved between keys",
+                Box::new(move |run| {
+                    let (from, to) =
+                        if run.2[first].count() > 1 { (first, first + 1) } else { (first + 1, first) };
+                    if run.2[from].pos > 0 {
+                        run.2[from].pos -= 1;
+                        run.2[to].pos += 1;
+                    } else {
+                        run.2[from].neg -= 1;
+                        run.2[to].neg += 1;
+                    }
+                }),
+            ),
+        ];
+        for (what, mutate) in &mutations {
+            let mut mutated = runs.clone();
+            mutate(&mut mutated[0]);
+            let payload = payload_with_runs(model, &mutated);
+            let err = read_compensatory(&mut ByteReader::new(&payload, "compensatory"), model.dicts.clone())
+                .expect_err(what);
+            assert!(matches!(err, StoreError::Corrupt(_) | StoreError::Truncated { .. }), "{what}: {err:?}");
+            let err = ModelArtifact::from_bytes(&resealed(&bytes, &payload)).expect_err(what);
+            assert!(matches!(err, StoreError::Corrupt(_) | StoreError::Truncated { .. }), "{what}: {err:?}");
+        }
+
+        // Huge length prefixes: for the offsets, for the keys, and keys
+        // whose entries the payload does not carry.
+        let header = payload_with_runs(model, &[]);
+        let huge = u64::MAX / 2;
+        for prefix in [vec![huge], vec![offsets.len() as u64, huge]] {
+            let mut payload = header.clone();
+            for (i, &len) in prefix.iter().enumerate() {
+                payload.extend_from_slice(&len.to_le_bytes());
+                if i + 1 < prefix.len() {
+                    offsets.iter().for_each(|o| payload.extend_from_slice(&o.to_le_bytes()));
+                }
+            }
+            let err = read_compensatory(&mut ByteReader::new(&payload, "compensatory"), model.dicts.clone())
+                .expect_err("huge length");
+            assert!(matches!(err, StoreError::Corrupt(_) | StoreError::Truncated { .. }), "{err:?}");
+        }
+        let mut truncated = payload_with_runs(model, &runs[..1]);
+        truncated.truncate(truncated.len() - 8);
+        let err = read_compensatory(&mut ByteReader::new(&truncated, "compensatory"), model.dicts.clone())
+            .expect_err("missing entries");
+        assert!(matches!(err, StoreError::Truncated { .. }), "{err:?}");
+    }
+
+    /// Cross-process ingest (only the batch encoded) must leave the
+    /// artifact in the exact state an in-process absorb over live history
+    /// reaches.
     #[test]
     fn ingest_batch_matches_in_process_absorb() {
         let data = dirty();
@@ -679,6 +708,33 @@ mod tests {
             restored.ingest_batch(&dataset_from(&["Wrong"], &[vec!["x"]])),
             Err(StoreError::SchemaMismatch { .. })
         ));
+    }
+
+    /// A model whose history is all null has only empty dictionaries, yet
+    /// its null codes are taken: ingesting values must grow the
+    /// dictionaries in place, as a live encoding of that history does.
+    #[test]
+    fn ingest_after_all_null_history_matches_live_absorb() {
+        let names = ["City", "State"];
+        let empty = dataset_from(&names, &[]);
+        let nulls = dataset_from(&names, &[vec!["", ""], vec!["", ""]]);
+        let values = dataset_from(&names, &[vec!["centre", "KT"], vec!["", "CA"]]);
+        let cleaner = BClean::new(Variant::Basic.config());
+
+        let mut live = cleaner.fit_artifact(&empty);
+        let mut encoded = EncodedDataset::from_dataset(&empty);
+        for batch in [&nulls, &values] {
+            let rows = encoded.append_batch(batch);
+            live.absorb(batch, &encoded, rows);
+        }
+
+        let mut ingested = cleaner.fit_artifact(&empty);
+        for batch in [&nulls, &values] {
+            ingested = ModelArtifact::from_bytes(&ingested.to_bytes().unwrap()).unwrap();
+            ingested.ingest_batch(batch).unwrap();
+        }
+        assert_eq!(ingested.to_bytes().unwrap(), live.to_bytes().unwrap());
+        assert_eq!(ingested.compensatory.value_count(0, &Value::Null), 3);
     }
 
     /// Config round-trips field-for-field, including non-default values.

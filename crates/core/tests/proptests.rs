@@ -1,10 +1,13 @@
 //! Property-based tests for the BClean cleaner: structural invariants that
 //! must hold for any input data, any corruption and any variant.
 
+use std::collections::HashMap;
+
 use bclean_core::{
-    BClean, BCleanConfig, CompensatoryModel, CompensatoryParams, ConstraintSet, UserConstraint, Variant,
+    BClean, BCleanConfig, CompensatoryModel, CompensatoryParams, ConstraintSet, ParallelExecutor,
+    UserConstraint, Variant,
 };
-use bclean_data::{dataset_from, Dataset, Value};
+use bclean_data::{dataset_from, Dataset, EncodedDataset, Value};
 use proptest::prelude::*;
 
 /// Random FD-shaped tables: `zip` determines `state` and `city`; a free
@@ -64,6 +67,112 @@ fn constraints() -> ConstraintSet {
     ucs.add("state", UserConstraint::expression("upper(value) == value").unwrap());
     ucs.add("city", UserConstraint::MinLength(3));
     ucs
+}
+
+/// Three code columns for the co-occurrence index: a cardinality per
+/// column (two of them large enough that their pair passes 2^14 cells),
+/// rows of value indices where the cardinality itself stands for null, and
+/// the row offsets where absorbed batches split off.
+fn tally_strategy() -> impl Strategy<Value = (Vec<[usize; 3]>, [usize; 3], Vec<usize>)> {
+    (1usize..180, 1usize..180, 1usize..12, 1usize..220).prop_flat_map(|(c0, c1, c2, n)| {
+        let rows = proptest::collection::vec((0..=c0, 0..=c1, 0..=c2).prop_map(|(a, b, c)| [a, b, c]), n);
+        (rows, Just([c0, c1, c2]), proptest::collection::vec(0..n, 0..4))
+    })
+}
+
+fn text_dataset(names: &[&str], rows: &[Vec<String>]) -> Dataset {
+    let borrowed: Vec<Vec<&str>> = rows.iter().map(|r| r.iter().map(|s| s.as_str()).collect()).collect();
+    dataset_from(names, &borrowed)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The co-occurrence index answers every point query, keyed by either
+    /// column of a pair, with the tally a `HashMap` counts from the rows —
+    /// after a pair-parallel fit of the first batch and absorbs of the rest
+    /// into appended dictionaries. Codes outside a code space count 0, and
+    /// the FD-confidence matrix matches the `Value` grouping.
+    #[test]
+    fn pair_index_matches_naive_tally((rows, cards, splits) in tally_strategy()) {
+        let names = ["a", "b", "c"];
+        let text: Vec<Vec<String>> = rows
+            .iter()
+            .map(|r| (0..3).map(|c| if r[c] == cards[c] { String::new() } else { format!("{}{}", names[c], r[c]) }).collect())
+            .collect();
+        let data = text_dataset(&names, &text);
+        let mut ucs = ConstraintSet::new();
+        ucs.add("b", UserConstraint::MaxLength(2));
+        let params = CompensatoryParams { lambda: 1.0, beta: 0.3, tau: 0.5 };
+        let mut bounds = splits.clone();
+        bounds.extend([0, rows.len()]);
+        bounds.sort_unstable();
+        bounds.dedup();
+        let first = text_dataset(&names, &text[..bounds[1]]);
+        let mut encoded = EncodedDataset::from_dataset(&first);
+        let mut model =
+            CompensatoryModel::build_parallel(&first, &encoded, &ucs, params, &ParallelExecutor::new(2));
+        for span in bounds[1..].windows(2) {
+            let batch = text_dataset(&names, &text[span[0]..span[1]]);
+            let appended = encoded.append_batch(&batch);
+            model.absorb(&batch, &ucs, &encoded, appended);
+        }
+
+        let dicts = model.dicts();
+        let mut tally: HashMap<(usize, u32, usize, u32), (u32, u32)> = HashMap::new();
+        let mut value_counts: HashMap<(usize, u32), usize> = HashMap::new();
+        for row in data.rows() {
+            let positive = ucs.tuple_confidence(data.schema(), row, params.lambda) >= params.tau;
+            let codes: Vec<u32> = row.iter().zip(dicts).map(|(v, d)| d.encode(v).expect("value in the grown dictionary")).collect();
+            for j in 0..3 {
+                *value_counts.entry((j, codes[j])).or_default() += 1;
+                for k in (0..3).filter(|&k| k != j) {
+                    let slot = tally.entry((j, codes[j], k, codes[k])).or_default();
+                    if positive { slot.0 += 1 } else { slot.1 += 1 }
+                }
+            }
+        }
+        let n = data.num_rows() as f64;
+        for j in 0..3 {
+            // The query range runs past the code space: the unseen and the
+            // candidate sentinels co-occur with nothing.
+            for a in 0..dicts[j].code_space() as u32 + 2 {
+                prop_assert_eq!(model.value_count_code(j, a), value_counts.get(&(j, a)).copied().unwrap_or(0));
+                prop_assert_eq!(model.pair_count_codes(j, a, j, a), 0);
+                for k in (0..3).filter(|&k| k != j) {
+                    for b in 0..dicts[k].code_space() as u32 + 1 {
+                        let (pos, neg) = tally.get(&(j, a, k, b)).copied().unwrap_or_default();
+                        prop_assert_eq!(model.pair_count_codes(j, a, k, b), (pos + neg) as usize, "({}, {}, {}, {})", j, a, k, b);
+                        let corr = if pos + neg == 0 { 0.0 } else { (pos as f64 - params.beta * neg as f64) / n };
+                        prop_assert_eq!(model.corr_codes(j, a, k, b).to_bits(), corr.to_bits());
+                    }
+                    prop_assert_eq!(model.pair_count_codes(j, a, k, u32::MAX), 0);
+                    prop_assert_eq!(model.pair_count_codes(j, u32::MAX, k, a), 0);
+                }
+            }
+        }
+
+        let matrix = model.fd_confidence_matrix();
+        for k in 0..3 {
+            let mut groups: HashMap<&Value, Vec<&[Value]>> = HashMap::new();
+            for row in data.rows().filter(|row| !row[k].is_null()) {
+                groups.entry(&row[k]).or_default().push(row);
+            }
+            for j in (0..3).filter(|&j| j != k) {
+                let (mut consistent, mut total) = (0usize, 0usize);
+                for members in groups.values().filter(|members| members.len() >= 2) {
+                    let mut counts: HashMap<&Value, usize> = HashMap::new();
+                    for row in members.iter().filter(|row| !row[j].is_null()) {
+                        *counts.entry(&row[j]).or_default() += 1;
+                    }
+                    consistent += counts.values().copied().max().unwrap_or(0);
+                    total += counts.values().sum::<usize>();
+                }
+                let expected = if total == 0 { 0.0 } else { consistent as f64 / total as f64 };
+                prop_assert_eq!(matrix[k][j].to_bits(), expected.to_bits(), "fd ({}, {})", k, j);
+            }
+        }
+    }
 }
 
 proptest! {

@@ -292,6 +292,9 @@ pub struct EncodedDataset {
     dicts: Vec<ColumnDict>,
     columns: Vec<Vec<u32>>,
     num_rows: usize,
+    /// No row, held here or not, has been encoded against `dicts` yet, so
+    /// the first appended batch may lay them out afresh.
+    fresh: bool,
 }
 
 impl EncodedDataset {
@@ -304,21 +307,16 @@ impl EncodedDataset {
         builder.finish()
     }
 
-    /// Reassemble an encoding from persisted dictionaries plus a historical
-    /// row count whose per-cell codes were **not** retained: every
-    /// historical cell holds its column's null code as a placeholder.
-    ///
-    /// This is the substrate of cross-process `ingest`: the statistics of a
-    /// saved [`crate::encoded`]-backed model already contain everything its
-    /// historical rows contributed, so absorbing a fresh batch only ever
-    /// reads the *appended* row range — the placeholders exist purely to
-    /// keep global row indices (and [`EncodedDataset::append_batch`]'s
-    /// dictionary-growth behaviour) identical to an encoding that kept the
-    /// history in memory. Do not score or decode historical rows of such an
-    /// encoding.
-    pub fn from_dicts(dicts: Vec<ColumnDict>, num_rows: usize) -> EncodedDataset {
-        let columns = dicts.iter().map(|d| vec![d.null_code(); num_rows]).collect();
-        EncodedDataset { dicts, columns, num_rows }
+    /// A zero-row encoding that continues `encoded_rows` rows encoded
+    /// against `dicts` elsewhere — the rows a persisted model summarises in
+    /// its counts. Appending a batch encodes only the batch, at rows
+    /// `0..batch`, growing the dictionaries at the tail exactly as appending
+    /// to the encoding that held those rows would, so the codes they were
+    /// given keep their meaning. With `encoded_rows == 0` no code was ever
+    /// handed out, and the first append lays the dictionaries out afresh.
+    pub fn with_dicts(dicts: Vec<ColumnDict>, encoded_rows: usize) -> EncodedDataset {
+        let columns = vec![Vec::new(); dicts.len()];
+        EncodedDataset { dicts, columns, num_rows: 0, fresh: encoded_rows == 0 }
     }
 
     /// Number of rows.
@@ -369,9 +367,12 @@ impl EncodedDataset {
     /// Append a batch of rows, growing the dictionaries in place: values the
     /// encoding has never seen get fresh tail codes through
     /// [`ColumnDict::append_values`] (no historical code changes — see the
-    /// module docs). Appending to an **empty** encoding builds the fresh
-    /// sorted layout, exactly as [`EncodedDataset::from_dataset`] would.
-    /// Returns the global row range the batch now occupies, which ingest
+    /// module docs). Appending to an encoding no row was ever encoded
+    /// against (an empty [`EncodedDataset::from_dataset`], or
+    /// [`EncodedDataset::with_dicts`] over zero rows) builds the fresh
+    /// sorted layout, exactly as [`EncodedDataset::from_dataset`] would; a
+    /// zero-row encoding over dictionaries that did hand out codes keeps
+    /// them. Returns the row range the batch now occupies, which ingest
     /// absorbs.
     pub fn append_batch(&mut self, batch: &Dataset) -> Range<usize> {
         assert_eq!(
@@ -379,7 +380,7 @@ impl EncodedDataset {
             self.dicts.len(),
             "appended batch must have the encoding's column count"
         );
-        if self.num_rows == 0 {
+        if self.fresh {
             *self = EncodedDataset::from_dataset(batch);
             return 0..self.num_rows;
         }
@@ -470,7 +471,7 @@ impl EncodedDataset {
     pub fn gather(&self, rows: &[usize]) -> EncodedDataset {
         let columns: Vec<Vec<u32>> =
             self.columns.iter().map(|column| rows.iter().map(|&r| column[r]).collect()).collect();
-        EncodedDataset { dicts: self.dicts.clone(), columns, num_rows: rows.len() }
+        EncodedDataset { dicts: self.dicts.clone(), columns, num_rows: rows.len(), fresh: self.fresh }
     }
 }
 
@@ -587,7 +588,7 @@ impl EncodedDatasetBuilder {
             let index = values.iter().enumerate().map(|(i, v)| (v.clone(), i as u32)).collect();
             dicts.push(ColumnDict { values, index, sorted_codes: None, ranks: None, frozen_null: None });
         }
-        EncodedDataset { dicts, columns, num_rows }
+        EncodedDataset { dicts, columns, num_rows, fresh: num_rows == 0 }
     }
 }
 
@@ -818,25 +819,51 @@ mod tests {
         assert!(ok.is_ok());
     }
 
-    /// `from_dicts` placeholder encodings must append and grow dictionaries
-    /// exactly like an encoding that kept its history.
+    /// An encoding that continues rows held elsewhere ([`EncodedDataset::with_dicts`])
+    /// must grow its dictionaries exactly like an encoding that kept those
+    /// rows, and hold only the batch's codes, at rows `0..batch`.
     #[test]
-    fn from_dicts_placeholder_appends_like_live_history() {
+    fn with_dicts_appends_like_live_history() {
         let ds = sample();
         let mut live = EncodedDataset::from_dataset(&ds);
-        let mut restored = EncodedDataset::from_dicts(live.dicts().to_vec(), live.num_rows());
-        assert_eq!(restored.num_rows(), live.num_rows());
+        let mut restored = EncodedDataset::with_dicts(live.dicts().to_vec(), live.num_rows());
+        assert_eq!(restored.num_rows(), 0);
         let batch = dataset_from(&["City", "Zip"], &[vec!["auburn", "35150"], vec!["", "36000"]]);
         let live_rows = live.append_batch(&batch);
         let restored_rows = restored.append_batch(&batch);
-        assert_eq!(live_rows, restored_rows);
+        assert_eq!(live_rows, 4..6);
+        assert_eq!(restored_rows, 0..2);
         for c in 0..2 {
             assert_eq!(live.dict(c).values(), restored.dict(c).values());
             assert_eq!(live.dict(c).frozen_null_code(), restored.dict(c).frozen_null_code());
             assert_eq!(live.dict(c).code_space(), restored.dict(c).code_space());
-            // The appended range carries real codes in both encodings.
-            assert_eq!(&live.column(c)[live_rows.clone()], &restored.column(c)[restored_rows.clone()]);
+            assert_eq!(&live.column(c)[live_rows.clone()], restored.column(c));
         }
+    }
+
+    /// A zero-row encoding over non-empty dictionaries keeps their codes on
+    /// append instead of laying the dictionaries out afresh from the batch.
+    /// History summarised elsewhere may be all null, with every dictionary
+    /// still empty: those null codes must keep their meaning too.
+    #[test]
+    fn append_to_zero_rows_keeps_handed_out_codes() {
+        let ds = sample();
+        let full = EncodedDataset::from_dataset(&ds);
+        let mut empty = full.gather(&[]);
+        let batch = dataset_from(&["City", "Zip"], &[vec!["sylacauga", "35960"], vec!["auburn", ""]]);
+        assert_eq!(empty.append_batch(&batch), 0..2);
+        for c in 0..2 {
+            assert_eq!(&empty.dict(c).values()[..full.dict(c).values().len()], full.dict(c).values());
+            assert_eq!(empty.dict(c).null_code(), full.dict(c).null_code(), "column {c} null code moved");
+        }
+        assert_eq!(empty.column(0)[0], full.dict(0).encode(&Value::text("sylacauga")).unwrap());
+
+        let all_null = EncodedDataset::from_dataset(&dataset_from(&["City"], &[vec![""], vec![""]]));
+        assert_eq!(all_null.dict(0).cardinality(), 0);
+        let mut continued = EncodedDataset::with_dicts(all_null.dicts().to_vec(), all_null.num_rows());
+        continued.append_batch(&dataset_from(&["City"], &[vec!["centre"], vec![""]]));
+        assert_eq!(continued.dict(0).null_code(), all_null.dict(0).null_code());
+        assert_eq!(continued.column(0), &[1, 0]);
     }
 
     /// A gathered subset shares dictionaries with its source, so codes keep

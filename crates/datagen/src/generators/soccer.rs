@@ -5,7 +5,7 @@
 //! `birthplace → country`); the club determines the league (`club → league`).
 //! The full 200 000-row size is available behind an explicit row count, but
 //! the default benchmark uses 20 000 rows to keep bench wall-clock reasonable
-//! (documented in EXPERIMENTS.md).
+//! (`BenchmarkDataset::default_rows`).
 
 use bclean_data::{Attribute, Dataset, Schema, Value};
 use rand::rngs::StdRng;

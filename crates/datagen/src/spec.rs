@@ -67,7 +67,8 @@ impl BenchmarkDataset {
 
     /// Default row count used by the reproduction harness. Identical to the
     /// paper except for Soccer, which is scaled from 200 000 to 20 000 rows to
-    /// keep wall-clock reasonable (see EXPERIMENTS.md).
+    /// keep wall-clock reasonable ([`BenchmarkDataset::paper_rows`] keeps the
+    /// full size).
     pub fn default_rows(&self) -> usize {
         match self {
             BenchmarkDataset::Soccer => 20_000,

@@ -36,9 +36,10 @@ impl Default for BudgetParams {
 ///
 /// `Exact` (the default) is the historical behaviour: every row feeds every
 /// statistic, and artifacts are byte-identical to releases that predate this
-/// type. `Budgeted` caps the structure-learning and compensatory-pair costs
-/// using the sketches in this crate; per-value statistics (CPT counts,
-/// value counts, tuple confidences) remain exact either way.
+/// type. `Budgeted` caps the structure-learning costs using the sketches in
+/// this crate; the statistics downstream of the structure (CPT counts,
+/// compensatory tallies, value counts, tuple confidences) remain exact
+/// either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FitBudget {
     /// Full-precision fit over all rows (the historical default).

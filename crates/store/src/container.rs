@@ -34,7 +34,7 @@ pub const MAGIC: [u8; 8] = *b"BCLNMODL";
 /// design). See `docs/FORMAT.md` for the full byte-layout contract and
 /// version history. Section id 8 (format v4's `encoded_data`) is retired
 /// and never reused: the reader rejects it as an unknown section.
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Well-known section ids of a model artifact container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -52,7 +52,8 @@ pub enum SectionId {
     Structure = 5,
     /// Per-node sufficient statistics (`NodeCounts`).
     NodeCounts = 6,
-    /// Compensatory counters (pair stores, value counts, confidence sum).
+    /// Compensatory counters (value counts, confidence sum, one co-occurrence
+    /// index per column pair).
     Compensatory = 7,
 }
 

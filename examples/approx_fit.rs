@@ -9,10 +9,10 @@
 //! the default [`FitBudget::Budgeted`] — and reports the fit-time speedup
 //! together with the *repair agreement*: the Jaccard similarity of the two
 //! models' repair sets. The budgeted fit samples rows for structure
-//! learning, buckets contingency tables through quantile sketches, and
-//! bounds compensatory pair tables to each column's heavy hitters, so it is
-//! sub-linear in the value-pair space while CPT counts stay exact; at
-//! generous budgets the two models repair (nearly) the same cells.
+//! learning and buckets its contingency tables through quantile sketches
+//! and heavy-hitter summaries, while CPT counts and compensatory tallies
+//! stay exact; at generous budgets the two models repair (nearly) the same
+//! cells.
 
 use std::time::Instant;
 

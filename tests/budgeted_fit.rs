@@ -8,9 +8,10 @@
 //!    asked for.
 //! 2. **Budgeted is deterministic.** A budgeted fit is seeded end to end:
 //!    same data + same budget ⇒ identical artifact bytes, again at every
-//!    thread count, and the artifact round-trips through the
-//!    `.bclean` container (bounded pair tables, tracked heavy-hitter lists
-//!    and the budget itself included).
+//!    thread count, and the artifact round-trips through the `.bclean`
+//!    container, the budget itself included. The budget only changes the
+//!    structure search: the compensatory tallies live in the same one
+//!    co-occurrence index per column pair as an exact fit's.
 //! 3. **Budgeted is close.** At generous budgets the budgeted model's
 //!    repairs agree with the exact model's (Jaccard ≥ 0.95 over
 //!    `(cell, target)` pairs), across the datagen benchmark families.
@@ -31,7 +32,7 @@ fn hospital() -> DirtyDataset {
 }
 
 /// A budget small enough to genuinely approximate on the Hospital fixture:
-/// sampled structure rows and single-digit heavy-hitter tables.
+/// sampled structure rows and single-digit heavy-hitter bucket maps.
 fn tight_budget() -> BudgetParams {
     BudgetParams { sample_rows: 500, sketch_k: 64, heavy_hitters: 8, seed: 7 }
 }
@@ -118,7 +119,7 @@ fn budgeted_artifact_round_trips_and_absorbs() {
         .with_constraints(constraints)
         .fit_artifact(&bench.dirty);
     // The tight budget must actually approximate — otherwise this test
-    // would pass without ever touching the bounded stores.
+    // would pass without ever reaching the sampled structure search.
     assert_ne!(artifact.to_bytes().unwrap(), exact.to_bytes().unwrap());
 
     let bytes = artifact.to_bytes().unwrap();
@@ -130,8 +131,7 @@ fn budgeted_artifact_round_trips_and_absorbs() {
     assert_eq!(restored.repairs, original.repairs);
 
     // Ingesting new rows (which appends fresh dictionary codes) must agree
-    // between the live artifact and the reloaded one: bounded pair tables
-    // count unseen codes in their exact tails identically.
+    // between the live artifact and the reloaded one.
     let batch = BenchmarkDataset::Hospital.build_sized(200, SEED + 1).dirty;
     let mut live = artifact;
     let mut reloaded = loaded;
@@ -155,9 +155,9 @@ proptest! {
     fn generous_budgets_agree_with_exact((dataset, rows, seed) in benchmark_strategy()) {
         let bench = dataset.build_sized(rows, seed);
         let constraints = bclean_constraints(dataset);
-        // Generous: the sample covers every row and the heavy-hitter lists
-        // cover every realistic clean pool, so only the bucketed structure
-        // statistics approximate.
+        // Generous: the sample covers every row and the heavy-hitter bucket
+        // maps cover every realistic clean pool, so only the bucketed
+        // structure statistics approximate.
         let budget = FitBudget::Budgeted(BudgetParams {
             sample_rows: 10_000,
             sketch_k: 256,
