@@ -50,7 +50,6 @@ pub use graph::{Dag, GraphError};
 pub use network::{log_softmax_to_probs, BayesianNetwork, DEFAULT_ALPHA};
 pub use sim::{edit_similarity, levenshtein, numeric_similarity, value_similarity, value_similarity_typed};
 pub use structure::{
-    autoregression_matrix, budget_row_sample, learn_structure, learn_structure_budgeted,
-    learn_structure_encoded, similarity_samples, similarity_samples_encoded, threshold_to_dag, FdxConfig,
-    LearnedStructure, StructureConfig,
+    autoregression_matrix, learn_structure, learn_structure_encoded, similarity_samples,
+    similarity_samples_encoded, threshold_to_dag, FdxConfig, LearnedStructure, StructureConfig,
 };

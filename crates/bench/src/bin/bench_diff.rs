@@ -79,16 +79,13 @@ const KNOWN_TOP_LEVEL_KEYS: &[&str] = &[
     "duration_seconds_per_point",
     "latencies",
     // `bench_stream`'s out-of-core tier: informational (never gated) —
-    // bounded-memory streamed clean vs the in-RAM one-shot, the peak-memory
-    // proxy and the budgeted accuracy-vs-speed record.
+    // bounded-memory streamed clean vs the in-RAM one-shot and the
+    // peak-memory proxy.
     "ooc",
 ];
 
-/// Keys of one record inside the `speedups` array. `agreement` rides along
-/// on budgeted-vs-exact fit records (`BENCH_fit.json`'s wide tier): the
-/// repair agreement of the budgeted artifact against the exact one — the
-/// accuracy half of a speedup whose fast path is approximate.
-const KNOWN_RECORD_KEYS: &[&str] = &["variant", "threads", "speedup", "agreement"];
+/// Keys of one record inside the `speedups` array.
+const KNOWN_RECORD_KEYS: &[&str] = &["variant", "threads", "speedup"];
 
 /// Keys of one record inside the `latencies` array (`BENCH_serve.json`).
 const KNOWN_LATENCY_KEYS: &[&str] =

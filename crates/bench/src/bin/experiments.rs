@@ -19,16 +19,16 @@ use std::time::Duration;
 use bclean_bayesnet::NetworkEdit;
 use bclean_bench::{Scale, EXPERIMENT_SEED};
 use bclean_core::{
-    clean_stream, repairs_to_csv, BClean, BCleanConfig, BudgetParams, CompensatoryParams, ConstraintKind,
-    FitBudget, ModelArtifact, StreamOptions, Variant,
+    clean_stream, repairs_to_csv, BClean, BCleanConfig, CompensatoryParams, ConstraintKind, ModelArtifact,
+    StreamOptions, Variant,
 };
 use bclean_data::{approx_dataset_bytes, read_csv_file, write_csv_file, ChunkLimits, CsvFileChunks};
 use bclean_datagen::{
     build_wide, BenchmarkDataset, DirtyDataset, ErrorSpec, ErrorType, ScaleFactor, SwapMode,
 };
 use bclean_eval::{
-    bclean_constraints, evaluate, format_duration, repair_agreement, run_bclean_evaluated, run_method,
-    run_methods, ErrorTypeRecall, Method, MethodRun, TextTable,
+    bclean_constraints, evaluate, format_duration, run_bclean_evaluated, run_method, run_methods,
+    ErrorTypeRecall, Method, MethodRun, TextTable,
 };
 
 /// Default worker-thread sweep of the `bench_clean` / `bench_fit`
@@ -415,19 +415,13 @@ fn fig5(scale: Scale) {
 /// snapshot: one `{variant, threads, speedup}` record per measured pair, a
 /// minimum, and the wall-clock. `bench_diff` matches baseline/candidate
 /// records on `(variant, threads)`.
-fn speedups_json(
-    speedups: &[(String, usize, f64)],
-    extra_records: &[String],
-    min_speedup: f64,
-    total_seconds: f64,
-) -> String {
-    let mut records: Vec<String> = speedups
+fn speedups_json(speedups: &[(String, usize, f64)], min_speedup: f64, total_seconds: f64) -> String {
+    let records: Vec<String> = speedups
         .iter()
         .map(|(name, threads, s)| {
             format!("    {{\"variant\": \"{name}\", \"threads\": {threads}, \"speedup\": {s:.3}}}")
         })
         .collect();
-    records.extend(extra_records.iter().cloned());
     format!(
         "  \"speedups\": [\n{}\n  ],\n  \"min_speedup\": {:.3},\n  \"total_wall_seconds\": {:.3}\n}}\n",
         records.join(",\n"),
@@ -546,7 +540,7 @@ fn bench_clean(scale: Scale, threads_sweep: &[usize]) {
         iters,
         fits_json.join(",\n"),
         runs_json.join(",\n"),
-        speedups_json(&speedups, &[], min_speedup, total_start.elapsed().as_secs_f64()),
+        speedups_json(&speedups, min_speedup, total_start.elapsed().as_secs_f64()),
     );
     match std::fs::write("BENCH_clean.json", &json) {
         Ok(()) => println!("wrote BENCH_clean.json (min speedup {min_speedup:.2}x)\n"),
@@ -648,85 +642,7 @@ fn bench_fit(scale: Scale, threads_sweep: &[usize]) {
     }
     println!("{}", table.render());
 
-    // Wide-schema scale tier: the sketch-budget fit (`FitBudget::Budgeted`)
-    // against the exact default on the 32-column scale dataset, serial. The
-    // timed surface is `fit_artifact` — the artifact production `bclean
-    // fit` runs (CPT compilation is a clean-time cost both paths share
-    // unchanged). Repair agreement is measured outside the timing loop by
-    // cleaning with both artifacts under the same top-k pruned config: the
-    // budget approximates structure *search* only (pair tallies stay
-    // exact), so agreement records how often the
-    // sampled search still lands on repairs the exact fit would make.
-    let factor = match scale {
-        Scale::Small => ScaleFactor::S10K,
-        Scale::Default => ScaleFactor::S100K,
-        Scale::Full => ScaleFactor::S1M,
-    };
-    let wide_rows = factor.rows();
-    println!("### wide-schema tier — budgeted vs exact fit ({wide_rows} rows)\n");
-    let wide = build_wide(wide_rows, EXPERIMENT_SEED);
-    let budget = BudgetParams {
-        sample_rows: (wide_rows / 5).clamp(2_000, 20_000),
-        heavy_hitters: 64,
-        ..BudgetParams::default()
-    };
-    let exact_cfg = Variant::PartitionedInference.config().with_threads(1).with_candidate_top_k(16);
-    let budgeted_cfg = exact_cfg.clone().with_fit_budget(FitBudget::Budgeted(budget));
-    let wide_iters = if scale == Scale::Full { 2usize } else { 3 };
-    let mut wide_table =
-        TextTable::new(vec!["Engine", "Fit artifact (best)", "Rows/s", "Edges", "Repairs", "Speedup"]);
-    let mut wide_measured: Vec<(&str, f64, usize, Vec<bclean_core::Repair>)> = Vec::new();
-    for (engine, cfg) in [("exact", &exact_cfg), ("budgeted", &budgeted_cfg)] {
-        let mut best = f64::INFINITY;
-        let mut artifact = None;
-        for _ in 0..wide_iters {
-            let start = std::time::Instant::now();
-            artifact = Some(BClean::new(cfg.clone()).fit_artifact(&wide.dirty));
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        let artifact = artifact.expect("at least one wide fit iteration ran");
-        let model = artifact.compile();
-        let edges = model.dag().num_edges();
-        let repairs = model.clean(&wide.dirty).repairs;
-        wide_measured.push((engine, best, edges, repairs));
-    }
-    let wide_speedup = wide_measured[0].1 / wide_measured[1].1.max(1e-12);
-    let agreement = repair_agreement(&wide_measured[0].3, &wide_measured[1].3);
-    for (engine, best, edges, repairs) in &wide_measured {
-        let rows_per_sec = wide_rows as f64 / best.max(1e-12);
-        wide_table.add_row(vec![
-            engine.to_string(),
-            format!("{best:.4}s"),
-            format!("{rows_per_sec:.0}"),
-            edges.to_string(),
-            repairs.len().to_string(),
-            if *engine == "budgeted" { format!("{wide_speedup:.2}x") } else { "1.00x".to_string() },
-        ]);
-        runs_json.push(format!(
-            "    {{\"variant\": \"wide\", \"engine\": \"{}\", \"threads\": 1, \"rows\": {}, \
-             \"fit_seconds\": {:.6}, \"rows_per_sec\": {:.2}, \"structure_edges\": {}, \
-             \"repairs\": {}, \"sample_rows\": {}, \"heavy_hitters\": {}, \"agreement\": {:.4}}}",
-            engine,
-            wide_rows,
-            best,
-            rows_per_sec,
-            edges,
-            repairs.len(),
-            budget.sample_rows,
-            budget.heavy_hitters,
-            agreement,
-        ));
-    }
-    println!("{}", wide_table.render());
-    println!(
-        "wide tier: budgeted-vs-exact fit speedup {wide_speedup:.2}x, repair agreement {agreement:.4}\n"
-    );
-    let wide_record = format!(
-        "    {{\"variant\": \"wide/budgeted-vs-exact\", \"threads\": 1, \"speedup\": {wide_speedup:.3}, \
-         \"agreement\": {agreement:.4}}}"
-    );
-
-    let min_speedup = speedups.iter().map(|(_, _, s)| *s).fold(f64::INFINITY, f64::min).min(wide_speedup);
+    let min_speedup = speedups.iter().map(|(_, _, s)| *s).fold(f64::INFINITY, f64::min);
     let threads_json: Vec<String> = threads_sweep.iter().map(|t| t.to_string()).collect();
     let json = format!(
         "{{\n  \"benchmark\": \"Hospital\",\n  \"scale\": \"{:?}\",\n  \"rows\": {},\n  \
@@ -739,7 +655,7 @@ fn bench_fit(scale: Scale, threads_sweep: &[usize]) {
         threads_json.join(", "),
         iters,
         runs_json.join(",\n"),
-        speedups_json(&speedups, &[wide_record], min_speedup, total_start.elapsed().as_secs_f64()),
+        speedups_json(&speedups, min_speedup, total_start.elapsed().as_secs_f64()),
     );
     match std::fs::write("BENCH_fit.json", &json) {
         Ok(()) => println!("wrote BENCH_fit.json (min speedup {min_speedup:.2}x)\n"),
@@ -771,8 +687,7 @@ fn bench_fit(scale: Scale, threads_sweep: &[usize]) {
 /// repairs against the in-RAM one-shot. The tier lands in the snapshot's
 /// `ooc` object — rows/s streamed vs resident, the `peak_bytes`
 /// peak-memory proxy against the resident dataset's footprint
-/// (`memory_ratio`), and the accuracy-vs-speed record of a sketch-budgeted
-/// streamed fit (`budgeted_agreement`). The object is informational, not gated:
+/// (`memory_ratio`). The object is informational, not gated:
 /// `bench_diff` warns on snapshot keys it does not know rather than
 /// failing, so adding tiers like this one never breaks an older gate.
 fn bench_stream(scale: Scale) {
@@ -881,9 +796,8 @@ fn bench_stream(scale: Scale) {
     // Out-of-core tier: the bounded-memory `clean_stream` pipeline reading
     // the dirty table back from a CSV file in fixed-row chunks, against the
     // in-RAM one-shot on the resident dataset. Timed once per mode — the
-    // tier's headline numbers are the memory proxy, the bit-identity
-    // assertion and the budgeted comparison, not jitter-sensitive speedups
-    // (none of them are gated).
+    // tier's headline numbers are the memory proxy and the bit-identity
+    // assertion, not jitter-sensitive speedups (none of them are gated).
     let factor = match scale {
         Scale::Small => ScaleFactor::S10K,
         Scale::Default => ScaleFactor::S100K,
@@ -898,7 +812,7 @@ fn bench_stream(scale: Scale) {
 
     // Both modes clean the same on-disk CSV: the baseline loads it whole
     // (schema inference included — the exact work `bclean clean` does),
-    // the streamed runs read it back in bounded chunks.
+    // the streamed run reads it back in bounded chunks.
     let tmp = std::env::temp_dir().join(format!("bclean-bench-ooc-{}", std::process::id()));
     std::fs::create_dir_all(&tmp).expect("create bench temp dir");
     let csv_path = tmp.join("ooc.csv");
@@ -915,64 +829,25 @@ fn bench_stream(scale: Scale) {
     let resident_bytes = approx_dataset_bytes(&resident);
     let oneshot_csv = repairs_to_csv(&ooc_oneshot.repairs);
     let ooc_options = StreamOptions { limits: ChunkLimits::rows(ooc_chunk_rows), cleaned_path: None };
-    let run_stream = |cleaner: &BClean, options: &StreamOptions| {
-        let mut source = CsvFileChunks::open(&csv_path, options.limits).expect("open streaming source");
-        let start = std::time::Instant::now();
-        let outcome = clean_stream(cleaner, &mut source, options).expect("streamed clean");
-        (start.elapsed().as_secs_f64(), outcome)
-    };
-    let (cold_seconds, cold) = run_stream(&ooc_cleaner, &ooc_options);
+    let mut source = CsvFileChunks::open(&csv_path, ooc_options.limits).expect("open streaming source");
+    let cold_start = std::time::Instant::now();
+    let cold = clean_stream(&ooc_cleaner, &mut source, &ooc_options).expect("streamed clean");
+    let cold_seconds = cold_start.elapsed().as_secs_f64();
     assert_eq!(
         repairs_to_csv(&cold.repairs),
         oneshot_csv,
         "the streamed clean must be bit-identical to the in-RAM one-shot"
     );
-
-    // Accuracy-vs-speed: the same streamed pipeline under a sketch fit
-    // budget — the documented large-scale mode (`bclean clean
-    // --fit-sample`), where structure search runs on a sample while the
-    // clean itself still sees every row.
-    let ooc_budget = BudgetParams {
-        sample_rows: (ooc_rows / 5).clamp(2_000, 20_000),
-        heavy_hitters: 64,
-        ..BudgetParams::default()
-    };
-    let budgeted_cleaner = BClean::new(
-        Variant::PartitionedInference
-            .config()
-            .with_threads(1)
-            .with_fit_budget(FitBudget::Budgeted(ooc_budget)),
-    )
-    .with_constraints(bclean_constraints(BenchmarkDataset::Hospital));
-    let (budgeted_seconds, budgeted) = run_stream(&budgeted_cleaner, &ooc_options);
-    let budgeted_agreement = repair_agreement(&ooc_oneshot.repairs, &budgeted.repairs);
     let _ = std::fs::remove_dir_all(&tmp);
 
     let oneshot_rows_per_sec = ooc_rows as f64 / oneshot_seconds.max(1e-12);
     let cold_rows_per_sec = ooc_rows as f64 / cold_seconds.max(1e-12);
-    let budgeted_rows_per_sec = ooc_rows as f64 / budgeted_seconds.max(1e-12);
     let ooc_throughput_ratio = cold_rows_per_sec / oneshot_rows_per_sec.max(1e-12);
-    let budgeted_speedup = cold_seconds / budgeted_seconds.max(1e-12);
     let memory_ratio = cold.peak_bytes as f64 / (resident_bytes.max(1)) as f64;
-    let mut ooc_table = TextTable::new(vec!["Mode", "Wall", "Rows/s", "Peak bytes", "Repairs", "Agreement"]);
-    for (mode, seconds, rows_per_sec, peak, repairs, agreement) in [
-        (
-            "in-RAM one-shot",
-            oneshot_seconds,
-            oneshot_rows_per_sec,
-            resident_bytes,
-            ooc_oneshot.repairs.len(),
-            1.0,
-        ),
-        ("streamed (cold)", cold_seconds, cold_rows_per_sec, cold.peak_bytes, cold.repairs.len(), 1.0),
-        (
-            "streamed (budgeted)",
-            budgeted_seconds,
-            budgeted_rows_per_sec,
-            budgeted.peak_bytes,
-            budgeted.repairs.len(),
-            budgeted_agreement,
-        ),
+    let mut ooc_table = TextTable::new(vec!["Mode", "Wall", "Rows/s", "Peak bytes", "Repairs"]);
+    for (mode, seconds, rows_per_sec, peak, repairs) in [
+        ("in-RAM one-shot", oneshot_seconds, oneshot_rows_per_sec, resident_bytes, ooc_oneshot.repairs.len()),
+        ("streamed (cold)", cold_seconds, cold_rows_per_sec, cold.peak_bytes, cold.repairs.len()),
     ] {
         ooc_table.add_row(vec![
             mode.to_string(),
@@ -980,15 +855,10 @@ fn bench_stream(scale: Scale) {
             format!("{rows_per_sec:.0}"),
             peak.to_string(),
             repairs.to_string(),
-            format!("{agreement:.4}"),
         ]);
     }
     println!("{}", ooc_table.render());
-    println!(
-        "out-of-core tier: peak memory proxy {:.1}% of resident, budgeted agreement \
-         {budgeted_agreement:.4}\n",
-        memory_ratio * 100.0
-    );
+    println!("out-of-core tier: peak memory proxy {:.1}% of resident\n", memory_ratio * 100.0);
     let ooc_json = format!(
         "  \"ooc\": {{\"benchmark\": \"Hospital\", \"rows\": {ooc_rows}, \"columns\": {ooc_cols}, \
          \"chunk_rows\": {ooc_chunk_rows}, \"chunks\": {}, \
@@ -997,8 +867,6 @@ fn bench_stream(scale: Scale) {
          \"stream_cold_seconds\": {cold_seconds:.6}, \"stream_cold_rows_per_sec\": {cold_rows_per_sec:.2}, \
          \"peak_bytes\": {}, \"memory_ratio\": {memory_ratio:.4}, \
          \"throughput_ratio\": {ooc_throughput_ratio:.4}, \
-         \"budgeted_seconds\": {budgeted_seconds:.6}, \"budgeted_speedup\": {budgeted_speedup:.3}, \
-         \"budgeted_agreement\": {budgeted_agreement:.4}, \
          \"repairs\": {}}},",
         cold.chunks,
         cold.peak_bytes,
@@ -1014,7 +882,7 @@ fn bench_stream(scale: Scale) {
         fit_iters,
         runs_json.join(",\n"),
         ooc_json,
-        speedups_json(&speedups, &[], min_speedup, total_start.elapsed().as_secs_f64()),
+        speedups_json(&speedups, min_speedup, total_start.elapsed().as_secs_f64()),
     );
     match std::fs::write("BENCH_stream.json", &json) {
         Ok(()) => println!("wrote BENCH_stream.json (min ingest speedup {min_speedup:.2}x)\n"),
@@ -1059,7 +927,7 @@ fn bench_scale(scale: Scale) {
 
     // One fit serves every grid point: threads and the candidate cap are
     // execution knobs on the artifact (the fit is bit-identical at every
-    // thread count — see tests/budgeted_fit.rs), so the grid re-times
+    // thread count — see tests/e2e_determinism.rs), so the grid re-times
     // cleaning, not fitting. The fit itself is timed at 1 and 4 threads.
     let fit_start = std::time::Instant::now();
     let mut artifact =
@@ -1140,7 +1008,7 @@ fn bench_scale(scale: Scale) {
         fit_serial_seconds,
         fit_parallel_seconds,
         runs_json.join(",\n"),
-        speedups_json(&speedups, &[], min_speedup, total_start.elapsed().as_secs_f64()),
+        speedups_json(&speedups, min_speedup, total_start.elapsed().as_secs_f64()),
     );
     match std::fs::write("BENCH_scale.json", &json) {
         Ok(()) => println!("wrote BENCH_scale.json (min speedup {min_speedup:.2}x)\n"),

@@ -45,8 +45,8 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use bclean_core::{
-    clean_stream, clean_stream_with_model, repairs_to_csv, BClean, BudgetParams, ConstraintSet, FitBudget,
-    ModelArtifact, Repair, StreamOptions, StreamOutcome, UserConstraint, Variant,
+    clean_stream, clean_stream_with_model, repairs_to_csv, BClean, ConstraintSet, ModelArtifact, Repair,
+    StreamOptions, StreamOutcome, UserConstraint, Variant,
 };
 use bclean_data::{read_csv_file, ChunkLimits, ChunkSource, CsvFileChunks, Dataset};
 use bclean_profile::{find_outliers, suggest_constraints, DatasetProfile, OutlierConfig, SuggestConfig};
@@ -126,12 +126,10 @@ fn usage() -> &'static str {
     "usage:
   bclean fit     <data.csv> -o <model.bclean> [-c constraints.bc] [--suggest]
                             [--variant basic|nouc|pi|pip] [--threads N]
-                            [--fit-sample ROWS] [--sketch-budget K]
   bclean clean   <data.csv> [-m model.bclean] [-o cleaned.csv] [--repairs repairs.csv]
                             [--report report.json] [-c constraints.bc]
                             [--variant basic|nouc|pi|pip] [--threads N]
-                            [--max-repairs N] [--fit-sample ROWS] [--sketch-budget K]
-                            [--chunk-rows N] [--max-memory BYTES[K|M|G]]
+                            [--max-repairs N] [--chunk-rows N] [--max-memory BYTES[K|M|G]]
   bclean ingest  <batch.csv> -m <model.bclean> [-o updated.bclean]
   bclean inspect <model.bclean>
   bclean profile <data.csv>
@@ -190,33 +188,11 @@ struct CommonArgs {
     threads: Option<usize>,
     suggest: bool,
     max_repairs: Option<usize>,
-    fit_sample: Option<usize>,
-    sketch_budget: Option<usize>,
     chunk_rows: Option<usize>,
     max_memory: Option<usize>,
 }
 
 impl CommonArgs {
-    /// The fit budget the budget flags spell out: either flag switches the
-    /// fit to `Budgeted`, with the other parameters at their defaults.
-    /// `--fit-sample` caps the rows feeding structure learning;
-    /// `--sketch-budget` sets both the quantile-sketch capacity and the
-    /// per-column heavy-hitter budget.
-    fn fit_budget(&self) -> Option<FitBudget> {
-        if self.fit_sample.is_none() && self.sketch_budget.is_none() {
-            return None;
-        }
-        let mut params = BudgetParams::default();
-        if let Some(rows) = self.fit_sample {
-            params.sample_rows = rows;
-        }
-        if let Some(k) = self.sketch_budget {
-            params.sketch_k = k;
-            params.heavy_hitters = k;
-        }
-        Some(FitBudget::Budgeted(params))
-    }
-
     /// The per-chunk bounds the chunking flags spell out. `--chunk-rows`
     /// caps rows per chunk; `--max-memory B` caps each raw chunk and each
     /// decoded cleaning window at `B / 2`, and nothing else. The encoded
@@ -290,18 +266,6 @@ fn parse_common(args: &[String]) -> Result<CommonArgs, CliError> {
                 let n = flag_value("--max-repairs")?;
                 parsed.max_repairs =
                     Some(n.parse().map_err(|_| usage_err(format!("invalid --max-repairs {n:?}")))?);
-                i += 2;
-            }
-            "--fit-sample" => {
-                let n = flag_value("--fit-sample")?;
-                parsed.fit_sample =
-                    Some(n.parse().map_err(|_| usage_err(format!("invalid --fit-sample {n:?}")))?);
-                i += 2;
-            }
-            "--sketch-budget" => {
-                let n = flag_value("--sketch-budget")?;
-                parsed.sketch_budget =
-                    Some(n.parse().map_err(|_| usage_err(format!("invalid --sketch-budget {n:?}")))?);
                 i += 2;
             }
             "--chunk-rows" => {
@@ -405,14 +369,6 @@ fn fit_command(args: &[String]) -> Result<(), CliError> {
     if let Some(threads) = args.threads {
         config = config.with_threads(threads);
     }
-    if let Some(budget) = args.fit_budget() {
-        config = config.with_fit_budget(budget);
-        let p = budget.params().expect("the flags always spell a budgeted fit");
-        eprintln!(
-            "budgeted fit: structure sample {} rows, sketch capacity {}, {} heavy hitters per column",
-            p.sample_rows, p.sketch_k, p.heavy_hitters
-        );
-    }
     let start = std::time::Instant::now();
     let artifact = BClean::new(config).with_constraints(constraints).fit_artifact(&data);
     artifact.save(output).map_err(|e| store_err(&format!("cannot save {output}"), e))?;
@@ -455,8 +411,6 @@ fn clean_command(args: &[String]) -> Result<(), CliError> {
                     ("-c/--constraints", args.constraints.is_some()),
                     ("--variant", args.variant.is_some()),
                     ("--suggest", args.suggest),
-                    ("--fit-sample", args.fit_sample.is_some()),
-                    ("--sketch-budget", args.sketch_budget.is_some()),
                 ],
             )?;
             let mut source = open()?;
@@ -477,9 +431,6 @@ fn clean_command(args: &[String]) -> Result<(), CliError> {
             let mut config = variant.config();
             if let Some(threads) = args.threads {
                 config = config.with_threads(threads);
-            }
-            if let Some(budget) = args.fit_budget() {
-                config = config.with_fit_budget(budget);
             }
             clean_stream(&BClean::new(config).with_constraints(constraints), &mut source, &options)
         }
@@ -556,8 +507,6 @@ fn ingest_command(args: &[String]) -> Result<(), CliError> {
             ("--report", args.report.is_some()),
             ("--threads", args.threads.is_some()),
             ("--max-repairs", args.max_repairs.is_some()),
-            ("--fit-sample", args.fit_sample.is_some()),
-            ("--sketch-budget", args.sketch_budget.is_some()),
             ("--chunk-rows", args.chunk_rows.is_some()),
             ("--max-memory", args.max_memory.is_some()),
         ],
@@ -652,13 +601,6 @@ fn inspect_command(path: &str) -> Result<(), CliError> {
     println!("{path}: bclean model artifact, format version {}", container.version());
     println!("  schema hash   {:016x}", artifact.schema_hash());
     println!("  rows absorbed {}", artifact.num_rows());
-    match artifact.config().fit_budget.params() {
-        None => println!("  fit budget    exact"),
-        Some(p) => println!(
-            "  fit budget    budgeted (sample {}, sketch {}, heavy hitters {})",
-            p.sample_rows, p.sketch_k, p.heavy_hitters
-        ),
-    }
     let names = artifact.attribute_names();
     println!("  attributes    {}", names.len());
     for (name, ty) in names.iter().zip(artifact.attribute_types()) {

@@ -78,6 +78,8 @@ fn usage_errors_exit_2_and_print_usage() {
         &["clean", &csv, "--threads", "many"],                           // unparsable value
         &["clean", &csv, "--bogus"],                                     // unknown flag
         &["clean", &csv, "--stream"],                                    // retired flag: clean always streams
+        &["fit", &csv, "-o", "m.bclean", "--fit-sample", "100"],         // retired flag: one exact fit
+        &["clean", &csv, "--sketch-budget", "64"],                       // retired flag: one exact fit
         &["ingest", &csv],                                               // missing -m
         &["inspect"],                                                    // missing path
         &["inspect", "a.bclean", "b.bclean"],                            // extra argument
@@ -100,7 +102,7 @@ fn conflicting_flags_exit_2_even_with_readable_inputs() {
     assert_code(&["fit", &csv, "-o", &model], 0);
     // -m loads a persisted fit; fit-shaping flags alongside it must refuse,
     // not silently not apply.
-    for extra in [["-c", "rules.bc"], ["--variant", "pip"], ["--fit-sample", "10"]] {
+    for extra in [["-c", "rules.bc"], ["--variant", "pip"]] {
         let stderr = assert_code(&["clean", &csv, "-m", &model, extra[0], extra[1]], 2);
         assert!(stderr.contains("no effect"), "expected a flag-conflict error:\n{stderr}");
     }

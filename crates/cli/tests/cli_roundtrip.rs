@@ -253,57 +253,6 @@ fn inspect_reports_version_schema_and_structure() {
 }
 
 #[test]
-fn budget_flags_fit_budgeted_models_and_are_rejected_where_inert() {
-    let ws = Workspace::new("budget");
-    let (data, spec) = stage_hospital(&ws);
-    let constraints = ConstraintSet::from_spec_text(&spec).expect("spec parses");
-
-    let model_path = ws.str("budgeted.bclean");
-    bclean(&[
-        "fit",
-        &ws.str("hospital.csv"),
-        "-o",
-        &model_path,
-        "-c",
-        &ws.str("hospital.bc"),
-        "--threads",
-        "1",
-        "--fit-sample",
-        "80",
-        "--sketch-budget",
-        "8",
-    ]);
-
-    // In-process oracle with the budget the flags spell out.
-    let budget = bclean_core::FitBudget::Budgeted(bclean_core::BudgetParams {
-        sample_rows: 80,
-        sketch_k: 8,
-        heavy_hitters: 8,
-        ..Default::default()
-    });
-    let artifact =
-        BClean::new(Variant::PartitionedInference.config().with_threads(1).with_fit_budget(budget))
-            .with_constraints(constraints)
-            .fit_artifact(&data);
-    let on_disk = std::fs::read(&model_path).expect("model file exists");
-    assert_eq!(on_disk, artifact.to_bytes().expect("serializable"));
-
-    // `inspect` surfaces the persisted budget.
-    let stdout = bclean(&["inspect", &model_path]);
-    assert!(stdout.contains("budgeted (sample 80, sketch 8, heavy hitters 8)"), "{stdout}");
-
-    // Cleaning with -m never refits, so the budget flags must be rejected
-    // there (and on ingest) rather than silently ignored.
-    let csv_path = ws.str("hospital.csv");
-    for extra in [["--fit-sample", "100"], ["--sketch-budget", "64"]] {
-        let stderr = bclean_expect_failure(&["clean", &csv_path, "-m", &model_path, extra[0], extra[1]]);
-        assert!(stderr.contains("no effect"), "expected a flag-conflict error, got: {stderr}");
-        let stderr = bclean_expect_failure(&["ingest", &csv_path, "-m", &model_path, extra[0], extra[1]]);
-        assert!(stderr.contains("no effect"), "expected a flag-conflict error, got: {stderr}");
-    }
-}
-
-#[test]
 fn schema_guard_and_corruption_fail_with_clear_errors() {
     let ws = Workspace::new("guards");
     stage_hospital(&ws);

@@ -38,8 +38,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bclean_bayesnet::{
-    learn_structure_budgeted, learn_structure_encoded, CompiledNetwork, Dag, NetworkEdit, NetworkEditor,
-    NodeCounts,
+    learn_structure_encoded, CompiledNetwork, Dag, NetworkEdit, NetworkEditor, NodeCounts,
 };
 use bclean_data::{AttrType, CellRef, ColumnDict, Dataset, Domains, EncodedDataset, Schema, Value};
 use bclean_rules::Rule;
@@ -125,21 +124,8 @@ impl BClean {
         let types: Vec<AttrType> = (0..dataset.num_columns())
             .map(|c| dataset.schema().attribute(c).expect("column in range").ty)
             .collect();
-        let dag = self.learn_structure(&encoded, &types);
+        let dag = learn_structure_encoded(&encoded, &types, self.config.structure).dag;
         self.artifact_from_encoded(dataset, &encoded, dag)
-    }
-
-    /// Structure learning over a freshly encoded dataset, the one dispatch
-    /// behind [`BClean::fit_artifact`] and [`crate::clean_stream`]. With a
-    /// fit budget it runs over a deterministic row reservoir and bucketed
-    /// contingency tables (see `bclean_bayesnet::structure::budgeted`);
-    /// everything downstream of the structure choice still sees every row.
-    pub(crate) fn learn_structure(&self, encoded: &EncodedDataset, types: &[AttrType]) -> Dag {
-        let structure = match self.config.fit_budget.params() {
-            Some(budget) => learn_structure_budgeted(encoded, types, self.config.structure, budget),
-            None => learn_structure_encoded(encoded, types, self.config.structure),
-        };
-        structure.dag
     }
 
     /// Construction stage with a user-provided (or user-edited) structure.

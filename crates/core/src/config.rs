@@ -1,7 +1,6 @@
 //! Configuration of the BClean cleaner and its paper variants.
 
 use bclean_bayesnet::StructureConfig;
-use bclean_sketch::FitBudget;
 
 use crate::compensatory::CompensatoryParams;
 
@@ -106,14 +105,6 @@ pub struct BCleanConfig {
     /// scale-only approximation — `usize::MAX` (the default) disables it and
     /// keeps cleaning exact.
     pub candidate_top_k: usize,
-    /// Fit-time approximation budget (sketch-based sub-linear fitting).
-    /// [`FitBudget::Exact`] — the default — fits bit-identically to the
-    /// pre-budget pipeline; [`FitBudget::Budgeted`] learns the structure
-    /// from a deterministic row reservoir and buckets structure-search
-    /// contingency tables through quantile sketches and heavy-hitter
-    /// summaries. CPT counts, compensatory tallies, value counts and tuple
-    /// confidences stay exact over all rows either way.
-    pub fit_budget: FitBudget,
 }
 
 impl Default for BCleanConfig {
@@ -135,7 +126,6 @@ impl Default for BCleanConfig {
             no_anchor_margin: 2.5,
             num_threads: 0,
             candidate_top_k: usize::MAX,
-            fit_budget: FitBudget::Exact,
         }
     }
 }
@@ -162,14 +152,6 @@ impl BCleanConfig {
     /// threshold (`usize::MAX` = exact, the default).
     pub fn with_candidate_top_k(mut self, top_k: usize) -> Self {
         self.candidate_top_k = top_k;
-        self
-    }
-
-    /// Builder-style override of the fit-time approximation budget
-    /// ([`FitBudget::Exact`] = bit-identical to the unbudgeted fit, the
-    /// default).
-    pub fn with_fit_budget(mut self, budget: FitBudget) -> Self {
-        self.fit_budget = budget;
         self
     }
 
@@ -240,16 +222,5 @@ mod tests {
         assert_eq!(cfg.candidate_top_k, usize::MAX, "candidate pruning must default to off");
         let pruned = BCleanConfig::default().with_candidate_top_k(64);
         assert_eq!(pruned.candidate_top_k, 64);
-    }
-
-    #[test]
-    fn fit_budget_defaults_to_exact() {
-        assert!(BCleanConfig::default().fit_budget.is_exact());
-        for variant in Variant::all() {
-            assert!(variant.config().fit_budget.is_exact(), "{} must fit exactly", variant.name());
-        }
-        let budgeted = BCleanConfig::default()
-            .with_fit_budget(FitBudget::Budgeted(bclean_sketch::BudgetParams::default()));
-        assert!(budgeted.fit_budget.params().is_some());
     }
 }

@@ -64,5 +64,4 @@ pub use stream::{clean_stream, clean_stream_with_model, StreamOptions, StreamOut
 // Re-export the pieces of the substrate crates that appear in this crate's
 // public API, so downstream users need only one import path.
 pub use bclean_bayesnet::{NetworkEdit, StructureConfig};
-pub use bclean_sketch::{BudgetParams, FitBudget};
 pub use bclean_store::{StoreError, FORMAT_VERSION};

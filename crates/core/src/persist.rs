@@ -41,8 +41,6 @@ use bclean_store::{
     ContainerReader, ContainerWriter, SchemaMeta, SectionId, StoreError,
 };
 
-use bclean_sketch::{BudgetParams, FitBudget};
-
 use crate::artifact::ModelArtifact;
 use crate::compensatory::{column_pairs, CompensatoryModel, CompensatoryParams, PairEntry, PairIndex};
 use crate::config::BCleanConfig;
@@ -301,29 +299,6 @@ fn write_config(w: &mut ByteWriter, config: &BCleanConfig) {
     w.f64(config.no_anchor_margin);
     w.usize(config.num_threads);
     w.usize(config.candidate_top_k);
-    match config.fit_budget.params() {
-        None => w.bool(false),
-        Some(p) => {
-            w.bool(true);
-            w.usize(p.sample_rows);
-            w.usize(p.sketch_k);
-            w.usize(p.heavy_hitters);
-            w.u64(p.seed);
-        }
-    }
-}
-
-/// Decode the fit-budget tail of the config section.
-fn read_fit_budget(r: &mut ByteReader<'_>) -> Result<FitBudget, StoreError> {
-    if !r.bool()? {
-        return Ok(FitBudget::Exact);
-    }
-    Ok(FitBudget::Budgeted(BudgetParams {
-        sample_rows: r.usize()?,
-        sketch_k: r.usize()?,
-        heavy_hitters: r.usize()?,
-        seed: r.u64()?,
-    }))
 }
 
 /// Decode a [`BCleanConfig`].
@@ -357,7 +332,6 @@ fn read_config(r: &mut ByteReader<'_>) -> Result<BCleanConfig, StoreError> {
         no_anchor_margin: r.f64()?,
         num_threads: r.usize()?,
         candidate_top_k: r.usize()?,
-        fit_budget: read_fit_budget(r)?,
     })
 }
 
@@ -566,16 +540,25 @@ mod tests {
         w.into_bytes()
     }
 
-    /// `bytes` with the compensatory section (the last one) replaced by
-    /// `payload` and its CRC recomputed, so the container still verifies.
-    fn resealed(bytes: &[u8], payload: &[u8]) -> Vec<u8> {
+    /// `bytes` with section `id`'s payload replaced by `payload` and its CRC
+    /// recomputed, so the container still verifies.
+    fn resealed(bytes: &[u8], id: SectionId, payload: &[u8]) -> Vec<u8> {
         let container = ContainerReader::parse(bytes).unwrap();
-        let (id, len) = *container.section_sizes().last().unwrap();
-        assert_eq!(id, SectionId::Compensatory);
-        let mut out = bytes[..bytes.len() - len - 12].to_vec();
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&bclean_store::crc32(payload).to_le_bytes());
-        out.extend_from_slice(payload);
+        // Magic, version and section count, then per section a 14-byte
+        // header (id, length, CRC) and the payload.
+        let mut pos = bclean_store::MAGIC.len() + 8;
+        let mut out = bytes[..pos].to_vec();
+        for (section, len) in container.section_sizes() {
+            if section == id {
+                out.extend_from_slice(&bytes[pos..pos + 2]);
+                out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+                out.extend_from_slice(&bclean_store::crc32(payload).to_le_bytes());
+                out.extend_from_slice(payload);
+            } else {
+                out.extend_from_slice(&bytes[pos..pos + 14 + len]);
+            }
+            pos += 14 + len;
+        }
         out
     }
 
@@ -598,7 +581,8 @@ mod tests {
             })
             .collect();
         let unchanged = payload_with_runs(model, &runs);
-        let loaded = ModelArtifact::from_bytes(&resealed(&bytes, &unchanged)).unwrap();
+        let loaded =
+            ModelArtifact::from_bytes(&resealed(&bytes, SectionId::Compensatory, &unchanged)).unwrap();
         assert_eq!(loaded.to_bytes().unwrap(), bytes, "the re-sealed original loads unchanged");
 
         // Pair (0, 1) is City × State: runs of several entries to mutate.
@@ -640,7 +624,8 @@ mod tests {
             let err = read_compensatory(&mut ByteReader::new(&payload, "compensatory"), model.dicts.clone())
                 .expect_err(what);
             assert!(matches!(err, StoreError::Corrupt(_) | StoreError::Truncated { .. }), "{what}: {err:?}");
-            let err = ModelArtifact::from_bytes(&resealed(&bytes, &payload)).expect_err(what);
+            let err = ModelArtifact::from_bytes(&resealed(&bytes, SectionId::Compensatory, &payload))
+                .expect_err(what);
             assert!(matches!(err, StoreError::Corrupt(_) | StoreError::Truncated { .. }), "{what}: {err:?}");
         }
 
@@ -665,6 +650,69 @@ mod tests {
         let err = read_compensatory(&mut ByteReader::new(&truncated, "compensatory"), model.dicts.clone())
             .expect_err("missing entries");
         assert!(matches!(err, StoreError::Truncated { .. }), "{err:?}");
+    }
+
+    /// Structurally malformed config payloads that pass the CRC are refused
+    /// with typed errors: every strict prefix is truncated, a trailing byte
+    /// (the format v6 layout's exact fit-budget tail) and a bool slot outside
+    /// 0/1 are corrupt. Never a panic.
+    #[test]
+    fn malformed_config_payloads_are_rejected() {
+        let artifact = BClean::new(Variant::PartitionedInference.config())
+            .with_constraints(constraints())
+            .fit_artifact(&dirty());
+        let bytes = artifact.to_bytes().unwrap();
+        let encode = |config: &BCleanConfig| {
+            let mut w = ByteWriter::new();
+            write_config(&mut w, config);
+            w.into_bytes()
+        };
+        let payload = encode(artifact.config());
+        assert_eq!(resealed(&bytes, SectionId::Config, &payload), bytes, "the payload is the config section");
+        let decode = |payload: &[u8]| {
+            let mut r = ByteReader::new(payload, "config");
+            let config = read_config(&mut r)?;
+            r.finish().map(|()| config)
+        };
+        decode(&payload).unwrap();
+
+        // The bool slots are the bytes that change when every bool flips.
+        let mut negated = artifact.config().clone();
+        for flag in [
+            &mut negated.use_constraints,
+            &mut negated.use_compensatory,
+            &mut negated.partitioned_inference,
+            &mut negated.tuple_pruning,
+            &mut negated.domain_pruning,
+            &mut negated.anchored_candidates,
+        ] {
+            *flag = !*flag;
+        }
+        let negated = encode(&negated);
+        let bool_slots: Vec<usize> = (0..payload.len()).filter(|&i| payload[i] != negated[i]).collect();
+        assert_eq!(bool_slots.len(), 6);
+
+        let mut mutations: Vec<(String, Vec<u8>, bool)> = (0..payload.len())
+            .map(|len| (format!("a {len}-byte prefix"), payload[..len].to_vec(), true))
+            .collect();
+        mutations.push(("a trailing 0x00 byte".to_string(), [&payload[..], &[0]].concat(), false));
+        for slot in bool_slots {
+            let mut mutated = payload.clone();
+            mutated[slot] = 2;
+            mutations.push((format!("bool byte 2 at offset {slot}"), mutated, false));
+        }
+        for (what, mutated, truncated) in &mutations {
+            let section = decode(mutated).expect_err(what);
+            let file =
+                ModelArtifact::from_bytes(&resealed(&bytes, SectionId::Config, mutated)).expect_err(what);
+            for err in [section, file] {
+                if *truncated {
+                    assert!(matches!(err, StoreError::Truncated { .. }), "{what}: {err:?}");
+                } else {
+                    assert!(matches!(err, StoreError::Corrupt(_)), "{what}: {err:?}");
+                }
+            }
+        }
     }
 
     /// Cross-process ingest (only the batch encoded) must leave the
@@ -747,21 +795,6 @@ mod tests {
         config.structure.glasso.rho = 0.42;
         config.repair_margin = 0.125;
         config.candidate_top_k = 64;
-        config.fit_budget = FitBudget::Budgeted(BudgetParams {
-            sample_rows: 5_000,
-            sketch_k: 128,
-            heavy_hitters: 32,
-            seed: 17,
-        });
-        let mut w = ByteWriter::new();
-        write_config(&mut w, &config);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes, "config");
-        let back = read_config(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(format!("{back:?}"), format!("{config:?}"));
-
-        config.fit_budget = FitBudget::Exact;
         let mut w = ByteWriter::new();
         write_config(&mut w, &config);
         let bytes = w.into_bytes();

@@ -24,16 +24,14 @@
 //!
 //! Peak memory is therefore one raw chunk + the (columnar `u32`) encoding +
 //! the confidence vector — codes, not heap `Value`s — tracked as a
-//! deterministic byte proxy in [`StreamOutcome::peak_bytes`]. A `FitBudget`
-//! in the cleaner's config composes transparently: the budgeted
-//! structure/pair passes already run over the encoding, giving the
-//! BayesWipe-style fit-on-a-sample / clean-the-rest large-scale mode.
+//! deterministic byte proxy in [`StreamOutcome::peak_bytes`].
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use bclean_bayesnet::learn_structure_encoded;
 use bclean_data::{
     approx_dataset_bytes, approx_values_bytes, push_csv_record, AttrType, ChunkLimits, ChunkSource,
     DataError, Dataset, EncodedDataset, EncodedDatasetBuilder, Schema, Value,
@@ -86,7 +84,7 @@ pub struct StreamOutcome {
 /// Fit and clean a chunked source end to end with bounded peak memory (see
 /// the module docs for the two-pass structure and the bit-identity
 /// argument). The source's schema must be the training schema; all of the
-/// cleaner's configuration — threads, variant, fit budget, constraints —
+/// cleaner's configuration — threads, variant, constraints —
 /// applies exactly as in `BClean::fit` + `clean`.
 pub fn clean_stream<S: ChunkSource + ?Sized>(
     cleaner: &BClean,
@@ -118,7 +116,7 @@ pub fn clean_stream<S: ChunkSource + ?Sized>(
     // Fit from the encoding + confidences: the same entry point the
     // in-RAM one-shot fit reaches after its own encode + confidence sweep.
     let types: Vec<AttrType> = schema.attributes().iter().map(|a| a.ty).collect();
-    let dag = cleaner.learn_structure(&encoded, &types);
+    let dag = learn_structure_encoded(&encoded, &types, cleaner.config().structure).dag;
     let names: Vec<String> = schema.names().iter().map(|s| s.to_string()).collect();
     let artifact = cleaner.artifact_from_encoded_parts(names, types, &encoded, dag, &confidences);
     let fit_duration = fit_start.elapsed();

@@ -151,200 +151,6 @@ impl PairCounts {
     }
 }
 
-/// A code → bucket map bounding one column's contribution to a contingency
-/// table. Budgeted structure learning cannot afford `cardinality²` cells for
-/// high-cardinality column pairs, so it coarsens each column into a small
-/// bucket space first: tracked codes (heavy hitters, or quantile ranges for
-/// numeric columns) keep distinct buckets, the null code keeps its own
-/// bucket (so null-skipping statistics stay well-defined), and everything
-/// else collapses into a shared *other* bucket.
-///
-/// The map is built by the caller — this type carries no policy about what
-/// deserves a bucket, which keeps `bclean-data` free of any sketch
-/// dependency.
-#[derive(Debug, Clone)]
-pub struct CodeBuckets {
-    /// `map[code]` is the bucket of `code`.
-    map: Vec<u32>,
-    num_buckets: usize,
-    null_bucket: u32,
-    /// The mixed catch-all bucket, absent for exact (identity) maps.
-    other_bucket: Option<u32>,
-}
-
-impl CodeBuckets {
-    /// The identity map: every code its own bucket, no catch-all. A
-    /// [`BucketedPairCounts`] over two exact maps computes the same
-    /// statistics as [`PairCounts`].
-    pub fn exact(code_space: usize, null_code: u32) -> CodeBuckets {
-        debug_assert!((null_code as usize) < code_space);
-        CodeBuckets {
-            map: (0..code_space as u32).collect(),
-            num_buckets: code_space,
-            null_bucket: null_code,
-            other_bucket: None,
-        }
-    }
-
-    /// Buckets for a categorical column from its tracked (top-K) codes:
-    /// `tracked[i]` maps to bucket `i`, the null code to the next bucket,
-    /// and every remaining code to a final *other* bucket. Tracked codes
-    /// must be value codes (not the null code), distinct and in range.
-    pub fn from_tracked(code_space: usize, null_code: u32, tracked: &[u32]) -> CodeBuckets {
-        let t = tracked.len();
-        let null_bucket = t as u32;
-        let other_bucket = t as u32 + 1;
-        let mut map = vec![other_bucket; code_space];
-        for (bucket, &code) in tracked.iter().enumerate() {
-            debug_assert!((code as usize) < code_space && code != null_code);
-            map[code as usize] = bucket as u32;
-        }
-        map[null_code as usize] = null_bucket;
-        CodeBuckets { map, num_buckets: t + 2, null_bucket, other_bucket: Some(other_bucket) }
-    }
-
-    /// An arbitrary assignment (e.g. numeric codes bucketed by quantile
-    /// range). `map[code]` is the bucket of `code`; `other_bucket`, if any,
-    /// marks which bucket is the mixed catch-all excluded from confidence
-    /// statistics.
-    pub fn from_map(map: Vec<u32>, null_bucket: u32, other_bucket: Option<u32>) -> CodeBuckets {
-        let num_buckets =
-            map.iter().copied().chain([null_bucket]).chain(other_bucket).max().map_or(1, |m| m as usize + 1);
-        debug_assert!(map.iter().all(|&b| (b as usize) < num_buckets));
-        CodeBuckets { map, num_buckets, null_bucket, other_bucket }
-    }
-
-    /// Number of buckets (null and catch-all included).
-    pub fn num_buckets(&self) -> usize {
-        self.num_buckets
-    }
-
-    /// The bucket of the column's null code.
-    pub fn null_bucket(&self) -> u32 {
-        self.null_bucket
-    }
-
-    /// The mixed catch-all bucket, if this map has one.
-    pub fn other_bucket(&self) -> Option<u32> {
-        self.other_bucket
-    }
-
-    /// The bucket of a code. Codes past the end of the map (possible only if
-    /// the dictionary grew after the map was built) fall into the catch-all
-    /// bucket, or the null bucket for exact maps.
-    #[inline]
-    pub fn bucket(&self, code: u32) -> u32 {
-        self.map.get(code as usize).copied().unwrap_or_else(|| self.other_bucket.unwrap_or(self.null_bucket))
-    }
-
-    /// Does this bucket represent concrete values — i.e. is it neither the
-    /// null bucket nor the mixed catch-all?
-    pub fn is_value_bucket(&self, bucket: u32) -> bool {
-        bucket != self.null_bucket && Some(bucket) != self.other_bucket
-    }
-}
-
-/// The bucket-space analogue of [`PairCounts`]: a dense
-/// `buckets_a × buckets_b` contingency table whose cell `(p, q)` counts the
-/// rows mapping to bucket `p` in column A and bucket `q` in column B. The
-/// bucket spaces are small by construction, so the table is always dense —
-/// this is what lets budgeted structure learning prune edges over
-/// high-cardinality pairs in O(rows + buckets²) instead of materialising a
-/// `cardinality²` table.
-#[derive(Debug, Clone)]
-pub struct BucketedPairCounts {
-    buckets_a: CodeBuckets,
-    buckets_b: CodeBuckets,
-    cells: Vec<u32>,
-}
-
-impl BucketedPairCounts {
-    /// Count the bucketed co-occurrences of columns `col_a` and `col_b` in
-    /// one pass.
-    pub fn from_encoded(
-        encoded: &EncodedDataset,
-        col_a: usize,
-        col_b: usize,
-        buckets_a: CodeBuckets,
-        buckets_b: CodeBuckets,
-    ) -> BucketedPairCounts {
-        let width = buckets_b.num_buckets();
-        let mut cells = vec![0u32; buckets_a.num_buckets() * width];
-        for (&a, &b) in encoded.column(col_a).iter().zip(encoded.column(col_b)) {
-            let (p, q) = (buckets_a.bucket(a) as usize, buckets_b.bucket(b) as usize);
-            cells[p * width + q] += 1;
-        }
-        BucketedPairCounts { buckets_a, buckets_b, cells }
-    }
-
-    /// The observation count of one bucket pair.
-    pub fn count(&self, bucket_a: u32, bucket_b: u32) -> u32 {
-        let (p, q) = (bucket_a as usize, bucket_b as usize);
-        if p >= self.buckets_a.num_buckets() || q >= self.buckets_b.num_buckets() {
-            return 0;
-        }
-        self.cells[p * self.buckets_b.num_buckets() + q]
-    }
-
-    /// Bucket-space softened-FD confidence of `A → B`, the exact analogue of
-    /// [`PairCounts::fd_confidence`] with buckets in place of codes. Null
-    /// buckets are skipped like null codes; the mixed *other* buckets are
-    /// skipped too — on the A side an other-group's majority says nothing
-    /// about any individual value, and on the B side crediting the catch-all
-    /// as a single "value" would overstate consistency. Over exact
-    /// (identity) maps this reproduces `PairCounts::fd_confidence`
-    /// bit-for-bit.
-    pub fn fd_confidence(&self) -> f64 {
-        let mut consistent = 0u64;
-        let mut total = 0u64;
-        for p in 0..self.buckets_a.num_buckets() as u32 {
-            if !self.buckets_a.is_value_bucket(p) {
-                continue;
-            }
-            let mut group_total = 0u32;
-            let mut majority = 0u32;
-            for q in 0..self.buckets_b.num_buckets() as u32 {
-                if !self.buckets_b.is_value_bucket(q) {
-                    continue;
-                }
-                let count = self.count(p, q);
-                group_total += count;
-                majority = majority.max(count);
-            }
-            if group_total < 2 {
-                continue;
-            }
-            consistent += majority as u64;
-            total += group_total as u64;
-        }
-        if total == 0 {
-            0.0
-        } else {
-            consistent as f64 / total as f64
-        }
-    }
-}
-
-/// Bucket-space [`mode_share`]: the share of the most frequent *value*
-/// bucket of a column (null and catch-all buckets excluded). The budgeted
-/// low-lift edge pruner compares [`BucketedPairCounts::fd_confidence`]
-/// against this baseline so both sides of the comparison live in the same
-/// coarsened space — comparing a bucketed confidence against the exact
-/// code-space mode share would bias the lift.
-pub fn bucketed_mode_share(encoded: &EncodedDataset, col: usize, buckets: &CodeBuckets) -> f64 {
-    let mut counts = vec![0u64; buckets.num_buckets()];
-    for &code in encoded.column(col) {
-        counts[buckets.bucket(code) as usize] += 1;
-    }
-    let values = counts.iter().enumerate().filter(|&(bucket, _)| buckets.is_value_bucket(bucket as u32));
-    let total: u64 = values.clone().map(|(_, &c)| c).sum();
-    if total == 0 {
-        0.0
-    } else {
-        values.map(|(_, &c)| c).max().unwrap_or(0) as f64 / total as f64
-    }
-}
-
 /// Per-code observation counts of one column (null code included), indexed
 /// by code.
 pub fn column_code_counts(encoded: &EncodedDataset, col: usize) -> Vec<u32> {
@@ -530,84 +336,6 @@ mod tests {
             mode_share(&oneshot_encoded, 1).to_bits(),
             "mode share must ignore the frozen null slot"
         );
-    }
-
-    /// Over exact (identity) bucket maps the bucketed table must reproduce
-    /// `PairCounts` statistics bit-for-bit.
-    #[test]
-    fn exact_buckets_reproduce_pair_counts() {
-        let ds = fd_dataset();
-        let encoded = EncodedDataset::from_dataset(&ds);
-        for (a, b) in [(0usize, 1usize), (1, 0)] {
-            let exact = PairCounts::from_encoded(&encoded, a, b);
-            let buckets_a = CodeBuckets::exact(encoded.dict(a).code_space(), encoded.dict(a).null_code());
-            let buckets_b = CodeBuckets::exact(encoded.dict(b).code_space(), encoded.dict(b).null_code());
-            let bucketed = BucketedPairCounts::from_encoded(&encoded, a, b, buckets_a, buckets_b);
-            assert_eq!(
-                bucketed.fd_confidence().to_bits(),
-                exact.fd_confidence().to_bits(),
-                "pair ({a}, {b})"
-            );
-            for code_a in 0..encoded.dict(a).code_space() as u32 {
-                for code_b in 0..encoded.dict(b).code_space() as u32 {
-                    assert_eq!(bucketed.count(code_a, code_b), exact.count(code_a, code_b));
-                }
-            }
-        }
-        let identity = CodeBuckets::exact(3, 2);
-        assert!(identity.other_bucket().is_none());
-        assert!(identity.is_value_bucket(0));
-        assert!(!identity.is_value_bucket(2));
-        // Out-of-range codes of an exact map fall back to the null bucket.
-        assert_eq!(identity.bucket(99), 2);
-        assert_eq!(
-            mode_share(&encoded, 1).to_bits(),
-            bucketed_mode_share(
-                &encoded,
-                1,
-                &CodeBuckets::exact(encoded.dict(1).code_space(), encoded.dict(1).null_code())
-            )
-            .to_bits()
-        );
-    }
-
-    /// Tracked-code maps collapse untracked codes into the catch-all bucket,
-    /// which both confidence and mode share must ignore.
-    #[test]
-    fn tracked_buckets_collapse_the_tail() {
-        // Zip "36000" (code for it) is untracked; its row lands in "other".
-        let ds = fd_dataset();
-        let encoded = EncodedDataset::from_dataset(&ds);
-        let zip = encoded.dict(0);
-        let tracked: Vec<u32> =
-            ["35150", "35960"].iter().map(|z| zip.encode(&Value::parse(z)).unwrap()).collect();
-        let buckets_a = CodeBuckets::from_tracked(zip.code_space(), zip.null_code(), &tracked);
-        assert_eq!(buckets_a.num_buckets(), 4);
-        assert_eq!(buckets_a.bucket(tracked[0]), 0);
-        assert_eq!(buckets_a.bucket(zip.null_code()), buckets_a.null_bucket());
-        let other = buckets_a.other_bucket().unwrap();
-        assert_eq!(buckets_a.bucket(zip.encode(&Value::parse("36000")).unwrap()), other);
-        assert!(!buckets_a.is_value_bucket(other));
-        let state = encoded.dict(1);
-        let buckets_b = CodeBuckets::exact(state.code_space(), state.null_code());
-        let bucketed = BucketedPairCounts::from_encoded(&encoded, 0, 1, buckets_a.clone(), buckets_b);
-        // The same groups as the exact table minus the 36000 singleton —
-        // which fd_confidence drops anyway (group < 2), so confidence agrees.
-        let exact = PairCounts::from_encoded(&encoded, 0, 1);
-        assert_eq!(bucketed.fd_confidence().to_bits(), exact.fd_confidence().to_bits());
-        let counted: u32 = (0..buckets_a.num_buckets() as u32)
-            .flat_map(|p| (0..state.code_space() as u32).map(move |q| (p, q)))
-            .map(|(p, q)| bucketed.count(p, q))
-            .sum();
-        assert_eq!(counted as usize, encoded.num_rows());
-        // Mode share over tracked buckets: 35150 appears 3 times of the 5
-        // tracked non-null zips.
-        assert!((bucketed_mode_share(&encoded, 0, &buckets_a) - 3.0 / 5.0).abs() < 1e-12);
-        // from_map round-trips an explicit assignment.
-        let manual = CodeBuckets::from_map(vec![0, 0, 1, 2], 2, Some(1));
-        assert_eq!(manual.num_buckets(), 3);
-        assert_eq!(manual.bucket(1), 0);
-        assert!(!manual.is_value_bucket(1));
     }
 
     #[test]

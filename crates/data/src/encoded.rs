@@ -457,22 +457,6 @@ impl EncodedDataset {
             .sum();
         codes + dict_bytes
     }
-
-    /// A row-subset view of this encoding: the given rows' codes (in the
-    /// given order) under **the same dictionaries**. Because the
-    /// dictionaries are shared, codes — and therefore cardinalities, sort
-    /// ranks, and the code-order invariant — mean exactly the same thing in
-    /// the gathered encoding as in the full one, which is what lets budgeted
-    /// structure learning run the unchanged learning pipeline over a row
-    /// sample and still talk about the full dataset's code spaces.
-    ///
-    /// Rows must be in range; duplicates are allowed (each occurrence
-    /// contributes a row).
-    pub fn gather(&self, rows: &[usize]) -> EncodedDataset {
-        let columns: Vec<Vec<u32>> =
-            self.columns.iter().map(|column| rows.iter().map(|&r| column[r]).collect()).collect();
-        EncodedDataset { dicts: self.dicts.clone(), columns, num_rows: rows.len(), fresh: self.fresh }
-    }
 }
 
 /// The dictionary encoder: feed row batches with
@@ -849,7 +833,7 @@ mod tests {
     fn append_to_zero_rows_keeps_handed_out_codes() {
         let ds = sample();
         let full = EncodedDataset::from_dataset(&ds);
-        let mut empty = full.gather(&[]);
+        let mut empty = EncodedDataset::with_dicts(full.dicts().to_vec(), full.num_rows());
         let batch = dataset_from(&["City", "Zip"], &[vec!["sylacauga", "35960"], vec!["auburn", ""]]);
         assert_eq!(empty.append_batch(&batch), 0..2);
         for c in 0..2 {
@@ -864,23 +848,6 @@ mod tests {
         continued.append_batch(&dataset_from(&["City"], &[vec!["centre"], vec![""]]));
         assert_eq!(continued.dict(0).null_code(), all_null.dict(0).null_code());
         assert_eq!(continued.column(0), &[1, 0]);
-    }
-
-    /// A gathered subset shares dictionaries with its source, so codes keep
-    /// their meaning and decode to the source rows' values.
-    #[test]
-    fn gather_shares_dictionaries_and_preserves_codes() {
-        let ds = sample();
-        let encoded = EncodedDataset::from_dataset(&ds);
-        let subset = encoded.gather(&[3, 0, 3]);
-        assert_eq!(subset.num_rows(), 3);
-        assert_eq!(subset.num_columns(), 2);
-        for c in 0..2 {
-            assert_eq!(subset.dict(c).values(), encoded.dict(c).values());
-            assert_eq!(subset.column(c), &[encoded.code(3, c), encoded.code(0, c), encoded.code(3, c)]);
-        }
-        assert_eq!(subset.decode_cell(0, 0), encoded.decode_cell(3, 0));
-        assert!(encoded.gather(&[]).rows().next().is_none());
     }
 
     /// The streaming builder must reproduce `from_dataset` bit-for-bit for

@@ -27,5 +27,5 @@ pub mod report;
 pub use error_types::ErrorTypeRecall;
 pub use harness::{run_bclean, run_bclean_evaluated, run_method, run_methods, Method, MethodRun};
 pub use inputs::{bclean_constraints, holoclean_constraints, pclean_model, raha_labels};
-pub use metrics::{evaluate, repair_agreement, Metrics};
+pub use metrics::{evaluate, Metrics};
 pub use report::{format_duration, TextTable};

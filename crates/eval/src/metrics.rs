@@ -7,9 +7,6 @@
 //! A repair is *correct* when the cleaned cell equals the ground truth and
 //! the dirty cell did not.
 
-use std::collections::BTreeSet;
-
-use bclean_core::Repair;
 use bclean_data::{DataResult, Dataset};
 use serde::Serialize;
 
@@ -71,27 +68,10 @@ pub fn evaluate(dirty: &Dataset, cleaned: &Dataset, truth: &Dataset) -> DataResu
     Ok(Metrics::from_counts(correct, modified, errors))
 }
 
-/// Agreement between two repair sets over the same dirty dataset — the
-/// Jaccard similarity of their `(cell, repaired-to)` sets. Two identical
-/// repair streams (including two empty ones) score 1.0; disjoint streams
-/// score 0.0. This is the headline metric of budgeted-vs-exact fitting
-/// (`FitBudget::Budgeted`): it penalises missed repairs, extra repairs and
-/// different repair targets alike, without needing ground truth.
-pub fn repair_agreement(a: &[Repair], b: &[Repair]) -> f64 {
-    let key = |r: &Repair| (r.at.row, r.at.col, r.to.to_string());
-    let a: BTreeSet<_> = a.iter().map(key).collect();
-    let b: BTreeSet<_> = b.iter().map(key).collect();
-    let union = a.union(&b).count();
-    if union == 0 {
-        return 1.0;
-    }
-    a.intersection(&b).count() as f64 / union as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bclean_data::{dataset_from, CellRef, Value};
+    use bclean_data::dataset_from;
 
     #[test]
     fn perfect_cleaning() {
@@ -142,28 +122,6 @@ mod tests {
         let m = evaluate(&dirty, &cleaned, &truth).unwrap();
         assert_eq!(m.correct, 1);
         assert_eq!(m.modified, 1);
-    }
-
-    #[test]
-    fn repair_agreement_is_jaccard_over_cell_and_target() {
-        let repair = |row: usize, col: usize, to: &str| Repair {
-            at: CellRef::new(row, col),
-            attribute: "a".to_string(),
-            from: Value::Null,
-            to: Value::from(to),
-            score_gain: 1.0,
-        };
-        let exact = vec![repair(0, 0, "x"), repair(1, 1, "y"), repair(2, 0, "z")];
-        assert_eq!(repair_agreement(&exact, &exact), 1.0);
-        assert_eq!(repair_agreement(&[], &[]), 1.0);
-        assert_eq!(repair_agreement(&exact, &[]), 0.0);
-        // Same cell, different target counts on both sides of the union.
-        let budgeted = vec![repair(0, 0, "x"), repair(1, 1, "w")];
-        assert!((repair_agreement(&exact, &budgeted) - 0.25).abs() < 1e-12);
-        // Score gains and attribute names are not part of the key.
-        let mut renamed = exact.clone();
-        renamed[0].score_gain = 9.0;
-        assert_eq!(repair_agreement(&exact, &renamed), 1.0);
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! so applications can depend on a single crate:
 //!
 //! * [`data`] — relational data model, domains, CSV I/O, dataset diffing;
-//! * [`sketch`] — deterministic mergeable sketches (reservoirs, KLL
-//!   quantiles, count-min, space-saving) behind budgeted fitting;
 //! * [`regex`] — the small regex engine used by pattern user constraints;
 //! * [`rules`] — the expression language for arithmetic / tuple-level user
 //!   constraints;
@@ -54,7 +52,6 @@ pub use bclean_profile as profile;
 pub use bclean_regex as regex;
 pub use bclean_rules as rules;
 pub use bclean_serve as serve;
-pub use bclean_sketch as sketch;
 pub use bclean_store as store;
 
 /// The most commonly used types, re-exported for convenience.
@@ -72,6 +69,5 @@ pub mod prelude {
     pub use bclean_eval::{evaluate, Method, Metrics};
     pub use bclean_rules::Rule;
     pub use bclean_serve::{ModelRegistry, Server, ServerConfig};
-    pub use bclean_sketch::{BudgetParams, FitBudget};
     pub use bclean_store::{StoreError, FORMAT_VERSION};
 }

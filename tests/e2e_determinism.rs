@@ -2,7 +2,8 @@
 //! Hospital benchmark, fit, clean, and check that (a) cleaning strictly
 //! improves F1 over leaving the dirty data untouched, (b) the run is
 //! reproducible from the seed, and (c) the result is byte-identical for
-//! every thread count (the shared parallel executor's core promise).
+//! every thread count (the shared parallel executor's core promise), the
+//! fitted artifact's bytes included.
 
 use bclean::baselines::{Cleaner, NoOpCleaner};
 use bclean::eval::{bclean_constraints, evaluate};
@@ -13,6 +14,15 @@ const SEED: u64 = 20240817;
 
 fn hospital() -> DirtyDataset {
     BenchmarkDataset::Hospital.build_sized(ROWS, SEED)
+}
+
+fn large_hospital() -> DirtyDataset {
+    // Large enough that cols x rows crosses the fit executor's serial
+    // fallback threshold (2^16 cells), so the parallel fit stages genuinely
+    // run.
+    let bench = BenchmarkDataset::Hospital.build_sized(4400, SEED);
+    assert!(bench.dirty.num_cells() >= 1 << 16, "the fixture must reach the parallel fit");
+    bench
 }
 
 fn clean_with_threads(bench: &DirtyDataset, threads: usize) -> CleaningResult {
@@ -64,5 +74,33 @@ fn every_thread_count_produces_identical_results() {
         assert_eq!(run.repairs, reference.repairs, "threads={threads} repair list diverged");
         assert_eq!(run.stats.cells_examined, reference.stats.cells_examined);
         assert_eq!(run.stats.candidates_evaluated, reference.stats.candidates_evaluated);
+    }
+}
+
+#[test]
+fn exact_fit_bytes_are_invariant_across_threads() {
+    let bench = large_hospital();
+    let constraints = bclean_constraints(BenchmarkDataset::Hospital);
+    for variant in Variant::all() {
+        let baseline = BClean::new(variant.config().with_threads(1))
+            .with_constraints(constraints.clone())
+            .fit_artifact(&bench.dirty);
+        let baseline_bytes = baseline.to_bytes().unwrap();
+        let baseline_repairs = baseline.compile().clean(&bench.dirty).repairs;
+        for threads in [2usize, 8] {
+            let mut artifact = BClean::new(variant.config().with_threads(threads))
+                .with_constraints(constraints.clone())
+                .fit_artifact(&bench.dirty);
+            // The config section legitimately records the thread knob; the
+            // *model* sections must not move. Normalise the knob and
+            // byte-compare everything.
+            artifact.set_threads(1);
+            assert_eq!(
+                artifact.to_bytes().unwrap(),
+                baseline_bytes,
+                "exact fit drifted: variant {variant:?} threads {threads}"
+            );
+            assert_eq!(artifact.compile().clean(&bench.dirty).repairs, baseline_repairs);
+        }
     }
 }
