@@ -38,6 +38,7 @@ use std::collections::HashMap;
 
 use bclean_data::{ColumnDict, Value};
 
+use crate::codehash::CodeMap;
 use crate::counts::{config_space, CountLayout, NodeCounts};
 use crate::cpt::Cpt;
 use crate::graph::Dag;
@@ -60,8 +61,9 @@ enum CptLayout {
     /// hold a copy of the marginal fallback row.
     Dense,
     /// Only observed configurations have rows; the map yields the row offset
-    /// (in `f64` cells) and misses fall back to the marginal row.
-    Sparse(HashMap<u128, usize>),
+    /// (in `f64` cells) and misses fall back to the marginal row. It hashes
+    /// with [`crate::codehash::CodeHasher`].
+    Sparse(CodeMap<u128, usize>),
 }
 
 /// One node's CPT compiled to code-indexed log-probability rows.
@@ -123,7 +125,7 @@ impl CompiledCpt {
         } else {
             Vec::new()
         };
-        let mut sparse: HashMap<u128, usize> = HashMap::new();
+        let mut sparse: CodeMap<u128, usize> = CodeMap::default();
 
         for (config, (counts, total)) in &cpt.table {
             let Some(index) = encode_config(config, &parents, &radices, &strides, dicts) else {
@@ -191,7 +193,7 @@ impl CompiledCpt {
             .collect();
 
         let mut rows: Vec<f64> = Vec::new();
-        let mut sparse: HashMap<u128, usize> = HashMap::new();
+        let mut sparse: CodeMap<u128, usize> = CodeMap::default();
         let fill_row = |rows: &mut Vec<f64>, offset: usize, table: &[u32], total: u32| {
             let denom = total as f64 + alpha * domain_size as f64;
             for slot in 0..value_space {
@@ -259,26 +261,40 @@ impl CompiledCpt {
     /// outside the compiled table, exactly like [`crate::Cpt::prob`].
     #[inline]
     fn log_prob(&self, codes: &[u32], value: u32, override_node: usize, override_code: u32) -> f64 {
+        let config = self.parents.iter().map(|&p| if p == override_node { override_code } else { codes[p] });
+        self.row(config)[self.slot(value)]
+    }
+
+    /// The log-probability row of one parent configuration, given as the
+    /// parents' codes in parent order: the marginal row for parentless
+    /// nodes, unseen parent values and configurations outside the table.
+    #[inline]
+    fn row(&self, config: impl Iterator<Item = u32>) -> &[f64] {
         if self.parents.is_empty() {
-            return self.marginal[self.slot(value)];
+            return &self.marginal;
         }
         let mut index: u128 = 0;
-        for (i, &p) in self.parents.iter().enumerate() {
-            let code = if p == override_node { override_code } else { codes[p] };
-            if code >= self.radices[i] {
+        for ((code, &radix), &stride) in config.zip(&self.radices).zip(&self.strides) {
+            if code >= radix {
                 // Unseen parent value: no observed configuration can match.
-                return self.marginal[self.slot(value)];
+                return &self.marginal;
             }
-            index += code as u128 * self.strides[i];
+            index += code as u128 * stride;
         }
-        let offset = match &self.layout {
-            CptLayout::Dense => index as usize * self.value_space,
-            CptLayout::Sparse(map) => match map.get(&index) {
-                Some(&offset) => offset,
-                None => return self.marginal[self.slot(value)],
-            },
-        };
-        self.rows[offset + self.slot(value)]
+        match self.row_offset(index) {
+            Some(offset) => &self.rows[offset..offset + self.value_space],
+            None => &self.marginal,
+        }
+    }
+
+    /// Where the row of a mixed-radix configuration index starts, or `None`
+    /// when the sparse layout never observed it.
+    #[inline]
+    fn row_offset(&self, index: u128) -> Option<usize> {
+        match &self.layout {
+            CptLayout::Dense => Some(index as usize * self.value_space),
+            CptLayout::Sparse(map) => map.get(&index).copied(),
+        }
     }
 
     /// Pre-floored `log Pr[value | parents]` with every parent code read
@@ -302,6 +318,54 @@ fn slot_count(counts: &HashMap<Value, usize>, dict: &ColumnDict, slot: usize) ->
         counts.get(&dict.values()[slot]).copied().unwrap_or(0)
     } else {
         0
+    }
+}
+
+/// One child's factor `log Pr[codes[child] | parents]` as a function of the
+/// code its parent `node` takes, with everything else resolved once: the
+/// slot of the child's own value and the mixed-radix base over its other
+/// parents. Scoring a candidate is then `base + code · stride` and one row
+/// read, or one sparse-map lookup.
+struct ChildFactor<'a> {
+    cpt: &'a CompiledCpt,
+    slot: usize,
+    /// `None` when another parent's code is unseen, so that no candidate
+    /// can complete an observed configuration.
+    base: Option<u128>,
+    stride: u128,
+    radix: u32,
+}
+
+impl<'a> ChildFactor<'a> {
+    fn new(cpt: &'a CompiledCpt, codes: &[u32], child: usize, node: usize) -> ChildFactor<'a> {
+        let mut factor =
+            ChildFactor { cpt, slot: cpt.slot(codes[child]), base: Some(0), stride: 0, radix: 0 };
+        for (i, &p) in cpt.parents.iter().enumerate() {
+            if p == node {
+                factor.stride = cpt.strides[i];
+                factor.radix = cpt.radices[i];
+            } else if codes[p] >= cpt.radices[i] {
+                factor.base = None;
+            } else if let Some(base) = &mut factor.base {
+                *base += codes[p] as u128 * cpt.strides[i];
+            }
+        }
+        factor
+    }
+
+    /// `log_prob(codes, codes[child], node, candidate)`, bit for bit.
+    #[inline]
+    fn log_prob(&self, candidate: u32) -> f64 {
+        let cpt = self.cpt;
+        match self.base {
+            Some(base) if candidate < self.radix => {
+                match cpt.row_offset(base + candidate as u128 * self.stride) {
+                    Some(offset) => cpt.rows[offset + self.slot],
+                    None => cpt.marginal[self.slot],
+                }
+            }
+            _ => cpt.marginal[self.slot],
+        }
     }
 }
 
@@ -411,6 +475,71 @@ impl CompiledNetwork {
         }
         score
     }
+
+    /// [`CompiledNetwork::blanket_log_score`] of every code of `candidates`
+    /// into `out`, bit for bit. The node's own row is resolved once, since
+    /// its parents do not vary, and so is each child's factor but for the
+    /// candidate; every score still sums the own factor and then the
+    /// children in DAG order.
+    pub fn blanket_log_scores(&self, codes: &[u32], node: usize, candidates: &[u32], out: &mut Vec<f64>) {
+        let own = &self.nodes[node];
+        let row = own.row(own.parents.iter().map(|&p| codes[p]));
+        out.clear();
+        out.extend(candidates.iter().map(|&c| row[own.slot(c)]));
+        self.add_children(codes, node, candidates, out);
+    }
+
+    /// [`CompiledNetwork::children_log_likelihood`] of every code of
+    /// `candidates` into `out`, bit for bit.
+    pub fn children_log_likelihoods(
+        &self,
+        codes: &[u32],
+        node: usize,
+        candidates: &[u32],
+        out: &mut Vec<f64>,
+    ) {
+        out.clear();
+        out.resize(candidates.len(), 0.0);
+        self.add_children(codes, node, candidates, out);
+    }
+
+    /// [`CompiledNetwork::log_joint_with`] of every code of `candidates`
+    /// into `out`, bit for bit: the factors that do not depend on the
+    /// candidate are computed once, and every score adds all factors in
+    /// node order.
+    pub fn log_joints_with(&self, codes: &[u32], node: usize, candidates: &[u32], out: &mut Vec<f64>) {
+        out.clear();
+        out.resize(candidates.len(), 0.0);
+        for (i, cpt) in self.nodes.iter().enumerate() {
+            if i == node {
+                let row = cpt.row(cpt.parents.iter().map(|&p| codes[p]));
+                for (score, &c) in out.iter_mut().zip(candidates) {
+                    *score += row[cpt.slot(c)];
+                }
+            } else if self.parents[i].contains(&node) {
+                let factor = ChildFactor::new(cpt, codes, i, node);
+                for (score, &c) in out.iter_mut().zip(candidates) {
+                    *score += factor.log_prob(c);
+                }
+            } else {
+                let fixed = cpt.log_prob_row(codes, codes[i]);
+                for score in out.iter_mut() {
+                    *score += fixed;
+                }
+            }
+        }
+    }
+
+    /// Add every child factor of `node`, in DAG child order, to the scores
+    /// of `candidates`.
+    fn add_children(&self, codes: &[u32], node: usize, candidates: &[u32], out: &mut [f64]) {
+        for &child in &self.children[node] {
+            let factor = ChildFactor::new(&self.nodes[child], codes, child, node);
+            for (score, &c) in out.iter_mut().zip(candidates) {
+                *score += factor.log_prob(c);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -508,13 +637,42 @@ mod tests {
         );
     }
 
+    /// The batched scorers of every node must equal the one-candidate
+    /// scorers bit for bit, for every code of the node's code space and
+    /// the unseen code past it.
+    fn assert_batched_scores_match(net: &CompiledNetwork, codes: &[u32], dicts: &[ColumnDict]) {
+        let mut out = Vec::new();
+        for (node, dict) in dicts.iter().enumerate() {
+            let candidates: Vec<u32> = (0..=dict.unseen_code()).collect();
+            let check = |out: &[f64], oracle: &dyn Fn(u32) -> f64, what: &str| {
+                for (&c, score) in candidates.iter().zip(out) {
+                    assert_eq!(
+                        score.to_bits(),
+                        oracle(c).to_bits(),
+                        "{what} node {node} code {c} row {codes:?}"
+                    );
+                }
+            };
+            net.blanket_log_scores(codes, node, &candidates, &mut out);
+            check(&out, &|c| net.blanket_log_score(codes, node, c), "blanket");
+            net.children_log_likelihoods(codes, node, &candidates, &mut out);
+            check(&out, &|c| net.children_log_likelihood(codes, node, c), "children");
+            net.log_joints_with(codes, node, &candidates, &mut out);
+            check(&out, &|c| net.log_joint_with(codes, node, c), "joint");
+        }
+    }
+
     /// A zero dense budget forces the sparse observed-configuration layout;
-    /// scores (including null parents and marginal fallbacks) must not change.
+    /// scores (including null parents and marginal fallbacks) must not
+    /// change, and the batched scorers agree with the one-candidate ones
+    /// over both layouts. State has two parents, so Zip and Other each
+    /// score a child factor whose other parent is fixed, or unseen.
     #[test]
     fn sparse_layout_matches_dense_scores() {
         let data = fd_dataset();
         let mut dag = Dag::new(3);
         dag.add_edge(0, 1).unwrap();
+        dag.add_edge(2, 1).unwrap();
         let bn = BayesianNetwork::learn(&data, dag, 0.1);
         let encoded = EncodedDataset::from_dataset(&data);
         let dense = CompiledCpt::compile(bn.cpt(1), encoded.dicts());
@@ -538,6 +696,27 @@ mod tests {
             dense.log_prob(&unseen_parent, 0, NO_OVERRIDE, 0).to_bits(),
             sparse.log_prob(&unseen_parent, 0, NO_OVERRIDE, 0).to_bits()
         );
+
+        let dicts = encoded.dicts();
+        let networks = [
+            CompiledNetwork::compile(&bn, dicts),
+            CompiledNetwork::from_parts(
+                (0..3).map(|n| CompiledCpt::compile_with_cap(bn.cpt(n), dicts, 0)).collect(),
+                bn.dag(),
+            ),
+        ];
+        assert!(matches!(networks[1].node(1).layout, CptLayout::Sparse(_)));
+        for net in &networks {
+            for r in 0..data.num_rows() {
+                let codes = encoded.row_codes(r);
+                assert_batched_scores_match(net, &codes, dicts);
+                for parent in [0, 2] {
+                    let mut patched = codes.clone();
+                    patched[parent] = dicts[parent].unseen_code();
+                    assert_batched_scores_match(net, &patched, dicts);
+                }
+            }
+        }
     }
 
     /// Compiling a `Value`-learned CPT against *appended* dictionaries
@@ -589,6 +768,8 @@ mod tests {
                     );
                 }
             }
+            assert_batched_scores_match(&via_fresh, &fresh_codes, fresh.dicts());
+            assert_batched_scores_match(&via_appended, &appended_codes, appended.dicts());
         }
     }
 

@@ -33,6 +33,7 @@
 
 #![warn(missing_docs)]
 
+mod codehash;
 pub mod compiled;
 pub mod counts;
 pub mod cpt;

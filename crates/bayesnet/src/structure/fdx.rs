@@ -11,46 +11,11 @@
 //! multivariate Gaussian whose inverse covariance is then estimated with the
 //! graphical lasso.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
 use bclean_data::{AttrType, Dataset, EncodedDataset};
 use bclean_linalg::Matrix;
 
+use crate::codehash::CodeMap;
 use crate::sim::value_similarity_typed;
-
-/// Minimal multiplicative hasher for small fixed-width keys (code pairs).
-/// The similarity memos are lookup-only — their iteration order is never
-/// observed — so a fast deterministic hash is safe and removes the SipHash
-/// cost from the sampling hot loop.
-#[derive(Default)]
-struct CodePairHasher(u64);
-
-impl Hasher for CodePairHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_u64(byte as u64);
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(n as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        let mut x = self.0 ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        x ^= x >> 29;
-        self.0 = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    }
-}
 
 /// Dense similarity memos above this cell count (`code_space²`) fall back
 /// to the hash-map layout (8 MiB of `f64` cells per column at the cap).
@@ -63,7 +28,7 @@ const DENSE_SIM_CELL_CAP: usize = 1 << 20;
 /// for large ones.
 enum SimilarityMemo {
     Dense { space: usize, cells: Vec<f64> },
-    Map(HashMap<(u32, u32), f64, BuildHasherDefault<CodePairHasher>>),
+    Map(CodeMap<(u32, u32), f64>),
 }
 
 impl SimilarityMemo {
@@ -71,7 +36,7 @@ impl SimilarityMemo {
         if space.saturating_mul(space) <= DENSE_SIM_CELL_CAP {
             SimilarityMemo::Dense { space, cells: vec![f64::NAN; space * space] }
         } else {
-            SimilarityMemo::Map(HashMap::default())
+            SimilarityMemo::Map(CodeMap::default())
         }
     }
 

@@ -62,7 +62,7 @@ const KNOWN_TOP_LEVEL_KEYS: &[&str] = &[
     "rows",
     "columns",
     "cells",
-    "candidate_top_k",
+    "reference_rows",
     "threads_swept",
     "clean_iters",
     "fit_iters",

@@ -19,8 +19,8 @@ use std::time::Duration;
 use bclean_bayesnet::NetworkEdit;
 use bclean_bench::{Scale, EXPERIMENT_SEED};
 use bclean_core::{
-    clean_stream, repairs_to_csv, BClean, BCleanConfig, CompensatoryParams, ConstraintKind, ModelArtifact,
-    StreamOptions, Variant,
+    clean_stream, repairs_to_csv, BClean, BCleanConfig, CompensatoryParams, ConstraintKind, StreamOptions,
+    Variant,
 };
 use bclean_data::{approx_dataset_bytes, read_csv_file, write_csv_file, ChunkLimits, CsvFileChunks};
 use bclean_datagen::{
@@ -890,26 +890,23 @@ fn bench_stream(scale: Scale) {
     }
 }
 
-/// Large-scale benchmark: cleaning on the wide-schema (32-column) scale
-/// dataset, at 10⁴ / 10⁵ / 10⁶ rows for `--scale small|default|full`.
+/// Large-scale benchmark: exact cleaning on the wide-schema (32-column)
+/// scale dataset, at 10⁴ / 10⁵ / 10⁶ rows for `--scale small|default|full`.
 ///
-/// Two families of runs land in `BENCH_scale.json`:
+/// Two measurements land in `BENCH_scale.json`:
 ///
 /// * an **exact grid** over thread counts — the executor's ordered merge
 ///   makes every thread count bit-identical to the serial clean (asserted
 ///   here and guarded in `tests/e2e_determinism.rs`), so these rows chart
 ///   how the row-block work distribution scales with real cores (on a
 ///   single-core runner they hover near 1×, which is the honest reading);
-/// * the **scale tier** — top-k candidate pruning (`candidate_top_k`, off
-///   by default in the library), serial and at 4 threads, whose speedup is
-///   algorithmic: error injection inflates every column's cardinality with
-///   near-unique typo values, and capping candidate lists at the `TOP_K`
-///   most frequent codes cuts per-cell scoring work by the cardinality
-///   ratio, on any machine.
-///
-/// The `speedups` records CI gates via `bench_diff` are the machine-stable
-/// algorithmic ones: pruned-vs-exact at the serial point, and the pruned
-/// clean at 4 threads against the serial exact baseline.
+/// * the gated `wide/encoded-vs-reference` record — the encoded engine
+///   against the `Value`-path oracle (`BClean::fit_reference` +
+///   `ReferenceModel::clean_reference`) on the tier table's first
+///   `REFERENCE_ROWS` rows at one thread, as `bench_clean` does for
+///   Hospital, after asserting that both make the same repairs. The oracle
+///   walks every domain value of every cell, so the ratio is algorithmic
+///   and holds on any machine.
 fn bench_scale(scale: Scale) {
     let factor = match scale {
         Scale::Small => ScaleFactor::S10K,
@@ -922,13 +919,13 @@ fn bench_scale(scale: Scale) {
     let bench = build_wide(rows, EXPERIMENT_SEED);
     let cols = bench.dirty.num_columns();
     let cells = rows * cols;
-    const TOP_K: usize = 16;
+    const REFERENCE_ROWS: usize = 1_000;
     let clean_iters = if scale == Scale::Small { 2usize } else { 1 };
 
-    // One fit serves every grid point: threads and the candidate cap are
-    // execution knobs on the artifact (the fit is bit-identical at every
-    // thread count — see tests/e2e_determinism.rs), so the grid re-times
-    // cleaning, not fitting. The fit itself is timed at 1 and 4 threads.
+    // One fit serves every grid point: the thread count is an execution
+    // knob on the artifact (the fit is bit-identical at every thread count
+    // — see tests/e2e_determinism.rs), so the grid re-times cleaning, not
+    // fitting. The fit itself is timed at 1 and 4 threads.
     let fit_start = std::time::Instant::now();
     let mut artifact =
         BClean::new(Variant::PartitionedInference.config().with_threads(1)).fit_artifact(&bench.dirty);
@@ -937,10 +934,11 @@ fn bench_scale(scale: Scale) {
     let _ = BClean::new(Variant::PartitionedInference.config().with_threads(4)).fit_artifact(&bench.dirty);
     let fit_parallel_seconds = fit_start.elapsed().as_secs_f64();
 
-    let mut table =
-        TextTable::new(vec!["Config", "Threads", "Top-k", "Clean (best)", "Rows/s", "Cells/s", "Repairs"]);
+    let mut table = TextTable::new(vec!["Config", "Threads", "Clean (best)", "Rows/s", "Cells/s", "Repairs"]);
     let mut runs_json: Vec<String> = Vec::new();
-    let mut timed_clean = |artifact: &ModelArtifact, label: &str, threads: usize, pruned: bool| {
+    let mut baseline_repairs = None;
+    for threads in [1usize, 2, 4] {
+        artifact.set_threads(threads);
         let model = artifact.compile();
         let mut best = f64::INFINITY;
         let mut repairs = Vec::new();
@@ -950,52 +948,57 @@ fn bench_scale(scale: Scale) {
             best = best.min(start.elapsed().as_secs_f64());
             repairs = result.repairs;
         }
+        let label = format!("exact/t{threads}");
         let rows_per_sec = rows as f64 / best.max(1e-12);
         let cells_per_sec = cells as f64 / best.max(1e-12);
         table.add_row(vec![
-            label.to_string(),
+            label.clone(),
             threads.to_string(),
-            if pruned { TOP_K.to_string() } else { "exact".to_string() },
             format!("{best:.4}s"),
             format!("{rows_per_sec:.0}"),
             format!("{cells_per_sec:.0}"),
             repairs.len().to_string(),
         ]);
         runs_json.push(format!(
-            "    {{\"config\": \"{label}\", \"threads\": {threads}, \"pruned\": {pruned}, \
-             \"clean_seconds\": {best:.6}, \"rows_per_sec\": {rows_per_sec:.2}, \
-             \"cells_per_sec\": {cells_per_sec:.2}, \"repairs\": {}}}",
+            "    {{\"config\": \"{label}\", \"threads\": {threads}, \"clean_seconds\": {best:.6}, \
+             \"rows_per_sec\": {rows_per_sec:.2}, \"cells_per_sec\": {cells_per_sec:.2}, \"repairs\": {}}}",
             repairs.len(),
         ));
-        (best, repairs)
-    };
-
-    // Exact grid: every thread count must reproduce the serial repairs.
-    let (exact_serial_seconds, baseline_repairs) = timed_clean(&artifact, "exact/t1", 1, false);
-    for threads in [2usize, 4] {
-        artifact.set_threads(threads);
-        let (_, repairs) = timed_clean(&artifact, &format!("exact/t{threads}"), threads, false);
-        assert_eq!(repairs, baseline_repairs, "exact clean diverged at {threads} threads");
+        // Every thread count must reproduce the serial repairs.
+        match &baseline_repairs {
+            None => baseline_repairs = Some(repairs),
+            Some(baseline) => assert_eq!(&repairs, baseline, "exact clean diverged at {threads} threads"),
+        }
     }
-
-    // Scale tier: candidate pruning, serial and at 4 threads.
-    artifact.set_candidate_top_k(TOP_K);
-    artifact.set_threads(1);
-    let (pruned_serial_seconds, pruned_repairs) = timed_clean(&artifact, "pruned/t1", 1, true);
-    artifact.set_threads(4);
-    let (scale_tier_seconds, repairs) = timed_clean(&artifact, "pruned/t4", 4, true);
-    assert_eq!(repairs, pruned_repairs, "pruned clean diverged at 4 threads");
     println!("{}", table.render());
 
-    let speedups = vec![
-        ("wide/pruned-top16".to_string(), 1usize, exact_serial_seconds / pruned_serial_seconds.max(1e-12)),
-        ("wide/scale-tier-t4".to_string(), 4usize, exact_serial_seconds / scale_tier_seconds.max(1e-12)),
-    ];
-    let min_speedup = speedups.iter().map(|(_, _, s)| *s).fold(f64::INFINITY, f64::min);
+    // The encoded engine against the Value-path oracle, on a prefix small
+    // enough for the oracle's full-domain walk.
+    let head = bench.dirty.head(REFERENCE_ROWS.min(rows));
+    let cleaner = BClean::new(Variant::PartitionedInference.config().with_threads(1));
+    let model = cleaner.fit(&head);
+    let reference_model = cleaner.fit_reference(&head);
+    let (mut encoded_seconds, mut reference_seconds) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..3 {
+        let start = std::time::Instant::now();
+        let encoded = model.clean(&head);
+        encoded_seconds = encoded_seconds.min(start.elapsed().as_secs_f64());
+        let start = std::time::Instant::now();
+        let reference = reference_model.clean_reference(&head);
+        reference_seconds = reference_seconds.min(start.elapsed().as_secs_f64());
+        assert_eq!(encoded.repairs, reference.repairs, "encoded and reference cleans diverged");
+    }
+    let speedup = reference_seconds / encoded_seconds.max(1e-12);
+    println!(
+        "first {} rows at 1 thread: encoded {encoded_seconds:.4}s, reference {reference_seconds:.4}s ({speedup:.2}x)\n",
+        head.num_rows()
+    );
+
+    let speedups = vec![("wide/encoded-vs-reference".to_string(), 1usize, speedup)];
     let json = format!(
         "{{\n  \"benchmark\": \"WideScale\",\n  \"scale\": \"{:?}\",\n  \"scale_factor\": \"{}\",\n  \
-         \"rows\": {},\n  \"columns\": {},\n  \"cells\": {},\n  \"candidate_top_k\": {},\n  \
-         \"clean_iters\": {},\n  \"fits\": [\n    \
+         \"rows\": {},\n  \"columns\": {},\n  \"cells\": {},\n  \"clean_iters\": {},\n  \
+         \"reference_rows\": {},\n  \"fits\": [\n    \
          {{\"config\": \"exact/t1\", \"fit_seconds\": {:.6}}},\n    \
          {{\"config\": \"exact/t4\", \"fit_seconds\": {:.6}}}\n  ],\n  \"runs\": [\n{}\n  ],\n{}",
         scale,
@@ -1003,15 +1006,15 @@ fn bench_scale(scale: Scale) {
         rows,
         cols,
         cells,
-        TOP_K,
         clean_iters,
+        head.num_rows(),
         fit_serial_seconds,
         fit_parallel_seconds,
         runs_json.join(",\n"),
-        speedups_json(&speedups, min_speedup, total_start.elapsed().as_secs_f64()),
+        speedups_json(&speedups, speedup, total_start.elapsed().as_secs_f64()),
     );
     match std::fs::write("BENCH_scale.json", &json) {
-        Ok(()) => println!("wrote BENCH_scale.json (min speedup {min_speedup:.2}x)\n"),
+        Ok(()) => println!("wrote BENCH_scale.json (min speedup {speedup:.2}x)\n"),
         Err(e) => eprintln!("could not write BENCH_scale.json: {e}"),
     }
 }

@@ -52,17 +52,45 @@ use bclean_data::{read_csv_file, ChunkLimits, ChunkSource, CsvFileChunks, Datase
 use bclean_profile::{find_outliers, suggest_constraints, DatasetProfile, OutlierConfig, SuggestConfig};
 use bclean_store::{read_container_file, ContainerReader};
 
+/// Write one formatted line to stdout. A reader that goes away early
+/// (`bclean --help | head -1`) closes the pipe: the rest of the output is
+/// dropped quietly and the command runs on to its own exit code, where
+/// `println!` would panic. Any other write failure is an I/O error of the
+/// command.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        console_line(&mut std::io::stdout(), format_args!($($arg)*))
+    };
+}
+
+/// Write one formatted line to stderr, as [`outln!`] does to stdout; a
+/// diagnostic that cannot be written is dropped.
+macro_rules! errln {
+    ($($arg:tt)*) => {
+        let _ = console_line(&mut std::io::stderr(), format_args!($($arg)*));
+    };
+}
+
+fn console_line(stream: &mut impl std::io::Write, line: std::fmt::Arguments<'_>) -> Result<(), CliError> {
+    match writeln!(stream, "{line}") {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(io_err(format!("cannot write output: {e}")))
+        }
+        _ => Ok(()),
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(error) => {
-            eprintln!("error: {error}");
+            errln!("error: {error}");
             // Usage text only helps when the *invocation* was wrong; for
             // I/O and content failures it would bury the actual error.
             if matches!(error, CliError::Usage(_)) {
-                eprintln!();
-                eprintln!("{}", usage());
+                errln!("");
+                errln!("{}", usage());
             }
             ExitCode::from(error.exit_code())
         }
@@ -149,7 +177,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         "suggest" => suggest_command(&single_path(&args[1..], "<data.csv>")?),
         "serve" => serve_command(&args[1..]),
         "--help" | "-h" | "help" => {
-            println!("{}", usage());
+            outln!("{}", usage())?;
             Ok(())
         }
         other => Err(usage_err(format!("unknown command {other:?}"))),
@@ -340,7 +368,7 @@ fn resolve_constraints(
         }
     };
     let (suggested, suggestions) = suggest_constraints(data, SuggestConfig::default());
-    eprintln!("using {} auto-suggested constraints (see `bclean suggest`)", suggestions.len());
+    errln!("using {} auto-suggested constraints (see `bclean suggest`)", suggestions.len());
     Ok(suggested)
 }
 
@@ -372,18 +400,18 @@ fn fit_command(args: &[String]) -> Result<(), CliError> {
     let start = std::time::Instant::now();
     let artifact = BClean::new(config).with_constraints(constraints).fit_artifact(&data);
     artifact.save(output).map_err(|e| store_err(&format!("cannot save {output}"), e))?;
-    println!(
+    outln!(
         "fit {} rows x {} columns ({}) in {:?}",
         data.num_rows(),
         data.num_columns(),
         variant.name(),
         start.elapsed()
-    );
-    println!(
+    )?;
+    outln!(
         "model written to {output} (schema hash {:016x}, {} structure edges)",
         artifact.schema_hash(),
         artifact.dag().num_edges()
-    );
+    )?;
     Ok(())
 }
 
@@ -437,46 +465,47 @@ fn clean_command(args: &[String]) -> Result<(), CliError> {
     };
     let outcome = streamed.map_err(|e| io_err(format!("cannot clean {input}: {e}")))?;
 
-    println!(
+    outln!(
         "{} repairs across {} rows in {} chunks in {:?} (peak memory proxy ~{})",
         outcome.repairs.len(),
         outcome.rows,
         outcome.chunks,
         outcome.stats.duration + outcome.stats.fit_duration,
         format_bytes(outcome.peak_bytes)
-    );
-    print_repair_lines(&outcome.repairs, args.max_repairs.unwrap_or(50));
+    )?;
+    print_repair_lines(&outcome.repairs, args.max_repairs.unwrap_or(50))?;
 
     if let Some(path) = &args.output {
-        println!("cleaned dataset written to {path}");
+        outln!("cleaned dataset written to {path}")?;
     }
     if let Some(path) = &args.repairs {
         std::fs::write(path, repairs_to_csv(&outcome.repairs))
             .map_err(|e| io_err(format!("cannot write {path}: {e}")))?;
-        println!("repairs written to {path}");
+        outln!("repairs written to {path}")?;
     }
     if let Some(path) = &args.report {
         std::fs::write(path, report_json(input, &outcome))
             .map_err(|e| io_err(format!("cannot write {path}: {e}")))?;
-        println!("report written to {path}");
+        outln!("report written to {path}")?;
     }
     Ok(())
 }
 
 /// The per-repair console lines of `bclean clean`.
-fn print_repair_lines(repairs: &[Repair], shown: usize) {
+fn print_repair_lines(repairs: &[Repair], shown: usize) -> Result<(), CliError> {
     for repair in repairs.iter().take(shown) {
-        println!(
+        outln!(
             "  row {:<6} {:<22} {:?} -> {:?}",
             repair.at.row,
             repair.attribute,
             repair.from.to_string(),
             repair.to.to_string()
-        );
+        )?;
     }
     if repairs.len() > shown {
-        println!("  … and {} more (raise --max-repairs to see them)", repairs.len() - shown);
+        outln!("  … and {} more (raise --max-repairs to see them)", repairs.len() - shown)?;
     }
+    Ok(())
 }
 
 /// Human-readable binary byte count for console summaries.
@@ -520,13 +549,13 @@ fn ingest_command(args: &[String]) -> Result<(), CliError> {
     let before = artifact.num_rows();
     let after = artifact.ingest_batch(&batch).map_err(|e| model_err(format!("{input}: {e}")))?;
     artifact.save(output).map_err(|e| store_err(&format!("cannot save {output}"), e))?;
-    println!(
+    outln!(
         "absorbed {} rows ({} -> {} total); updated model written to {output}",
         batch.num_rows(),
         before,
         after
-    );
-    println!("(statistics updated incrementally; structure kept — refit with `bclean fit` to relearn it)");
+    )?;
+    outln!("(statistics updated incrementally; structure kept — refit with `bclean fit` to relearn it)")?;
     Ok(())
 }
 
@@ -580,7 +609,7 @@ fn serve_command(args: &[String]) -> Result<(), CliError> {
         }
         let rows = artifact.num_rows();
         let hash = registry.register(artifact);
-        println!("loaded {path} (schema hash {hash:016x}, {rows} rows)");
+        outln!("loaded {path} (schema hash {hash:016x}, {rows} rows)")?;
     }
 
     let server = bclean_serve::Server::bind(&config, registry)
@@ -588,7 +617,7 @@ fn serve_command(args: &[String]) -> Result<(), CliError> {
     let addr = server.local_addr().map_err(|e| io_err(format!("cannot resolve bound address: {e}")))?;
     // Announce readiness on a line of its own and flush, so wrappers (the
     // CI smoke job, the tests) can wait for it before sending traffic.
-    println!("bclean serve listening on {addr} ({} workers, {} models)", config.workers, models.len());
+    outln!("bclean serve listening on {addr} ({} workers, {} models)", config.workers, models.len())?;
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     server.run().map_err(|e| io_err(format!("serve loop failed: {e}")))
@@ -598,51 +627,51 @@ fn inspect_command(path: &str) -> Result<(), CliError> {
     let bytes = read_container_file(std::path::Path::new(path)).map_err(|e| store_err(path, e))?;
     let container = ContainerReader::parse(&bytes).map_err(|e| store_err(path, e))?;
     let artifact = ModelArtifact::from_bytes(&bytes).map_err(|e| store_err(path, e))?;
-    println!("{path}: bclean model artifact, format version {}", container.version());
-    println!("  schema hash   {:016x}", artifact.schema_hash());
-    println!("  rows absorbed {}", artifact.num_rows());
+    outln!("{path}: bclean model artifact, format version {}", container.version())?;
+    outln!("  schema hash   {:016x}", artifact.schema_hash())?;
+    outln!("  rows absorbed {}", artifact.num_rows())?;
     let names = artifact.attribute_names();
-    println!("  attributes    {}", names.len());
+    outln!("  attributes    {}", names.len())?;
     for (name, ty) in names.iter().zip(artifact.attribute_types()) {
-        println!("    {name} ({ty})");
+        outln!("    {name} ({ty})")?;
     }
     let edges = artifact.dag().edges();
-    println!("  structure     {} edges", edges.len());
+    outln!("  structure     {} edges", edges.len())?;
     for (from, to) in edges {
-        println!("    {} -> {}", names[from], names[to]);
+        outln!("    {} -> {}", names[from], names[to])?;
     }
-    println!(
+    outln!(
         "  constraints   {} per-attribute, {} tuple rules",
         artifact.constraints().len(),
         artifact.constraints().num_row_rules()
-    );
-    println!("  sections");
+    )?;
+    outln!("  sections")?;
     for (id, size) in container.section_sizes() {
-        println!("    {:<14} {size} bytes", id.name());
+        outln!("    {:<14} {size} bytes", id.name())?;
     }
-    println!("  total         {} bytes", bytes.len());
+    outln!("  total         {} bytes", bytes.len())?;
     Ok(())
 }
 
 fn profile_command(path: &str) -> Result<(), CliError> {
     let data = load(path)?;
     let profile = DatasetProfile::profile(&data);
-    println!("{} rows x {} columns\n", data.num_rows(), data.num_columns());
-    println!("{}", profile.summary());
+    outln!("{} rows x {} columns\n", data.num_rows(), data.num_columns())?;
+    outln!("{}", profile.summary())?;
     let outliers = find_outliers(&data, OutlierConfig::default());
-    println!("Suspicious cells: {}", outliers.len());
+    outln!("Suspicious cells: {}", outliers.len())?;
     for o in outliers.iter().take(20) {
-        println!(
+        outln!(
             "  row {:<6} {:<20} {:<10} severity {:>7.1}  value {:?}",
             o.at.row,
             o.attribute,
             format!("{:?}", o.kind),
             o.severity,
             o.value.to_string()
-        );
+        )?;
     }
     if outliers.len() > 20 {
-        println!("  … and {} more", outliers.len() - 20);
+        outln!("  … and {} more", outliers.len() - 20)?;
     }
     Ok(())
 }
@@ -650,12 +679,12 @@ fn profile_command(path: &str) -> Result<(), CliError> {
 fn suggest_command(path: &str) -> Result<(), CliError> {
     let data = load(path)?;
     let (_, suggestions) = suggest_constraints(&data, SuggestConfig::default());
-    println!("# Draft constraints file generated by `bclean suggest {path}`");
-    println!("# Review each line, delete what you disagree with, then pass the");
-    println!("# file to `bclean fit {path} -c <this file> -o model.bclean`.");
+    outln!("# Draft constraints file generated by `bclean suggest {path}`")?;
+    outln!("# Review each line, delete what you disagree with, then pass the")?;
+    outln!("# file to `bclean fit {path} -c <this file> -o model.bclean`.")?;
     for s in &suggestions {
         let spec = constraint_to_spec(&s.constraint);
-        println!("{}: {:<40} # {}", s.attribute, spec, s.rationale);
+        outln!("{}: {:<40} # {}", s.attribute, spec, s.rationale)?;
     }
     Ok(())
 }

@@ -5,7 +5,7 @@
 //! existed.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 /// Run the binary, returning (exit code, stdout, stderr).
 fn bclean(args: &[&str]) -> (i32, String, String) {
@@ -18,6 +18,25 @@ fn bclean(args: &[&str]) -> (i32, String, String) {
         String::from_utf8_lossy(&output.stdout).into_owned(),
         String::from_utf8_lossy(&output.stderr).into_owned(),
     )
+}
+
+/// Run the binary with stdout, and stderr too when `close_stderr`, writing
+/// into pipes whose read ends are already closed — what `bclean … | head -1`
+/// meets once `head` has exited. Returns the exit code.
+fn bclean_into_closed_pipes(args: &[&str], close_stderr: bool) -> i32 {
+    let closed_pipe = || {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        Stdio::from(writer)
+    };
+    let stderr = if close_stderr { closed_pipe() } else { Stdio::null() };
+    let status = Command::new(env!("CARGO_BIN_EXE_bclean"))
+        .args(args)
+        .stdout(closed_pipe())
+        .stderr(stderr)
+        .status()
+        .expect("the bclean binary must launch");
+    status.code().expect("not signal-killed")
 }
 
 fn assert_code(args: &[&str], expected: i32) -> String {
@@ -62,6 +81,14 @@ fn success_and_help_exit_zero() {
     let (code, stdout, _) = bclean(&["--help"]);
     assert_eq!(code, 0);
     assert!(stdout.contains("usage:"));
+}
+
+/// Output nobody reads any more is dropped quietly: the process exits with
+/// the command's own code, not a panic's 101.
+#[test]
+fn closed_output_pipes_keep_the_commands_exit_code() {
+    assert_eq!(bclean_into_closed_pipes(&["--help"], false), 0);
+    assert_eq!(bclean_into_closed_pipes(&["fit", "x.csv", "--bogus"], true), 2);
 }
 
 #[test]

@@ -104,15 +104,6 @@ impl ModelArtifact {
         self.config.num_threads = threads;
     }
 
-    /// Override the per-column candidate cap used by subsequent cleans.
-    /// Unlike the thread count this is *not* results-neutral: a cap below
-    /// a column's cardinality trades exactness for speed (see
-    /// [`BCleanConfig::with_candidate_top_k`]); `usize::MAX` restores the
-    /// exact default.
-    pub fn set_candidate_top_k(&mut self, top_k: usize) {
-        self.config.candidate_top_k = top_k;
-    }
-
     /// Number of rows absorbed into the statistics.
     pub fn num_rows(&self) -> usize {
         self.compensatory.num_rows()

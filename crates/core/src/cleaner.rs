@@ -33,6 +33,20 @@
 //! [`crate::reference`] as [`BClean::fit_reference`] and
 //! [`crate::ReferenceModel::clean_reference`] and serve as equivalence
 //! oracles and performance baselines (`BENCH_fit.json`, `BENCH_clean.json`).
+//!
+//! # Posting lists instead of probes
+//!
+//! The per-cell kernel reads the compensatory model's co-occurrence runs
+//! rather than probing them once per candidate. A cell with an anchor takes
+//! its candidates from the run of the anchor value — the codes whose pair
+//! count with it is at least 1 — so enumeration costs the anchor's support,
+//! not the column's cardinality; a cell without one walks the whole domain.
+//! The candidates are then scored as a set: the compensatory term one
+//! context column at a time (one run scan per column), the BN term with the
+//! cell's own CPT row and each child's parent base resolved once. Each
+//! candidate still adds its terms in the order of the one-candidate scorer
+//! `score_codes`, which remains for the observed value, so every score,
+//! repair and counter is bit-identical to it.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -245,6 +259,22 @@ struct CodeRepair {
     score_gain: f64,
 }
 
+/// Per-block buffers of the cleaning kernel, reused from cell to cell so
+/// that scoring a cell allocates nothing.
+#[derive(Debug, Default)]
+struct CellScratch {
+    /// The cell's candidate codes in enumeration order, less the observed one.
+    candidates: Vec<u32>,
+    /// A copy of the row that tuple rules read with one candidate substituted.
+    row: Vec<Value>,
+    /// The candidates' scores; the BN term until the compensatory one is added.
+    scores: Vec<f64>,
+    /// The candidates' compensatory terms.
+    comp: Vec<f64>,
+    /// The code → candidate map of the compensatory scan.
+    slots: Vec<u32>,
+}
+
 /// A fitted BClean model, ready to clean datasets that share the training
 /// dataset's schema.
 ///
@@ -326,44 +356,28 @@ impl BCleanModel {
 
     /// Score every candidate repair for one cell, returning `(candidate,
     /// score)` pairs sorted by decreasing score. The observed value is always
-    /// included (it is the arg-max baseline of Algorithm 1).
+    /// included (it is the arg-max baseline of Algorithm 1). The candidates
+    /// and their scores are exactly those [`BCleanModel::clean`] weighs.
     pub fn score_candidates(&self, dataset: &Dataset, row: usize, col: usize) -> Vec<(Value, f64)> {
         let row_values = dataset.row(row).expect("row index in range");
         let dicts = self.compensatory.dicts();
         let row_codes: Vec<u32> = row_values.iter().zip(dicts).map(|(v, d)| d.encode_lossy(v)).collect();
-        let original = &row_values[col];
-        let original_code = row_codes[col];
         let anchor = self.anchor_context_codes(&row_codes, col);
         let rules = self.relevant_rules(dataset.schema(), col);
-        let pruned = self.pruned_candidates(col);
-        let mut candidates = Vec::new();
-        let mut scratch = Vec::new();
-        self.candidate_codes_pruned(
-            dataset.schema(),
-            row_values,
-            &row_codes,
-            col,
-            original_code,
-            anchor,
-            &rules,
-            pruned.as_deref(),
-            &mut candidates,
-            &mut scratch,
-        );
-        let dict = &dicts[col];
-        let mut scored: Vec<(Value, f64)> = candidates
+        let mut scratch = CellScratch::default();
+        let original_at =
+            self.candidate_codes(dataset.schema(), row_values, &row_codes, col, anchor, &rules, &mut scratch);
+        self.score_batch(&row_codes, col, &mut scratch);
+        let mut scored: Vec<(Value, f64)> = scratch
+            .candidates
             .iter()
-            .map(|&c| {
-                // The pushed original may be outside the dictionary; decode
-                // everything else from the shared code order.
-                let value = if c == original_code { original.clone() } else { dict.decode(c).clone() };
-                (value, self.score_codes(&row_codes, col, c))
-            })
+            .zip(&scratch.scores)
+            .map(|(&c, &score)| (dicts[col].decode(c).clone(), score))
             .collect();
-        let original_score = self.score_codes(&row_codes, col, original_code);
-        if !scored.iter().any(|(c, _)| c == original) {
-            scored.push((original.clone(), original_score));
-        }
+        // The observed value keeps its place in the enumeration, so ties
+        // keep enumeration order; only its score carries the leave-one-out.
+        let original_score = self.score_codes(&row_codes, col, row_codes[col]);
+        scored.insert(original_at.unwrap_or(scored.len()), (row_values[col].clone(), original_score));
         scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
         scored
     }
@@ -391,12 +405,9 @@ impl BCleanModel {
             }
         }
         let rules_by_col = self.rules_by_col(dataset.schema());
-        let pruned_by_col: Vec<Option<Vec<u32>>> =
-            (0..dicts.len()).map(|col| self.pruned_candidates(col)).collect();
         let executor = ParallelExecutor::for_config(&self.config, n);
-        let batches = executor.execute(n, |rows| {
-            self.clean_rows(dataset, &codes, &rules_by_col, &pruned_by_col, rows.start, rows.end)
-        });
+        let batches =
+            executor.execute(n, |rows| self.clean_rows(dataset, &codes, &rules_by_col, rows.start, rows.end));
         let (code_repairs, mut stats) = merge_cleaning_batches(batches);
         debug_assert!(
             code_repairs.windows(2).all(|w| (w[0].at.row, w[0].at.col) < (w[1].at.row, w[1].at.col)),
@@ -429,51 +440,21 @@ impl BCleanModel {
         CleaningResult { cleaned, repairs, stats }
     }
 
-    /// One column's pruned candidate enumeration for the scale-only
-    /// high-cardinality pruning (`config.candidate_top_k`): when the
-    /// column's dictionary exceeds the threshold, the `top_k` most frequent
-    /// value codes (ties broken in sorted-value order), re-sorted into the
-    /// dictionary's sorted-value enumeration order so downstream tie
-    /// breaking behaves exactly as on the unpruned walk. Columns at or below
-    /// the threshold yield `None` (exact enumeration); with the default
-    /// `usize::MAX` threshold every column is exact.
-    fn pruned_candidates(&self, col: usize) -> Option<Vec<u32>> {
-        let top_k = self.config.candidate_top_k;
-        let dict = &self.compensatory.dicts()[col];
-        if dict.cardinality() <= top_k {
-            return None;
-        }
-        // Enumerate in sorted-value order (exactly like the unpruned walk),
-        // stably keep the most frequent `top_k`, then restore enumeration
-        // order via the sorted rank.
-        let mut ranked: Vec<u32> = match dict.code_order() {
-            None => (0..dict.cardinality() as u32).collect(),
-            Some(order) => order.to_vec(),
-        };
-        ranked.sort_by_key(|&c| std::cmp::Reverse(self.compensatory.value_count_code(col, c)));
-        ranked.truncate(top_k);
-        ranked.sort_by_key(|&c| dict.sort_rank(c));
-        Some(ranked)
-    }
-
     /// Clean a contiguous range of rows (one parallel work unit) over the
     /// row-major code matrix. Repairs are emitted in code space; the caller
     /// decodes them after the ordered merge.
-    #[allow(clippy::too_many_arguments)]
     fn clean_rows(
         &self,
         dataset: &Dataset,
         codes: &[u32],
         rules_by_col: &[Vec<Arc<Rule>>],
-        pruned_by_col: &[Option<Vec<u32>>],
         lo: usize,
         hi: usize,
     ) -> (Vec<CodeRepair>, CleaningStats) {
         let m = dataset.num_columns();
         let mut repairs = Vec::new();
         let mut stats = CleaningStats::default();
-        let mut candidates: Vec<u32> = Vec::new();
-        let mut scratch: Vec<Value> = Vec::new();
+        let mut scratch = CellScratch::default();
         for row_idx in lo..hi {
             let row = dataset.row(row_idx).expect("row index in range");
             let row_codes = &codes[row_idx * m..(row_idx + 1) * m];
@@ -495,8 +476,6 @@ impl BCleanModel {
                     row_codes,
                     col,
                     &rules_by_col[col],
-                    pruned_by_col[col].as_deref(),
-                    &mut candidates,
                     &mut scratch,
                     &mut stats,
                 ) {
@@ -521,9 +500,7 @@ impl BCleanModel {
         row_codes: &[u32],
         col: usize,
         rules: &[Arc<Rule>],
-        pruned: Option<&[u32]>,
-        candidates: &mut Vec<u32>,
-        scratch: &mut Vec<Value>,
+        scratch: &mut CellScratch,
         stats: &mut CleaningStats,
     ) -> Option<CodeRepair> {
         let original = &row[col];
@@ -545,24 +522,10 @@ impl BCleanModel {
 
         let base_margin =
             if anchor.is_some() { self.config.repair_margin } else { self.config.no_anchor_margin };
-        self.candidate_codes_pruned(
-            dataset.schema(),
-            row,
-            row_codes,
-            col,
-            original_code,
-            anchor,
-            rules,
-            pruned,
-            candidates,
-            scratch,
-        );
-        for &candidate in candidates.iter() {
-            if candidate == original_code {
-                continue;
-            }
-            stats.candidates_evaluated += 1;
-            let score = self.score_codes(row_codes, col, candidate);
+        self.candidate_codes(dataset.schema(), row, row_codes, col, anchor, rules, scratch);
+        stats.candidates_evaluated += scratch.candidates.len();
+        self.score_batch(row_codes, col, scratch);
+        for (&candidate, &score) in scratch.candidates.iter().zip(&scratch.scores) {
             let margin = if best_code.is_none() && original_score.is_finite() { base_margin } else { 0.0 };
             if score > best_score + margin {
                 best_score = score;
@@ -647,78 +610,73 @@ impl BCleanModel {
         best.map(|(k, _)| k)
     }
 
-    /// Candidate generation over codes: the column's domain codes (or, when
-    /// `pruned` is set, only those codes — already in sorted-value order; see
-    /// [`BCleanModel::pruned_candidates`]), filtered by the pre-evaluated
-    /// per-attribute constraints, by the tuple-level rules relevant to the
-    /// column (Eq. 1's `UC(c) = 1`), by the anchor-corroboration requirement,
-    /// and optionally by domain pruning (§6.2). The observed value's code is
-    /// appended when absent.
+    /// Candidate generation over codes, into `scratch.candidates`. An
+    /// anchored cell takes the codes of its column that co-occurred with
+    /// the anchor value, read from the run of that value in their pair
+    /// index; a cell with no anchor walks the whole domain. Either way the
+    /// candidates are value codes in sorted-value order, filtered by the
+    /// pre-evaluated per-attribute constraints and the tuple-level rules
+    /// relevant to the column (Eq. 1's `UC(c) = 1`), then optionally by
+    /// domain pruning (§6.2). The observed value's code is not among the
+    /// candidates: the return value is the position it holds in the
+    /// enumeration (after the last candidate when only the cell supplies
+    /// it), or `None` for a null cell.
     #[allow(clippy::too_many_arguments)]
-    fn candidate_codes_pruned(
+    fn candidate_codes(
         &self,
         schema: &Schema,
         row: &[Value],
         row_codes: &[u32],
         col: usize,
-        original_code: u32,
         anchor: Option<usize>,
         rules: &[Arc<Rule>],
-        pruned: Option<&[u32]>,
-        out: &mut Vec<u32>,
-        scratch: &mut Vec<Value>,
-    ) {
+        scratch: &mut CellScratch,
+    ) -> Option<usize> {
         let dict = &self.compensatory.dicts()[col];
-        let card = dict.cardinality() as u32;
         let check_rules = self.config.use_constraints && !rules.is_empty();
+        let CellScratch { candidates: out, row: row_copy, .. } = scratch;
         if check_rules {
             // Tuple rules are arbitrary value expressions: candidates are
             // substituted into a scratch copy of the row, cloned once per
             // cell (only slot `col` changes between candidates).
-            scratch.clear();
-            scratch.extend_from_slice(row);
+            row_copy.clear();
+            row_copy.extend_from_slice(row);
         }
         out.clear();
-        // Candidates are enumerated in sorted value order — for fresh
-        // dictionaries that *is* the code order; appended dictionaries
-        // (models grown by `ingest_batch`) walk their code→sorted-rank
-        // remap so tie breaking and pruning truncation behave exactly as
-        // over a freshly sorted dictionary.
-        let accept = |code: u32, scratch: &mut Vec<Value>, out: &mut Vec<u32>| {
+        let mut accept = |code: u32| {
             if self.config.use_constraints {
                 if !self.attr_uc_ok[col][code as usize] {
                     return;
                 }
                 if check_rules {
-                    scratch[col] = dict.decode(code).clone();
-                    if !rules.iter().all(|r| r.check_row(schema, scratch)) {
+                    row_copy[col] = dict.decode(code).clone();
+                    if !rules.iter().all(|r| r.check_row(schema, row_copy)) {
                         return;
                     }
                 }
             }
-            if let Some(k) = anchor {
-                if self.compensatory.pair_count_codes(col, code, k, row_codes[k]) < 1 {
-                    return;
-                }
-            }
             out.push(code);
         };
-        match (pruned, dict.code_order()) {
-            (Some(kept), _) => {
-                for &code in kept {
-                    accept(code, scratch, out);
+        // Candidates are enumerated in sorted value order: for fresh
+        // dictionaries that *is* the code order; appended dictionaries
+        // (models grown by `ingest_batch`) follow their code → sorted-rank
+        // remap, so tie breaking behaves exactly as over a freshly sorted
+        // dictionary.
+        match anchor {
+            Some(k) => {
+                for &code in self.compensatory.cooccurring_codes(k, row_codes[k], col) {
+                    if dict.is_value_code(code) {
+                        accept(code);
+                    }
+                }
+                if dict.code_order().is_some() {
+                    out.sort_unstable_by_key(|&c| dict.sort_rank(c));
                 }
             }
-            (None, None) => {
-                for code in 0..card {
-                    accept(code, scratch, out);
-                }
-            }
-            (None, Some(order)) => {
-                for &code in order {
-                    accept(code, scratch, out);
-                }
-            }
+            None => match dict.code_order() {
+                None => (0..dict.cardinality() as u32).for_each(accept),
+                Some(order) => order.iter().for_each(|&code| accept(code)),
+            },
         }
 
         if self.config.domain_pruning && out.len() > self.config.domain_top_k {
@@ -737,14 +695,56 @@ impl BCleanModel {
             out.extend(scored.into_iter().take(self.config.domain_top_k).map(|(_, c)| c));
         }
 
-        if !row[col].is_null() && !out.contains(&original_code) {
-            out.push(original_code);
+        match out.iter().position(|&c| c == row_codes[col]) {
+            Some(at) => {
+                out.remove(at);
+                Some(at)
+            }
+            None => (!row[col].is_null()).then_some(out.len()),
         }
+    }
+
+    /// The Algorithm 1 scores of the candidates in `scratch.candidates`,
+    /// into `scratch.scores`: [`BCleanModel::score_codes`] of each, bit for
+    /// bit, computed one factor and one context column at a time over the
+    /// whole set. The candidates must not include the observed code.
+    fn score_batch(&self, row_codes: &[u32], col: usize, scratch: &mut CellScratch) {
+        let CellScratch { candidates, scores, comp, slots, .. } = scratch;
+        let has_parents = self.compiled.has_parents(col);
+        if self.config.partitioned_inference {
+            if has_parents {
+                self.compiled.blanket_log_scores(row_codes, col, candidates, scores);
+            } else {
+                self.compiled.children_log_likelihoods(row_codes, col, candidates, scores);
+            }
+        } else {
+            self.compiled.log_joints_with(row_codes, col, candidates, scores);
+            if !has_parents {
+                for (score, &c) in scores.iter_mut().zip(candidates.iter()) {
+                    *score -= self.compiled.log_marginal(col, c);
+                }
+            }
+        }
+        if self.config.use_compensatory {
+            self.compensatory.log_scores_codes(row_codes, col, candidates, slots, comp);
+            for (score, &term) in scores.iter_mut().zip(comp.iter()) {
+                *score += term;
+            }
+        }
+        debug_assert!(
+            candidates
+                .iter()
+                .zip(scores.iter())
+                .all(|(&c, s)| s.to_bits() == self.score_codes(row_codes, col, c).to_bits()),
+            "the batched scores must equal the one-candidate scorer bit for bit"
+        );
     }
 
     /// The Algorithm 1 score of one candidate code:
     /// `log BN[A_j](c) + log CS[A_j](c)`, evaluated entirely through the
-    /// compiled (code-indexed) models.
+    /// compiled (code-indexed) models. Cleaning calls it only for the
+    /// observed value, whose compensatory term carries the leave-one-out;
+    /// the other candidates go through [`BCleanModel::score_batch`].
     ///
     /// Nodes without parents are scored with a uniform prior (paper §6.1):
     /// only the likelihood of their children and the compensatory score

@@ -28,6 +28,13 @@
 //! pre-encoded rows and never hashes or clones a [`Value`]; the
 //! `Value`-typed methods remain as a thin facade that encodes through the
 //! stored [`ColumnDict`]s before delegating.
+//!
+//! The cleaner reads the runs whole. Its anchored candidates are the run
+//! of the anchor value, and it scores a candidate set one context column
+//! at a time: one scan of the run of the tuple's value in that column adds
+//! each listed candidate's term, which is the `Score_corr` sum of every
+//! candidate in the same column order, bit for bit. Point queries remain
+//! for the observed value, whose score leaves its own tuple out.
 
 use std::ops::Range;
 
@@ -286,18 +293,43 @@ impl PairIndex {
         }
     }
 
-    /// Visit every entry run by run: keyed by the `lo` codes when `by_lo`,
-    /// by the `hi` codes otherwise, as `(run code, other code, tallies)` in
-    /// run order and, within a run, ascending other code.
-    fn for_each(&self, by_lo: bool, mut visit: impl FnMut(usize, u32, PairEntry)) {
+    /// The other column's codes in the run of `code`, ascending: the run
+    /// keyed by the `lo` codes when `by_lo`, by the `hi` codes otherwise.
+    /// Codes outside the offsets have empty runs.
+    #[inline]
+    fn run_keys(&self, by_lo: bool, code: u32) -> &[u32] {
         let (offsets, keys) =
             if by_lo { (&self.offsets, &self.keys) } else { (&self.t_offsets, &self.t_keys) };
-        for (code, run) in offsets.windows(2).enumerate() {
-            let run = run[0] as usize..run[1] as usize;
-            for (i, &key) in run.clone().zip(&keys[run]) {
-                let entry = if by_lo { self.entries[i] } else { self.entries[self.t_perm[i] as usize] };
-                visit(code, key, entry);
+        run_range(offsets, code).map_or(&[], |run| &keys[run])
+    }
+
+    /// Visit the run of `code` (see [`PairIndex::run_keys`]) as
+    /// `(other code, tallies)`, ascending other code.
+    #[inline]
+    fn for_each_in_run(&self, by_lo: bool, code: u32, mut visit: impl FnMut(u32, PairEntry)) {
+        if by_lo {
+            let Some(run) = run_range(&self.offsets, code) else {
+                return;
+            };
+            for (&key, &entry) in self.keys[run.clone()].iter().zip(&self.entries[run]) {
+                visit(key, entry);
             }
+        } else {
+            let Some(run) = run_range(&self.t_offsets, code) else {
+                return;
+            };
+            for (&key, &slot) in self.t_keys[run.clone()].iter().zip(&self.t_perm[run]) {
+                visit(key, self.entries[slot as usize]);
+            }
+        }
+    }
+
+    /// Visit every entry run by run, as `(run code, other code, tallies)`
+    /// in run order and, within a run, ascending other code.
+    fn for_each(&self, by_lo: bool, mut visit: impl FnMut(usize, u32, PairEntry)) {
+        let codes = if by_lo { self.offsets.len() } else { self.t_offsets.len() } - 1;
+        for code in 0..codes {
+            self.for_each_in_run(by_lo, code as u32, |key, entry| visit(code, key, entry));
         }
     }
 
@@ -367,6 +399,10 @@ impl PairIndex {
         Ok(index)
     }
 }
+
+/// A code that is no candidate, in the code → candidate map of
+/// [`CompensatoryModel::log_scores_codes`].
+const NO_SLOT: u32 = u32::MAX;
 
 /// The unordered column pairs `(lo, hi)`, `lo < hi`, in the order
 /// [`CompensatoryModel::pairs`] stores their indexes.
@@ -691,6 +727,16 @@ impl CompensatoryModel {
         }
     }
 
+    /// The codes of column `col_j` that co-occurred with code `e` of column
+    /// `col_k`, ascending: the run of `e` in their index, which holds
+    /// exactly the codes whose [`CompensatoryModel::pair_count_codes`] with
+    /// `e` is at least 1.
+    #[inline]
+    pub(crate) fn cooccurring_codes(&self, col_k: usize, e: u32, col_j: usize) -> &[u32] {
+        let (index, by_lo) = self.pair(col_k, col_j);
+        index.run_keys(by_lo, e)
+    }
+
     /// `corr(c, e, A_j, A_k)`: signed, |D|-normalised correlation of the value
     /// pair (paper §5).
     pub fn corr(&self, col_j: usize, c: &Value, col_k: usize, e: &Value) -> f64 {
@@ -780,6 +826,62 @@ impl CompensatoryModel {
     /// Code-space [`CompensatoryModel::log_score`].
     pub fn log_score_codes(&self, codes: &[u32], col: usize, candidate: u32) -> f64 {
         (1.0 + self.score_corr_codes(codes, col, candidate).max(0.0)).ln()
+    }
+
+    /// [`CompensatoryModel::log_score_codes`] of every code of `candidates`
+    /// into `out`, bit for bit, one context column at a time. The
+    /// candidates must be distinct codes of `col`'s code space other than
+    /// the observed `codes[col]`, so no leave-one-out applies. For each column
+    /// `k ≠ col` in order, the scan reads the run of the tuple's `k` value
+    /// once and adds `corr / context_count` to each candidate in it. A
+    /// candidate missing from the run would add `+0.0` in
+    /// [`CompensatoryModel::score_corr_codes`], which leaves a sum that
+    /// starts at `+0.0` unchanged, so it is skipped. `slots` is a code →
+    /// candidate map, all [`NO_SLOT`] between calls, that grows as needed.
+    pub(crate) fn log_scores_codes(
+        &self,
+        codes: &[u32],
+        col: usize,
+        candidates: &[u32],
+        slots: &mut Vec<u32>,
+        out: &mut Vec<f64>,
+    ) {
+        out.clear();
+        out.resize(candidates.len(), 0.0);
+        if self.num_rows > 0 {
+            let space = self.dicts[col].code_space();
+            if slots.len() < space {
+                slots.resize(space, NO_SLOT);
+            }
+            for (slot, &c) in candidates.iter().enumerate() {
+                debug_assert!(
+                    c != codes[col] && (c as usize) < space,
+                    "a code of the column's space other than the observed one"
+                );
+                slots[c as usize] = slot as u32;
+            }
+            let beta = self.params.beta;
+            for (k, &e) in codes.iter().enumerate().take(self.num_cols) {
+                if k == col {
+                    continue;
+                }
+                // `score_corr_codes`' divisor with no self-support to remove.
+                let context_count = self.value_count_code(k, e).max(1) as f64;
+                let (index, by_lo) = self.pair(k, col);
+                index.for_each_in_run(by_lo, e, |c, entry| {
+                    let slot = slots[c as usize];
+                    if slot != NO_SLOT {
+                        out[slot as usize] += entry.corr(beta) / context_count;
+                    }
+                });
+            }
+            for &c in candidates {
+                slots[c as usize] = NO_SLOT;
+            }
+        }
+        for score in out.iter_mut() {
+            *score = (1.0 + score.max(0.0)).ln();
+        }
     }
 
     /// Raw co-occurrence count of a value pair, `count(v_j, v_k)`.
@@ -1062,6 +1164,41 @@ mod tests {
         // Unseen codes (and out-of-range columns) behave like absent values.
         assert_eq!(model.value_count(5, &Value::text("x")), 0);
         assert_eq!(model.pair_count(0, &Value::text("zz"), 1, &Value::text("1")), 0);
+    }
+
+    /// The batched term equals `log_score_codes` bit for bit for every
+    /// candidate other than the observed value, at an integral and a
+    /// fractional β, on the fitting rows and on rows carrying values the
+    /// model never saw.
+    #[test]
+    fn batched_log_scores_match_log_score_codes() {
+        let mut rows: Vec<Vec<Value>> = data().rows().map(|r| r.to_vec()).collect();
+        rows.push(vec![Value::text("9 unseen way"), Value::text("centre"), Value::text("KT")]);
+        rows.push(vec![Value::text("400 northwood dr"), Value::Null, Value::text("ZZ")]);
+        for params in
+            [CompensatoryParams::default(), CompensatoryParams { lambda: 0.25, beta: 0.3, tau: 0.75 }]
+        {
+            let model = CompensatoryModel::build(&data(), &spellcheck_constraints(), params);
+            let (mut slots, mut out) = (Vec::new(), Vec::new());
+            for row in &rows {
+                let codes = model.encode_row(row);
+                for col in 0..codes.len() {
+                    let candidates: Vec<u32> =
+                        (0..model.dicts[col].code_space() as u32).filter(|&c| c != codes[col]).collect();
+                    model.log_scores_codes(&codes, col, &candidates, &mut slots, &mut out);
+                    for (&c, score) in candidates.iter().zip(&out) {
+                        let expected = model.log_score_codes(&codes, col, c);
+                        assert_eq!(
+                            score.to_bits(),
+                            expected.to_bits(),
+                            "β {} row {row:?} col {col} code {c}",
+                            params.beta
+                        );
+                    }
+                    assert!(slots.iter().all(|&slot| slot == NO_SLOT), "the slot map is left clear");
+                }
+            }
+        }
     }
 
     /// Two *different* out-of-dictionary values (the observed cell and the

@@ -98,13 +98,6 @@ pub struct BCleanConfig {
     pub no_anchor_margin: f64,
     /// Number of worker threads for fitting and cleaning (0 = use all cores).
     pub num_threads: usize,
-    /// Candidate pruning for high-cardinality columns: when a column's
-    /// dictionary holds more than this many values, candidate enumeration is
-    /// restricted to the `candidate_top_k` most frequent values (ties broken
-    /// in sorted-value order) instead of walking the whole domain. This is a
-    /// scale-only approximation — `usize::MAX` (the default) disables it and
-    /// keeps cleaning exact.
-    pub candidate_top_k: usize,
 }
 
 impl Default for BCleanConfig {
@@ -125,7 +118,6 @@ impl Default for BCleanConfig {
             anchor_min_confidence: 0.65,
             no_anchor_margin: 2.5,
             num_threads: 0,
-            candidate_top_k: usize::MAX,
         }
     }
 }
@@ -145,13 +137,6 @@ impl BCleanConfig {
     /// Builder-style override of the thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.num_threads = threads;
-        self
-    }
-
-    /// Builder-style override of the high-cardinality candidate pruning
-    /// threshold (`usize::MAX` = exact, the default).
-    pub fn with_candidate_top_k(mut self, top_k: usize) -> Self {
-        self.candidate_top_k = top_k;
         self
     }
 
@@ -216,11 +201,16 @@ mod tests {
         assert!(auto.effective_threads() >= 1);
     }
 
+    /// The only approximation is the paper's BCleanPIP pruning, which no
+    /// other variant switches on.
     #[test]
     fn pruning_defaults_are_exact() {
         let cfg = BCleanConfig::default();
-        assert_eq!(cfg.candidate_top_k, usize::MAX, "candidate pruning must default to off");
-        let pruned = BCleanConfig::default().with_candidate_top_k(64);
-        assert_eq!(pruned.candidate_top_k, 64);
+        assert!(!cfg.tuple_pruning && !cfg.domain_pruning, "pruning must default to off");
+        for variant in Variant::all() {
+            let cfg = variant.config();
+            let pip = variant == Variant::PartitionedInferencePruning;
+            assert_eq!(cfg.tuple_pruning || cfg.domain_pruning, pip, "{variant:?}");
+        }
     }
 }

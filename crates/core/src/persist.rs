@@ -298,7 +298,6 @@ fn write_config(w: &mut ByteWriter, config: &BCleanConfig) {
     w.f64(config.anchor_min_confidence);
     w.f64(config.no_anchor_margin);
     w.usize(config.num_threads);
-    w.usize(config.candidate_top_k);
 }
 
 /// Decode a [`BCleanConfig`].
@@ -331,7 +330,6 @@ fn read_config(r: &mut ByteReader<'_>) -> Result<BCleanConfig, StoreError> {
         anchor_min_confidence: r.f64()?,
         no_anchor_margin: r.f64()?,
         num_threads: r.usize()?,
-        candidate_top_k: r.usize()?,
     })
 }
 
@@ -653,9 +651,10 @@ mod tests {
     }
 
     /// Structurally malformed config payloads that pass the CRC are refused
-    /// with typed errors: every strict prefix is truncated, a trailing byte
-    /// (the format v6 layout's exact fit-budget tail) and a bool slot outside
-    /// 0/1 are corrupt. Never a panic.
+    /// with typed errors: every strict prefix is truncated; a trailing byte
+    /// (the format v6 layout's exact fit-budget tail), the 8-byte
+    /// `candidate_top_k` slot that ended the v7 layout and a bool slot
+    /// outside 0/1 are corrupt. Never a panic.
     #[test]
     fn malformed_config_payloads_are_rejected() {
         let artifact = BClean::new(Variant::PartitionedInference.config())
@@ -696,6 +695,8 @@ mod tests {
             .map(|len| (format!("a {len}-byte prefix"), payload[..len].to_vec(), true))
             .collect();
         mutations.push(("a trailing 0x00 byte".to_string(), [&payload[..], &[0]].concat(), false));
+        let v7_tail = (usize::MAX as u64).to_le_bytes();
+        mutations.push(("the v7 candidate_top_k tail".to_string(), [&payload[..], &v7_tail].concat(), false));
         for slot in bool_slots {
             let mut mutated = payload.clone();
             mutated[slot] = 2;
@@ -794,7 +795,6 @@ mod tests {
         config.structure.max_parents = 5;
         config.structure.glasso.rho = 0.42;
         config.repair_margin = 0.125;
-        config.candidate_top_k = 64;
         let mut w = ByteWriter::new();
         write_config(&mut w, &config);
         let bytes = w.into_bytes();

@@ -15,10 +15,9 @@
 //! batches and batches that bring values and nulls the model has never
 //! seen.
 //!
-//! **Threads and chunks.** Fitting and cleaning at any thread count
-//! (composing with candidate pruning), and the out-of-core pipeline at any
-//! chunking, must reproduce the serial one-shot artifact byte-for-byte and
-//! its repairs repair-for-repair.
+//! **Threads and chunks.** Fitting and cleaning at any thread count, and
+//! the out-of-core pipeline at any chunking, must reproduce the serial
+//! one-shot artifact byte-for-byte and its repairs repair-for-repair.
 
 use bclean::data::AttributeDomain;
 use bclean::eval::bclean_constraints;
@@ -185,8 +184,19 @@ fn threaded_fit_and_clean_match_one_shot_for_every_variant() {
             .with_constraints(constraints.clone())
             .fit_artifact(&bench.dirty);
         let baseline_bytes = baseline.to_bytes().expect("artifact serialises");
-        let oneshot = baseline.compile().clean(&bench.dirty);
+        let model = baseline.compile();
+        let oneshot = model.clean(&bench.dirty);
         total_repairs += oneshot.repairs.len();
+        if !model.config().tuple_pruning {
+            // `score_candidates` ranks exactly the candidates `clean`
+            // evaluates: with every cell examined, its lists (less the
+            // observed value) sum to `candidates_evaluated`.
+            let cells =
+                (0..bench.dirty.num_rows()).flat_map(|r| (0..bench.dirty.num_columns()).map(move |c| (r, c)));
+            let scored: usize =
+                cells.map(|(r, c)| model.score_candidates(&bench.dirty, r, c).len() - 1).sum();
+            assert_eq!(scored, oneshot.stats.candidates_evaluated, "variant {variant:?}");
+        }
         for threads in [1usize, 2, 8] {
             let cleaner =
                 BClean::new(variant.config().with_threads(threads)).with_constraints(constraints.clone());
@@ -214,58 +224,6 @@ fn threaded_fit_and_clean_match_one_shot_for_every_variant() {
         }
     }
     assert!(total_repairs > 0, "the fixture must exercise actual repairs");
-}
-
-/// The candidate-pruning escape hatch: with `top_k` at or above every
-/// column's cardinality the clean is bit-identical to the exact default,
-/// and with an aggressively small `top_k` the pruned path actually prunes
-/// (fewer candidates evaluated) while examining the same cells.
-#[test]
-fn candidate_pruning_is_exact_above_cardinality_and_prunes_below() {
-    let bench = BenchmarkDataset::Hospital.build_sized(ROWS, SEED + 4);
-    let constraints = bclean_constraints(BenchmarkDataset::Hospital);
-    let fit =
-        |config: BCleanConfig| BClean::new(config).with_constraints(constraints.clone()).fit(&bench.dirty);
-    // `score_candidates` ranks exactly the candidates `clean` evaluates: PI
-    // examines every cell, so its lists (less the observed value) sum to
-    // `candidates_evaluated`.
-    let scored_candidates = |model: &BCleanModel| -> usize {
-        let cells =
-            (0..bench.dirty.num_rows()).flat_map(|r| (0..bench.dirty.num_columns()).map(move |c| (r, c)));
-        cells.map(|(r, c)| model.score_candidates(&bench.dirty, r, c).len() - 1).sum()
-    };
-    let exact_model = fit(Variant::PartitionedInference.config().with_threads(1));
-    let exact = exact_model.clean(&bench.dirty);
-    assert_eq!(scored_candidates(&exact_model), exact.stats.candidates_evaluated);
-
-    // No column's cardinality can exceed the row count, so this top-k keeps
-    // every candidate list intact and must reproduce the exact output.
-    let generous = fit(Variant::PartitionedInference
-        .config()
-        .with_threads(1)
-        .with_candidate_top_k(bench.dirty.num_rows()))
-    .clean(&bench.dirty);
-    assert_eq!(generous.repairs, exact.repairs);
-    assert_eq!(generous.cleaned, exact.cleaned);
-    assert_eq!(generous.stats.candidates_evaluated, exact.stats.candidates_evaluated);
-
-    // An aggressive top-k exercises the pruned enumeration for real.
-    let pruned_model = fit(Variant::PartitionedInference.config().with_threads(1).with_candidate_top_k(3));
-    let pruned = pruned_model.clean(&bench.dirty);
-    assert!(
-        pruned.stats.candidates_evaluated < exact.stats.candidates_evaluated,
-        "top-3 pruning must cut the candidate count ({} vs {})",
-        pruned.stats.candidates_evaluated,
-        exact.stats.candidates_evaluated
-    );
-    assert_eq!(pruned.stats.cells_examined, exact.stats.cells_examined);
-    assert_eq!(scored_candidates(&pruned_model), pruned.stats.candidates_evaluated);
-
-    // Pruned cleaning is still deterministic across thread counts.
-    let pruned_parallel = fit(Variant::PartitionedInference.config().with_threads(2).with_candidate_top_k(3))
-        .clean(&bench.dirty);
-    assert_eq!(pruned_parallel.repairs, pruned.repairs);
-    assert_eq!(pruned_parallel.cleaned, pruned.cleaned);
 }
 
 /// The out-of-core pipeline (`bclean_core::stream`): fitting and cleaning
