@@ -1,9 +1,9 @@
 //! A fast, deterministic hash for the crate's lookup-only maps keyed by
-//! codes: the structure learner's similarity memos and the sparse rows of
-//! [`crate::CompiledCpt`]. Neither map's iteration order is ever observed,
+//! codes: the structure learner's similarity memos and the configuration →
+//! row index of a [`crate::CompiledCpt`] whose configuration space is too
+//! large for a dense index. Neither map's iteration order is ever observed,
 //! and their keys are codes, not outside input, so they need no keyed
-//! hash. The std default, SipHash, cost more than the rest of a sparse
-//! CPT probe.
+//! hash. The std default, SipHash, cost more than the rest of a CPT probe.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

@@ -3,70 +3,75 @@
 //! [`crate::Cpt`] keys its learned counts by heap-allocated [`Value`]s, so
 //! every probability lookup during cleaning hashes (and, for parent
 //! configurations, clones) strings. [`CompiledCpt`] flattens each table into
-//! dense `Vec<f64>` rows of **pre-floored log probabilities** indexed by the
-//! dictionary codes of a [`ColumnDict`] slice, and [`CompiledNetwork`]
-//! mirrors the scoring entry points of [`BayesianNetwork`]
-//! (`blanket_log_score`, `children_log_likelihood`, `log_joint_with`) over
-//! `&[u32]` rows. The compiled scores are bit-identical to the `Value`-path
-//! scores: the same counts enter the same floating-point expressions in the
-//! same order, only the lookups change.
+//! **pre-floored log probabilities** addressed by the dictionary codes of a
+//! [`ColumnDict`] slice, and [`CompiledNetwork`] mirrors the scoring entry
+//! points of [`BayesianNetwork`] (`blanket_log_score`,
+//! `children_log_likelihood`, `log_joint_with`) over `&[u32]` rows. The
+//! compiled scores are bit-identical to the `Value`-path scores: the same
+//! counts enter the same floating-point expressions in the same order, only
+//! the lookups change.
 //!
 //! # Code layout
 //!
 //! The compilation relies on the code-order invariant of
 //! [`bclean_data::encoded`]: code `i < cardinality` of column `j` denotes the
 //! `i`-th sorted distinct non-null value of that column — the same order as
-//! `AttributeDomain`. Each compiled table row has
-//! `cardinality + 2` slots:
+//! `AttributeDomain`. The marginal is one dense row of `cardinality + 2`
+//! slots:
 //!
 //! * `0..cardinality` — the dictionary values, in code order;
 //! * `cardinality` — [`Value::Null`] (nulls are ordinary observations in the
 //!   learned counts);
 //! * `cardinality + 1` — the *zero-count* slot: the smoothed probability of
-//!   any value never observed under that configuration. Unseen codes
-//!   (`ColumnDict::unseen_code` and beyond) clamp onto this slot, which is
-//!   exactly the probability the `Value` path assigns them.
+//!   any value never observed. Unseen codes (`ColumnDict::unseen_code` and
+//!   beyond) clamp onto this slot, which is exactly the probability the
+//!   `Value` path assigns them.
 //!
 //! Parent configurations are mixed-radix indices over the parents' code
-//! spaces (`cardinality + 1`, nulls included). Small tables are stored dense
-//! (every configuration materialised, unobserved ones holding the marginal
-//! fallback row); large ones keep a `u128 → row` map over observed
-//! configurations only and fall back to the marginal row on misses — the
-//! same fallback [`crate::Cpt::prob`] applies to unseen parents.
-
-use std::collections::HashMap;
+//! spaces (`cardinality + 1`, nulls included). Only observed configurations
+//! have a row, in ascending index order. A row stores the log probability
+//! of each code observed under it, codes ascending, plus one *default*: the
+//! zero-count probability every other code of the row takes, unseen codes
+//! included. A configuration without a row — unobserved, or with an unseen
+//! parent code — scores through the marginal, the same fallback
+//! [`crate::Cpt::prob`] applies to unseen parents.
 
 use bclean_data::{ColumnDict, Value};
 
 use crate::codehash::CodeMap;
-use crate::counts::{config_space, CountLayout, NodeCounts};
+use crate::counts::{config_space, config_space_from_radices, offset, NodeCounts};
 use crate::cpt::Cpt;
 use crate::graph::Dag;
 use crate::network::BayesianNetwork;
 
-/// Maximum number of `f64` cells a dense table may occupy (8 MiB). Tables
-/// whose full mixed-radix configuration space would exceed this use the
-/// sparse observed-configuration layout instead. The budget is the
-/// workspace-wide [`bclean_data::DENSE_CELL_CAP`], shared with
-/// [`crate::counts`] so the counting and compiled layouts always agree.
-pub(crate) const DENSE_CELL_CAP: u128 = bclean_data::DENSE_CELL_CAP;
-
 /// Sentinel for "no parent override" in the internal scoring calls.
 const NO_OVERRIDE: usize = usize::MAX;
 
-/// How a compiled table addresses its parent-configuration rows.
+/// Configuration spaces of at most this many configurations find their
+/// rows through a dense `u32` index (at most 256 KiB per node); larger ones
+/// through a [`CodeMap`]. Measured on the Hospital benchmark inputs with a
+/// map for every node, serial cleans ran 17% slower on the 2×10⁴-row
+/// stream input and 12% slower on 16-row serving batches than with a dense
+/// table per node; with the dense index below this size they stayed within
+/// 0–6%. There, single-parent nodes have at most 492 configurations and
+/// multi-parent nodes 37,878 to 42,464,772, so the two kinds fall on either
+/// side.
+const DENSE_INDEX_CONFIGS: u128 = 1 << 16;
+
+/// A slot of the dense row index whose configuration has no row.
+const NO_ROW: u32 = u32::MAX;
+
+/// How a compiled table finds the row of a configuration index.
 #[derive(Debug, Clone)]
-enum CptLayout {
-    /// Every mixed-radix configuration has a row; unobserved configurations
-    /// hold a copy of the marginal fallback row.
-    Dense,
-    /// Only observed configurations have rows; the map yields the row offset
-    /// (in `f64` cells) and misses fall back to the marginal row. It hashes
-    /// with [`crate::codehash::CodeHasher`].
-    Sparse(CodeMap<u128, usize>),
+enum RowIndex {
+    /// One slot per configuration index: its row, or [`NO_ROW`].
+    Dense(Vec<u32>),
+    /// The rows of the observed configurations, hashed with
+    /// [`crate::codehash::CodeHasher`].
+    Map(CodeMap<u128, u32>),
 }
 
-/// One node's CPT compiled to code-indexed log-probability rows.
+/// One node's CPT compiled to code-indexed log probabilities.
 #[derive(Debug, Clone)]
 pub struct CompiledCpt {
     parents: Vec<usize>,
@@ -74,90 +79,63 @@ pub struct CompiledCpt {
     radices: Vec<u32>,
     /// Mixed-radix strides matching `radices`.
     strides: Vec<u128>,
-    /// Row width: node cardinality + null slot + zero-count slot.
-    value_space: usize,
-    /// Marginal fallback row (also the whole table for parentless nodes).
+    /// Marginal row, node cardinality + null slot + zero-count slot wide:
+    /// the fallback of every configuration without a row, and the whole
+    /// table of a parentless node.
     marginal: Vec<f64>,
-    /// Concatenated per-configuration rows, `value_space` cells each.
-    rows: Vec<f64>,
-    layout: CptLayout,
+    /// Where each observed configuration's row is.
+    index: RowIndex,
+    /// Per row: the log probability of every code the row does not list.
+    defaults: Vec<f64>,
+    /// Row `r` lists `codes[starts[r]..starts[r + 1]]` with the same slice
+    /// of `logs`.
+    starts: Vec<u32>,
+    /// The codes observed under each row's configuration, ascending.
+    codes: Vec<u32>,
+    /// Their log probabilities.
+    logs: Vec<f64>,
 }
 
 impl CompiledCpt {
     /// Compile one learned CPT against the dataset's dictionaries.
     pub fn compile(cpt: &Cpt, dicts: &[ColumnDict]) -> CompiledCpt {
-        CompiledCpt::compile_with_cap(cpt, dicts, DENSE_CELL_CAP)
-    }
-
-    /// Compilation with an explicit dense-layout budget (tests use a zero
-    /// budget to force the sparse layout).
-    fn compile_with_cap(cpt: &Cpt, dicts: &[ColumnDict], dense_cell_cap: u128) -> CompiledCpt {
         let node_dict = &dicts[cpt.node()];
         let value_space = node_dict.cardinality() + 2;
         let parents = cpt.parents().to_vec();
-        let (radices, strides, total_configs, overflow) = config_space(&parents, dicts);
+        let (radices, strides, _, _) = config_space(&parents, dicts);
 
-        // Replicates Cpt::marginal_prob bit-for-bit, then floors + logs the
-        // way every scoring caller does (`.max(1e-300).ln()`).
         let domain_size = cpt.domain_size();
-        let marginal_denom = cpt.marginal_total as f64 + cpt.alpha * domain_size as f64;
-        let marginal: Vec<f64> = (0..value_space)
-            .map(|slot| {
-                let count = slot_count(&cpt.marginal, node_dict, slot) as f64;
-                let p = if marginal_denom <= 0.0 {
-                    1.0 / domain_size as f64
-                } else {
-                    (count + cpt.alpha) / marginal_denom
-                };
-                p.max(1e-300).ln()
+        let marginal = log_marginals(value_space, cpt.marginal_total, cpt.alpha, domain_size, |slot| {
+            slot_value(node_dict, slot).map_or(0, |v| cpt.marginal.get(v).copied().unwrap_or(0)) as f64
+        });
+
+        // Observed configurations in index order, each with its codes
+        // ascending. A parent value outside its dictionary can never be
+        // produced by encoding a row against these dictionaries, so its
+        // configuration is unreachable from code space and dropped; so is a
+        // node value outside the node's dictionary.
+        let mut observed: Vec<_> = cpt
+            .table
+            .iter()
+            .filter_map(|(config, (counts, total))| {
+                let index = encode_config(config, &parents, &radices, &strides, dicts)?;
+                let mut run: Vec<(u32, usize)> = counts
+                    .iter()
+                    .filter_map(|(value, &count)| Some((node_dict.encode(value)?, count)))
+                    .collect();
+                run.sort_unstable();
+                Some((index, *total, run))
             })
             .collect();
+        observed.sort_unstable_by_key(|&(index, _, _)| index);
 
-        let dense = !overflow && total_configs.saturating_mul(value_space as u128) <= dense_cell_cap;
-        let mut rows: Vec<f64> = if dense {
-            // Unobserved configurations fall back to the marginal row; storing
-            // that row directly keeps the dense lookup branch-free.
-            let mut rows = Vec::with_capacity(total_configs as usize * value_space);
-            for _ in 0..total_configs {
-                rows.extend_from_slice(&marginal);
-            }
-            rows
-        } else {
-            Vec::new()
-        };
-        let mut sparse: CodeMap<u128, usize> = CodeMap::default();
-
-        for (config, (counts, total)) in &cpt.table {
-            let Some(index) = encode_config(config, &parents, &radices, &strides, dicts) else {
-                // A parent value outside its dictionary can never be produced
-                // by encoding a row against these dictionaries, so the
-                // configuration is unreachable from code space.
-                continue;
-            };
-            let offset = if dense {
-                index as usize * value_space
-            } else {
-                let offset = rows.len();
-                rows.resize(offset + value_space, 0.0);
-                sparse.insert(index, offset);
-                offset
-            };
+        let mut compiled = CompiledCpt::without_rows(parents, radices, strides, marginal);
+        for (_, total, run) in &observed {
             let denom = *total as f64 + cpt.alpha * domain_size as f64;
-            for slot in 0..value_space {
-                let count = slot_count(counts, node_dict, slot) as f64;
-                rows[offset + slot] = ((count + cpt.alpha) / denom).max(1e-300).ln();
-            }
+            compiled.push_row(denom, cpt.alpha, run.iter().map(|&(code, count)| (code, count as f64)));
         }
-
-        CompiledCpt {
-            parents,
-            radices,
-            strides,
-            value_space,
-            marginal,
-            rows,
-            layout: if dense { CptLayout::Dense } else { CptLayout::Sparse(sparse) },
-        }
+        compiled.index_rows(observed.iter().map(|&(index, _, _)| index));
+        compiled
     }
 
     /// Build the compiled table **directly** from code-space sufficient
@@ -166,87 +144,85 @@ impl CompiledCpt {
     /// [`CompiledCpt::compile`] applied to the equivalent [`Cpt`]: the same
     /// integer counts enter the same floating-point expressions.
     pub fn from_counts(counts: &NodeCounts, alpha: f64) -> CompiledCpt {
-        // Row width adds the zero-count slot to the node's decodable codes.
-        let value_space = counts.value_slots + 1;
+        // The marginal row adds the zero-count slot to the node's codes.
+        let value_space = counts.marginal.len() + 1;
         // Distinct observed values of the node (nulls are ordinary
         // observations), exactly `Cpt::domain_size`.
         let domain_size = counts.marginal.iter().filter(|&&c| c > 0).count().max(1);
-        let slot_count = |table: &[u32], slot: usize| -> f64 {
-            if slot < counts.value_slots {
-                table[slot] as f64
-            } else {
-                0.0
-            }
-        };
-
-        let marginal_denom = counts.total as f64 + alpha * domain_size as f64;
-        let marginal: Vec<f64> = (0..value_space)
-            .map(|slot| {
-                let count = slot_count(&counts.marginal, slot);
-                let p = if marginal_denom <= 0.0 {
-                    1.0 / domain_size as f64
-                } else {
-                    (count + alpha) / marginal_denom
-                };
-                p.max(1e-300).ln()
-            })
-            .collect();
-
-        let mut rows: Vec<f64> = Vec::new();
-        let mut sparse: CodeMap<u128, usize> = CodeMap::default();
-        let fill_row = |rows: &mut Vec<f64>, offset: usize, table: &[u32], total: u32| {
-            let denom = total as f64 + alpha * domain_size as f64;
-            for slot in 0..value_space {
-                rows[offset + slot] = ((slot_count(table, slot) + alpha) / denom).max(1e-300).ln();
-            }
-        };
-        if counts.parents.is_empty() {
-            // Parentless nodes score through the marginal row; keep the same
-            // single-row layout `compile` produces.
-            rows.extend_from_slice(&marginal);
-        } else {
-            match &counts.layout {
-                CountLayout::Dense { counts: tables, totals } => {
-                    rows.reserve(totals.len() * value_space);
-                    for _ in 0..totals.len() {
-                        rows.extend_from_slice(&marginal);
-                    }
-                    for (config, &total) in totals.iter().enumerate() {
-                        if total == 0 {
-                            continue;
-                        }
-                        let table = &tables[config * counts.value_slots..(config + 1) * counts.value_slots];
-                        fill_row(&mut rows, config * value_space, table, total);
-                    }
-                }
-                CountLayout::Sparse(map) => {
-                    for (&index, (table, total)) in map {
-                        let offset = rows.len();
-                        rows.resize(offset + value_space, 0.0);
-                        sparse.insert(index, offset);
-                        fill_row(&mut rows, offset, table, *total);
-                    }
-                }
-            }
-        }
-
-        CompiledCpt {
-            parents: counts.parents.clone(),
-            radices: counts.radices.clone(),
-            strides: counts.strides.clone(),
-            value_space,
+        let marginal = log_marginals(value_space, counts.total, alpha, domain_size, |slot| {
+            counts.marginal.get(slot).map_or(0.0, |&c| c as f64)
+        });
+        let mut compiled = CompiledCpt::without_rows(
+            counts.parents.clone(),
+            counts.radices.clone(),
+            counts.strides.clone(),
             marginal,
-            rows,
-            layout: if counts.dense { CptLayout::Dense } else { CptLayout::Sparse(sparse) },
+        );
+        for (_, codes, run_counts) in counts.runs() {
+            let total: u64 = run_counts.iter().map(|&c| c as u64).sum();
+            let denom = total as f64 + alpha * domain_size as f64;
+            compiled.push_row(denom, alpha, codes.iter().zip(run_counts).map(|(&code, &c)| (code, c as f64)));
+        }
+        compiled.index_rows(counts.configs.iter().copied());
+        compiled
+    }
+
+    /// A table with its marginal and no configuration rows yet.
+    fn without_rows(
+        parents: Vec<usize>,
+        radices: Vec<u32>,
+        strides: Vec<u128>,
+        marginal: Vec<f64>,
+    ) -> CompiledCpt {
+        CompiledCpt {
+            parents,
+            radices,
+            strides,
+            marginal,
+            index: RowIndex::Map(CodeMap::default()),
+            defaults: Vec::new(),
+            starts: vec![0],
+            codes: Vec::new(),
+            logs: Vec::new(),
         }
     }
 
-    /// Clamp a value code onto its row slot: dictionary codes map to
+    /// Append the next row from its configuration's denominator and its
+    /// `(code, count)` pairs, codes ascending: each probability is
+    /// `(count + alpha) / denom`, floored and logged as every scoring caller
+    /// does, and the default is that expression at count 0.
+    fn push_row(&mut self, denom: f64, alpha: f64, run: impl Iterator<Item = (u32, f64)>) {
+        let log = |count: f64| ((count + alpha) / denom).max(1e-300).ln();
+        self.defaults.push(log(0.0));
+        for (code, count) in run {
+            self.codes.push(code);
+            self.logs.push(log(count));
+        }
+        self.starts.push(offset(self.codes.len()));
+    }
+
+    /// Index the pushed rows by their configurations, one per row in row
+    /// order.
+    fn index_rows(&mut self, configs: impl Iterator<Item = u128>) {
+        let (_, total_configs, overflow) = config_space_from_radices(&self.radices);
+        let rows = configs.enumerate().map(|(row, index)| (index, row as u32));
+        self.index = if !overflow && total_configs <= DENSE_INDEX_CONFIGS {
+            let mut dense = vec![NO_ROW; total_configs as usize];
+            for (index, row) in rows {
+                dense[index as usize] = row;
+            }
+            RowIndex::Dense(dense)
+        } else {
+            RowIndex::Map(rows.collect())
+        };
+    }
+
+    /// Clamp a value code onto its marginal slot: dictionary codes map to
     /// themselves, the null code to the null slot, anything beyond (unseen
     /// codes) to the zero-count slot.
     #[inline]
     fn slot(&self, code: u32) -> usize {
-        (code as usize).min(self.value_space - 1)
+        (code as usize).min(self.marginal.len() - 1)
     }
 
     /// Pre-floored log marginal probability of a value code.
@@ -257,43 +233,56 @@ impl CompiledCpt {
 
     /// Pre-floored `log Pr[value | parents]`, reading parent codes from
     /// `codes` except that parent `override_node` (if any) reads
-    /// `override_code`. Falls back to the marginal row for configurations
-    /// outside the compiled table, exactly like [`crate::Cpt::prob`].
+    /// `override_code`. Falls back to the marginal for configurations
+    /// without a row, exactly like [`crate::Cpt::prob`].
     #[inline]
     fn log_prob(&self, codes: &[u32], value: u32, override_node: usize, override_code: u32) -> f64 {
         let config = self.parents.iter().map(|&p| if p == override_node { override_code } else { codes[p] });
-        self.row(config)[self.slot(value)]
+        self.log_in(self.row(config), value)
     }
 
-    /// The log-probability row of one parent configuration, given as the
-    /// parents' codes in parent order: the marginal row for parentless
-    /// nodes, unseen parent values and configurations outside the table.
+    /// The row of one parent configuration, given as the parents' codes in
+    /// parent order: `None` for parentless nodes, unseen parent values and
+    /// unobserved configurations, which all score through the marginal.
     #[inline]
-    fn row(&self, config: impl Iterator<Item = u32>) -> &[f64] {
+    fn row(&self, config: impl Iterator<Item = u32>) -> Option<usize> {
         if self.parents.is_empty() {
-            return &self.marginal;
+            return None;
         }
         let mut index: u128 = 0;
         for ((code, &radix), &stride) in config.zip(&self.radices).zip(&self.strides) {
             if code >= radix {
                 // Unseen parent value: no observed configuration can match.
-                return &self.marginal;
+                return None;
             }
             index += code as u128 * stride;
         }
-        match self.row_offset(index) {
-            Some(offset) => &self.rows[offset..offset + self.value_space],
-            None => &self.marginal,
-        }
+        self.row_at(index)
     }
 
-    /// Where the row of a mixed-radix configuration index starts, or `None`
-    /// when the sparse layout never observed it.
+    /// The row of a mixed-radix configuration index inside the space, or
+    /// `None` when the configuration was never observed.
     #[inline]
-    fn row_offset(&self, index: u128) -> Option<usize> {
-        match &self.layout {
-            CptLayout::Dense => Some(index as usize * self.value_space),
-            CptLayout::Sparse(map) => map.get(&index).copied(),
+    fn row_at(&self, index: u128) -> Option<usize> {
+        let row = match &self.index {
+            RowIndex::Dense(rows) => rows[index as usize],
+            RowIndex::Map(rows) => *rows.get(&index)?,
+        };
+        (row != NO_ROW).then_some(row as usize)
+    }
+
+    /// `log Pr[code | configuration]` given the configuration's row: the
+    /// marginal slot without a row, else the code's stored log
+    /// probability, or the row's default for a code it does not list.
+    #[inline]
+    fn log_in(&self, row: Option<usize>, code: u32) -> f64 {
+        let Some(row) = row else {
+            return self.marginal[self.slot(code)];
+        };
+        let run = self.starts[row] as usize..self.starts[row + 1] as usize;
+        match self.codes[run.clone()].binary_search(&code) {
+            Ok(i) => self.logs[run.start + i],
+            Err(_) => self.defaults[row],
         }
     }
 
@@ -306,29 +295,48 @@ impl CompiledCpt {
     }
 }
 
-/// Count of the value denoted by `slot` in a `Value`-keyed count map. Slots
-/// are dictionary codes (plus the trailing zero-count slot), so the mapping
-/// goes through the dictionary's own layout: the null code may trail the
-/// values (fresh dictionaries) or sit frozen mid-space (appended ones).
-fn slot_count(counts: &HashMap<Value, usize>, dict: &ColumnDict, slot: usize) -> usize {
+/// The pre-floored log marginal row of `value_space` slots from each
+/// slot's count: [`Cpt::marginal_prob`] bit for bit, floored and logged the
+/// way every scoring caller does (`.max(1e-300).ln()`).
+fn log_marginals(
+    value_space: usize,
+    total: usize,
+    alpha: f64,
+    domain_size: usize,
+    count: impl Fn(usize) -> f64,
+) -> Vec<f64> {
+    let denom = total as f64 + alpha * domain_size as f64;
+    (0..value_space)
+        .map(|slot| {
+            let p = if denom <= 0.0 { 1.0 / domain_size as f64 } else { (count(slot) + alpha) / denom };
+            p.max(1e-300).ln()
+        })
+        .collect()
+}
+
+/// The value denoted by marginal slot `slot`, if any. Slots are dictionary
+/// codes (plus the trailing zero-count slot), so the mapping goes through
+/// the dictionary's own layout: the null code may trail the values (fresh
+/// dictionaries) or sit frozen mid-space (appended ones).
+fn slot_value(dict: &ColumnDict, slot: usize) -> Option<&Value> {
     let code = slot as u32;
     if code == dict.null_code() {
-        counts.get(&Value::Null).copied().unwrap_or(0)
+        Some(&Value::Null)
     } else if dict.is_value_code(code) {
-        counts.get(&dict.values()[slot]).copied().unwrap_or(0)
+        Some(&dict.values()[slot])
     } else {
-        0
+        None
     }
 }
 
 /// One child's factor `log Pr[codes[child] | parents]` as a function of the
 /// code its parent `node` takes, with everything else resolved once: the
-/// slot of the child's own value and the mixed-radix base over its other
-/// parents. Scoring a candidate is then `base + code · stride` and one row
-/// read, or one sparse-map lookup.
+/// child's own code and the mixed-radix base over its other parents.
+/// Scoring a candidate is then `base + code · stride`, one row lookup and
+/// one search of that row.
 struct ChildFactor<'a> {
     cpt: &'a CompiledCpt,
-    slot: usize,
+    code: u32,
     /// `None` when another parent's code is unseen, so that no candidate
     /// can complete an observed configuration.
     base: Option<u128>,
@@ -338,8 +346,7 @@ struct ChildFactor<'a> {
 
 impl<'a> ChildFactor<'a> {
     fn new(cpt: &'a CompiledCpt, codes: &[u32], child: usize, node: usize) -> ChildFactor<'a> {
-        let mut factor =
-            ChildFactor { cpt, slot: cpt.slot(codes[child]), base: Some(0), stride: 0, radix: 0 };
+        let mut factor = ChildFactor { cpt, code: codes[child], base: Some(0), stride: 0, radix: 0 };
         for (i, &p) in cpt.parents.iter().enumerate() {
             if p == node {
                 factor.stride = cpt.strides[i];
@@ -356,16 +363,11 @@ impl<'a> ChildFactor<'a> {
     /// `log_prob(codes, codes[child], node, candidate)`, bit for bit.
     #[inline]
     fn log_prob(&self, candidate: u32) -> f64 {
-        let cpt = self.cpt;
-        match self.base {
-            Some(base) if candidate < self.radix => {
-                match cpt.row_offset(base + candidate as u128 * self.stride) {
-                    Some(offset) => cpt.rows[offset + self.slot],
-                    None => cpt.marginal[self.slot],
-                }
-            }
-            _ => cpt.marginal[self.slot],
-        }
+        let row = match self.base {
+            Some(base) if candidate < self.radix => self.cpt.row_at(base + candidate as u128 * self.stride),
+            _ => None,
+        };
+        self.cpt.log_in(row, self.code)
     }
 }
 
@@ -485,7 +487,7 @@ impl CompiledNetwork {
         let own = &self.nodes[node];
         let row = own.row(own.parents.iter().map(|&p| codes[p]));
         out.clear();
-        out.extend(candidates.iter().map(|&c| row[own.slot(c)]));
+        out.extend(candidates.iter().map(|&c| own.log_in(row, c)));
         self.add_children(codes, node, candidates, out);
     }
 
@@ -514,7 +516,7 @@ impl CompiledNetwork {
             if i == node {
                 let row = cpt.row(cpt.parents.iter().map(|&p| codes[p]));
                 for (score, &c) in out.iter_mut().zip(candidates) {
-                    *score += row[cpt.slot(c)];
+                    *score += cpt.log_in(row, c);
                 }
             } else if self.parents[i].contains(&node) {
                 let factor = ChildFactor::new(cpt, codes, i, node);
@@ -662,58 +664,59 @@ mod tests {
         }
     }
 
-    /// A zero dense budget forces the sparse observed-configuration layout;
-    /// scores (including null parents and marginal fallbacks) must not
-    /// change, and the batched scorers agree with the one-candidate ones
-    /// over both layouts. State has two parents, so Zip and Other each
-    /// score a child factor whose other parent is fixed, or unseen.
+    /// A two-parent node scores exactly like the `Value` path, compiled
+    /// from the learned CPT or from code counts: every code of the row, the
+    /// unseen code past it, and configurations with an unseen parent,
+    /// which score through the marginal. The batched scorers agree with the
+    /// one-candidate ones over both networks. State has two parents, so Zip
+    /// and Other each score a child factor whose other parent is fixed, or
+    /// unseen.
     #[test]
-    fn sparse_layout_matches_dense_scores() {
+    fn two_parent_scores_match_value_path() {
         let data = fd_dataset();
         let mut dag = Dag::new(3);
         dag.add_edge(0, 1).unwrap();
         dag.add_edge(2, 1).unwrap();
         let bn = BayesianNetwork::learn(&data, dag, 0.1);
         let encoded = EncodedDataset::from_dataset(&data);
-        let dense = CompiledCpt::compile(bn.cpt(1), encoded.dicts());
-        let sparse = CompiledCpt::compile_with_cap(bn.cpt(1), encoded.dicts(), 0);
-        assert!(matches!(dense.layout, CptLayout::Dense));
-        assert!(matches!(sparse.layout, CptLayout::Sparse(_)));
-        let dict = encoded.dict(1);
-        for r in 0..data.num_rows() {
-            let codes = encoded.row_codes(r);
-            for code in 0..=dict.unseen_code() {
-                assert_eq!(
-                    dense.log_prob(&codes, code, NO_OVERRIDE, 0).to_bits(),
-                    sparse.log_prob(&codes, code, NO_OVERRIDE, 0).to_bits(),
-                    "row {r} code {code}"
-                );
-            }
-        }
-        // An out-of-dictionary parent code misses both layouts identically.
-        let unseen_parent = [encoded.dict(0).unseen_code(), 0, 0];
-        assert_eq!(
-            dense.log_prob(&unseen_parent, 0, NO_OVERRIDE, 0).to_bits(),
-            sparse.log_prob(&unseen_parent, 0, NO_OVERRIDE, 0).to_bits()
-        );
-
         let dicts = encoded.dicts();
         let networks = [
             CompiledNetwork::compile(&bn, dicts),
             CompiledNetwork::from_parts(
-                (0..3).map(|n| CompiledCpt::compile_with_cap(bn.cpt(n), dicts, 0)).collect(),
+                (0..3)
+                    .map(|n| {
+                        CompiledCpt::from_counts(
+                            &NodeCounts::accumulate(&encoded, n, &bn.dag().parents(n)),
+                            0.1,
+                        )
+                    })
+                    .collect(),
                 bn.dag(),
             ),
         ];
-        assert!(matches!(networks[1].node(1).layout, CptLayout::Sparse(_)));
+        let dict = encoded.dict(1);
+        let unseen = Value::text("zz-unseen");
+        let value_of = |code: u32| if code == dict.unseen_code() { &unseen } else { dict.decode(code) };
         for net in &networks {
-            for r in 0..data.num_rows() {
+            let state = net.node(1);
+            for (r, row) in data.rows().enumerate() {
                 let codes = encoded.row_codes(r);
-                assert_batched_scores_match(net, &codes, dicts);
-                for parent in [0, 2] {
-                    let mut patched = codes.clone();
-                    patched[parent] = dicts[parent].unseen_code();
-                    assert_batched_scores_match(net, &patched, dicts);
+                for parent in [None, Some(0), Some(2)] {
+                    let (mut patched_row, mut patched_codes) = (row.to_vec(), codes.clone());
+                    if let Some(parent) = parent {
+                        patched_row[parent] = Value::text("99999");
+                        patched_codes[parent] = dicts[parent].unseen_code();
+                    }
+                    for code in 0..=dict.unseen_code() {
+                        let expected =
+                            bn.cpt(1).prob_given_row(value_of(code), &patched_row).max(1e-300).ln();
+                        assert_eq!(
+                            state.log_prob_row(&patched_codes, code).to_bits(),
+                            expected.to_bits(),
+                            "row {r} code {code} unseen parent {parent:?}"
+                        );
+                    }
+                    assert_batched_scores_match(net, &patched_codes, dicts);
                 }
             }
         }

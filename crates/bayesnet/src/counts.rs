@@ -12,25 +12,24 @@
 //! compiled table **directly** — no learn-in-`Value`-space-then-compile
 //! detour — scoring exactly like [`crate::Cpt::learn`] on the source dataset.
 //!
+//! # Layout
+//!
+//! Only what was observed is stored. The marginal holds one count per node
+//! code. The conditional counts are the observed parent configurations in
+//! ascending index order, each with a run of `(code, count)` pairs for the
+//! node codes it was observed with, ascending code: no table spans the
+//! configuration space and no run is as wide as the code space. A
+//! configuration's total is the sum of its run. The runs of equal counts
+//! are equal whatever order the rows arrived in, so absorbing any batch
+//! split reaches the one-shot state field for field.
+//!
 //! Per-node accumulation is independent, which is what lets the fit
 //! pipeline in `bclean-core` spread nodes across its `ParallelExecutor`.
 
-use std::collections::HashMap;
-
 use bclean_data::{ColumnDict, EncodedDataset};
 
-/// How the per-configuration counts are stored.
-#[derive(Debug, Clone)]
-pub(crate) enum CountLayout {
-    /// Every mixed-radix configuration has a slot row (`value_slots` wide)
-    /// plus a total; the configuration space fits the dense budget.
-    Dense { counts: Vec<u32>, totals: Vec<u32> },
-    /// Only observed configurations are stored.
-    Sparse(HashMap<u128, (Vec<u32>, u32)>),
-}
-
 /// Code-indexed sufficient statistics of one node: marginal value counts
-/// plus per-parent-configuration value counts.
+/// plus the value counts of every observed parent configuration.
 #[derive(Debug, Clone)]
 pub struct NodeCounts {
     pub(crate) node: usize,
@@ -39,89 +38,80 @@ pub struct NodeCounts {
     pub(crate) radices: Vec<u32>,
     /// Mixed-radix strides matching `radices`.
     pub(crate) strides: Vec<u128>,
-    /// Node code space: `cardinality + 1` (value codes plus the null slot).
-    pub(crate) value_slots: usize,
-    /// Marginal value counts, indexed by node code.
+    /// Marginal value counts, indexed by node code, over the node's code
+    /// space (`cardinality + 1`: value codes plus the null slot).
     pub(crate) marginal: Vec<u32>,
     /// Number of rows observed.
     pub(crate) total: usize,
-    /// Whether the *compiled* table will use the dense layout (the decision
-    /// is shared with [`crate::CompiledCpt`] so both layouts always agree).
-    pub(crate) dense: bool,
-    pub(crate) layout: CountLayout,
+    /// Observed parent configurations, ascending mixed-radix index (none
+    /// for a parentless node).
+    pub(crate) configs: Vec<u128>,
+    /// Configuration `i`'s run is `codes[offsets[i]..offsets[i + 1]]`
+    /// beside the same slice of `counts`.
+    pub(crate) offsets: Vec<u32>,
+    /// Node codes observed under each configuration, ascending per run.
+    pub(crate) codes: Vec<u32>,
+    /// The matching counts, all non-zero.
+    pub(crate) counts: Vec<u32>,
+}
+
+/// A `u32` run offset; the counts themselves are `u32`, so no node can
+/// hold more entries.
+pub(crate) fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("count entries fit the u32 counts")
 }
 
 impl NodeCounts {
-    /// Accumulate the statistics of `node` given `parents` in one pass over
-    /// the encoded columns: empty counts over the dictionaries' code spaces
+    /// Accumulate the statistics of `node` given `parents` over the encoded
+    /// columns: empty counts over the dictionaries' code spaces
     /// plus [`NodeCounts::absorb`] of every row. The dataset must be encoded
     /// against its own dictionaries (every code in range), as produced by
     /// [`EncodedDataset::from_dataset`].
     pub fn accumulate(encoded: &EncodedDataset, node: usize, parents: &[usize]) -> NodeCounts {
         let dicts = encoded.dicts();
-        let radices = parent_radices(parents, dicts);
-        let marginal = vec![0u32; dicts[node].code_space()];
-        let mut counts = NodeCounts::from_observed(node, parents.to_vec(), radices, marginal, 0, Vec::new());
+        let marginal = vec![0; dicts[node].code_space()];
+        let mut counts =
+            NodeCounts::without_runs(node, parents.to_vec(), parent_radices(parents, dicts), marginal, 0);
         counts.absorb(encoded, 0..encoded.num_rows());
         counts
     }
 
-    /// The one constructor: statistics with the given marginal and observed
-    /// parent configurations `(mixed-radix index, per-value counts, total)`,
-    /// laid out dense or sparse by the criterion shared with
-    /// [`crate::CompiledCpt`] (which has two extra slots per row: the null
-    /// slot is part of the marginal's width here, the zero-count slot never
-    /// holds a count). Every index must lie in the radices' configuration
-    /// space and every row must be as wide as the marginal.
-    fn from_observed(
+    /// Statistics with the given marginal and no configuration runs yet.
+    fn without_runs(
         node: usize,
         parents: Vec<usize>,
         radices: Vec<u32>,
         marginal: Vec<u32>,
         total: usize,
-        observed: Vec<(u128, Vec<u32>, u32)>,
     ) -> NodeCounts {
-        let value_slots = marginal.len();
-        let (strides, total_configs, overflow) = config_space_from_radices(&radices);
-        let dense = !overflow
-            && total_configs.saturating_mul(value_slots as u128 + 1) <= crate::compiled::DENSE_CELL_CAP;
-        let layout = if parents.is_empty() {
-            CountLayout::Dense { counts: Vec::new(), totals: Vec::new() }
-        } else if dense {
-            let configs = total_configs as usize;
-            let mut counts = vec![0u32; configs * value_slots];
-            let mut totals = vec![0u32; configs];
-            for (index, row, config_total) in observed {
-                let config = index as usize;
-                counts[config * value_slots..(config + 1) * value_slots].copy_from_slice(&row);
-                totals[config] = config_total;
-            }
-            CountLayout::Dense { counts, totals }
-        } else {
-            CountLayout::Sparse(
-                observed.into_iter().map(|(index, row, config_total)| (index, (row, config_total))).collect(),
-            )
-        };
-        NodeCounts { node, parents, radices, strides, value_slots, marginal, total, dense, layout }
+        let (strides, _, _) = config_space_from_radices(&radices);
+        let (configs, offsets, codes, counts) = (Vec::new(), vec![0], Vec::new(), Vec::new());
+        NodeCounts { node, parents, radices, strides, marginal, total, configs, offsets, codes, counts }
     }
 
-    /// The observed parent configurations `(mixed-radix index, per-value
-    /// counts, total)`, in no particular order.
-    fn observed_configs(&self) -> Vec<(u128, Vec<u32>, u32)> {
-        let slots = self.value_slots;
-        match &self.layout {
-            CountLayout::Dense { counts, totals } => totals
-                .iter()
-                .enumerate()
-                .filter(|(_, &total)| total > 0)
-                .map(|(config, &total)| {
-                    (config as u128, counts[config * slots..(config + 1) * slots].to_vec(), total)
-                })
-                .collect(),
-            CountLayout::Sparse(map) => {
-                map.iter().map(|(&index, (row, total))| (index, row.clone(), *total)).collect()
-            }
+    /// The observed parent configurations as `(mixed-radix index, codes,
+    /// counts)`, ascending index.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (u128, &[u32], &[u32])> {
+        self.configs.iter().zip(self.offsets.windows(2)).map(|(&index, run)| {
+            let run = run[0] as usize..run[1] as usize;
+            (index, &self.codes[run.clone()], &self.counts[run])
+        })
+    }
+
+    /// Append a `(configuration, code, count)` entry to the runs. Entries
+    /// must arrive in `(configuration, code)` order; one equal to the last
+    /// in both adds its count to it.
+    fn push(&mut self, (index, code, count): (u128, u32, u32)) {
+        if self.configs.last() != Some(&index) {
+            self.configs.push(index);
+            self.offsets.push(offset(self.codes.len()));
+        } else if self.codes.last() == Some(&code) {
+            *self.counts.last_mut().expect("the run holds this code") += count;
+            return;
         }
+        self.codes.push(code);
+        self.counts.push(count);
+        *self.offsets.last_mut().expect("offsets start at 0") = offset(self.codes.len());
     }
 
     /// The node these statistics describe.
@@ -134,6 +124,16 @@ impl NodeCounts {
         &self.parents
     }
 
+    /// The node's code space the counts cover (`cardinality + 1`).
+    pub fn value_slots(&self) -> usize {
+        self.marginal.len()
+    }
+
+    /// The parents' code spaces the configurations are addressed over.
+    pub fn radices(&self) -> &[u32] {
+        &self.radices
+    }
+
     /// Number of rows absorbed into the counts.
     pub fn rows_absorbed(&self) -> usize {
         self.total
@@ -141,43 +141,35 @@ impl NodeCounts {
 
     /// Grow the counts to the dictionaries' current code spaces after a
     /// batch append. Appends only ever add codes at the tail of a column's
-    /// code space, so existing counts keep their (decomposed) coordinates:
-    /// the marginal extends with zero slots, every stored configuration row
-    /// widens, and parent configurations are re-addressed from the old
-    /// mixed-radix strides to the new ones. The layout is rebuilt by the
-    /// constructor every count goes through, so it always matches what a
-    /// fresh [`NodeCounts::accumulate`] over the grown dictionaries would
-    /// choose. Returns `true` when anything changed.
+    /// code space, so existing counts keep their codes and their
+    /// configurations' digits: the marginal extends with zero slots and
+    /// each configuration is re-addressed from the old mixed-radix strides
+    /// to the new ones. Re-addressing keeps the configurations' order,
+    /// since the digits compare the same way under either radices. Returns
+    /// `true` when anything changed.
     pub fn ensure_code_spaces(&mut self, dicts: &[ColumnDict]) -> bool {
         let new_slots = dicts[self.node].code_space();
         let new_radices = parent_radices(&self.parents, dicts);
-        if new_slots == self.value_slots && new_radices == self.radices {
+        if new_slots == self.marginal.len() && new_radices == self.radices {
             return false;
         }
         debug_assert!(
-            new_slots >= self.value_slots && new_radices.iter().zip(&self.radices).all(|(n, o)| n >= o),
+            new_slots >= self.marginal.len() && new_radices.iter().zip(&self.radices).all(|(n, o)| n >= o),
             "code spaces never shrink"
         );
         let (new_strides, _, _) = config_space_from_radices(&new_radices);
-        let remap = |old_index: u128| -> u128 {
+        for index in &mut self.configs {
+            let old_index = *index;
             let old_addressing = self.strides.iter().zip(&self.radices);
-            old_addressing
+            *index = old_addressing
                 .zip(&new_strides)
                 .map(|((&stride, &radix), &new_stride)| (old_index / stride) % radix as u128 * new_stride)
-                .sum()
-        };
-        let observed = self
-            .observed_configs()
-            .into_iter()
-            .map(|(index, mut row, total)| {
-                row.resize(new_slots, 0);
-                (remap(index), row, total)
-            })
-            .collect();
-        let mut marginal = std::mem::take(&mut self.marginal);
-        marginal.resize(new_slots, 0);
-        let parents = std::mem::take(&mut self.parents);
-        *self = NodeCounts::from_observed(self.node, parents, new_radices, marginal, self.total, observed);
+                .sum();
+        }
+        debug_assert!(self.configs.windows(2).all(|w| w[0] < w[1]), "re-addressing keeps the order");
+        self.marginal.resize(new_slots, 0);
+        self.radices = new_radices;
+        self.strides = new_strides;
         true
     }
 
@@ -191,44 +183,31 @@ impl NodeCounts {
         for &code in node_codes {
             self.marginal[code as usize] += 1;
         }
-        let parent_codes: Vec<&[u32]> =
-            self.parents.iter().map(|&p| &encoded.column(p)[rows.clone()]).collect();
-        let slots = self.value_slots;
-        // The layout is matched once, outside the row loops.
-        match &mut self.layout {
-            _ if parent_codes.is_empty() => {}
-            CountLayout::Dense { counts, totals } => {
-                // A dense configuration space fits the cell cap, so its
-                // strides fit `usize`.
-                let strides: Vec<usize> = self.strides.iter().map(|&s| s as usize).collect();
-                for (offset, &code) in node_codes.iter().enumerate() {
-                    let mut config = 0usize;
-                    for (codes, &stride) in parent_codes.iter().zip(&strides) {
-                        config += codes[offset] as usize * stride;
-                    }
-                    counts[config * slots + code as usize] += 1;
-                    totals[config] += 1;
-                }
-            }
-            CountLayout::Sparse(map) => {
-                for (offset, &code) in node_codes.iter().enumerate() {
-                    let mut index = 0u128;
-                    for (codes, &stride) in parent_codes.iter().zip(&self.strides) {
-                        index += codes[offset] as u128 * stride;
-                    }
-                    let entry = map.entry(index).or_insert_with(|| (vec![0u32; slots], 0));
-                    entry.0[code as usize] += 1;
-                    entry.1 += 1;
-                }
+        self.total += rows.len();
+        if self.parents.is_empty() || rows.is_empty() {
+            return;
+        }
+        // The stored entries and one per row, sorted: equal (configuration,
+        // code) pairs are adjacent and add up as they are pushed back.
+        let stored = self.runs().flat_map(|(index, codes, counts)| {
+            codes.iter().zip(counts).map(move |(&code, &count)| (index, code, count))
+        });
+        let mut entries: Vec<(u128, u32, u32)> = stored.collect();
+        let batch = entries.len();
+        entries.extend(node_codes.iter().map(|&code| (0, code, 1)));
+        for (&parent, &stride) in self.parents.iter().zip(&self.strides) {
+            for (entry, &code) in entries[batch..].iter_mut().zip(&encoded.column(parent)[rows.clone()]) {
+                entry.0 += code as u128 * stride;
             }
         }
-        self.total += rows.len();
+        entries.sort_unstable();
+        (self.configs, self.offsets, self.codes, self.counts) = (Vec::new(), vec![0], Vec::new(), Vec::new());
+        entries.into_iter().for_each(|entry| self.push(entry));
     }
 }
 
 /// Mixed-radix addressing of a parent set over the dictionaries: radices,
-/// strides, total configuration count and an overflow flag (shared between
-/// the counting and compiled layers so their layout decisions agree).
+/// strides, total configuration count and an overflow flag.
 pub(crate) fn config_space(parents: &[usize], dicts: &[ColumnDict]) -> (Vec<u32>, Vec<u128>, u128, bool) {
     let radices = parent_radices(parents, dicts);
     let (strides, total_configs, overflow) = config_space_from_radices(&radices);
@@ -261,11 +240,10 @@ pub(crate) fn config_space_from_radices(radices: &[u32]) -> (Vec<u128>, u128, bo
 }
 
 /// Plain-data snapshot of one node's sufficient statistics — the persistent
-/// form of [`NodeCounts`]. Only *observed* parent configurations are
-/// carried (sorted by mixed-radix index, so equal statistics always
-/// snapshot to equal bytes); strides and the dense/sparse layout decision
-/// are derived state, recomputed on restore through the same shared
-/// criterion the accumulators use.
+/// form of [`NodeCounts`]. It carries the observed parent configurations
+/// with their runs, sorted, so equal statistics always snapshot to equal
+/// bytes; strides and configuration totals are derived state, recomputed
+/// on restore.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CountsSnapshot {
     /// The node (column) these statistics describe.
@@ -280,32 +258,36 @@ pub struct CountsSnapshot {
     pub marginal: Vec<u32>,
     /// Rows absorbed.
     pub total: usize,
-    /// Observed parent configurations: `(mixed-radix index, per-value
-    /// counts, total)`, sorted by index.
-    pub configs: Vec<(u128, Vec<u32>, u32)>,
+    /// Observed parent configurations, ascending mixed-radix index, each
+    /// with its `(node code, count)` pairs: ascending code, non-zero
+    /// counts.
+    pub configs: Vec<(u128, Vec<(u32, u32)>)>,
 }
 
 impl NodeCounts {
     /// Export the statistics as their plain-data persistent form.
     pub fn snapshot(&self) -> CountsSnapshot {
-        let mut configs = self.observed_configs();
-        configs.sort_by_key(|&(index, _, _)| index);
         CountsSnapshot {
             node: self.node,
             parents: self.parents.clone(),
             radices: self.radices.clone(),
-            value_slots: self.value_slots,
+            value_slots: self.marginal.len(),
             marginal: self.marginal.clone(),
             total: self.total,
-            configs,
+            configs: self
+                .runs()
+                .map(|(index, codes, counts)| {
+                    (index, codes.iter().copied().zip(counts.iter().copied()).collect())
+                })
+                .collect(),
         }
     }
 
     /// Rebuild statistics from a snapshot, recomputing the derived state
-    /// (strides, dense/sparse layout) through the shared criterion so the
-    /// result is field-for-field identical to the accumulator that produced
-    /// the snapshot. Errors describe the first inconsistency (the store
-    /// layer maps them to its typed corruption error).
+    /// (strides) so the result is field-for-field identical to the
+    /// accumulator that produced the snapshot. Errors describe the first
+    /// inconsistency (the store layer maps them to its typed corruption
+    /// error).
     pub fn from_snapshot(snapshot: CountsSnapshot) -> Result<NodeCounts, String> {
         let CountsSnapshot { node, parents, radices, value_slots, marginal, total, configs } = snapshot;
         if parents.len() != radices.len() {
@@ -324,26 +306,34 @@ impl NodeCounts {
         if !configs.windows(2).all(|w| w[0].0 < w[1].0) {
             return Err("configurations must be sorted by index and distinct".to_string());
         }
-        let mut config_total = 0u64;
-        for &(index, ref row, config_count) in &configs {
+        let mut counts = NodeCounts::without_runs(node, parents, radices, marginal, total);
+        let mut by_code = vec![0u64; value_slots];
+        for (index, run) in configs {
             if !overflow && index >= total_configs {
                 return Err(format!("configuration index {index} outside space {total_configs}"));
             }
-            if row.len() != value_slots {
-                return Err(format!("configuration row of {} slots, expected {value_slots}", row.len()));
-            }
-            if row.iter().map(|&c| c as u64).sum::<u64>() != config_count as u64 {
-                return Err("configuration counts do not sum to the configuration total".to_string());
-            }
-            if config_count == 0 {
+            if run.is_empty() {
                 return Err("snapshot carries an unobserved configuration".to_string());
             }
-            config_total += config_count as u64;
+            if !run.windows(2).all(|w| w[0].0 < w[1].0) {
+                return Err(format!("run of configuration {index} is not sorted by code and distinct"));
+            }
+            for (code, count) in run {
+                if code as usize >= value_slots {
+                    return Err(format!("code {code} outside the code space of {value_slots}"));
+                }
+                if count == 0 {
+                    return Err(format!("configuration {index} carries a zero count"));
+                }
+                by_code[code as usize] += count as u64;
+                counts.push((index, code, count));
+            }
         }
-        if !parents.is_empty() && config_total != total as u64 {
-            return Err("configuration totals do not sum to the absorbed row count".to_string());
+        let marginal_by_code = counts.marginal.iter().map(|&c| c as u64);
+        if !counts.parents.is_empty() && !by_code.into_iter().eq(marginal_by_code) {
+            return Err("configuration counts do not sum to the marginal counts".to_string());
         }
-        Ok(NodeCounts::from_observed(node, parents, radices, marginal, total, configs))
+        Ok(counts)
     }
 }
 
@@ -426,12 +416,12 @@ mod tests {
         }
     }
 
-    /// Large parent spaces must take the sparse counting layout and still
-    /// reproduce the `Value`-learned tables.
+    /// Large parent spaces store only their observed configurations and
+    /// still reproduce the `Value`-learned tables.
     #[test]
     fn sparse_counting_layout_matches() {
-        // Two high-cardinality parents: 601 × 601 configurations over the
-        // child's 4 row slots exceed the dense budget.
+        // Two high-cardinality parents: 601 × 601 configurations, of which
+        // the 600 rows observe one each.
         let rows: Vec<Vec<String>> = (0..600)
             .map(|i| vec![format!("k{i:03}"), format!("b{i:03}"), if i % 2 == 0 { "x" } else { "y" }.into()])
             .collect();
@@ -439,7 +429,15 @@ mod tests {
         let data = dataset_from(&["a", "b", "c"], &refs);
         let encoded = EncodedDataset::from_dataset(&data);
         let counts = NodeCounts::accumulate(&encoded, 2, &[0, 1]);
-        assert!(!counts.dense, "601 × 601 parent configs must overflow the dense budget");
+        // Row `i` reads codes (i, i) of the parents, so its configuration is
+        // `i + 601 i`, and its run is its one child code.
+        let expected: Vec<u128> = (0..600).map(|i| i + 601 * i).collect();
+        assert_eq!(counts.configs, expected);
+        assert_eq!(counts.offsets, (0..=600).collect::<Vec<u32>>());
+        let x = encoded.dict(2).encode(&Value::text("x")).unwrap();
+        let y = encoded.dict(2).encode(&Value::text("y")).unwrap();
+        assert_eq!(counts.codes, (0..600).map(|i| if i % 2 == 0 { x } else { y }).collect::<Vec<_>>());
+        assert_eq!(counts.counts, vec![1; 600]);
         let learned = Cpt::learn(&data, 2, &[0, 1], 0.5);
         let counted = CompiledCpt::from_counts(&counts, 0.5);
         let dict = encoded.dict(2);
@@ -510,9 +508,9 @@ mod tests {
         }
     }
 
-    /// Snapshot → restore must be field-for-field lossless for dense,
-    /// sparse and parentless layouts, and the restored statistics must
-    /// produce bit-identical compiled tables.
+    /// Snapshot → restore must be field-for-field lossless for parentless,
+    /// one- and two-parent nodes and a large configuration space, and the
+    /// restored statistics must produce bit-identical compiled tables.
     #[test]
     fn snapshot_round_trip_is_lossless() {
         let data = fixture();
@@ -523,7 +521,6 @@ mod tests {
             assert_eq!(restored.node(), counts.node());
             assert_eq!(restored.parents(), counts.parents());
             assert_eq!(restored.rows_absorbed(), counts.rows_absorbed());
-            assert_eq!(restored.dense, counts.dense);
             assert_eq!(restored.snapshot(), counts.snapshot());
             let original = CompiledCpt::from_counts(&counts, 0.1);
             let rebuilt = CompiledCpt::from_counts(&restored, 0.1);
@@ -537,7 +534,7 @@ mod tests {
                 }
             }
         }
-        // The sparse layout round-trips too.
+        // A 601 × 601 configuration space round-trips too.
         let rows: Vec<Vec<String>> = (0..600)
             .map(|i| vec![format!("k{i:03}"), format!("b{i:03}"), if i % 2 == 0 { "x" } else { "y" }.into()])
             .collect();
@@ -545,9 +542,7 @@ mod tests {
         let big = dataset_from(&["a", "b", "c"], &refs);
         let encoded = EncodedDataset::from_dataset(&big);
         let counts = NodeCounts::accumulate(&encoded, 2, &[0, 1]);
-        assert!(!counts.dense);
         let restored = NodeCounts::from_snapshot(counts.snapshot()).unwrap();
-        assert!(!restored.dense);
         assert_eq!(restored.snapshot(), counts.snapshot());
     }
 
@@ -562,17 +557,11 @@ mod tests {
             ("radices arity", Box::new(|s| s.radices.push(3))),
             ("marginal width", Box::new(|s| s.marginal.push(0))),
             ("marginal sum", Box::new(|s| s.marginal[0] += 1)),
-            ("row width", Box::new(|s| s.configs[0].1.push(0))),
-            ("row sum", Box::new(|s| s.configs[0].1[0] += 1)),
+            ("code outside the space", Box::new(|s| s.configs[0].1.push((s.value_slots as u32, 1)))),
+            ("run sum", Box::new(|s| s.configs[0].1[0].1 += 1)),
             ("config order", Box::new(|s| s.configs.reverse())),
             ("index range", Box::new(|s| s.configs.last_mut().unwrap().0 = u128::MAX / 2)),
-            (
-                "zero config",
-                Box::new(|s| {
-                    s.configs[0].2 = 0;
-                    s.configs[0].1.iter_mut().for_each(|c| *c = 0);
-                }),
-            ),
+            ("empty run", Box::new(|s| s.configs[0].1.clear())),
             ("parentless with configs", Box::new(|s| s.parents.clear())),
         ];
         for (what, mutate) in mutations {

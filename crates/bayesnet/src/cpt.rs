@@ -22,8 +22,8 @@ pub struct Cpt {
     parents: Vec<usize>,
     /// parent assignment -> (value counts, total count)
     ///
-    /// `pub(crate)` so [`crate::compiled::CompiledCpt`] can flatten the
-    /// learned counts into dense code-indexed tables.
+    /// `pub(crate)` so [`crate::compiled::CompiledCpt`] can compile the
+    /// learned counts into code-indexed tables.
     pub(crate) table: HashMap<Vec<Value>, (HashMap<Value, usize>, usize)>,
     /// marginal value counts (used for parentless nodes and unseen parents)
     pub(crate) marginal: HashMap<Value, usize>,

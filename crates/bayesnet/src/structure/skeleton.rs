@@ -18,7 +18,7 @@
 //! always repair a wrong orientation through the network editor, exactly as
 //! the paper's user-interaction step does.
 
-use bclean_data::{mode_share, AttrType, Dataset, Domains, EncodedDataset, PairCounts};
+use bclean_data::{cooc, mode_share, AttrType, Dataset, Domains, EncodedDataset};
 use bclean_linalg::{correlation_matrix, graphical_lasso, ldl, GlassoConfig, Matrix};
 
 use crate::graph::Dag;
@@ -113,9 +113,9 @@ pub fn learn_structure(dataset: &Dataset, config: StructureConfig) -> LearnedStr
 /// dictionary-encoded dataset. Sampling runs through the memoised
 /// [`similarity_samples_encoded`], the cardinality ordering reads the
 /// dictionaries directly, and the low-lift edge pruning replaces its
-/// `Value` hash-map groupings with dense [`PairCounts`] contingency tables —
-/// every step reproduces its `Value`-path twin bit-for-bit, so the learned
-/// structure is the same [`LearnedStructure`].
+/// `Value` hash-map groupings with passes over the code columns
+/// ([`cooc::fd_confidence`]) — every step reproduces its `Value`-path twin
+/// bit-for-bit, so the learned structure is the same [`LearnedStructure`].
 ///
 /// `types` are the schema attribute types in column order (the encoding
 /// itself carries no schema).
@@ -155,16 +155,16 @@ pub fn learn_structure_encoded(
     LearnedStructure { dag, weights, precision, ordering }
 }
 
-/// Code-space [`prune_low_lift_edges`]: softened-FD confidence from a
-/// [`PairCounts`] contingency table per surviving edge, marginal mode share
-/// from the column code counts — the same integer ratios the `Value`
-/// groupings produce.
+/// Code-space [`prune_low_lift_edges`]: softened-FD confidence from one
+/// counting sort of the edge's code columns ([`cooc::fd_confidence`]),
+/// marginal mode share from the column code counts — the same integer
+/// ratios the `Value` groupings produce.
 fn prune_low_lift_edges_encoded(encoded: &EncodedDataset, dag: &mut Dag, min_lift: f64) {
     if encoded.num_rows() == 0 || min_lift <= 0.0 {
         return;
     }
     for (from, to) in dag.edges() {
-        let conf = PairCounts::from_encoded(encoded, from, to).fd_confidence();
+        let conf = cooc::fd_confidence(encoded, from, to);
         let baseline = mode_share(encoded, to);
         if conf < baseline + min_lift && conf < 0.999 {
             let _ = dag.remove_edge(from, to);

@@ -1,9 +1,10 @@
 //! Property-based tests for the Bayesian network crate.
 
 use bclean_bayesnet::{
-    edit_similarity, learn_structure, levenshtein, numeric_similarity, BayesianNetwork, Dag, StructureConfig,
+    edit_similarity, learn_structure, levenshtein, numeric_similarity, BayesianNetwork, CompiledCpt,
+    CompiledNetwork, Cpt, Dag, NodeCounts, StructureConfig,
 };
-use bclean_data::{dataset_from, Value};
+use bclean_data::{dataset_from, Dataset, EncodedDataset, Value};
 use proptest::prelude::*;
 
 fn word() -> impl Strategy<Value = String> {
@@ -96,6 +97,170 @@ proptest! {
         prop_assert!(learned.dag.is_acyclic());
         for node in 0..3 {
             prop_assert!(learned.dag.parents(node).len() <= 3);
+        }
+    }
+}
+
+/// A small deterministic generator for the table contents of one case.
+struct Lcg(u64);
+
+impl Lcg {
+    fn below(&mut self, bound: usize) -> usize {
+        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        ((self.0 >> 33) % bound as u64) as usize
+    }
+}
+
+/// A table whose last column has `parents` parent columns before it. Wide
+/// tables give every parent enough distinct values that the configuration
+/// space exceeds 2^16 (for two or three parents); narrow ones draw from a
+/// handful of values, so configurations repeat and runs hold several codes.
+/// About one cell in eight is null.
+fn random_table(parents: usize, wide: bool, seed: u64) -> Dataset {
+    let mut rng = Lcg(seed);
+    let cards: Vec<usize> = (0..parents)
+        .map(|_| match (wide, parents) {
+            (false, _) => 1 + rng.below(8),
+            (true, 1) => 100 + rng.below(100),
+            (true, 2) => 256 + rng.below(40),
+            (true, _) => 41 + rng.below(20),
+        })
+        .collect();
+    let child_card = 1 + rng.below(6);
+    let rows = cards.iter().copied().max().unwrap_or(0) + 20 + rng.below(60);
+    let cell = |rng: &mut Lcg, prefix: &str, card: usize| {
+        if rng.below(8) == 0 {
+            String::new()
+        } else {
+            format!("{prefix}{}", rng.below(card))
+        }
+    };
+    let raw: Vec<Vec<String>> = (0..rows)
+        .map(|r| {
+            let mut row: Vec<String> = cards
+                .iter()
+                .enumerate()
+                .map(|(j, &card)| match wide && r < card {
+                    // The first `card` rows cover every value of a wide column.
+                    true => format!("p{j}-{r}"),
+                    false => cell(&mut rng, &format!("p{j}-"), card),
+                })
+                .collect();
+            row.push(cell(&mut rng, "c", child_card));
+            row
+        })
+        .collect();
+    let names: Vec<String> = (0..=parents).map(|j| format!("col{j}")).collect();
+    let names: Vec<&str> = names.iter().map(|n| n.as_str()).collect();
+    let refs: Vec<Vec<&str>> = raw.iter().map(|r| r.iter().map(|s| s.as_str()).collect()).collect();
+    dataset_from(&names, &refs)
+}
+
+/// Rows `range` of `data` as a dataset of their own.
+fn slice(data: &Dataset, range: std::ops::Range<usize>) -> Dataset {
+    let mut out = Dataset::new(data.schema().clone());
+    for r in range {
+        out.push_row(data.row(r).unwrap().to_vec()).unwrap();
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Counts accumulated in one shot, and by absorbing random batch splits
+    /// into dictionaries that grow between batches, are equal snapshot for
+    /// snapshot and round-trip through `from_snapshot`; compiled, they score
+    /// every code (null and unseen included) exactly like the `Value`-path
+    /// CPT compiled against the same dictionaries, through every
+    /// one-candidate and batched scorer, also with unseen parent codes.
+    #[test]
+    fn counted_tables_match_value_learning(
+        parents in 1usize..4,
+        wide in any::<bool>(),
+        seed in 0u64..u64::MAX,
+        alpha in 0.05f64..2.0,
+    ) {
+        let data = random_table(parents, wide, seed);
+        let n = data.num_rows();
+        let m = parents + 1;
+        let child = parents;
+        let mut rng = Lcg(seed ^ 0x5eed);
+        let mut cuts: Vec<usize> = (0..1 + rng.below(4)).map(|_| rng.below(n + 1)).collect();
+        cuts.push(0);
+        cuts.push(n);
+        cuts.sort_unstable();
+        let mut encoded = EncodedDataset::from_dataset(&slice(&data, 0..cuts[1]));
+        let mut dag = Dag::new(m);
+        for p in 0..parents {
+            dag.add_edge(p, child).unwrap();
+        }
+        let mut split: Vec<NodeCounts> =
+            (0..m).map(|node| NodeCounts::accumulate(&encoded, node, &dag.parents(node))).collect();
+        for batch in cuts[1..].windows(2) {
+            let rows = encoded.append_batch(&slice(&data, batch[0]..batch[1]));
+            for counts in &mut split {
+                counts.absorb(&encoded, rows.clone());
+            }
+        }
+        let dicts = encoded.dicts();
+        let configs: u128 = (0..parents).map(|p| dicts[p].code_space() as u128).product();
+        if wide && parents > 1 {
+            prop_assert!(configs > 1 << 16, "{configs} configurations");
+        }
+        if !wide || parents == 1 {
+            prop_assert!(configs <= 1 << 16, "{configs} configurations");
+        }
+        for (node, counts) in split.iter().enumerate() {
+            let oneshot = NodeCounts::accumulate(&encoded, node, &dag.parents(node));
+            prop_assert_eq!(counts.snapshot(), oneshot.snapshot());
+            prop_assert_eq!(counts.rows_absorbed(), n);
+            let restored = NodeCounts::from_snapshot(counts.snapshot()).unwrap();
+            prop_assert_eq!(restored.snapshot(), counts.snapshot());
+        }
+
+        let counted = CompiledNetwork::from_parts(
+            split.iter().map(|counts| CompiledCpt::from_counts(counts, alpha)).collect(),
+            &dag,
+        );
+        let learned = CompiledNetwork::from_parts(
+            (0..m).map(|node| CompiledCpt::compile(&Cpt::learn(&data, node, &dag.parents(node), alpha), dicts)).collect(),
+            &dag,
+        );
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for r in (0..n).step_by(1 + n / 24) {
+            let codes: Vec<u32> = data.row(r).unwrap().iter().zip(dicts).map(|(v, d)| d.encode(v).unwrap()).collect();
+            let mut probes = vec![codes.clone()];
+            for p in 0..parents {
+                let mut patched = codes.clone();
+                patched[p] = dicts[p].unseen_code();
+                probes.push(patched);
+            }
+            for codes in &probes {
+                for (node, dict) in dicts.iter().enumerate() {
+                    let candidates: Vec<u32> = (0..=dict.unseen_code()).collect();
+                    for &c in &candidates {
+                        prop_assert_eq!(
+                            counted.node(node).log_prob_row(codes, c).to_bits(),
+                            learned.node(node).log_prob_row(codes, c).to_bits(),
+                            "node {} row {} code {}", node, r, c
+                        );
+                        prop_assert_eq!(counted.log_marginal(node, c).to_bits(), learned.log_marginal(node, c).to_bits());
+                    }
+                    counted.blanket_log_scores(codes, node, &candidates, &mut got);
+                    learned.blanket_log_scores(codes, node, &candidates, &mut want);
+                    prop_assert!(got.iter().map(|s| s.to_bits()).eq(want.iter().map(|s| s.to_bits())));
+                    counted.children_log_likelihoods(codes, node, &candidates, &mut got);
+                    learned.children_log_likelihoods(codes, node, &candidates, &mut want);
+                    prop_assert!(got.iter().map(|s| s.to_bits()).eq(want.iter().map(|s| s.to_bits())));
+                    counted.log_joints_with(codes, node, &candidates, &mut got);
+                    learned.log_joints_with(codes, node, &candidates, &mut want);
+                    prop_assert!(got.iter().map(|s| s.to_bits()).eq(want.iter().map(|s| s.to_bits())));
+                    for (&c, score) in candidates.iter().zip(&got) {
+                        prop_assert_eq!(score.to_bits(), counted.log_joint_with(codes, node, c).to_bits());
+                    }
+                }
+            }
         }
     }
 }

@@ -19,8 +19,9 @@
 //! Both stages run in code space. Fitting dictionary-encodes the dataset
 //! ([`bclean_data::encoded`]) once and then never hashes a `Value` again:
 //! structure learning samples similarities through memoised code pairs and
-//! prunes edges with dense contingency tables, CPT estimation accumulates
-//! mixed-radix [`NodeCounts`] per node (fanned out over the shared
+//! prunes edges with one counting sort of the edge's code columns, CPT
+//! estimation accumulates the observed mixed-radix configurations of
+//! [`NodeCounts`] per node (fanned out over the shared
 //! [`ParallelExecutor`]) and builds the [`CompiledNetwork`] directly from
 //! those counts, the compensatory dictionary builds its code-pair counters
 //! in parallel, and the per-attribute user constraints are pre-evaluated
@@ -275,6 +276,18 @@ struct CellScratch {
     slots: Vec<u32>,
 }
 
+/// What cleaning one column needs beyond the model, resolved once per
+/// cleaning run instead of once per cell.
+#[derive(Debug)]
+struct ColumnPlan {
+    /// The tuple-level rules relevant to the column.
+    rules: Vec<Arc<Rule>>,
+    /// The domain-pruning context (§6.2): the column's joint set in the
+    /// DAG, or the whole tuple when the column has no neighbours. Empty
+    /// when domain pruning is off.
+    context: Vec<usize>,
+}
+
 /// A fitted BClean model, ready to clean datasets that share the training
 /// dataset's schema.
 ///
@@ -363,10 +376,10 @@ impl BCleanModel {
         let dicts = self.compensatory.dicts();
         let row_codes: Vec<u32> = row_values.iter().zip(dicts).map(|(v, d)| d.encode_lossy(v)).collect();
         let anchor = self.anchor_context_codes(&row_codes, col);
-        let rules = self.relevant_rules(dataset.schema(), col);
+        let plan = self.column_plan(dataset.schema(), col);
         let mut scratch = CellScratch::default();
         let original_at =
-            self.candidate_codes(dataset.schema(), row_values, &row_codes, col, anchor, &rules, &mut scratch);
+            self.candidate_codes(dataset.schema(), row_values, &row_codes, col, anchor, &plan, &mut scratch);
         self.score_batch(&row_codes, col, &mut scratch);
         let mut scored: Vec<(Value, f64)> = scratch
             .candidates
@@ -404,10 +417,10 @@ impl BCleanModel {
                 codes.push(dicts[col].encode_lossy(value));
             }
         }
-        let rules_by_col = self.rules_by_col(dataset.schema());
+        let plans: Vec<ColumnPlan> = (0..m).map(|col| self.column_plan(dataset.schema(), col)).collect();
         let executor = ParallelExecutor::for_config(&self.config, n);
         let batches =
-            executor.execute(n, |rows| self.clean_rows(dataset, &codes, &rules_by_col, rows.start, rows.end));
+            executor.execute(n, |rows| self.clean_rows(dataset, &codes, &plans, rows.start, rows.end));
         let (code_repairs, mut stats) = merge_cleaning_batches(batches);
         debug_assert!(
             code_repairs.windows(2).all(|w| (w[0].at.row, w[0].at.col) < (w[1].at.row, w[1].at.col)),
@@ -447,7 +460,7 @@ impl BCleanModel {
         &self,
         dataset: &Dataset,
         codes: &[u32],
-        rules_by_col: &[Vec<Arc<Rule>>],
+        plans: &[ColumnPlan],
         lo: usize,
         hi: usize,
     ) -> (Vec<CodeRepair>, CleaningStats) {
@@ -475,7 +488,7 @@ impl BCleanModel {
                     row,
                     row_codes,
                     col,
-                    &rules_by_col[col],
+                    &plans[col],
                     &mut scratch,
                     &mut stats,
                 ) {
@@ -499,10 +512,11 @@ impl BCleanModel {
         row: &[Value],
         row_codes: &[u32],
         col: usize,
-        rules: &[Arc<Rule>],
+        plan: &ColumnPlan,
         scratch: &mut CellScratch,
         stats: &mut CleaningStats,
     ) -> Option<CodeRepair> {
+        let rules = &plan.rules;
         let original = &row[col];
         let original_code = row_codes[col];
         let anchor = self.anchor_context_codes(row_codes, col);
@@ -522,7 +536,7 @@ impl BCleanModel {
 
         let base_margin =
             if anchor.is_some() { self.config.repair_margin } else { self.config.no_anchor_margin };
-        self.candidate_codes(dataset.schema(), row, row_codes, col, anchor, rules, scratch);
+        self.candidate_codes(dataset.schema(), row, row_codes, col, anchor, plan, scratch);
         stats.candidates_evaluated += scratch.candidates.len();
         self.score_batch(row_codes, col, scratch);
         for (&candidate, &score) in scratch.candidates.iter().zip(&scratch.scores) {
@@ -574,10 +588,16 @@ impl BCleanModel {
         }
     }
 
-    /// [`BCleanModel::relevant_rules`] for every column, resolved once per
-    /// cleaning run instead of once per candidate.
-    fn rules_by_col(&self, schema: &Schema) -> Vec<Vec<Arc<Rule>>> {
-        (0..schema.arity()).map(|col| self.relevant_rules(schema, col)).collect()
+    /// The [`ColumnPlan`] of one column of `schema`.
+    fn column_plan(&self, schema: &Schema, col: usize) -> ColumnPlan {
+        let mut context = Vec::new();
+        if self.config.domain_pruning {
+            context = self.dag.joint_set(col);
+            if context.len() <= 1 {
+                context = (0..schema.arity()).collect();
+            }
+        }
+        ColumnPlan { rules: self.relevant_rules(schema, col), context }
     }
 
     /// The cell's *anchor context* over codes: the most selective other
@@ -617,7 +637,9 @@ impl BCleanModel {
     /// candidates are value codes in sorted-value order, filtered by the
     /// pre-evaluated per-attribute constraints and the tuple-level rules
     /// relevant to the column (Eq. 1's `UC(c) = 1`), then optionally by
-    /// domain pruning (§6.2). The observed value's code is not among the
+    /// domain pruning (§6.2), which keeps the TF-IDF top-k of the column's
+    /// pruning context, scored one context column at a time over the
+    /// compensatory runs. The observed value's code is not among the
     /// candidates: the return value is the position it holds in the
     /// enumeration (after the last candidate when only the cell supplies
     /// it), or `None` for a null cell.
@@ -629,12 +651,13 @@ impl BCleanModel {
         row_codes: &[u32],
         col: usize,
         anchor: Option<usize>,
-        rules: &[Arc<Rule>],
+        plan: &ColumnPlan,
         scratch: &mut CellScratch,
     ) -> Option<usize> {
         let dict = &self.compensatory.dicts()[col];
+        let rules = &plan.rules;
         let check_rules = self.config.use_constraints && !rules.is_empty();
-        let CellScratch { candidates: out, row: row_copy, .. } = scratch;
+        let CellScratch { candidates: out, row: row_copy, scores, slots, .. } = scratch;
         if check_rules {
             // Tuple rules are arbitrary value expressions: candidates are
             // substituted into a scratch copy of the row, cloned once per
@@ -682,14 +705,8 @@ impl BCleanModel {
         if self.config.domain_pruning && out.len() > self.config.domain_top_k {
             // Treat the cell's sub-network as the semantic context and keep the
             // TF-IDF top-k candidates.
-            let mut context = self.dag.joint_set(col);
-            if context.len() <= 1 {
-                context = (0..row.len()).collect();
-            }
-            let mut scored: Vec<(f64, u32)> = out
-                .iter()
-                .map(|&c| (self.compensatory.tfidf_score_codes(row_codes, col, c, &context), c))
-                .collect();
+            self.compensatory.tfidf_scores_codes(row_codes, col, out, &plan.context, slots, scores);
+            let mut scored: Vec<(f64, u32)> = scores.iter().copied().zip(out.iter().copied()).collect();
             scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
             out.clear();
             out.extend(scored.into_iter().take(self.config.domain_top_k).map(|(_, c)| c));

@@ -994,9 +994,58 @@ impl CompensatoryModel {
         context_cols: &[usize],
     ) -> f64 {
         let context = self.context_support_codes(codes, col, candidate, context_cols) as f64;
+        context * self.idf(col, candidate)
+    }
+
+    /// The inverse-document-frequency factor of the TF-IDF score.
+    #[inline]
+    fn idf(&self, col: usize, candidate: u32) -> f64 {
         let count = self.value_count_code(col, candidate) as f64;
-        let idf = ((self.num_rows as f64) / (1.0 + count)).max(1.0).ln() + 1.0;
-        context * idf
+        ((self.num_rows as f64) / (1.0 + count)).max(1.0).ln() + 1.0
+    }
+
+    /// [`CompensatoryModel::tfidf_score_codes`] of every code of
+    /// `candidates` into `out`, bit for bit. The candidates must be
+    /// distinct codes of `col`'s code space. For each context column
+    /// `k ≠ col`, one scan over the run of the tuple's `k` value adds a
+    /// unit of support to each candidate in it: the run holds exactly the
+    /// codes whose pair count with that value is at least 1. The integer
+    /// supports are exact in `f64`, so each score is the same product.
+    /// `slots` is the code → candidate map of
+    /// [`CompensatoryModel::log_scores_codes`], left clear.
+    pub(crate) fn tfidf_scores_codes(
+        &self,
+        codes: &[u32],
+        col: usize,
+        candidates: &[u32],
+        context_cols: &[usize],
+        slots: &mut Vec<u32>,
+        out: &mut Vec<f64>,
+    ) {
+        out.clear();
+        out.resize(candidates.len(), 0.0);
+        let space = self.dicts[col].code_space();
+        if slots.len() < space {
+            slots.resize(space, NO_SLOT);
+        }
+        for (slot, &c) in candidates.iter().enumerate() {
+            slots[c as usize] = slot as u32;
+        }
+        for &k in context_cols {
+            if k == col {
+                continue;
+            }
+            for &c in self.cooccurring_codes(k, codes[k], col) {
+                let slot = slots[c as usize];
+                if slot != NO_SLOT {
+                    out[slot as usize] += 1.0;
+                }
+            }
+        }
+        for (score, &c) in out.iter_mut().zip(candidates) {
+            slots[c as usize] = NO_SLOT;
+            *score *= self.idf(col, c);
+        }
     }
 }
 
@@ -1193,6 +1242,41 @@ mod tests {
                             expected.to_bits(),
                             "β {} row {row:?} col {col} code {c}",
                             params.beta
+                        );
+                    }
+                    assert!(slots.iter().all(|&slot| slot == NO_SLOT), "the slot map is left clear");
+                }
+            }
+        }
+    }
+
+    /// The batched TF-IDF scores must equal the one-candidate scorer bit
+    /// for bit for every code of the column, the observed one included,
+    /// over contexts with and without the scored column (and one that is
+    /// the column alone), on the fitting rows and on rows carrying values
+    /// the model never saw.
+    #[test]
+    fn batched_tfidf_scores_match_tfidf_score_codes() {
+        let mut rows: Vec<Vec<Value>> = data().rows().map(|r| r.to_vec()).collect();
+        rows.push(vec![Value::text("9 unseen way"), Value::text("centre"), Value::text("KT")]);
+        rows.push(vec![Value::text("400 northwood dr"), Value::Null, Value::text("ZZ")]);
+        let model =
+            CompensatoryModel::build(&data(), &spellcheck_constraints(), CompensatoryParams::default());
+        let (mut slots, mut out) = (Vec::new(), Vec::new());
+        for row in &rows {
+            let codes = model.encode_row(row);
+            for col in 0..codes.len() {
+                let candidates: Vec<u32> = (0..model.dicts[col].code_space() as u32).collect();
+                let all: Vec<usize> = (0..codes.len()).collect();
+                let others: Vec<usize> = all.iter().copied().filter(|&k| k != col).collect();
+                for context in [all, others, vec![col]] {
+                    model.tfidf_scores_codes(&codes, col, &candidates, &context, &mut slots, &mut out);
+                    for (&c, score) in candidates.iter().zip(&out) {
+                        let expected = model.tfidf_score_codes(&codes, col, c, &context);
+                        assert_eq!(
+                            score.to_bits(),
+                            expected.to_bits(),
+                            "row {row:?} col {col} code {c} context {context:?}"
                         );
                     }
                     assert!(slots.iter().all(|&slot| slot == NO_SLOT), "the slot map is left clear");

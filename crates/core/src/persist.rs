@@ -81,7 +81,7 @@ impl ModelArtifact {
         let mut counts = ByteWriter::new();
         counts.usize(self.node_counts.len());
         for node in &self.node_counts {
-            bclean_store::write_counts(&mut counts, node);
+            bclean_store::write_counts(&mut counts, &node.snapshot());
         }
         container.section(SectionId::NodeCounts, counts);
 
@@ -156,17 +156,16 @@ impl ModelArtifact {
         }
         r.finish()?;
         for counts in &node_counts {
-            let snapshot = counts.snapshot();
-            if snapshot.value_slots != dicts[counts.node()].code_space() {
+            if counts.value_slots() != dicts[counts.node()].code_space() {
                 return Err(StoreError::Corrupt(format!(
                     "node {} counts {} value slots but its dictionary has {}",
                     counts.node(),
-                    snapshot.value_slots,
+                    counts.value_slots(),
                     dicts[counts.node()].code_space()
                 )));
             }
             for (i, &parent) in counts.parents().iter().enumerate() {
-                if parent >= arity || snapshot.radices[i] as usize != dicts[parent].code_space() {
+                if parent >= arity || counts.radices()[i] as usize != dicts[parent].code_space() {
                     return Err(StoreError::Corrupt(format!(
                         "node {} radix {i} does not match parent {parent}'s code space",
                         counts.node()
@@ -416,6 +415,7 @@ fn read_compensatory(
 
 #[cfg(test)]
 mod tests {
+    use bclean_bayesnet::{CountsSnapshot, Dag};
     use bclean_data::{dataset_from, Attribute, Value};
 
     use super::*;
@@ -713,6 +713,107 @@ mod tests {
                     assert!(matches!(err, StoreError::Corrupt(_)), "{what}: {err:?}");
                 }
             }
+        }
+    }
+
+    /// Structurally malformed node-count payloads that pass the CRC are
+    /// refused with typed errors: every strict prefix is truncated; an
+    /// unsorted or repeated code, a zero count, a code at or past the value
+    /// slots, configurations out of order or outside their space, an empty
+    /// configuration and counts that do not sum to the marginal are
+    /// corrupt. Each is checked on the record alone through `read_counts`
+    /// and in a re-sealed artifact. Never a panic.
+    #[test]
+    fn malformed_node_counts_payloads_are_rejected() {
+        // ZipCode → City and ZipCode → State, so that both have observed
+        // configurations to mutate.
+        let data = dirty();
+        let mut dag = Dag::new(3);
+        dag.add_edge(2, 0).unwrap();
+        dag.add_edge(2, 1).unwrap();
+        let names = data.schema().names().iter().map(|s| s.to_string()).collect();
+        let types = (0..3).map(|c| data.schema().attribute(c).unwrap().ty).collect();
+        let artifact = BClean::new(Variant::PartitionedInference.config())
+            .with_constraints(constraints())
+            .artifact_from_encoded_parts(
+                names,
+                types,
+                &EncodedDataset::from_dataset(&data),
+                dag,
+                &vec![1.0; data.num_rows()],
+            );
+        let bytes = artifact.to_bytes().unwrap();
+        let snapshots: Vec<CountsSnapshot> = artifact.node_counts.iter().map(|c| c.snapshot()).collect();
+        let record = |snapshot: &CountsSnapshot| {
+            let mut w = ByteWriter::new();
+            bclean_store::write_counts(&mut w, snapshot);
+            w.into_bytes()
+        };
+        let payload = |records: &[Vec<u8>]| {
+            let mut w = ByteWriter::new();
+            w.usize(records.len());
+            let mut payload = w.into_bytes();
+            records.iter().for_each(|record| payload.extend_from_slice(record));
+            payload
+        };
+        let records: Vec<Vec<u8>> = snapshots.iter().map(record).collect();
+        let unchanged = payload(&records);
+        assert_eq!(resealed(&bytes, SectionId::NodeCounts, &unchanged), bytes, "the payload is the section");
+
+        // City under ZipCode 35150 was seen as sylacauga three times and
+        // sylacaugq once, under 35960 as centre.
+        let node = 0;
+        assert_eq!(snapshots[node].configs.iter().map(|c| c.1.len()).collect::<Vec<_>>(), [2, 1]);
+        assert_eq!(snapshots[node].configs[0].1[0].1, 3);
+        let slots = snapshots[node].value_slots as u32;
+        let space: u128 = snapshots[node].radices.iter().map(|&r| r as u128).product();
+        type Mutation = Box<dyn Fn(&mut CountsSnapshot)>;
+        let mutations: Vec<(&str, Mutation)> = vec![
+            ("an unsorted run", Box::new(|s| s.configs[0].1.swap(0, 1))),
+            ("a repeated code", Box::new(|s| s.configs[0].1[1].0 = s.configs[0].1[0].0)),
+            ("a zero count", Box::new(|s| s.configs[0].1[0].1 = 0)),
+            ("a code at the value slots", Box::new(move |s| s.configs[0].1.last_mut().unwrap().0 = slots)),
+            ("a u32::MAX code", Box::new(|s| s.configs[0].1.last_mut().unwrap().0 = u32::MAX)),
+            ("configurations out of order", Box::new(|s| s.configs.swap(0, 1))),
+            ("a repeated configuration", Box::new(|s| s.configs[1].0 = s.configs[0].0)),
+            ("an index outside the space", Box::new(move |s| s.configs.last_mut().unwrap().0 = space)),
+            ("an empty configuration", Box::new(|s| s.configs[0].1.clear())),
+            ("counts over the marginal", Box::new(|s| s.configs[0].1[0].1 += 1)),
+            (
+                "a count moved between codes",
+                Box::new(|s| {
+                    s.configs[0].1[0].1 -= 1;
+                    s.configs[0].1[1].1 += 1;
+                }),
+            ),
+        ];
+        let read_record = |record: &[u8]| {
+            let mut r = ByteReader::new(record, "node counts");
+            let counts = bclean_store::read_counts(&mut r)?;
+            r.finish().map(|()| counts)
+        };
+        for (what, mutate) in &mutations {
+            let mut snapshot = snapshots[node].clone();
+            mutate(&mut snapshot);
+            let mut mutated = records.clone();
+            mutated[node] = record(&snapshot);
+            let section = read_record(&mutated[node]).expect_err(what);
+            let file =
+                ModelArtifact::from_bytes(&resealed(&bytes, SectionId::NodeCounts, &payload(&mutated)))
+                    .expect_err(what);
+            for err in [section, file] {
+                assert!(matches!(err, StoreError::Corrupt(_)), "{what}: {err:?}");
+            }
+        }
+
+        for len in 0..records[node].len() {
+            let err = read_record(&records[node][..len]).expect_err("a record prefix");
+            assert!(matches!(err, StoreError::Truncated { .. }), "a {len}-byte record prefix: {err:?}");
+        }
+        for len in 0..unchanged.len() {
+            let prefix = resealed(&bytes, SectionId::NodeCounts, &unchanged[..len]);
+            let err = ModelArtifact::from_bytes(&prefix).expect_err("a section prefix");
+            assert!(matches!(err, StoreError::Truncated { .. }), "a {len}-byte section prefix: {err:?}");
         }
     }
 

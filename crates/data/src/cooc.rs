@@ -1,153 +1,71 @@
-//! Code-space co-occurrence counting over [`EncodedDataset`] columns.
+//! Code-space co-occurrence statistics over [`EncodedDataset`] columns.
 //!
-//! Model fitting repeatedly asks "how often do these two column values occur
-//! together?" — softened-FD confidence while pruning structure-learning
-//! edges, marginal mode shares, contingency statistics. Answering those
-//! questions by grouping `Value`s in hash maps puts string hashing on the
-//! fit path; [`PairCounts`] answers them from a dense (or, for huge domains,
-//! sparse) `u32` contingency table indexed by dictionary codes, built in one
-//! pass over two code columns.
+//! Model fitting asks "how well does one column determine another?" while
+//! pruning structure-learning edges, and "how concentrated is a column?"
+//! for the baseline it compares against. Answering those questions by
+//! grouping `Value`s in hash maps puts string hashing on the fit path;
+//! [`fd_confidence`] and [`mode_share`] answer them from the code columns
+//! in linear passes, with scratch space the size of the code spaces.
 //!
-//! The tables include the per-column null codes (nulls are ordinary
-//! observations), but the derived statistics ([`PairCounts::fd_confidence`],
-//! [`mode_share`]) restrict themselves to *value* codes exactly like their
+//! Null codes are ordinary observations in the code columns, but both
+//! statistics restrict themselves to *value* codes exactly like their
 //! `Value`-space counterparts, so the computed ratios are bit-identical to
 //! the hash-map implementations they replace.
 
-use std::collections::HashMap;
-
 use crate::encoded::EncodedDataset;
 
-/// Dense code-indexed tables above this cell count switch to a sparse map
-/// layout. This is the **shared** budget of every dense/sparse layout
-/// decision over full code spaces — the contingency tables here and the
-/// counting/compiled CPT tables in `bclean-bayesnet` all import it, so the
-/// layouts can never disagree.
-pub const DENSE_CELL_CAP: u128 = 1 << 20;
-
-/// Storage of one contingency table.
-#[derive(Debug, Clone)]
-enum Store {
-    /// Dense `space_a × space_b` matrix.
-    Dense(Vec<u32>),
-    /// Sparse map over observed code pairs.
-    Map(HashMap<(u32, u32), u32>),
-}
-
-/// A code-indexed contingency table of one ordered column pair: entry
-/// `(a, b)` counts the rows whose column-`A` code is `a` and column-`B`
-/// code is `b` (null codes included).
-#[derive(Debug, Clone)]
-pub struct PairCounts {
-    /// Code space of column A (`cardinality + 1`, nulls included).
-    space_a: usize,
-    /// Code space of column B.
-    space_b: usize,
-    /// Null code of column A (`cardinality` for fresh dictionaries, frozen
-    /// mid-space for appended ones).
-    null_a: u32,
-    /// Null code of column B.
-    null_b: u32,
-    store: Store,
-}
-
-impl PairCounts {
-    /// Count the co-occurrences of columns `col_a` and `col_b` of `encoded`
-    /// in one pass, in a table sized for the columns' dictionaries.
-    pub fn from_encoded(encoded: &EncodedDataset, col_a: usize, col_b: usize) -> PairCounts {
-        let space_a = encoded.dict(col_a).code_space();
-        let space_b = encoded.dict(col_b).code_space();
-        let pairs = encoded.column(col_a).iter().zip(encoded.column(col_b));
-        let store = if (space_a as u128) * (space_b as u128) <= DENSE_CELL_CAP {
-            let mut cells = vec![0u32; space_a * space_b];
-            for (&a, &b) in pairs {
-                cells[a as usize * space_b + b as usize] += 1;
-            }
-            Store::Dense(cells)
-        } else {
-            let mut map = HashMap::new();
-            for (&a, &b) in pairs {
-                *map.entry((a, b)).or_insert(0) += 1;
-            }
-            Store::Map(map)
-        };
-        PairCounts {
-            space_a,
-            space_b,
-            null_a: encoded.dict(col_a).null_code(),
-            null_b: encoded.dict(col_b).null_code(),
-            store,
-        }
+/// Softened-FD confidence of `from → to`: the average (over both-non-null
+/// rows in `from`-value groups of size ≥ 2) probability of the group's
+/// majority `to` value. Bit-identical to grouping the `Value` rows in hash
+/// maps — both reduce to the same integer ratio.
+///
+/// The both-non-null rows are counting-sorted by their `from` code; each
+/// group's `to` codes are then tallied in one scratch vector the size of
+/// the `to` code space, which walking the group again resets. Null codes
+/// are skipped by code, so the statistic is the same whether the null code
+/// trails the values (fresh dictionaries) or is frozen mid-space (appended
+/// ones).
+pub fn fd_confidence(encoded: &EncodedDataset, from: usize, to: usize) -> f64 {
+    let (from_null, to_null) = (encoded.dict(from).null_code(), encoded.dict(to).null_code());
+    let rows = || {
+        encoded.column(from).iter().zip(encoded.column(to)).filter(|&(&a, &b)| a != from_null && b != to_null)
+    };
+    let space = encoded.dict(from).code_space();
+    let mut starts = vec![0usize; space + 1];
+    for (&a, _) in rows() {
+        starts[a as usize + 1] += 1;
     }
-
-    /// The observation count of one code pair.
-    pub fn count(&self, a: u32, b: u32) -> u32 {
-        let (ai, bi) = (a as usize, b as usize);
-        if ai >= self.space_a || bi >= self.space_b {
-            return 0;
-        }
-        match &self.store {
-            Store::Dense(cells) => cells[ai * self.space_b + bi],
-            Store::Map(map) => map.get(&(a, b)).copied().unwrap_or(0),
-        }
+    for a in 1..=space {
+        starts[a] += starts[a - 1];
     }
-
-    /// Per-`A`-code `(total, majority)` over the *value* codes of column B:
-    /// slot `a` holds the number of rows where both columns are non-null and
-    /// column A reads code `a`, together with the largest single-`b` count in
-    /// that group. Null codes are skipped by position, so the statistic is
-    /// the same whether the null code trails the values (fresh dictionaries)
-    /// or is frozen mid-space (appended ones).
-    fn value_row_stats(&self) -> Vec<(u32, u32)> {
-        let mut stats = vec![(0u32, 0u32); self.space_a];
-        match &self.store {
-            Store::Dense(cells) => {
-                for (a, slot) in stats.iter_mut().enumerate() {
-                    if a as u32 == self.null_a {
-                        continue;
-                    }
-                    let row = &cells[a * self.space_b..(a + 1) * self.space_b];
-                    for (b, &count) in row.iter().enumerate() {
-                        if b as u32 == self.null_b {
-                            continue;
-                        }
-                        slot.0 += count;
-                        slot.1 = slot.1.max(count);
-                    }
-                }
-            }
-            Store::Map(map) => {
-                for (&(a, b), &count) in map {
-                    if a != self.null_a && b != self.null_b && (a as usize) < self.space_a {
-                        let slot = &mut stats[a as usize];
-                        slot.0 += count;
-                        slot.1 = slot.1.max(count);
-                    }
-                }
-            }
-        }
-        stats
+    let mut next = starts.clone();
+    let mut grouped = vec![0u32; starts[space]];
+    for (&a, &b) in rows() {
+        grouped[next[a as usize]] = b;
+        next[a as usize] += 1;
     }
-
-    /// Softened-FD confidence of `A → B`: the average (over both-non-null
-    /// rows in `A`-value groups of size ≥ 2) probability of the group's
-    /// majority `B` value. Bit-identical to grouping the `Value` rows in hash
-    /// maps — both reduce to the same integer ratio.
-    pub fn fd_confidence(&self) -> f64 {
-        let mut consistent = 0u64;
-        let mut total = 0u64;
-        for (group_total, majority) in self.value_row_stats() {
-            if group_total < 2 {
-                continue;
-            }
-            consistent += majority as u64;
-            total += group_total as u64;
+    let mut tally = vec![0u32; encoded.dict(to).code_space()];
+    let (mut consistent, mut total) = (0u64, 0u64);
+    for group in starts.windows(2) {
+        let group = &grouped[group[0]..group[1]];
+        if group.len() < 2 {
+            continue;
         }
-        if total == 0 {
-            0.0
-        } else {
-            consistent as f64 / total as f64
+        let mut majority = 0;
+        for &b in group {
+            tally[b as usize] += 1;
+            majority = majority.max(tally[b as usize]);
         }
+        for &b in group {
+            tally[b as usize] = 0;
+        }
+        consistent += majority as u64;
+        total += group.len() as u64;
+    }
+    if total == 0 {
+        0.0
+    } else {
+        consistent as f64 / total as f64
     }
 }
 
@@ -179,6 +97,8 @@ pub fn mode_share(encoded: &EncodedDataset, col: usize) -> f64 {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use crate::dataset::{dataset_from, Dataset};
     use crate::value::Value;
@@ -226,31 +146,12 @@ mod tests {
     }
 
     #[test]
-    fn pair_counts_match_observed_rows() {
-        let ds = fd_dataset();
-        let encoded = EncodedDataset::from_dataset(&ds);
-        let pc = PairCounts::from_encoded(&encoded, 0, 1);
-        let zip = encoded.dict(0);
-        let state = encoded.dict(1);
-        let code = |d: &crate::encoded::ColumnDict, s: &str| d.encode(&Value::parse(s)).unwrap();
-        assert_eq!(pc.count(code(zip, "35150"), code(state, "CA")), 2);
-        assert_eq!(pc.count(code(zip, "35150"), code(state, "KT")), 1);
-        assert_eq!(pc.count(code(zip, "35960"), code(state, "KT")), 2);
-        // Null codes are counted like any other observation.
-        assert_eq!(pc.count(zip.null_code(), code(state, "KT")), 1);
-        assert_eq!(pc.count(code(zip, "36000"), state.null_code()), 1);
-        // Out-of-range codes are safe.
-        assert_eq!(pc.count(999, 0), 0);
-    }
-
-    #[test]
     fn fd_confidence_matches_value_space_grouping() {
         let ds = fd_dataset();
         let encoded = EncodedDataset::from_dataset(&ds);
         for (a, b) in [(0usize, 1usize), (1, 0)] {
-            let pc = PairCounts::from_encoded(&encoded, a, b);
             assert_eq!(
-                pc.fd_confidence().to_bits(),
+                fd_confidence(&encoded, a, b).to_bits(),
                 value_space_fd_confidence(&ds, a, b).to_bits(),
                 "pair ({a}, {b})"
             );
@@ -259,22 +160,21 @@ mod tests {
 
     #[test]
     fn sparse_layout_matches_dense_statistics() {
-        // 1500 × 750 distinct values pushes the pair space over the dense
-        // cap, forcing the map layout.
+        // 1500 × 750 distinct values: 3000 rows over a pair space of 1.1M
+        // cells, which `fd_confidence` covers with scratch the size of each
+        // code space, never of their product. Every y-value is shared by
+        // exactly two x-values, so x determines y perfectly and y determines
+        // x at 50%.
         let rows: Vec<Vec<String>> =
             (0..3000).map(|i| vec![format!("a{:04}", i / 2), format!("b{:04}", i / 4)]).collect();
         let refs: Vec<Vec<&str>> = rows.iter().map(|r| r.iter().map(|s| s.as_str()).collect()).collect();
         let ds = dataset_from(&["x", "y"], &refs);
         let encoded = EncodedDataset::from_dataset(&ds);
-        let forward = PairCounts::from_encoded(&encoded, 0, 1);
-        let backward = PairCounts::from_encoded(&encoded, 1, 0);
-        assert!(matches!(forward.store, Store::Map(_)));
-        assert_eq!(forward.fd_confidence().to_bits(), value_space_fd_confidence(&ds, 0, 1).to_bits());
-        assert_eq!(backward.fd_confidence().to_bits(), value_space_fd_confidence(&ds, 1, 0).to_bits());
-        // Every y-value is shared by exactly two x-values: x determines y
-        // perfectly, y determines x at 50%.
-        assert!((forward.fd_confidence() - 1.0).abs() < 1e-12);
-        assert!((backward.fd_confidence() - 0.5).abs() < 1e-12);
+        let (forward, backward) = (fd_confidence(&encoded, 0, 1), fd_confidence(&encoded, 1, 0));
+        assert_eq!(forward.to_bits(), value_space_fd_confidence(&ds, 0, 1).to_bits());
+        assert_eq!(backward.to_bits(), value_space_fd_confidence(&ds, 1, 0).to_bits());
+        assert!((forward - 1.0).abs() < 1e-12);
+        assert!((backward - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -289,9 +189,9 @@ mod tests {
         assert!((mode_share(&encoded, 1) - 4.0 / 6.0).abs() < 1e-12);
     }
 
-    /// A table counted over an appended encoding (dictionary growth between
-    /// batches, null code frozen mid-space) must yield the same statistics
-    /// as a one-shot count of the concatenation.
+    /// Statistics over an appended encoding (dictionary growth between
+    /// batches, null code frozen mid-space) must equal those of a one-shot
+    /// encoding of the concatenation.
     #[test]
     fn absorbed_batches_match_one_shot_counts() {
         let first =
@@ -302,34 +202,25 @@ mod tests {
         );
         let mut encoded = EncodedDataset::from_dataset(&first);
         encoded.append_batch(&batch);
-        let appended = PairCounts::from_encoded(&encoded, 0, 1);
-        let (space_a, space_b) = (encoded.dict(0).code_space() as u32, encoded.dict(1).code_space() as u32);
-        let counted: u32 = (0..space_a)
-            .flat_map(|a| (0..space_b).map(move |b| (a, b)))
-            .map(|(a, b)| appended.count(a, b))
-            .sum();
-        assert_eq!(counted, 7);
+        assert!(encoded.dict(0).frozen_null_code().is_some());
         let mut combined = first.clone();
         for row in batch.rows() {
             combined.push_row(row.to_vec()).unwrap();
         }
-        // The one-shot table uses sorted dictionaries, the other one the
+        // The one-shot encoding uses sorted dictionaries, the other one the
         // appended layout: compare through values, not raw codes.
         let oneshot_encoded = EncodedDataset::from_dataset(&combined);
-        let oneshot = PairCounts::from_encoded(&oneshot_encoded, 0, 1);
-        assert_eq!(appended.fd_confidence().to_bits(), oneshot.fd_confidence().to_bits());
-        assert_eq!(appended.fd_confidence().to_bits(), value_space_fd_confidence(&combined, 0, 1).to_bits());
-        for probe_a in ["35150", "35960", "36000"] {
-            for probe_b in ["CA", "KT"] {
-                let (a, b) = (Value::parse(probe_a), Value::parse(probe_b));
-                let s =
-                    appended.count(encoded.dict(0).encode(&a).unwrap(), encoded.dict(1).encode(&b).unwrap());
-                let o = oneshot.count(
-                    oneshot_encoded.dict(0).encode(&a).unwrap(),
-                    oneshot_encoded.dict(1).encode(&b).unwrap(),
-                );
-                assert_eq!(s, o, "pair ({probe_a}, {probe_b})");
-            }
+        for (a, b) in [(0usize, 1usize), (1, 0)] {
+            let appended = fd_confidence(&encoded, a, b);
+            assert_eq!(appended.to_bits(), fd_confidence(&oneshot_encoded, a, b).to_bits());
+            assert_eq!(appended.to_bits(), value_space_fd_confidence(&combined, a, b).to_bits());
+        }
+        for probe in ["35150", "35960", "36000", ""] {
+            let value = Value::parse(probe);
+            let s = column_code_counts(&encoded, 0)[encoded.dict(0).encode(&value).unwrap() as usize];
+            let o = column_code_counts(&oneshot_encoded, 0)
+                [oneshot_encoded.dict(0).encode(&value).unwrap() as usize];
+            assert_eq!(s, o, "Zip {probe:?}");
         }
         assert_eq!(
             mode_share(&encoded, 1).to_bits(),
@@ -342,8 +233,7 @@ mod tests {
     fn empty_and_all_null_columns_are_safe() {
         let empty = Dataset::new(crate::schema::Schema::from_names(&["a", "b"]).unwrap());
         let encoded = EncodedDataset::from_dataset(&empty);
-        let pc = PairCounts::from_encoded(&encoded, 0, 1);
-        assert_eq!(pc.fd_confidence(), 0.0);
+        assert_eq!(fd_confidence(&encoded, 0, 1), 0.0);
         assert_eq!(mode_share(&encoded, 0), 0.0);
         let nulls = dataset_from(&["a"], &[vec![""], vec![""]]);
         let encoded = EncodedDataset::from_dataset(&nulls);

@@ -37,7 +37,7 @@ pub mod schema;
 pub mod stream;
 pub mod value;
 
-pub use cooc::{column_code_counts, mode_share, PairCounts, DENSE_CELL_CAP};
+pub use cooc::{column_code_counts, fd_confidence, mode_share};
 pub use csv::{parse_csv, push_csv_record, read_csv_file, to_csv, write_csv_file};
 pub use dataset::{dataset_from, dataset_with_attrs, CellRef, Dataset};
 pub use diff::{diff, error_cells, noise_rate, CellChange};

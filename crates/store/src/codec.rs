@@ -214,15 +214,27 @@ impl<'a> ByteReader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| StoreError::Corrupt("non-UTF-8 string".to_string()))
     }
 
+    /// Read the length of a run of items of at least `size` bytes each. A
+    /// length the remaining bytes cannot hold means the input ended before
+    /// the items it announces, so it fails as [`StoreError::Truncated`]
+    /// before anything is allocated for them.
+    pub fn item_count(&mut self, size: usize) -> Result<usize, StoreError> {
+        let len = self.usize()?;
+        if len > self.remaining() / size {
+            return Err(StoreError::Truncated { context: self.context });
+        }
+        Ok(len)
+    }
+
     /// Read a length-prefixed `u32` slice.
     pub fn u32_slice(&mut self) -> Result<Vec<u32>, StoreError> {
-        let len = self.bounded_len(self.remaining() / 4, "u32 slice")?;
+        let len = self.item_count(4)?;
         (0..len).map(|_| self.u32()).collect()
     }
 
     /// Read a length-prefixed `usize` slice.
     pub fn usize_slice(&mut self) -> Result<Vec<usize>, StoreError> {
-        let len = self.bounded_len(self.remaining() / 8, "usize slice")?;
+        let len = self.item_count(8)?;
         (0..len).map(|_| self.usize()).collect()
     }
 

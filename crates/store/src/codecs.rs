@@ -170,9 +170,9 @@ pub fn read_dag(r: &mut ByteReader<'_>) -> Result<Dag, StoreError> {
     Ok(dag)
 }
 
-/// Encode one node's sufficient statistics through its snapshot.
-pub fn write_counts(w: &mut ByteWriter, counts: &NodeCounts) {
-    let snapshot = counts.snapshot();
+/// Encode one node's sufficient statistics from their snapshot: the
+/// observed parent configurations, each with its `(code, count)` pairs.
+pub fn write_counts(w: &mut ByteWriter, snapshot: &CountsSnapshot) {
     w.usize(snapshot.node);
     w.usize_slice(&snapshot.parents);
     w.u32_slice(&snapshot.radices);
@@ -180,15 +180,18 @@ pub fn write_counts(w: &mut ByteWriter, counts: &NodeCounts) {
     w.u32_slice(&snapshot.marginal);
     w.usize(snapshot.total);
     w.usize(snapshot.configs.len());
-    for (index, row, total) in &snapshot.configs {
+    for (index, run) in &snapshot.configs {
         w.u128(*index);
-        w.u32_slice(row);
-        w.u32(*total);
+        w.usize(run.len());
+        for &(code, count) in run {
+            w.u32(code);
+            w.u32(count);
+        }
     }
 }
 
 /// Decode one node's sufficient statistics, re-deriving strides and the
-/// dense/sparse layout through the shared criterion.
+/// configuration totals and checking every invariant of the counts.
 pub fn read_counts(r: &mut ByteReader<'_>) -> Result<NodeCounts, StoreError> {
     let node = r.usize()?;
     let parents = r.usize_slice()?;
@@ -196,13 +199,17 @@ pub fn read_counts(r: &mut ByteReader<'_>) -> Result<NodeCounts, StoreError> {
     let value_slots = r.usize()?;
     let marginal = r.u32_slice()?;
     let total = r.usize()?;
-    let num_configs = r.bounded_len(r.remaining() / 16, "configurations")?;
+    // A configuration takes at least its index and its pair count.
+    let num_configs = r.item_count(24)?;
     let mut configs = Vec::with_capacity(num_configs);
     for _ in 0..num_configs {
         let index = r.u128()?;
-        let row = r.u32_slice()?;
-        let config_total = r.u32()?;
-        configs.push((index, row, config_total));
+        let pairs = r.item_count(8)?;
+        let mut run = Vec::with_capacity(pairs);
+        for _ in 0..pairs {
+            run.push((r.u32()?, r.u32()?));
+        }
+        configs.push((index, run));
     }
     NodeCounts::from_snapshot(CountsSnapshot {
         node,
@@ -282,7 +289,7 @@ mod tests {
 
         let counts = NodeCounts::accumulate(&encoded, 0, &[1]);
         let mut w = ByteWriter::new();
-        write_counts(&mut w, &counts);
+        write_counts(&mut w, &counts.snapshot());
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes, "counts");
         let restored = read_counts(&mut r).unwrap();

@@ -34,7 +34,7 @@ pub const MAGIC: [u8; 8] = *b"BCLNMODL";
 /// design). See `docs/FORMAT.md` for the full byte-layout contract and
 /// version history. Section id 8 (format v4's `encoded_data`) is retired
 /// and never reused: the reader rejects it as an unknown section.
-pub const FORMAT_VERSION: u32 = 8;
+pub const FORMAT_VERSION: u32 = 9;
 
 /// Well-known section ids of a model artifact container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
