@@ -17,11 +17,11 @@
 //!
 //! `bclean clean` always streams its input in bounded chunks
 //! (`bclean_core::clean_stream`, or `clean_stream_with_model` with `-m`):
-//! `--chunk-rows` and `--max-memory` bound the chunks, and the repairs and
-//! cleaned rows equal those of an in-memory fit and clean. The one case that
-//! holds the whole dataset in memory is constraint auto-suggestion (no `-c`
-//! and no `-m`), which reads the file once in full, as `bclean fit` does,
-//! before streaming it.
+//! `--chunk-rows` and `--max-memory` bound the chunks and the cleaned-row
+//! writer's buffer, and the repairs and cleaned rows equal those of an
+//! in-memory fit and clean. The one case that holds the whole dataset in
+//! memory is constraint auto-suggestion (no `-c` and no `-m`), which reads
+//! the file once in full, as `bclean fit` does, before streaming it.
 //!
 //! Exit codes are distinct per failure class so scripts can react without
 //! scraping stderr: `0` success, `2` usage error (bad flags/arguments —
@@ -222,12 +222,13 @@ struct CommonArgs {
 
 impl CommonArgs {
     /// The per-chunk bounds the chunking flags spell out. `--chunk-rows`
-    /// caps rows per chunk; `--max-memory B` caps each raw chunk and each
-    /// decoded cleaning window at `B / 2`, and nothing else. The encoded
-    /// columns (4 bytes per cell plus the dictionaries) and the 8-byte
-    /// per-row confidence vector stay resident and grow with the row
-    /// count, so a long input's peak exceeds `B` (see docs/ARCHITECTURE.md,
-    /// "Out-of-core cleaning").
+    /// caps the rows of each source chunk and of the cleaned-row writer's
+    /// buffer; `--max-memory B` caps each source chunk and the writer's
+    /// buffer at `B / 2`, and nothing else. The encoding (4 bytes per cell
+    /// plus the dictionaries), the 8-byte per-row confidence vector, and
+    /// while cleaning the 4-byte per-row group table and the code repairs
+    /// stay resident and grow with the row count, so a long input's peak
+    /// exceeds `B` (see docs/ARCHITECTURE.md, "Out-of-core cleaning").
     fn chunk_limits(&self) -> ChunkLimits {
         let mut limits = ChunkLimits::default();
         if let Some(rows) = self.chunk_rows {
@@ -417,8 +418,9 @@ fn fit_command(args: &[String]) -> Result<(), CliError> {
 
 /// `bclean clean`: the CSV is read in bounded chunks (`--chunk-rows`,
 /// `--max-memory`), the fit accumulates the encoding and per-row
-/// confidences chunk by chunk, and cleaning decodes bounded windows —
-/// repairs, cleaned rows and artifact equal an in-memory fit and clean (see
+/// confidences chunk by chunk, one kernel run cleans the whole encoding,
+/// and cleaned rows go out through a bounded buffer — repairs, cleaned
+/// rows and artifact equal an in-memory fit and clean (see
 /// `bclean_core::stream`). With `-m` there is no fit: the chunks are
 /// cleaned against the persisted model in one pass.
 fn clean_command(args: &[String]) -> Result<(), CliError> {
@@ -695,8 +697,9 @@ fn constraint_to_spec(constraint: &UserConstraint) -> String {
 
 /// Machine-readable cleaning report (the workspace builds offline, so the
 /// JSON is written by hand like the `BENCH_*.json` snapshots): the cleaning
-/// counters, the fit and clean times, and the out-of-core telemetry
-/// (chunks, peak-memory proxy).
+/// counters (`rows_scored` counts the rows the kernel scored; every other
+/// row repeated a scored one and shares its repairs), the fit and clean
+/// times, and the out-of-core telemetry (chunks, peak-memory proxy).
 fn report_json(input: &str, outcome: &StreamOutcome) -> String {
     let mut repairs = String::new();
     for (i, repair) in outcome.repairs.iter().enumerate() {
@@ -714,12 +717,13 @@ fn report_json(input: &str, outcome: &StreamOutcome) -> String {
         );
     }
     format!(
-        "{{\n  \"input\": {},\n  \"rows\": {},\n  \"cells_examined\": {},\n  \"cells_skipped\": {},\n  \
-         \"candidates_evaluated\": {},\n  \"num_repairs\": {},\n  \"clean_seconds\": {:.6},\n  \
-         \"fit_seconds\": {:.6},\n  \"chunks\": {},\n  \"peak_bytes\": {},\n  \
+        "{{\n  \"input\": {},\n  \"rows\": {},\n  \"rows_scored\": {},\n  \"cells_examined\": {},\n  \
+         \"cells_skipped\": {},\n  \"candidates_evaluated\": {},\n  \"num_repairs\": {},\n  \
+         \"clean_seconds\": {:.6},\n  \"fit_seconds\": {:.6},\n  \"chunks\": {},\n  \"peak_bytes\": {},\n  \
          \"repairs\": [\n{}  ]\n}}\n",
         json_string(input),
         outcome.rows,
+        outcome.stats.rows_scored,
         outcome.stats.cells_examined,
         outcome.stats.cells_skipped,
         outcome.stats.candidates_evaluated,
@@ -927,7 +931,7 @@ rule:    ends_with(code, zip)
         assert!(json.contains("\\n"));
         assert!(json.contains("1e308"));
         assert!(json.contains("\"num_repairs\": 1"));
-        for key in ["\"fit_seconds\"", "\"chunks\": 1", "\"peak_bytes\": 64"] {
+        for key in ["\"fit_seconds\"", "\"chunks\": 1", "\"peak_bytes\": 64", "\"rows_scored\": 0"] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         assert_eq!(json_number(f64::NEG_INFINITY), "-1e308");

@@ -40,11 +40,10 @@ pub struct ModelArtifact {
     pub(crate) attribute_types: Vec<AttrType>,
     pub(crate) dag: Dag,
     pub(crate) node_counts: Vec<NodeCounts>,
-    /// Shared copy-on-write with the compiled models: a compile hands the
-    /// current counters to the model by reference count (the daemon's
-    /// served snapshots keep theirs), and the next absorb detaches the
-    /// artifact's copy (one deep clone per compile cycle, paid at absorb
-    /// time instead of on the compile path).
+    /// Shared with the compiled models: a compile hands the current
+    /// counters to the model by reference count (the daemon's served
+    /// snapshots keep theirs), and an absorb builds the grown counters by
+    /// reading them, never by copying them first.
     pub(crate) compensatory: Arc<CompensatoryModel>,
 }
 
@@ -122,7 +121,8 @@ impl ModelArtifact {
     /// artifact in the exact state a one-shot fit over the concatenation
     /// (with the same structure) reaches.
     pub fn absorb(&mut self, batch: &Dataset, encoded: &EncodedDataset, rows: std::ops::Range<usize>) {
-        Arc::make_mut(&mut self.compensatory).absorb(batch, &self.constraints, encoded, rows.clone());
+        self.compensatory =
+            Arc::new(self.compensatory.absorbed(batch, &self.constraints, encoded, rows.clone()));
         for counts in &mut self.node_counts {
             counts.absorb(encoded, rows.clone());
         }

@@ -48,7 +48,24 @@
 //! candidate still adds its terms in the order of the one-candidate scorer
 //! `score_codes`, which remains for the observed value, so every score,
 //! repair and counter is bit-identical to it.
+//!
+//! # One score per distinct row
+//!
+//! A cell's repair depends only on its row and the model (Algorithm 1
+//! cleans tuple by tuple), so identical rows get identical repairs. The
+//! kernel, `BCleanModel::clean_codes`, reads `u32` code rows one at a time
+//! from whatever layout the caller holds, and groups the rows whose codes
+//! are equal and all dictionary codes — and,
+//! when the values come from the caller's dataset, whose values are
+//! identical, because `0` and `-0` share a code. It scores the first row of
+//! each group, in blocks over the groups, and every other row shares that
+//! row's code repairs and counts its counters; a row holding an unseen code
+//! is scored alone. [`BCleanModel::clean`] is encode → kernel → decode, and
+//! the streaming pipeline ([`crate::stream`]) runs the kernel once over its
+//! whole encoding.
 
+use std::collections::hash_map::{Entry, HashMap, RandomState};
+use std::hash::BuildHasher;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -61,7 +78,7 @@ use bclean_rules::Rule;
 use crate::compensatory::CompensatoryModel;
 use crate::config::BCleanConfig;
 use crate::constraints::ConstraintSet;
-use crate::exec::{merge_cleaning_batches, ParallelExecutor};
+use crate::exec::ParallelExecutor;
 use crate::report::{CleaningResult, CleaningStats, Repair};
 
 /// Minimum projected fit work — `columns × rows` cell visits — below which
@@ -248,16 +265,155 @@ pub(crate) fn attr_uc_column(
         .collect()
 }
 
-/// A repair still in code space: the inference hot loop emits these and the
-/// final ordered merge decodes them into [`Repair`]s in one batched pass
-/// (attribute names resolved once per column, winning codes decoded in a
-/// single traversal of the merged batch).
-#[derive(Debug, Clone)]
-struct CodeRepair {
-    at: CellRef,
-    from: Value,
-    to_code: u32,
-    score_gain: f64,
+/// A repair of one cell of a representative row, still in code space. Every
+/// row of the representative's group shares it; the caller decodes it per
+/// row.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CodeRepair {
+    pub(crate) col: usize,
+    pub(crate) to_code: u32,
+    pub(crate) score_gain: f64,
+}
+
+/// Where the cleaning kernel reads the `Value`s behind its codes: tuple
+/// rules read whole rows, the constraint check of an unseen code reads its
+/// cell, and a decoded repair takes its `from` from its own row.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RowValues<'a> {
+    /// The caller's rows. Codes encode them lossily: every unseen value of
+    /// a column shares one code, and `0` and `-0` share another.
+    Dataset(&'a Dataset),
+    /// Rows of this schema encoded against the model's own dictionaries,
+    /// with no unseen code: a cell's value is the decode of its code.
+    Decoded(&'a Schema),
+}
+
+impl<'a> RowValues<'a> {
+    fn schema(&self) -> &'a Schema {
+        match *self {
+            RowValues::Dataset(dataset) => dataset.schema(),
+            RowValues::Decoded(schema) => schema,
+        }
+    }
+
+    /// The value of cell `(row, col)`, whose code is `code`.
+    fn cell<'s>(&'s self, dicts: &'s [ColumnDict], row: usize, col: usize, code: u32) -> &'s Value {
+        match *self {
+            RowValues::Dataset(dataset) => &dataset.row(row).expect("row index in range")[col],
+            RowValues::Decoded(_) => dicts[col].decode(code),
+        }
+    }
+
+    /// Replace `out` with the values of `row`, whose codes are `codes`.
+    fn fill_row(&self, dicts: &[ColumnDict], row: usize, codes: &[u32], out: &mut Vec<Value>) {
+        out.clear();
+        match *self {
+            RowValues::Dataset(dataset) => {
+                out.extend_from_slice(dataset.row(row).expect("row index in range"))
+            }
+            RowValues::Decoded(_) => {
+                out.extend(codes.iter().zip(dicts).map(|(&code, dict)| dict.decode(code).clone()))
+            }
+        }
+    }
+
+    /// Whether rows `a` and `b`, whose codes are equal, hold identical
+    /// values: bit for bit, so `0` and `-0` differ.
+    fn identical(&self, a: usize, b: usize) -> bool {
+        let RowValues::Dataset(dataset) = *self else { return true };
+        let row = |r: usize| dataset.row(r).expect("row index in range");
+        row(a).iter().zip(row(b)).all(|pair| match pair {
+            (Value::Number(x), Value::Number(y)) => x.to_bits() == y.to_bits(),
+            (x, y) => x == y,
+        })
+    }
+}
+
+/// The groups of identical rows of one cleaning run, numbered by first
+/// appearance. Rows share a group when every code is equal and is a
+/// dictionary code, and their [`RowValues`] are identical; a row holding an
+/// unseen code is a group of its own.
+struct RowGroups {
+    /// `group[row]`: the row's group.
+    group: Vec<u32>,
+    /// `reps[g]`: the first row of group `g`, the one the kernel scores.
+    reps: Vec<u32>,
+    /// `sizes[g]`: the number of rows in group `g`.
+    sizes: Vec<u32>,
+}
+
+impl RowGroups {
+    /// Group `rows` code rows of the dictionaries' width, each copied out
+    /// by `gather`: one hash probe per row, O(rows × columns). A row whose
+    /// hash matches a group's while its codes or values differ is a group
+    /// of its own.
+    fn of(
+        rows: usize,
+        gather: &impl Fn(usize, &mut [u32]),
+        dicts: &[ColumnDict],
+        values: RowValues<'_>,
+    ) -> RowGroups {
+        let hasher = RandomState::new();
+        let mut first: HashMap<u64, u32> = HashMap::new();
+        let (mut row_codes, mut rep_codes) = (vec![0u32; dicts.len()], vec![0u32; dicts.len()]);
+        let mut groups = RowGroups { group: Vec::with_capacity(rows), reps: Vec::new(), sizes: Vec::new() };
+        for row in 0..rows {
+            gather(row, &mut row_codes);
+            let mut g = groups.reps.len() as u32;
+            if row_codes.iter().zip(dicts).all(|(&code, dict)| code != dict.unseen_code()) {
+                match first.entry(hasher.hash_one(&row_codes)) {
+                    Entry::Occupied(e) => {
+                        let rep = groups.reps[*e.get() as usize] as usize;
+                        gather(rep, &mut rep_codes);
+                        if rep_codes == row_codes && values.identical(rep, row) {
+                            g = *e.get();
+                        }
+                    }
+                    Entry::Vacant(e) => {
+                        e.insert(g);
+                    }
+                }
+            }
+            if g as usize == groups.reps.len() {
+                groups.reps.push(row as u32);
+                groups.sizes.push(0);
+            }
+            groups.sizes[g as usize] += 1;
+            groups.group.push(g);
+        }
+        groups
+    }
+}
+
+/// What the cleaning kernel found, in code space: the code repairs of each
+/// group, which every row of the group shares.
+#[derive(Debug)]
+pub(crate) struct CodeCleaning {
+    /// `group[row]`: the group whose repairs the row shares.
+    group: Vec<u32>,
+    /// The code repairs of every group, in group and then column order.
+    repairs: Vec<CodeRepair>,
+    /// `starts[g]..starts[g + 1]`: the repairs of group `g`.
+    starts: Vec<usize>,
+    /// The counters of every row (a row that shares its group's repairs
+    /// counts its representative's), the rows scored and the kernel's wall
+    /// time. `repairs` is left to the decoder.
+    pub(crate) stats: CleaningStats,
+}
+
+impl CodeCleaning {
+    /// The code repairs of `row`, in column order.
+    pub(crate) fn row_repairs(&self, row: usize) -> &[CodeRepair] {
+        let g = self.group[row] as usize;
+        &self.repairs[self.starts[g]..self.starts[g + 1]]
+    }
+
+    /// Approximate bytes held: the group table and the code repairs.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        4 * self.group.len()
+            + std::mem::size_of::<CodeRepair>() * self.repairs.len()
+            + std::mem::size_of::<usize>() * self.starts.len()
+    }
 }
 
 /// Per-block buffers of the cleaning kernel, reused from cell to cell so
@@ -266,7 +422,8 @@ struct CodeRepair {
 struct CellScratch {
     /// The cell's candidate codes in enumeration order, less the observed one.
     candidates: Vec<u32>,
-    /// A copy of the row that tuple rules read with one candidate substituted.
+    /// The row's values, which tuple rules read with one candidate
+    /// substituted.
     row: Vec<Value>,
     /// The candidates' scores; the BN term until the compensatory one is added.
     scores: Vec<f64>,
@@ -303,8 +460,8 @@ pub struct BCleanModel {
     pub(crate) attribute_names: Vec<String>,
     /// The code-indexed CPTs of `dag` (shared dictionary order).
     pub(crate) compiled: CompiledNetwork,
-    /// Shared with the producing [`crate::ModelArtifact`] copy-on-write:
-    /// the artifact's next absorb detaches its own copy, so the model's
+    /// Shared with the producing [`crate::ModelArtifact`]: the artifact's
+    /// next absorb builds new counters beside these, so the model's
     /// counters are an immutable snapshot as of its compile.
     pub(crate) compensatory: std::sync::Arc<CompensatoryModel>,
     pub(crate) domains: Domains,
@@ -378,8 +535,9 @@ impl BCleanModel {
         let anchor = self.anchor_context_codes(&row_codes, col);
         let plan = self.column_plan(dataset.schema(), col);
         let mut scratch = CellScratch::default();
+        scratch.row.extend_from_slice(row_values);
         let original_at =
-            self.candidate_codes(dataset.schema(), row_values, &row_codes, col, anchor, &plan, &mut scratch);
+            self.candidate_codes(dataset.schema(), &row_codes, col, anchor, &plan, &mut scratch);
         self.score_batch(&row_codes, col, &mut scratch);
         let mut scored: Vec<(Value, f64)> = scratch
             .candidates
@@ -395,137 +553,188 @@ impl BCleanModel {
         scored
     }
 
-    /// Clean a dataset (inference stage, Algorithm 1). Row ranges are
-    /// processed through the shared [`ParallelExecutor`], whose ordered merge
-    /// makes the result identical for every thread count.
-    ///
-    /// The dataset is dictionary-encoded against the model's fit-time
-    /// [`ColumnDict`]s up front (values the model never observed map to
-    /// per-column unseen sentinels that score through the same fallbacks as
-    /// the `Value` path); all per-cell inference below runs over `u32` codes.
-    /// Repairs stay in code space until the final ordered merge, where the
-    /// winning codes are decoded in one batched pass.
+    /// Clean a dataset (inference stage, Algorithm 1): encode it against
+    /// the model's fit-time [`ColumnDict`]s, run the cleaning kernel
+    /// (`BCleanModel::clean_codes`) over the code rows, and decode the
+    /// repairs. Values the model never observed map to per-column unseen
+    /// sentinels that score through the same fallbacks as the `Value` path;
+    /// tuple rules, the constraint check of an unseen value and each
+    /// repair's `from` read the dataset's own values. The result is
+    /// identical for every thread count.
     pub fn clean(&self, dataset: &Dataset) -> CleaningResult {
         let start = Instant::now();
         let n = dataset.num_rows();
-        let m = dataset.num_columns();
         let dicts = self.compensatory.dicts();
+        let m = dicts.len();
         // Row-major encode: the only Value hashing of the whole run.
         let mut codes: Vec<u32> = Vec::with_capacity(n * m);
         for row in dataset.rows() {
-            for (col, value) in row.iter().enumerate() {
-                codes.push(dicts[col].encode_lossy(value));
+            codes.extend(row.iter().zip(dicts).map(|(value, dict)| dict.encode_lossy(value)));
+        }
+        let values = RowValues::Dataset(dataset);
+        let gather = |row: usize, out: &mut [u32]| out.copy_from_slice(&codes[row * m..(row + 1) * m]);
+        let cleaning = self.clean_codes(n, gather, values);
+        let names = dataset.schema().names();
+        let mut cleaned = dataset.clone();
+        let mut repairs = Vec::new();
+        for row in 0..n {
+            for code_repair in cleaning.row_repairs(row) {
+                let repair =
+                    self.decode_repair(values, &names, row, &codes[row * m..(row + 1) * m], code_repair);
+                cleaned
+                    .set_cell(row, repair.at.col, repair.to.clone())
+                    .expect("repair coordinates are valid");
+                repairs.push(repair);
             }
         }
-        let plans: Vec<ColumnPlan> = (0..m).map(|col| self.column_plan(dataset.schema(), col)).collect();
-        let executor = ParallelExecutor::for_config(&self.config, n);
-        let batches =
-            executor.execute(n, |rows| self.clean_rows(dataset, &codes, &plans, rows.start, rows.end));
-        let (code_repairs, mut stats) = merge_cleaning_batches(batches);
-        debug_assert!(
-            code_repairs.windows(2).all(|w| (w[0].at.row, w[0].at.col) < (w[1].at.row, w[1].at.col)),
-            "ordered block merge must yield (row, col)-sorted repairs"
-        );
-        // Batched decode: resolve attribute names once per column and decode
-        // every winning code in one tight pass over the merged batch.
-        let attr_names: Vec<String> = (0..m)
-            .map(|c| dataset.schema().attribute(c).map(|a| a.name.clone()).unwrap_or_default())
-            .collect();
-        let repairs: Vec<Repair> = code_repairs
-            .into_iter()
-            .map(|r| Repair {
-                at: r.at,
-                attribute: attr_names[r.at.col].clone(),
-                from: r.from,
-                to: dicts[r.at.col].decode(r.to_code).clone(),
-                score_gain: r.score_gain,
-            })
-            .collect();
-        let mut cleaned = dataset.clone();
-        for repair in &repairs {
-            cleaned
-                .set_cell(repair.at.row, repair.at.col, repair.to.clone())
-                .expect("repair coordinates are valid");
-        }
+        let mut stats = cleaning.stats;
         stats.repairs = repairs.len();
         stats.duration = start.elapsed();
         stats.fit_duration = self.fit_duration;
         CleaningResult { cleaned, repairs, stats }
     }
 
-    /// Clean a contiguous range of rows (one parallel work unit) over the
-    /// row-major code matrix. Repairs are emitted in code space; the caller
-    /// decodes them after the ordered merge.
-    fn clean_rows(
+    /// The cleaning kernel: Algorithm 1 over every cell of `rows` code rows
+    /// of the model's width, which `gather` copies out row by row, so the
+    /// rows stay in whatever layout the caller holds them. Identical rows
+    /// are grouped first ([`RowGroups`]); the kernel scores each group's
+    /// first row, in blocks over the groups through the shared
+    /// [`ParallelExecutor`], and every other row of a group shares its code
+    /// repairs and counts its counters, because a cell's repair depends
+    /// only on its row and the model. The block partition depends on the
+    /// group count alone, so the result is identical for every thread
+    /// count.
+    pub(crate) fn clean_codes(
         &self,
-        dataset: &Dataset,
-        codes: &[u32],
-        plans: &[ColumnPlan],
-        lo: usize,
-        hi: usize,
-    ) -> (Vec<CodeRepair>, CleaningStats) {
-        let m = dataset.num_columns();
-        let mut repairs = Vec::new();
-        let mut stats = CleaningStats::default();
-        let mut scratch = CellScratch::default();
-        for row_idx in lo..hi {
-            let row = dataset.row(row_idx).expect("row index in range");
-            let row_codes = &codes[row_idx * m..(row_idx + 1) * m];
-            for col in 0..m {
-                // Pre-detection / tuple pruning (§6.2): skip cells that already
-                // co-occur strongly with the rest of their tuple.
-                if self.config.tuple_pruning
-                    && !row[col].is_null()
-                    && self.compensatory.filter_score_codes(row_codes, col) >= self.config.tau_clean
-                {
-                    stats.cells_skipped += 1;
-                    continue;
-                }
-                stats.cells_examined += 1;
-                if let Some(repair) = self.infer_cell_codes(
-                    dataset,
-                    row_idx,
+        rows: usize,
+        gather: impl Fn(usize, &mut [u32]) + Sync,
+        values: RowValues<'_>,
+    ) -> CodeCleaning {
+        let start = Instant::now();
+        let dicts = self.compensatory.dicts();
+        let m = dicts.len();
+        let RowGroups { group, reps, sizes } = RowGroups::of(rows, &gather, dicts, values);
+        let plans: Vec<ColumnPlan> = (0..m).map(|col| self.column_plan(values.schema(), col)).collect();
+        let executor = ParallelExecutor::for_config(&self.config, reps.len());
+        let batches = executor.execute(reps.len(), |block| {
+            let mut repairs = Vec::new();
+            let mut ends = Vec::with_capacity(block.len());
+            let mut stats = CleaningStats::default();
+            let mut scratch = CellScratch::default();
+            let mut row_codes = vec![0u32; m];
+            for g in block {
+                let row = reps[g] as usize;
+                gather(row, &mut row_codes);
+                let copies = sizes[g] as usize;
+                self.clean_row(
+                    values,
                     row,
-                    row_codes,
-                    col,
-                    &plans[col],
+                    &row_codes,
+                    copies,
+                    &plans,
                     &mut scratch,
                     &mut stats,
-                ) {
-                    repairs.push(repair);
-                }
+                    &mut repairs,
+                );
+                ends.push(repairs.len());
             }
+            (repairs, ends, stats)
+        });
+        let mut cleaning =
+            CodeCleaning { group, repairs: Vec::new(), starts: vec![0], stats: CleaningStats::default() };
+        for (mut repairs, ends, stats) in batches {
+            let offset = cleaning.repairs.len();
+            cleaning.starts.extend(ends.into_iter().map(|end| offset + end));
+            cleaning.repairs.append(&mut repairs);
+            cleaning.stats.merge(&stats);
         }
-        (repairs, stats)
+        cleaning.stats.rows_scored = reps.len();
+        cleaning.stats.duration = start.elapsed();
+        cleaning
+    }
+
+    /// Decode one code repair of `row`, whose codes are `row_codes`, into a
+    /// [`Repair`] named after `names`: its `from` is the row's own value.
+    pub(crate) fn decode_repair(
+        &self,
+        values: RowValues<'_>,
+        names: &[&str],
+        row: usize,
+        row_codes: &[u32],
+        repair: &CodeRepair,
+    ) -> Repair {
+        let dicts = self.compensatory.dicts();
+        let col = repair.col;
+        Repair {
+            at: CellRef::new(row, col),
+            attribute: names[col].to_string(),
+            from: values.cell(dicts, row, col, row_codes[col]).clone(),
+            to: dicts[col].decode(repair.to_code).clone(),
+            score_gain: repair.score_gain,
+        }
+    }
+
+    /// Clean every cell of one representative row, pushing its code
+    /// repairs and counting each counter once per row of its group
+    /// (`copies`).
+    #[allow(clippy::too_many_arguments)]
+    fn clean_row(
+        &self,
+        values: RowValues<'_>,
+        row: usize,
+        row_codes: &[u32],
+        copies: usize,
+        plans: &[ColumnPlan],
+        scratch: &mut CellScratch,
+        stats: &mut CleaningStats,
+        repairs: &mut Vec<CodeRepair>,
+    ) {
+        let dicts = self.compensatory.dicts();
+        for (col, plan) in plans.iter().enumerate() {
+            // Pre-detection / tuple pruning (§6.2): skip cells that already
+            // co-occur strongly with the rest of their tuple.
+            if self.config.tuple_pruning
+                && row_codes[col] != dicts[col].null_code()
+                && self.compensatory.filter_score_codes(row_codes, col) >= self.config.tau_clean
+            {
+                stats.cells_skipped += copies;
+                continue;
+            }
+            stats.cells_examined += copies;
+            let repair = self.infer_cell_codes(values, row, row_codes, col, plan, scratch);
+            stats.candidates_evaluated += copies * scratch.candidates.len();
+            repairs.extend(repair);
+        }
     }
 
     /// Algorithm 1 for one cell over dictionary codes: return a repair when
-    /// some candidate beats the observed value. Values are only touched for
-    /// tuple-rule checks (columns referenced by row rules); the winning
-    /// candidate stays a code — [`BCleanModel::clean`] decodes the merged
-    /// batch in one pass.
-    #[allow(clippy::too_many_arguments)]
+    /// some candidate beats the observed value, leaving the candidates
+    /// weighed in `scratch.candidates`. Values are only read for tuple-rule
+    /// checks (columns referenced by row rules) and for the constraint
+    /// check of an unseen code.
     fn infer_cell_codes(
         &self,
-        dataset: &Dataset,
-        row_idx: usize,
-        row: &[Value],
+        values: RowValues<'_>,
+        row: usize,
         row_codes: &[u32],
         col: usize,
         plan: &ColumnPlan,
         scratch: &mut CellScratch,
-        stats: &mut CleaningStats,
     ) -> Option<CodeRepair> {
+        let dicts = self.compensatory.dicts();
+        let schema = values.schema();
         let rules = &plan.rules;
-        let original = &row[col];
+        if !rules.is_empty() {
+            values.fill_row(dicts, row, row_codes, &mut scratch.row);
+        }
         let original_code = row_codes[col];
         let anchor = self.anchor_context_codes(row_codes, col);
         // A value that violates its own user constraints is known to be wrong
         // (Eq. 1 restricts the arg-max to UC-satisfying values), so it cannot
         // defend its cell: the best constraint-satisfying candidate wins.
         let original_satisfies_uc = !self.config.use_constraints
-            || (self.attr_ok(col, original_code, original)
-                && (rules.is_empty() || rules.iter().all(|r| r.check_row(dataset.schema(), row))));
+            || (self.attr_ok(col, original_code, || values.cell(dicts, row, col, original_code))
+                && rules.iter().all(|r| r.check_row(schema, &scratch.row)));
         let original_score = if original_satisfies_uc {
             self.score_codes(row_codes, col, original_code)
         } else {
@@ -536,8 +745,7 @@ impl BCleanModel {
 
         let base_margin =
             if anchor.is_some() { self.config.repair_margin } else { self.config.no_anchor_margin };
-        self.candidate_codes(dataset.schema(), row, row_codes, col, anchor, plan, scratch);
-        stats.candidates_evaluated += scratch.candidates.len();
+        self.candidate_codes(schema, row_codes, col, anchor, plan, scratch);
         self.score_batch(row_codes, col, scratch);
         for (&candidate, &score) in scratch.candidates.iter().zip(&scratch.scores) {
             let margin = if best_code.is_none() && original_score.is_finite() { base_margin } else { 0.0 };
@@ -547,25 +755,24 @@ impl BCleanModel {
             }
         }
 
-        best_code.map(|code| CodeRepair {
-            at: CellRef::new(row_idx, col),
-            from: original.clone(),
-            to_code: code,
+        best_code.map(|to_code| CodeRepair {
+            col,
+            to_code,
             score_gain: if original_score.is_finite() { best_score - original_score } else { f64::INFINITY },
         })
     }
 
     /// Per-attribute `UC(value)` verdict for one code, using the
-    /// pre-evaluated table and falling back to a direct check for values
-    /// outside the model's dictionaries.
+    /// pre-evaluated table and falling back to a direct check of the value
+    /// for codes outside the model's dictionaries.
     #[inline]
-    fn attr_ok(&self, col: usize, code: u32, value: &Value) -> bool {
+    fn attr_ok<'v>(&self, col: usize, code: u32, value: impl FnOnce() -> &'v Value) -> bool {
         if let Some(flags) = self.attr_uc_ok.get(col) {
             if let Some(&ok) = flags.get(code as usize) {
                 return ok;
             }
         }
-        self.attribute_names.get(col).is_none_or(|name| self.constraints.check(name, value))
+        self.attribute_names.get(col).is_none_or(|name| self.constraints.check(name, value()))
     }
 
     /// The tuple-level rules relevant to one column of `schema`: the rules
@@ -643,11 +850,9 @@ impl BCleanModel {
     /// candidates: the return value is the position it holds in the
     /// enumeration (after the last candidate when only the cell supplies
     /// it), or `None` for a null cell.
-    #[allow(clippy::too_many_arguments)]
     fn candidate_codes(
         &self,
         schema: &Schema,
-        row: &[Value],
         row_codes: &[u32],
         col: usize,
         anchor: Option<usize>,
@@ -657,14 +862,10 @@ impl BCleanModel {
         let dict = &self.compensatory.dicts()[col];
         let rules = &plan.rules;
         let check_rules = self.config.use_constraints && !rules.is_empty();
+        // Tuple rules are arbitrary value expressions: candidates are
+        // substituted into `scratch.row`, which the caller filled with the
+        // row's values (only slot `col` changes between candidates).
         let CellScratch { candidates: out, row: row_copy, scores, slots, .. } = scratch;
-        if check_rules {
-            // Tuple rules are arbitrary value expressions: candidates are
-            // substituted into a scratch copy of the row, cloned once per
-            // cell (only slot `col` changes between candidates).
-            row_copy.clear();
-            row_copy.extend_from_slice(row);
-        }
         out.clear();
         let mut accept = |code: u32| {
             if self.config.use_constraints {
@@ -717,7 +918,7 @@ impl BCleanModel {
                 out.remove(at);
                 Some(at)
             }
-            None => (!row[col].is_null()).then_some(out.len()),
+            None => (row_codes[col] != dict.null_code()).then_some(out.len()),
         }
     }
 
@@ -1020,6 +1221,23 @@ mod tests {
         let result = model.clean(&other);
         assert_eq!(result.cleaned.num_rows(), 2);
         assert_eq!(result.cleaned.cell(1, 0).unwrap(), &Value::text("sylacauga"));
+    }
+
+    /// Identical rows are scored once. Rows whose codes agree but whose
+    /// values differ, as `0` and `-0` do, are scored apart.
+    #[test]
+    fn identical_rows_are_scored_once() {
+        let data = dirty_dataset();
+        let model = BClean::new(Variant::Basic.config()).with_constraints(constraints()).fit(&data);
+        let result = model.clean(&data);
+        assert_eq!(result.stats.rows_scored, 5, "10 rows in 5 groups");
+        assert_eq!(result.stats.cells_examined, 30);
+
+        let signed =
+            dataset_from(&["n", "s"], &[vec!["0", "a"], vec!["0", "a"], vec!["1", "b"], vec!["1", "b"]]);
+        let model = BClean::new(Variant::Basic.config()).fit(&signed);
+        let zeros = dataset_from(&["n", "s"], &[vec!["0", "a"], vec!["-0", "a"], vec!["0", "a"]]);
+        assert_eq!(model.clean(&zeros).stats.rows_scored, 2);
     }
 
     /// Tuple-level rules keep filtering candidates on the encoded path.

@@ -227,10 +227,11 @@ impl PairIndex {
         self.t_offsets = starts.into_iter().map(offset).collect();
     }
 
-    /// Fold in the tallies of `delta`, an index over code spaces at least as
-    /// large: each run becomes the sorted merge of the two runs, equal codes
-    /// adding their tallies, and the offsets grow to `delta`'s code spaces.
-    fn merge(&mut self, delta: &PairIndex) {
+    /// This index with the tallies of `delta` folded in, where `delta` is
+    /// an index over code spaces at least as large: each run becomes the
+    /// sorted merge of the two runs, equal codes adding their tallies, and
+    /// the offsets grow to `delta`'s code spaces.
+    fn merged(&self, delta: &PairIndex) -> PairIndex {
         let space_hi = delta.t_offsets.len() - 1;
         let mut merged = PairIndex {
             offsets: Vec::with_capacity(delta.offsets.len()),
@@ -266,7 +267,7 @@ impl PairIndex {
             merged.offsets.push(offset(merged.keys.len()));
         }
         merged.transpose(space_hi);
-        *self = merged;
+        merged
     }
 
     /// The tallies of `lo`-code `a` with `hi`-code `b`, from the run of `a`.
@@ -469,7 +470,7 @@ impl CompensatoryModel {
 
     /// Build the model from the observed dataset and the user constraints
     /// (Algorithm 2): an empty model over the dataset's encoding plus
-    /// [`CompensatoryModel::absorb`] of every row, in row order — the serial
+    /// [`CompensatoryModel::absorbed`] of every row, in row order — the serial
     /// reference the parallel builder is checked against. With an empty
     /// constraint set every tuple has confidence 1, so all pairs count
     /// positively — the `BClean-UC` behaviour.
@@ -479,9 +480,8 @@ impl CompensatoryModel {
         params: CompensatoryParams,
     ) -> CompensatoryModel {
         let encoded = EncodedDataset::from_dataset(dataset);
-        let mut model = CompensatoryModel::empty(encoded.dicts().to_vec(), params);
-        model.absorb(dataset, constraints, &encoded, 0..encoded.num_rows());
-        model
+        let empty = CompensatoryModel::empty(encoded.dicts().to_vec(), params);
+        empty.absorbed(dataset, constraints, &encoded, 0..encoded.num_rows())
     }
 
     /// The fit pipeline's builder: tuple confidences (Eq. 3, the per-row
@@ -557,58 +557,66 @@ impl CompensatoryModel {
         }
     }
 
-    /// Absorb a batch into the counters: Algorithm 2's per-tuple loop in row
-    /// order. `encoded` holds the batch's codes at `rows`, against the
-    /// model's dictionaries grown at the tail; the batch's `Value` rows are
-    /// still needed because tuple confidences (Eq. 3) evaluate arbitrary
-    /// value predicates. Each pair index folds in the batch's own index by
-    /// merging sorted runs. Pair counters are integer tallies (`PairEntry`)
-    /// and the confidence sum accumulates in row order, so absorbing any
-    /// batch split of a dataset reproduces the one-shot build bit-for-bit.
-    pub fn absorb(
-        &mut self,
+    /// The model with a batch absorbed into the counters: Algorithm 2's
+    /// per-tuple loop in row order. `encoded` holds the batch's codes at
+    /// `rows`, against the model's dictionaries grown at the tail; the
+    /// batch's `Value` rows are still needed because tuple confidences
+    /// (Eq. 3) evaluate arbitrary value predicates. Each pair index of the
+    /// result is the merge of this model's sorted runs with the batch's, so
+    /// this model is only read: one that served snapshots share is never
+    /// copied first. Pair counters are integer tallies (`PairEntry`) and the
+    /// confidence sum accumulates in row order, so absorbing any batch split
+    /// of a dataset reproduces the one-shot build bit-for-bit.
+    pub fn absorbed(
+        &self,
         batch: &Dataset,
         constraints: &ConstraintSet,
         encoded: &EncodedDataset,
         rows: Range<usize>,
-    ) {
+    ) -> CompensatoryModel {
         assert_eq!(batch.num_rows(), rows.len(), "batch rows must match the appended row range");
-        self.sync_dicts(encoded);
+        let mut conf_sum = self.conf_sum;
         let mut positives = Vec::with_capacity(rows.len());
         for row in batch.rows() {
             let conf = constraints.tuple_confidence(batch.schema(), row, self.params.lambda);
-            self.conf_sum += conf;
+            conf_sum += conf;
             positives.push(conf >= self.params.tau);
         }
-        for (col, counts) in self.value_counts.iter_mut().enumerate() {
+        // Appends only add codes at the tail of the encoding's dictionaries,
+        // so existing counters keep their slots; the pair indexes grow their
+        // offsets as they merge.
+        let mut dicts = Vec::with_capacity(self.num_cols);
+        let mut value_counts = Vec::with_capacity(self.num_cols);
+        for (col, (own, grown)) in self.dicts.iter().zip(encoded.dicts()).enumerate() {
+            debug_assert!(grown.code_space() >= own.code_space(), "code spaces never shrink");
+            dicts.push(if grown.code_space() == own.code_space() { own.clone() } else { grown.clone() });
+            let mut counts = self.value_counts[col].clone();
+            counts.resize(grown.code_space(), 0);
             for &a in &encoded.column(col)[rows.clone()] {
                 counts[a as usize] += 1;
             }
+            value_counts.push(counts);
         }
-        for ((lo, hi), index) in column_pairs(self.num_cols).zip(&mut self.pairs) {
-            index.merge(&PairIndex::from_columns(
-                &encoded.column(lo)[rows.clone()],
-                &encoded.column(hi)[rows.clone()],
-                &positives,
-                self.dicts[lo].code_space(),
-                self.dicts[hi].code_space(),
-            ));
-        }
-        self.num_rows += rows.len();
-    }
-
-    /// Re-sync the model's dictionaries and value counts with an encoding
-    /// whose dictionaries may have grown since the model was built (appends
-    /// only add codes at the tail, so existing counters keep their slots;
-    /// the pair indexes grow their offsets as they merge).
-    fn sync_dicts(&mut self, encoded: &EncodedDataset) {
-        for (col, dict) in encoded.dicts().iter().enumerate() {
-            let space = dict.code_space();
-            debug_assert!(space >= self.dicts[col].code_space(), "code spaces never shrink");
-            if space != self.dicts[col].code_space() {
-                self.dicts[col] = dict.clone();
-                self.value_counts[col].resize(space, 0);
-            }
+        let pairs = column_pairs(self.num_cols)
+            .zip(&self.pairs)
+            .map(|((lo, hi), index)| {
+                index.merged(&PairIndex::from_columns(
+                    &encoded.column(lo)[rows.clone()],
+                    &encoded.column(hi)[rows.clone()],
+                    &positives,
+                    dicts[lo].code_space(),
+                    dicts[hi].code_space(),
+                ))
+            })
+            .collect();
+        CompensatoryModel {
+            params: self.params,
+            dicts,
+            pairs,
+            value_counts,
+            num_rows: self.num_rows + rows.len(),
+            num_cols: self.num_cols,
+            conf_sum,
         }
     }
 

@@ -67,8 +67,8 @@ impl BClean {
         } else {
             Vec::new()
         };
-        let mut compensatory = CompensatoryModel::empty(dicts.to_vec(), config.params);
-        compensatory.absorb(dataset, &constraints, &encoded, 0..dataset.num_rows());
+        let empty = CompensatoryModel::empty(dicts.to_vec(), config.params);
+        let compensatory = empty.absorbed(dataset, &constraints, &encoded, 0..dataset.num_rows());
         let domains = Domains::compute(dataset);
         let fd_confidence = fd_confidence_matrix(dataset);
         let model = BCleanModel {
@@ -162,6 +162,7 @@ impl ReferenceModel {
                 .expect("repair coordinates are valid");
         }
         stats.repairs = repairs.len();
+        stats.rows_scored = n;
         stats.duration = start.elapsed();
         stats.fit_duration = self.model.fit_duration;
         CleaningResult { cleaned, repairs, stats }

@@ -32,6 +32,10 @@ pub struct CleaningStats {
     pub candidates_evaluated: usize,
     /// Number of cells actually repaired.
     pub repairs: usize,
+    /// Rows the cleaning kernel scored. Every other row was identical to a
+    /// scored row of the same run: it shares that row's repairs, and the
+    /// counters above count that row's cells once more for it.
+    pub rows_scored: usize,
     /// Wall-clock time of the inference loop.
     #[serde(skip)]
     pub duration: Duration,
@@ -56,6 +60,7 @@ impl CleaningStats {
         self.cells_skipped += other.cells_skipped;
         self.candidates_evaluated += other.candidates_evaluated;
         self.repairs += other.repairs;
+        self.rows_scored += other.rows_scored;
     }
 }
 

@@ -14,17 +14,23 @@
 //!    fit's only use of raw `Value` rows, so the resulting
 //!    [`ModelArtifact`] serialises to the **same bytes** as the one-shot
 //!    fit.
-//! 2. **Clean.** The artifact compiles once and chunks are re-synthesised
-//!    by *decoding* the encoding (decode returns the exact parsed values,
-//!    and `encode_lossy(decode(code)) == code`), cleaned independently, and
-//!    their repairs shifted to global row indices. Inference is per-row
-//!    independent, so the concatenated repair list is identical to cleaning
-//!    the whole dataset at once. Cleaned rows stream to a CSV file chunk by
-//!    chunk, so the cleaned dataset is never materialised.
+//! 2. **Clean.** The artifact compiles once and the model's cleaning
+//!    kernel runs once over the whole encoding, reading its rows in place,
+//!    as one executor fan-out: it groups identical rows, scores one row per
+//!    group and leaves code repairs that every row of the group shares.
+//!    Inference is per-row independent, so the repairs equal those of
+//!    cleaning the whole dataset at once. The encoding was made against the
+//!    model's own dictionaries, so a cell's value is the decode of its code
+//!    (decode returns the exact parsed value): the writer decodes each
+//!    cleaned row straight from its codes and its group's code repairs into
+//!    a buffer of at most one window of rows (the chunk limits) before it
+//!    goes to the CSV file. Neither the dataset nor the cleaned dataset is
+//!    ever held as `Value`s.
 //!
-//! Peak memory is therefore one raw chunk + the (columnar `u32`) encoding +
-//! the confidence vector — codes, not heap `Value`s — tracked as a
-//! deterministic byte proxy in [`StreamOutcome::peak_bytes`].
+//! Peak memory is therefore one raw chunk + the (`u32`) encoding + the
+//! confidence vector in pass 1, and the encoding + the group table + the
+//! code repairs + one writer window in pass 2 — codes, not heap `Value`s
+//! — tracked as a deterministic byte proxy in [`StreamOutcome::peak_bytes`].
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -33,11 +39,11 @@ use std::time::Instant;
 
 use bclean_bayesnet::learn_structure_encoded;
 use bclean_data::{
-    approx_dataset_bytes, approx_values_bytes, push_csv_record, AttrType, ChunkLimits, ChunkSource,
-    DataError, Dataset, EncodedDataset, EncodedDatasetBuilder, Schema, Value,
+    approx_dataset_bytes, push_csv_record, AttrType, ChunkLimits, ChunkSource, DataError, EncodedDataset,
+    EncodedDatasetBuilder, Schema, Value,
 };
 
-use crate::cleaner::{BClean, BCleanModel};
+use crate::cleaner::{BClean, BCleanModel, RowValues};
 use crate::constraints::ConstraintSet;
 use crate::report::{CleaningStats, Repair};
 use crate::ModelArtifact;
@@ -45,11 +51,12 @@ use crate::ModelArtifact;
 /// How a streaming run chunks its input and where it writes cleaned rows.
 #[derive(Debug, Clone, Default)]
 pub struct StreamOptions {
-    /// Per-chunk row/byte bounds for both passes.
+    /// Per-chunk row/byte bounds of the source chunks and of the writer's
+    /// buffer.
     pub limits: ChunkLimits,
-    /// Stream the cleaned rows to this CSV file, chunk by chunk. The bytes
-    /// written are identical to `write_csv_file` of the one-shot cleaned
-    /// dataset.
+    /// Stream the cleaned rows to this CSV file, one window at a time. The
+    /// bytes written are identical to `write_csv_file` of the one-shot
+    /// cleaned dataset.
     pub cleaned_path: Option<PathBuf>,
 }
 
@@ -64,16 +71,17 @@ pub struct StreamOutcome {
     pub artifact: Option<ModelArtifact>,
     /// All repairs, ordered by (row, column) with global row indices.
     pub repairs: Vec<Repair>,
-    /// Merged cleaning statistics (durations summed across chunks).
+    /// Merged cleaning statistics.
     pub stats: CleaningStats,
     /// Total rows cleaned.
     pub rows: usize,
-    /// Chunks processed in the cleaning pass.
+    /// Source chunks read.
     pub chunks: usize,
     /// Deterministic peak-memory proxy (bytes): the largest simultaneous
-    /// footprint of raw chunk + encoding/builder + confidence vector seen
-    /// during the run. A heuristic for benchmarks and `--max-memory`
-    /// accounting, not an allocator measurement.
+    /// footprint seen during the run — raw chunk + encoding/builder +
+    /// confidence vector while reading, and encoding + group table + code
+    /// repairs + writer buffer while cleaning. A heuristic for benchmarks
+    /// and `--max-memory` accounting, not an allocator measurement.
     pub peak_bytes: usize,
     /// Always `false`: every run parses and encodes its source. The field
     /// stays because the `hospital-stream` benchmark (`perfbench/`) checks
@@ -101,6 +109,7 @@ pub fn clean_stream<S: ChunkSource + ?Sized>(
     let mut builder = EncodedDatasetBuilder::new(schema.arity());
     let mut confidences: Vec<f64> = Vec::new();
     let mut peak_bytes = 0usize;
+    let mut chunks = 0usize;
     let lambda = cleaner.config().params.lambda;
     while let Some(chunk) = source.next_chunk()? {
         for row in chunk.rows() {
@@ -109,6 +118,7 @@ pub fn clean_stream<S: ChunkSource + ?Sized>(
         builder.push_batch(&chunk);
         peak_bytes =
             peak_bytes.max(approx_dataset_bytes(&chunk) + builder.approx_bytes() + 8 * confidences.len());
+        chunks += 1;
     }
     let encoded = builder.finish();
     peak_bytes = peak_bytes.max(encoded.approx_bytes() + 8 * confidences.len());
@@ -121,35 +131,34 @@ pub fn clean_stream<S: ChunkSource + ?Sized>(
     let artifact = cleaner.artifact_from_encoded_parts(names, types, &encoded, dag, &confidences);
     let fit_duration = fit_start.elapsed();
 
-    // Pass 2: compile once, clean decoded chunks, shift repairs to global
-    // row indices, stream cleaned rows out.
+    // Pass 2: compile once, clean the whole encoding in one kernel run,
+    // stream cleaned rows out.
     let model = artifact.compile();
-    let outcome = clean_encoded_chunks(&model, &encoded, &schema, options, peak_bytes)?;
-
-    let mut stats = outcome.stats;
+    let (repairs, mut stats, held_bytes) = clean_encoded(&model, &encoded, &schema, options)?;
     stats.fit_duration = fit_duration;
     Ok(StreamOutcome {
         artifact: Some(artifact),
-        repairs: outcome.repairs,
+        repairs,
         stats,
         rows: encoded.num_rows(),
-        chunks: outcome.chunks,
-        peak_bytes: outcome.peak_bytes,
+        chunks,
+        peak_bytes: peak_bytes.max(encoded.approx_bytes() + held_bytes),
         encode_skipped: false,
     })
 }
 
 /// Clean a chunked source against an already-fitted model (the
-/// `bclean clean -m` path): no fitting, one pass, repairs shifted
-/// to global row indices and cleaned rows streamed out chunk by chunk.
-/// Produces exactly the repairs of `model.clean` over the concatenated
-/// dataset, because inference is per-row independent.
+/// `bclean clean -m` path): no fitting, one pass, each chunk cleaned by
+/// `model.clean`, repairs shifted to global row indices and cleaned rows
+/// streamed out. Produces exactly the repairs of `model.clean` over the
+/// concatenated dataset, because inference is per-row independent.
 pub fn clean_stream_with_model<S: ChunkSource + ?Sized>(
     model: &BCleanModel,
     source: &mut S,
     options: &StreamOptions,
 ) -> Result<StreamOutcome, DataError> {
-    let mut writer = CleanedCsvWriter::create(options.cleaned_path.as_deref(), source.schema())?;
+    let mut writer =
+        CleanedCsvWriter::create(options.cleaned_path.as_deref(), source.schema(), options.limits)?;
     let mut repairs: Vec<Repair> = Vec::new();
     let mut stats = CleaningStats::default();
     let mut rows = 0usize;
@@ -158,85 +167,69 @@ pub fn clean_stream_with_model<S: ChunkSource + ?Sized>(
     while let Some(chunk) = source.next_chunk()? {
         peak_bytes = peak_bytes.max(2 * approx_dataset_bytes(&chunk));
         let result = model.clean(&chunk);
-        absorb_chunk(&mut repairs, &mut stats, result, rows, &mut writer)?;
+        repairs.extend(result.repairs.into_iter().map(|mut repair| {
+            repair.at.row += rows;
+            repair
+        }));
+        stats.merge(&result.stats);
+        stats.duration += result.stats.duration;
+        for row in result.cleaned.rows() {
+            writer.push_row(row.iter().map(Value::as_text))?;
+        }
         rows += chunk.num_rows();
         chunks += 1;
     }
-    writer.finish()?;
+    peak_bytes += writer.finish()?;
     Ok(StreamOutcome { artifact: None, repairs, stats, rows, chunks, peak_bytes, encode_skipped: false })
 }
 
-/// The cleaning pass of [`clean_stream`]: decode the encoding window by
-/// window, clean each window, shift repairs, stream cleaned rows. A window
-/// closes when either bound of the limits is reached and holds at least one
-/// row, like the chunks pass 1 reads.
-fn clean_encoded_chunks(
+/// The cleaning pass of [`clean_stream`]: one kernel run over the model's
+/// own encoding, read in place, then each cleaned row decoded straight from
+/// its codes and its group's code repairs into the writer. Returns the
+/// repairs, the statistics and the bytes held beside the encoding at the
+/// pass's peak: the group table, the code repairs and the writer's buffer.
+fn clean_encoded(
     model: &BCleanModel,
     encoded: &EncodedDataset,
     schema: &Schema,
     options: &StreamOptions,
-    mut peak_bytes: usize,
-) -> Result<ChunksOutcome, DataError> {
-    let mut writer = CleanedCsvWriter::create(options.cleaned_path.as_deref(), schema)?;
-    let mut repairs: Vec<Repair> = Vec::new();
-    let mut stats = CleaningStats::default();
-    let mut chunks = 0usize;
-    let ChunkLimits { max_rows, max_bytes } = options.limits;
-    let mut start = 0usize;
-    while start < encoded.num_rows() {
-        let mut chunk = Dataset::new(schema.clone());
-        let mut bytes = 0usize;
-        let mut end = start;
-        while end < encoded.num_rows() && chunk.num_rows() < max_rows.max(1) && bytes < max_bytes.max(1) {
-            let row: Vec<Value> =
-                (0..encoded.num_columns()).map(|c| encoded.decode_cell(end, c).clone()).collect();
-            bytes += approx_values_bytes(&row);
-            chunk.push_row(row)?;
-            end += 1;
+) -> Result<(Vec<Repair>, CleaningStats, usize), DataError> {
+    let gather = |row: usize, out: &mut [u32]| {
+        for (col, code) in out.iter_mut().enumerate() {
+            *code = encoded.code(row, col);
         }
-        peak_bytes = peak_bytes.max(encoded.approx_bytes() + 2 * bytes);
-        let result = model.clean(&chunk);
-        absorb_chunk(&mut repairs, &mut stats, result, start, &mut writer)?;
-        chunks += 1;
-        start = end;
+    };
+    let mut writer = CleanedCsvWriter::create(options.cleaned_path.as_deref(), schema, options.limits)?;
+    let values = RowValues::Decoded(schema);
+    let cleaning = model.clean_codes(encoded.num_rows(), gather, values);
+    let dicts = model.dicts();
+    let names = schema.names();
+    let mut repairs = Vec::new();
+    let mut row_codes = vec![0u32; dicts.len()];
+    for row in 0..encoded.num_rows() {
+        gather(row, &mut row_codes);
+        // A row's repairs are one per column, so each reads its `from`
+        // before its own column is overwritten.
+        for code_repair in cleaning.row_repairs(row) {
+            repairs.push(model.decode_repair(values, &names, row, &row_codes, code_repair));
+            row_codes[code_repair.col] = code_repair.to_code;
+        }
+        writer.push_row(row_codes.iter().zip(dicts).map(|(&code, dict)| dict.decode(code).as_text()))?;
     }
-    writer.finish()?;
-    Ok(ChunksOutcome { repairs, stats, chunks, peak_bytes })
-}
-
-struct ChunksOutcome {
-    repairs: Vec<Repair>,
-    stats: CleaningStats,
-    chunks: usize,
-    peak_bytes: usize,
-}
-
-/// Fold one chunk's cleaning result into the global accumulators: shift
-/// repair rows by the chunk's global offset, merge stats (summing the
-/// inference durations), append the cleaned rows to the output CSV.
-fn absorb_chunk(
-    repairs: &mut Vec<Repair>,
-    stats: &mut CleaningStats,
-    result: crate::report::CleaningResult,
-    offset: usize,
-    writer: &mut CleanedCsvWriter,
-) -> Result<(), DataError> {
-    repairs.extend(result.repairs.into_iter().map(|mut repair| {
-        repair.at.row += offset;
-        repair
-    }));
-    stats.merge(&result.stats);
-    stats.duration += result.stats.duration;
-    writer.push(&result.cleaned)
+    let held_bytes = cleaning.approx_bytes() + writer.finish()?;
+    let mut stats = cleaning.stats;
+    stats.repairs = repairs.len();
+    Ok((repairs, stats, held_bytes))
 }
 
 /// Incremental cleaned-CSV writer: the header goes out when the writer is
-/// created, then each cleaned chunk's rows are rendered and written through
-/// a buffered file as they arrive, so memory holds at most one rendered
-/// chunk and a run with zero chunks still writes a header-only file. Every
-/// record goes through `push_csv_record`, the record writer of `to_csv`, so
-/// the bytes equal `write_csv_file` of the concatenated cleaned dataset
-/// whatever the chunking.
+/// created, then cleaned rows are rendered into a buffer that is written
+/// through a buffered file whenever it holds a window of rows (either bound
+/// of the chunk limits), so memory holds at most one rendered window and a
+/// run with zero rows still writes a header-only file. Every record goes
+/// through `push_csv_record`, the record writer of `to_csv`, so the bytes
+/// equal `write_csv_file` of the concatenated cleaned dataset whatever the
+/// chunking.
 ///
 /// Rows go to `<path>.partial`, which `finish` renames over `path`: the
 /// target is never truncated while the source may still be read from it
@@ -245,11 +238,23 @@ fn absorb_chunk(
 struct CleanedCsvWriter {
     /// `(target, partial file path, buffered partial file)`.
     out: Option<(PathBuf, PathBuf, BufWriter<File>)>,
+    limits: ChunkLimits,
+    /// The rendered rows not yet written, and how many there are.
+    window: String,
+    window_rows: usize,
+    /// The most bytes the window has held.
+    peak: usize,
 }
 
 impl CleanedCsvWriter {
-    fn create(path: Option<&Path>, schema: &Schema) -> Result<CleanedCsvWriter, DataError> {
-        let Some(path) = path else { return Ok(CleanedCsvWriter { out: None }) };
+    fn create(
+        path: Option<&Path>,
+        schema: &Schema,
+        limits: ChunkLimits,
+    ) -> Result<CleanedCsvWriter, DataError> {
+        let mut writer =
+            CleanedCsvWriter { out: None, limits, window: String::new(), window_rows: 0, peak: 0 };
+        let Some(path) = path else { return Ok(writer) };
         let mut partial = path.as_os_str().to_os_string();
         partial.push(".partial");
         let partial = PathBuf::from(partial);
@@ -257,23 +262,44 @@ impl CleanedCsvWriter {
         let mut header = String::new();
         push_csv_record(&mut header, schema.names());
         file.write_all(header.as_bytes()).map_err(|e| write_error(&partial, e))?;
-        Ok(CleanedCsvWriter { out: Some((path.to_path_buf(), partial, file)) })
+        writer.out = Some((path.to_path_buf(), partial, file));
+        Ok(writer)
     }
 
-    fn push(&mut self, cleaned: &Dataset) -> Result<(), DataError> {
-        let Some((_, partial, file)) = &mut self.out else { return Ok(()) };
-        let mut rendered = String::new();
-        for row in cleaned.rows() {
-            push_csv_record(&mut rendered, row.iter().map(Value::as_text));
+    /// Render one cleaned row into the window, writing the window out once
+    /// it is full. Renders nothing when there is no output file.
+    fn push_row<S: AsRef<str>>(&mut self, fields: impl IntoIterator<Item = S>) -> Result<(), DataError> {
+        if self.out.is_none() {
+            return Ok(());
         }
-        file.write_all(rendered.as_bytes()).map_err(|e| write_error(partial, e))
+        push_csv_record(&mut self.window, fields);
+        self.window_rows += 1;
+        if self.window_rows >= self.limits.max_rows.max(1)
+            || self.window.len() >= self.limits.max_bytes.max(1)
+        {
+            self.write_window()?;
+        }
+        Ok(())
     }
 
-    fn finish(self) -> Result<(), DataError> {
-        let Some((path, partial, mut file)) = self.out else { return Ok(()) };
+    fn write_window(&mut self) -> Result<(), DataError> {
+        let Some((_, partial, file)) = &mut self.out else { return Ok(()) };
+        self.peak = self.peak.max(self.window.len());
+        file.write_all(self.window.as_bytes()).map_err(|e| write_error(partial, e))?;
+        self.window.clear();
+        self.window_rows = 0;
+        Ok(())
+    }
+
+    /// Write the last window and move the file into place. Returns the most
+    /// bytes the window held.
+    fn finish(mut self) -> Result<usize, DataError> {
+        self.write_window()?;
+        let Some((path, partial, mut file)) = self.out else { return Ok(self.peak) };
         file.flush().map_err(|e| write_error(&partial, e))?;
         drop(file); // close before the rename
-        std::fs::rename(&partial, &path).map_err(|e| write_error(&path, e))
+        std::fs::rename(&partial, &path).map_err(|e| write_error(&path, e))?;
+        Ok(self.peak)
     }
 }
 
@@ -287,7 +313,7 @@ mod tests {
     use crate::config::Variant;
     use crate::constraints::UserConstraint;
     use crate::report::repairs_to_csv;
-    use bclean_data::{dataset_from, to_csv, DatasetChunks};
+    use bclean_data::{dataset_from, to_csv, Dataset, DatasetChunks};
 
     fn dirty_rows() -> Vec<Vec<&'static str>> {
         let mut rows: Vec<Vec<&str>> = Vec::new();

@@ -1,10 +1,10 @@
 //! Property-based tests for the BClean cleaner: structural invariants that
 //! must hold for any input data, any corruption and any variant.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use bclean_core::{
-    BClean, BCleanConfig, BCleanModel, CompensatoryModel, CompensatoryParams, ConstraintSet,
+    repairs_to_csv, BClean, BCleanConfig, BCleanModel, CompensatoryModel, CompensatoryParams, ConstraintSet,
     ParallelExecutor, UserConstraint, Variant,
 };
 use bclean_data::{dataset_from, Dataset, EncodedDataset, Value};
@@ -251,7 +251,7 @@ proptest! {
         for span in bounds[1..].windows(2) {
             let batch = text_dataset(&names, &text[span[0]..span[1]]);
             let appended = encoded.append_batch(&batch);
-            model.absorb(&batch, &ucs, &encoded, appended);
+            model = model.absorbed(&batch, &ucs, &encoded, appended);
         }
 
         let dicts = model.dicts();
@@ -415,6 +415,102 @@ proptest! {
             prop_assert!(repair_rank.is_some());
             if let (Some(rr), Some(or)) = (repair_rank, original_rank) {
                 prop_assert!(rr <= or, "repair ranked below original: {rep:?}");
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Cleaning a table whose rows repeat equals cleaning each row as a
+    /// one-row dataset: the same repairs, `from` included, and the same
+    /// counters, for every variant at 1 and 2 threads, while the kernel
+    /// scores one row per group of identical rows. The rows come from the
+    /// fitted table, with nulls and unseen values written over some cells;
+    /// two rows differ only in the unseen value of one column, which one
+    /// code stands for, so only values tell them apart ("QQ" satisfies the
+    /// `state` constraints and "qqq" breaks them).
+    #[test]
+    fn duplicate_rows_clean_like_single_rows(
+        (rows, corruptions) in table_strategy(),
+        picks in proptest::collection::vec(0usize..1000, 8..40),
+        edits in proptest::collection::vec((0usize..1000, 0usize..4, 0u8..3), 0..6),
+    ) {
+        let train = build(&rows, &corruptions);
+        let mut table: Vec<Vec<Value>> =
+            picks.iter().map(|&p| train.row(p % train.num_rows()).unwrap().to_vec()).collect();
+        for &(row, col, kind) in &edits {
+            let n = table.len();
+            table[row % n][col] = match kind {
+                0 => Value::Null,
+                1 => Value::text("QQ"),
+                _ => Value::text("qqq"),
+            };
+        }
+        let mut twin = table[0].clone();
+        for unseen in ["QQ", "qqq"] {
+            twin[1] = Value::text(unseen);
+            table.push(twin.clone());
+        }
+        let mut dirty = Dataset::new(train.schema().clone());
+        for row in &table {
+            dirty.push_row(row.clone()).unwrap();
+        }
+
+        for variant in Variant::all() {
+            let mut artifact = BClean::new(variant.config()).with_constraints(constraints()).fit_artifact(&train);
+            for threads in [1usize, 2] {
+                artifact.set_threads(threads);
+                let model = artifact.compile();
+                let result = model.clean(&dirty);
+                let mut expected = Vec::new();
+                let mut cleaned = Vec::new();
+                let mut counters = [0usize; 4];
+                for (r, row) in table.iter().enumerate() {
+                    let mut single = Dataset::new(train.schema().clone());
+                    single.push_row(row.clone()).unwrap();
+                    let one = model.clean(&single);
+                    let stats = &one.stats;
+                    for (total, count) in counters.iter_mut().zip([
+                        stats.cells_examined,
+                        stats.cells_skipped,
+                        stats.candidates_evaluated,
+                        stats.repairs,
+                    ]) {
+                        *total += count;
+                    }
+                    cleaned.push(one.cleaned.row(0).unwrap().to_vec());
+                    expected.extend(one.repairs.into_iter().map(|mut repair| {
+                        repair.at.row = r;
+                        repair
+                    }));
+                }
+                let context = format!("{variant:?} at {threads} threads");
+                prop_assert_eq!(repairs_to_csv(&result.repairs), repairs_to_csv(&expected), "{}", &context);
+                prop_assert_eq!(&result.repairs, &expected, "{}", &context);
+                prop_assert!(result.cleaned.rows().eq(cleaned.iter().map(|row| row.as_slice())), "{}", &context);
+                let stats = &result.stats;
+                prop_assert_eq!(
+                    [stats.cells_examined, stats.cells_skipped, stats.candidates_evaluated, stats.repairs],
+                    counters,
+                    "{}",
+                    &context
+                );
+                // One scored row per group: rows with an unseen code alone,
+                // the others by their codes.
+                let dicts = model.dicts();
+                let mut groups = HashSet::new();
+                let mut alone = 0;
+                for row in &table {
+                    let codes: Vec<u32> = row.iter().zip(dicts).map(|(v, d)| d.encode_lossy(v)).collect();
+                    if codes.iter().zip(dicts).any(|(&c, d)| c == d.unseen_code()) {
+                        alone += 1;
+                    } else {
+                        groups.insert(codes);
+                    }
+                }
+                prop_assert_eq!(stats.rows_scored, groups.len() + alone, "{}", &context);
             }
         }
     }
