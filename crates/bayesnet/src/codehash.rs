@@ -1,21 +1,23 @@
-//! A fast, deterministic hash for the crate's lookup-only maps keyed by
-//! codes: the structure learner's similarity memos and the configuration →
-//! row index of a [`crate::CompiledCpt`] whose configuration space is too
-//! large for a dense index. Neither map's iteration order is ever observed,
-//! and their keys are codes, not outside input, so they need no keyed
-//! hash. The std default, SipHash, cost more than the rest of a CPT probe.
+//! A fast, deterministic hash for lookup-only maps keyed by codes: the
+//! structure learner's similarity memos, the configuration → row index of a
+//! [`crate::CompiledCpt`] whose configuration space is too large for a
+//! dense index, and the cleaning kernel's maps from a term's inputs
+//! ([`crate::FactorKey`], context codes) to the term's values. No map's
+//! iteration order is ever observed, and their keys are codes, not outside
+//! input, so they need no keyed hash. The std default, SipHash, cost more
+//! than the rest of a CPT probe.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A map hashed with [`CodeHasher`].
-pub(crate) type CodeMap<K, V> = HashMap<K, V, BuildHasherDefault<CodeHasher>>;
+pub type CodeMap<K, V> = HashMap<K, V, BuildHasherDefault<CodeHasher>>;
 
 /// Minimal multiplicative hasher for small fixed-width keys (code pairs,
 /// mixed-radix configuration indexes): one multiply–xorshift–multiply
 /// round per 64-bit word, the same in every process.
-#[derive(Default)]
-pub(crate) struct CodeHasher(u64);
+#[derive(Debug, Default)]
+pub struct CodeHasher(u64);
 
 impl Hasher for CodeHasher {
     #[inline]
@@ -32,6 +34,16 @@ impl Hasher for CodeHasher {
 
     #[inline]
     fn write_u32(&mut self, n: u32) {
+        self.write_u64(n as u64);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    #[inline]
+    fn write_isize(&mut self, n: isize) {
         self.write_u64(n as u64);
     }
 

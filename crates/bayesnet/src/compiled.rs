@@ -11,6 +11,13 @@
 //! counts enter the same floating-point expressions in the same order, only
 //! the lookups change.
 //!
+//! The cleaning kernel scores through the terms of those sums instead:
+//! [`CompiledNetwork::own_factor`] and [`CompiledNetwork::child_factor`]
+//! give one CPT [`Factor`] of a code row as a function of the candidate,
+//! with its inputs resolved into a [`FactorKey`]. Rows whose factors have
+//! equal keys share the factor's log probabilities, so the kernel evaluates
+//! each distinct factor once over a candidate list.
+//!
 //! # Code layout
 //!
 //! The compilation relies on the code-order invariant of
@@ -329,45 +336,71 @@ fn slot_value(dict: &ColumnDict, slot: usize) -> Option<&Value> {
     }
 }
 
-/// One child's factor `log Pr[codes[child] | parents]` as a function of the
-/// code its parent `node` takes, with everything else resolved once: the
-/// child's own code and the mixed-radix base over its other parents.
-/// Scoring a candidate is then `base + code · stride`, one row lookup and
-/// one search of that row.
-struct ChildFactor<'a> {
+/// One CPT factor of a candidate's score, as a function of the scored
+/// node's candidate code alone: the node's own `log Pr[c | parents]`, or a
+/// child's `log Pr[child's code | c, other parents]`. Everything else the
+/// factor reads from the code row is resolved once, into its [`FactorKey`],
+/// so two rows whose factors of the same CPT have equal keys give every
+/// candidate the same log probability, and a caller that scores many rows
+/// evaluates each distinct factor once.
+#[derive(Debug, Clone, Copy)]
+pub struct Factor<'a> {
     cpt: &'a CompiledCpt,
-    code: u32,
-    /// `None` when another parent's code is unseen, so that no candidate
-    /// can complete an observed configuration.
-    base: Option<u128>,
+    key: FactorKey,
+    /// A child factor's stride and code space of the candidate's parent
+    /// slot; both 0 for an own factor.
     stride: u128,
     radix: u32,
 }
 
-impl<'a> ChildFactor<'a> {
-    fn new(cpt: &'a CompiledCpt, codes: &[u32], child: usize, node: usize) -> ChildFactor<'a> {
-        let mut factor = ChildFactor { cpt, code: codes[child], base: Some(0), stride: 0, radix: 0 };
-        for (i, &p) in cpt.parents.iter().enumerate() {
-            if p == node {
-                factor.stride = cpt.strides[i];
-                factor.radix = cpt.radices[i];
-            } else if codes[p] >= cpt.radices[i] {
-                factor.base = None;
-            } else if let Some(base) = &mut factor.base {
-                *base += codes[p] as u128 * cpt.strides[i];
-            }
-        }
-        factor
+/// What a [`Factor`] read from its code row, resolved: equal keys of one
+/// CPT's factors mean equal functions of the candidate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum FactorKey {
+    /// The node's own factor: the row its parents' codes select, or `None`
+    /// when they select none (no parents, an unseen parent value or an
+    /// unobserved configuration), which scores through the marginal.
+    Own(Option<u32>),
+    /// A child's factor: the child's own code, and the mixed-radix base of
+    /// its other parents' codes, or `None` when one of them is unseen, so
+    /// that no candidate can complete an observed configuration.
+    Child {
+        /// The child's code in the row.
+        code: u32,
+        /// `Σ code · stride` over the child's other parents.
+        base: Option<u128>,
+    },
+}
+
+impl Factor<'_> {
+    /// The factor's resolved inputs.
+    pub fn key(&self) -> FactorKey {
+        self.key
     }
 
-    /// `log_prob(codes, codes[child], node, candidate)`, bit for bit.
+    /// The factor's log probability for one candidate code, bit for bit
+    /// the term [`CompiledNetwork::blanket_log_score`],
+    /// [`CompiledNetwork::children_log_likelihood`] and
+    /// [`CompiledNetwork::log_joint_with`] add for it.
     #[inline]
-    fn log_prob(&self, candidate: u32) -> f64 {
-        let row = match self.base {
-            Some(base) if candidate < self.radix => self.cpt.row_at(base + candidate as u128 * self.stride),
-            _ => None,
-        };
-        self.cpt.log_in(row, self.code)
+    pub fn log_prob(&self, candidate: u32) -> f64 {
+        match self.key {
+            FactorKey::Own(row) => self.cpt.log_in(row.map(|r| r as usize), candidate),
+            FactorKey::Child { code, base } => {
+                let row = match base {
+                    Some(base) if candidate < self.radix => {
+                        self.cpt.row_at(base + candidate as u128 * self.stride)
+                    }
+                    _ => None,
+                };
+                self.cpt.log_in(row, code)
+            }
+        }
+    }
+
+    /// Append [`Factor::log_prob`] of every code of `candidates` to `out`.
+    pub fn log_probs(&self, candidates: &[u32], out: &mut Vec<f64>) {
+        out.extend(candidates.iter().map(|&c| self.log_prob(c)));
     }
 }
 
@@ -478,69 +511,45 @@ impl CompiledNetwork {
         score
     }
 
-    /// [`CompiledNetwork::blanket_log_score`] of every code of `candidates`
-    /// into `out`, bit for bit. The node's own row is resolved once, since
-    /// its parents do not vary, and so is each child's factor but for the
-    /// candidate; every score still sums the own factor and then the
-    /// children in DAG order.
-    pub fn blanket_log_scores(&self, codes: &[u32], node: usize, candidates: &[u32], out: &mut Vec<f64>) {
-        let own = &self.nodes[node];
-        let row = own.row(own.parents.iter().map(|&p| codes[p]));
-        out.clear();
-        out.extend(candidates.iter().map(|&c| own.log_in(row, c)));
-        self.add_children(codes, node, candidates, out);
+    /// The parents of `node`, in DAG order.
+    pub fn parents(&self, node: usize) -> &[usize] {
+        &self.parents[node]
     }
 
-    /// [`CompiledNetwork::children_log_likelihood`] of every code of
-    /// `candidates` into `out`, bit for bit.
-    pub fn children_log_likelihoods(
-        &self,
-        codes: &[u32],
-        node: usize,
-        candidates: &[u32],
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        out.resize(candidates.len(), 0.0);
-        self.add_children(codes, node, candidates, out);
+    /// The children of `node`, in DAG child order: the order
+    /// [`CompiledNetwork::blanket_log_score`] adds their factors in.
+    pub fn children(&self, node: usize) -> &[usize] {
+        &self.children[node]
     }
 
-    /// [`CompiledNetwork::log_joint_with`] of every code of `candidates`
-    /// into `out`, bit for bit: the factors that do not depend on the
-    /// candidate are computed once, and every score adds all factors in
-    /// node order.
-    pub fn log_joints_with(&self, codes: &[u32], node: usize, candidates: &[u32], out: &mut Vec<f64>) {
-        out.clear();
-        out.resize(candidates.len(), 0.0);
-        for (i, cpt) in self.nodes.iter().enumerate() {
-            if i == node {
-                let row = cpt.row(cpt.parents.iter().map(|&p| codes[p]));
-                for (score, &c) in out.iter_mut().zip(candidates) {
-                    *score += cpt.log_in(row, c);
-                }
-            } else if self.parents[i].contains(&node) {
-                let factor = ChildFactor::new(cpt, codes, i, node);
-                for (score, &c) in out.iter_mut().zip(candidates) {
-                    *score += factor.log_prob(c);
-                }
-            } else {
-                let fixed = cpt.log_prob_row(codes, codes[i]);
-                for score in out.iter_mut() {
-                    *score += fixed;
-                }
+    /// The own factor of `node` in the code row `codes`: the first term of
+    /// [`CompiledNetwork::blanket_log_score`], and the `node` term of
+    /// [`CompiledNetwork::log_joint_with`].
+    pub fn own_factor(&self, codes: &[u32], node: usize) -> Factor<'_> {
+        let cpt = &self.nodes[node];
+        let row = cpt.row(cpt.parents.iter().map(|&p| codes[p])).map(|r| r as u32);
+        Factor { cpt, key: FactorKey::Own(row), stride: 0, radix: 0 }
+    }
+
+    /// The factor of `child`, one of `node`'s children, in the code row
+    /// `codes`, as a function of the code `node` takes: the child's term of
+    /// `node`'s [`CompiledNetwork::blanket_log_score`],
+    /// [`CompiledNetwork::children_log_likelihood`] and
+    /// [`CompiledNetwork::log_joint_with`].
+    pub fn child_factor(&self, codes: &[u32], child: usize, node: usize) -> Factor<'_> {
+        let cpt = &self.nodes[child];
+        let (mut base, mut stride, mut radix) = (Some(0u128), 0, 0);
+        for (i, &p) in cpt.parents.iter().enumerate() {
+            if p == node {
+                stride = cpt.strides[i];
+                radix = cpt.radices[i];
+            } else if codes[p] >= cpt.radices[i] {
+                base = None;
+            } else if let Some(base) = &mut base {
+                *base += codes[p] as u128 * cpt.strides[i];
             }
         }
-    }
-
-    /// Add every child factor of `node`, in DAG child order, to the scores
-    /// of `candidates`.
-    fn add_children(&self, codes: &[u32], node: usize, candidates: &[u32], out: &mut [f64]) {
-        for &child in &self.children[node] {
-            let factor = ChildFactor::new(&self.nodes[child], codes, child, node);
-            for (score, &c) in out.iter_mut().zip(candidates) {
-                *score += factor.log_prob(c);
-            }
-        }
+        Factor { cpt, key: FactorKey::Child { code: codes[child], base }, stride, radix }
     }
 }
 
@@ -639,38 +648,58 @@ mod tests {
         );
     }
 
-    /// The batched scorers of every node must equal the one-candidate
-    /// scorers bit for bit, for every code of the node's code space and
-    /// the unseen code past it.
-    fn assert_batched_scores_match(net: &CompiledNetwork, codes: &[u32], dicts: &[ColumnDict]) {
-        let mut out = Vec::new();
+    /// Every node's factors, summed in the one-candidate scorers' order,
+    /// must equal those scorers bit for bit, for every code of the node's
+    /// code space and the unseen code past it. Two rows whose factors have
+    /// equal keys must give every candidate the same log probability.
+    fn assert_factor_scores_match(net: &CompiledNetwork, codes: &[u32], dicts: &[ColumnDict]) {
         for (node, dict) in dicts.iter().enumerate() {
             let candidates: Vec<u32> = (0..=dict.unseen_code()).collect();
-            let check = |out: &[f64], oracle: &dyn Fn(u32) -> f64, what: &str| {
-                for (&c, score) in candidates.iter().zip(out) {
-                    assert_eq!(
-                        score.to_bits(),
-                        oracle(c).to_bits(),
-                        "{what} node {node} code {c} row {codes:?}"
-                    );
+            let own = net.own_factor(codes, node);
+            let children: Vec<Factor> =
+                net.children(node).iter().map(|&child| net.child_factor(codes, child, node)).collect();
+            let mut probs = Vec::new();
+            own.log_probs(&candidates, &mut probs);
+            for (&c, &own_prob) in candidates.iter().zip(&probs) {
+                let mut blanket = own_prob;
+                let mut likelihood = 0.0;
+                for factor in &children {
+                    blanket += factor.log_prob(c);
+                    likelihood += factor.log_prob(c);
                 }
-            };
-            net.blanket_log_scores(codes, node, &candidates, &mut out);
-            check(&out, &|c| net.blanket_log_score(codes, node, c), "blanket");
-            net.children_log_likelihoods(codes, node, &candidates, &mut out);
-            check(&out, &|c| net.children_log_likelihood(codes, node, c), "children");
-            net.log_joints_with(codes, node, &candidates, &mut out);
-            check(&out, &|c| net.log_joint_with(codes, node, c), "joint");
+                let mut joint = 0.0;
+                for i in 0..net.num_nodes() {
+                    joint += if i == node {
+                        own.log_prob(c)
+                    } else if net.parents(i).contains(&node) {
+                        net.child_factor(codes, i, node).log_prob(c)
+                    } else {
+                        net.node(i).log_prob_row(codes, codes[i])
+                    };
+                }
+                let row = format!("node {node} code {c} row {codes:?}");
+                assert_eq!(
+                    blanket.to_bits(),
+                    net.blanket_log_score(codes, node, c).to_bits(),
+                    "blanket {row}"
+                );
+                assert_eq!(
+                    likelihood.to_bits(),
+                    net.children_log_likelihood(codes, node, c).to_bits(),
+                    "children {row}"
+                );
+                assert_eq!(joint.to_bits(), net.log_joint_with(codes, node, c).to_bits(), "joint {row}");
+            }
         }
     }
 
     /// A two-parent node scores exactly like the `Value` path, compiled
     /// from the learned CPT or from code counts: every code of the row, the
     /// unseen code past it, and configurations with an unseen parent,
-    /// which score through the marginal. The batched scorers agree with the
-    /// one-candidate ones over both networks. State has two parents, so Zip
-    /// and Other each score a child factor whose other parent is fixed, or
-    /// unseen.
+    /// which score through the marginal. The factors sum to the
+    /// one-candidate scores over both networks. State has two parents, so
+    /// Zip and Other each score a child factor whose other parent is fixed,
+    /// or unseen.
     #[test]
     fn two_parent_scores_match_value_path() {
         let data = fd_dataset();
@@ -716,7 +745,61 @@ mod tests {
                             "row {r} code {code} unseen parent {parent:?}"
                         );
                     }
-                    assert_batched_scores_match(net, &patched_codes, dicts);
+                    assert_factor_scores_match(net, &patched_codes, dicts);
+                }
+            }
+        }
+    }
+
+    /// Factors of one CPT with equal keys score every candidate alike,
+    /// across all rows of the data, with and without unseen parent codes,
+    /// and a key holds every code its factor reads: rows whose child codes
+    /// differ never share a child factor's key.
+    #[test]
+    fn equal_factor_keys_score_alike() {
+        let data = fd_dataset();
+        let mut dag = Dag::new(3);
+        dag.add_edge(0, 1).unwrap();
+        dag.add_edge(2, 1).unwrap();
+        let bn = BayesianNetwork::learn(&data, dag, 0.1);
+        let encoded = EncodedDataset::from_dataset(&data);
+        let dicts = encoded.dicts();
+        let net = CompiledNetwork::compile(&bn, dicts);
+        let mut rows: Vec<Vec<u32>> = (0..data.num_rows()).map(|r| encoded.row_codes(r)).collect();
+        for r in 0..data.num_rows() {
+            for p in 0..3 {
+                let mut patched = encoded.row_codes(r);
+                patched[p] = dicts[p].unseen_code();
+                rows.push(patched);
+            }
+        }
+        for (node, dict) in dicts.iter().enumerate() {
+            let candidates: Vec<u32> = (0..=dict.unseen_code()).collect();
+            let mut factors: Vec<(usize, Factor)> =
+                rows.iter().map(|codes| (node, net.own_factor(codes, node))).collect();
+            for &child in net.children(node) {
+                factors.extend(rows.iter().map(|codes| (child, net.child_factor(codes, child, node))));
+            }
+            for (i, (cpt_a, a)) in factors.iter().enumerate() {
+                for (cpt_b, b) in &factors[i + 1..] {
+                    if cpt_a != cpt_b || a.key() != b.key() {
+                        continue;
+                    }
+                    let (mut pa, mut pb) = (Vec::new(), Vec::new());
+                    a.log_probs(&candidates, &mut pa);
+                    b.log_probs(&candidates, &mut pb);
+                    assert!(
+                        pa.iter().map(|x| x.to_bits()).eq(pb.iter().map(|x| x.to_bits())),
+                        "{:?}",
+                        a.key()
+                    );
+                }
+            }
+        }
+        for a in &rows {
+            for b in &rows {
+                if a[1] != b[1] {
+                    assert_ne!(net.child_factor(a, 1, 0).key(), net.child_factor(b, 1, 0).key());
                 }
             }
         }
@@ -771,8 +854,8 @@ mod tests {
                     );
                 }
             }
-            assert_batched_scores_match(&via_fresh, &fresh_codes, fresh.dicts());
-            assert_batched_scores_match(&via_appended, &appended_codes, appended.dicts());
+            assert_factor_scores_match(&via_fresh, &fresh_codes, fresh.dicts());
+            assert_factor_scores_match(&via_appended, &appended_codes, appended.dicts());
         }
     }
 

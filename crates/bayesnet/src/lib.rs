@@ -33,7 +33,7 @@
 
 #![warn(missing_docs)]
 
-mod codehash;
+pub mod codehash;
 pub mod compiled;
 pub mod counts;
 pub mod cpt;
@@ -43,7 +43,8 @@ pub mod network;
 pub mod sim;
 pub mod structure;
 
-pub use compiled::{CompiledCpt, CompiledNetwork};
+pub use codehash::CodeMap;
+pub use compiled::{CompiledCpt, CompiledNetwork, Factor, FactorKey};
 pub use counts::{CountsSnapshot, NodeCounts};
 pub use cpt::Cpt;
 pub use edit::{EditError, NetworkEdit, NetworkEditor};

@@ -2,7 +2,7 @@
 
 use bclean_bayesnet::{
     edit_similarity, learn_structure, levenshtein, numeric_similarity, BayesianNetwork, CompiledCpt,
-    CompiledNetwork, Cpt, Dag, NodeCounts, StructureConfig,
+    CompiledNetwork, Cpt, Dag, Factor, NodeCounts, StructureConfig,
 };
 use bclean_data::{dataset_from, Dataset, EncodedDataset, Value};
 use proptest::prelude::*;
@@ -156,6 +156,14 @@ fn random_table(parents: usize, wide: bool, seed: u64) -> Dataset {
     dataset_from(&names, &refs)
 }
 
+/// The factors of `node`'s blanket in the code row `codes`: its own, then
+/// its children's in DAG order.
+fn blanket_factors<'a>(net: &'a CompiledNetwork, codes: &[u32], node: usize) -> Vec<Factor<'a>> {
+    let mut factors = vec![net.own_factor(codes, node)];
+    factors.extend(net.children(node).iter().map(|&child| net.child_factor(codes, child, node)));
+    factors
+}
+
 /// Rows `range` of `data` as a dataset of their own.
 fn slice(data: &Dataset, range: std::ops::Range<usize>) -> Dataset {
     let mut out = Dataset::new(data.schema().clone());
@@ -173,7 +181,8 @@ proptest! {
     /// snapshot and round-trip through `from_snapshot`; compiled, they score
     /// every code (null and unseen included) exactly like the `Value`-path
     /// CPT compiled against the same dictionaries, through every
-    /// one-candidate and batched scorer, also with unseen parent codes.
+    /// one-candidate scorer and every factor of a node's blanket, also with
+    /// unseen parent codes; the factors sum to the blanket score.
     #[test]
     fn counted_tables_match_value_learning(
         parents in 1usize..4,
@@ -247,17 +256,29 @@ proptest! {
                         );
                         prop_assert_eq!(counted.log_marginal(node, c).to_bits(), learned.log_marginal(node, c).to_bits());
                     }
-                    counted.blanket_log_scores(codes, node, &candidates, &mut got);
-                    learned.blanket_log_scores(codes, node, &candidates, &mut want);
+                    for (a, b) in blanket_factors(&counted, codes, node).iter().zip(blanket_factors(&learned, codes, node)) {
+                        got.clear();
+                        want.clear();
+                        a.log_probs(&candidates, &mut got);
+                        b.log_probs(&candidates, &mut want);
+                        prop_assert!(got.iter().map(|s| s.to_bits()).eq(want.iter().map(|s| s.to_bits())));
+                    }
+                    got = candidates.iter().map(|&c| counted.blanket_log_score(codes, node, c)).collect();
+                    want = candidates.iter().map(|&c| learned.blanket_log_score(codes, node, c)).collect();
                     prop_assert!(got.iter().map(|s| s.to_bits()).eq(want.iter().map(|s| s.to_bits())));
-                    counted.children_log_likelihoods(codes, node, &candidates, &mut got);
-                    learned.children_log_likelihoods(codes, node, &candidates, &mut want);
+                    got = candidates.iter().map(|&c| counted.children_log_likelihood(codes, node, c)).collect();
+                    want = candidates.iter().map(|&c| learned.children_log_likelihood(codes, node, c)).collect();
                     prop_assert!(got.iter().map(|s| s.to_bits()).eq(want.iter().map(|s| s.to_bits())));
-                    counted.log_joints_with(codes, node, &candidates, &mut got);
-                    learned.log_joints_with(codes, node, &candidates, &mut want);
+                    got = candidates.iter().map(|&c| counted.log_joint_with(codes, node, c)).collect();
+                    want = candidates.iter().map(|&c| learned.log_joint_with(codes, node, c)).collect();
                     prop_assert!(got.iter().map(|s| s.to_bits()).eq(want.iter().map(|s| s.to_bits())));
-                    for (&c, score) in candidates.iter().zip(&got) {
-                        prop_assert_eq!(score.to_bits(), counted.log_joint_with(codes, node, c).to_bits());
+                    let blanket = blanket_factors(&counted, codes, node);
+                    for &c in &candidates {
+                        let mut score = blanket[0].log_prob(c);
+                        for child in &blanket[1..] {
+                            score += child.log_prob(c);
+                        }
+                        prop_assert_eq!(score.to_bits(), counted.blanket_log_score(codes, node, c).to_bits());
                     }
                 }
             }

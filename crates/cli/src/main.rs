@@ -698,7 +698,8 @@ fn constraint_to_spec(constraint: &UserConstraint) -> String {
 /// Machine-readable cleaning report (the workspace builds offline, so the
 /// JSON is written by hand like the `BENCH_*.json` snapshots): the cleaning
 /// counters (`rows_scored` counts the rows the kernel scored; every other
-/// row repeated a scored one and shares its repairs), the fit and clean
+/// row repeated a scored one and shares its repairs), the kernel's work
+/// counters (`run_entries_read`, `factor_evaluations`), the fit and clean
 /// times, and the out-of-core telemetry (chunks, peak-memory proxy).
 fn report_json(input: &str, outcome: &StreamOutcome) -> String {
     let mut repairs = String::new();
@@ -719,7 +720,7 @@ fn report_json(input: &str, outcome: &StreamOutcome) -> String {
     format!(
         "{{\n  \"input\": {},\n  \"rows\": {},\n  \"rows_scored\": {},\n  \"cells_examined\": {},\n  \
          \"cells_skipped\": {},\n  \"candidates_evaluated\": {},\n  \"num_repairs\": {},\n  \
-         \"clean_seconds\": {:.6},\n  \"fit_seconds\": {:.6},\n  \"chunks\": {},\n  \"peak_bytes\": {},\n  \
+         \"run_entries_read\": {},\n  \"factor_evaluations\": {},\n  \"clean_seconds\": {:.6},\n  \"fit_seconds\": {:.6},\n  \"chunks\": {},\n  \"peak_bytes\": {},\n  \
          \"repairs\": [\n{}  ]\n}}\n",
         json_string(input),
         outcome.rows,
@@ -728,6 +729,8 @@ fn report_json(input: &str, outcome: &StreamOutcome) -> String {
         outcome.stats.cells_skipped,
         outcome.stats.candidates_evaluated,
         outcome.repairs.len(),
+        outcome.stats.run_entries_read,
+        outcome.stats.factor_evaluations,
         outcome.stats.duration.as_secs_f64(),
         outcome.stats.fit_duration.as_secs_f64(),
         outcome.chunks,
@@ -931,7 +934,14 @@ rule:    ends_with(code, zip)
         assert!(json.contains("\\n"));
         assert!(json.contains("1e308"));
         assert!(json.contains("\"num_repairs\": 1"));
-        for key in ["\"fit_seconds\"", "\"chunks\": 1", "\"peak_bytes\": 64", "\"rows_scored\": 0"] {
+        for key in [
+            "\"fit_seconds\"",
+            "\"chunks\": 1",
+            "\"peak_bytes\": 64",
+            "\"rows_scored\": 0",
+            "\"run_entries_read\": 0",
+            "\"factor_evaluations\": 0",
+        ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         assert_eq!(json_number(f64::NEG_INFINITY), "-1e308");

@@ -165,7 +165,14 @@ fn fit_then_clean_across_processes_matches_in_process() {
             repairs_to_csv(&expected_repairs)
         );
         let report = std::fs::read_to_string(&report_path).expect("report file");
-        for key in ["\"chunks\"", "\"peak_bytes\"", "\"fit_seconds\"", "\"rows_scored\""] {
+        for key in [
+            "\"chunks\"",
+            "\"peak_bytes\"",
+            "\"fit_seconds\"",
+            "\"rows_scored\"",
+            "\"run_entries_read\"",
+            "\"factor_evaluations\"",
+        ] {
             assert!(report.contains(key), "variant {variant_flag}: report lacks {key}:\n{report}");
         }
     }

@@ -37,17 +37,12 @@
 //!
 //! # Posting lists instead of probes
 //!
-//! The per-cell kernel reads the compensatory model's co-occurrence runs
+//! Candidate enumeration reads the compensatory model's co-occurrence runs
 //! rather than probing them once per candidate. A cell with an anchor takes
 //! its candidates from the run of the anchor value — the codes whose pair
 //! count with it is at least 1 — so enumeration costs the anchor's support,
 //! not the column's cardinality; a cell without one walks the whole domain.
-//! The candidates are then scored as a set: the compensatory term one
-//! context column at a time (one run scan per column), the BN term with the
-//! cell's own CPT row and each child's parent base resolved once. Each
-//! candidate still adds its terms in the order of the one-candidate scorer
-//! `score_codes`, which remains for the observed value, so every score,
-//! repair and counter is bit-identical to it.
+//! The list keeps the observed code where enumeration meets it.
 //!
 //! # One score per distinct row
 //!
@@ -55,31 +50,63 @@
 //! cleans tuple by tuple), so identical rows get identical repairs. The
 //! kernel, `BCleanModel::clean_codes`, reads `u32` code rows one at a time
 //! from whatever layout the caller holds, and groups the rows whose codes
-//! are equal and all dictionary codes — and,
-//! when the values come from the caller's dataset, whose values are
-//! identical, because `0` and `-0` share a code. It scores the first row of
-//! each group, in blocks over the groups, and every other row shares that
-//! row's code repairs and counts its counters; a row holding an unseen code
-//! is scored alone. [`BCleanModel::clean`] is encode → kernel → decode, and
-//! the streaming pipeline ([`crate::stream`]) runs the kernel once over its
-//! whole encoding.
+//! are equal and all dictionary codes — and, when the values come from the
+//! caller's dataset, whose values are identical, because `0` and `-0` share
+//! a code. It scores the first row of each group, and every other row
+//! shares that row's code repairs and counts its counters; a row holding an
+//! unseen code is scored alone. [`BCleanModel::clean`] is encode → kernel →
+//! decode, and the streaming pipeline ([`crate::stream`]) runs the kernel
+//! once over its whole encoding.
+//!
+//! # One evaluation per distinct term
+//!
+//! A candidate's score is a sum of terms: one CPT factor per node of the
+//! cell's blanket (§6.1), or of the whole joint, and one compensatory term
+//! per context column (Eq. 2). Each term reads the candidate and one to
+//! three codes of the row, so cells whose candidate lists are equal share
+//! every term whose inputs agree. The kernel therefore runs one column at a
+//! time. Each representative row's cell enumerates its candidates, in
+//! blocks over the rows; the cells whose lists are identical — judged with
+//! the observed code still in the list — form a group, and each group is
+//! cut into work items of bounded size, scored in blocks over the items.
+//! Inside an item every term is evaluated once per distinct input and added
+//! into each member cell's scores:
+//!
+//! * the own CPT factor once per distinct parent row, and each child's
+//!   factor once per distinct (child code, other parents' codes), as
+//!   resolved into a [`FactorKey`];
+//! * each context column's run once per distinct context value, whose
+//!   listed codes' tallies every member with that value adds;
+//! * the observed value reads its factors and its leave-one-out tallies
+//!   from those same terms when its code is in the list, and is probed with
+//!   the one-candidate scorer `score_codes` only when it is not.
+//!
+//! Every member adds its terms in the order `score_codes` adds them, so
+//! every score, repair and counter is bit-identical to scoring each cell
+//! alone; test builds compare every shared score with `score_codes`.
+//! [`BCleanModel::score_candidates`] scores its cell as an item of one.
+//! [`CleaningStats`] counts the work: the run entries read and the factor
+//! evaluations made, which a group's copies do not multiply.
 
 use std::collections::hash_map::{Entry, HashMap, RandomState};
 use std::hash::BuildHasher;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
+use bclean_bayesnet::codehash::CodeHasher;
 use bclean_bayesnet::{
-    learn_structure_encoded, CompiledNetwork, Dag, NetworkEdit, NetworkEditor, NodeCounts,
+    learn_structure_encoded, CodeMap, CompiledNetwork, Dag, Factor, FactorKey, NetworkEdit, NetworkEditor,
+    NodeCounts,
 };
 use bclean_data::{AttrType, CellRef, ColumnDict, Dataset, Domains, EncodedDataset, Schema, Value};
 use bclean_rules::Rule;
 
-use crate::compensatory::CompensatoryModel;
+use crate::compensatory::{log_of_sum, CompensatoryModel, ContextDivisors, NO_SLOT};
 use crate::config::BCleanConfig;
 use crate::constraints::ConstraintSet;
 use crate::exec::ParallelExecutor;
-use crate::report::{CleaningResult, CleaningStats, Repair};
+use crate::report::{approx_repairs_bytes, CleaningResult, CleaningStats, Repair};
 
 /// Minimum projected fit work — `columns × rows` cell visits — below which
 /// the fit-stage executors stay serial regardless of the configured thread
@@ -399,6 +426,8 @@ pub(crate) struct CodeCleaning {
     /// counts its representative's), the rows scored and the kernel's wall
     /// time. `repairs` is left to the decoder.
     pub(crate) stats: CleaningStats,
+    /// The most bytes the kernel held at once beside its input.
+    kernel_bytes: usize,
 }
 
 impl CodeCleaning {
@@ -414,23 +443,173 @@ impl CodeCleaning {
             + std::mem::size_of::<CodeRepair>() * self.repairs.len()
             + std::mem::size_of::<usize>() * self.starts.len()
     }
+
+    /// Approximate bytes the kernel held at its peak beside its input: the
+    /// row groups, one column's cell and list tables, the largest work-item
+    /// buffers of every worker, and the code repairs found so far.
+    pub(crate) fn kernel_bytes(&self) -> usize {
+        self.kernel_bytes
+    }
 }
 
-/// Per-block buffers of the cleaning kernel, reused from cell to cell so
-/// that scoring a cell allocates nothing.
+/// The slot of an observed code its cell's candidate list does not hold.
+const NOT_LISTED: u32 = u32::MAX;
+
+/// The most scores a work item of the cleaning kernel holds per member
+/// table: the cells of an `n`-candidate list are scored in items of at most
+/// `max(1, ITEM_SCORES / n)` cells, and terms are shared only inside an
+/// item. Measured as the median kernel time of in-process `clean_stream`
+/// runs at 1 thread on the seed-1 `perfbench` inputs (2-vCPU host, two
+/// rounds of five passes on `hospital-stream`, three passes on
+/// `wide-batch`): 2¹² took 0.60/0.67 s and 0.69 s, 2¹⁴ 0.52/0.51 s and
+/// 0.65 s, 2¹⁶ 0.49/0.52 s and 0.65 s, 2¹⁸ 0.46/0.36 s and 0.72 s. Smaller
+/// items share fewer terms; at 2¹⁸ the 32-column input slowed, whose items'
+/// tables outgrow the cache. At 2¹⁶ an item's scores and sums take 1 MiB.
+const ITEM_SCORES: usize = 1 << 16;
+
+/// One examined cell of a column with at least one candidate, as
+/// enumeration leaves it for scoring.
+#[derive(Debug, Clone, Copy, Default)]
+struct ListedCell {
+    /// The cell's row group, whose representative row it is in.
+    group: u32,
+    /// The slot of the observed code in the cell's candidate list, or
+    /// [`NOT_LISTED`].
+    observed_at: u32,
+    /// Whether the observed value satisfies the constraints, so that it
+    /// defends the cell with its score (Eq. 1).
+    observed_ok: bool,
+    /// Whether the cell has an anchor, which sets its repair margin.
+    anchored: bool,
+}
+
+/// The distinct candidate lists of one column's cells, numbered by first
+/// appearance, each stored once.
+#[derive(Debug)]
+struct ListTable {
+    /// List `l` is `codes[starts[l]..starts[l + 1]]`.
+    codes: Vec<u32>,
+    starts: Vec<usize>,
+    /// `hashes[l]`: the [`list_hash`] of list `l`.
+    hashes: Vec<u64>,
+    /// The lists of each hash.
+    by_hash: CodeMap<u64, Vec<u32>>,
+}
+
+impl ListTable {
+    fn new() -> ListTable {
+        ListTable { codes: Vec::new(), starts: vec![0], hashes: Vec::new(), by_hash: CodeMap::default() }
+    }
+
+    fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    fn list(&self, l: usize) -> &[u32] {
+        &self.codes[self.starts[l]..self.starts[l + 1]]
+    }
+
+    /// The number of `list`, whose hash is `hash`: an equal list's, or the
+    /// next number when the list is new.
+    fn intern(&mut self, hash: u64, list: &[u32]) -> u32 {
+        let ListTable { codes, starts, hashes, by_hash } = self;
+        let same_hash = by_hash.entry(hash).or_default();
+        let equal = |&&l: &&u32| &codes[starts[l as usize]..starts[l as usize + 1]] == list;
+        if let Some(&l) = same_hash.iter().find(equal) {
+            return l;
+        }
+        same_hash.push(hashes.len() as u32);
+        codes.extend_from_slice(list);
+        starts.push(codes.len());
+        hashes.push(hash);
+        hashes.len() as u32 - 1
+    }
+
+    fn approx_bytes(&self) -> usize {
+        4 * self.codes.len() + 48 * self.len()
+    }
+}
+
+/// A deterministic hash of a candidate list.
+fn list_hash(list: &[u32]) -> u64 {
+    use std::hash::Hasher;
+    let mut hasher = CodeHasher::default();
+    hasher.write_usize(list.len());
+    for &code in list {
+        hasher.write_u32(code);
+    }
+    hasher.finish()
+}
+
+/// One column's examined cells that have a candidate, grouped by candidate
+/// list: `cells[starts[l]..starts[l + 1]]` hold list `l`, in row order.
+#[derive(Debug)]
+struct ColumnCells {
+    lists: ListTable,
+    cells: Vec<ListedCell>,
+    starts: Vec<usize>,
+}
+
+impl ColumnCells {
+    /// The column's work items: each list's cells cut into runs of at most
+    /// `max(1, ITEM_SCORES / n)` cells, `n` the list's length. A pure
+    /// function of the cells, so every thread count scores the same items.
+    fn work_items(&self) -> Vec<(usize, Range<usize>)> {
+        let mut items = Vec::new();
+        for l in 0..self.lists.len() {
+            let cap = (ITEM_SCORES / self.lists.list(l).len()).max(1);
+            let (first, end) = (self.starts[l], self.starts[l + 1]);
+            items.extend((first..end).step_by(cap).map(|start| (l, start..(start + cap).min(end))));
+        }
+        items
+    }
+
+    fn approx_bytes(&self) -> usize {
+        self.lists.approx_bytes()
+            + std::mem::size_of::<ListedCell>() * self.cells.len()
+            + std::mem::size_of::<usize>() * self.starts.len()
+    }
+}
+
+/// Per-block buffers of candidate enumeration, reused from cell to cell so
+/// that enumerating a cell allocates nothing.
 #[derive(Debug, Default)]
 struct CellScratch {
-    /// The cell's candidate codes in enumeration order, less the observed one.
+    /// The cell's candidate list in enumeration order, the observed code
+    /// included where enumeration meets it.
     candidates: Vec<u32>,
     /// The row's values, which tuple rules read with one candidate
     /// substituted.
     row: Vec<Value>,
-    /// The candidates' scores; the BN term until the compensatory one is added.
+    /// The candidates' domain-pruning scores.
     scores: Vec<f64>,
-    /// The candidates' compensatory terms.
-    comp: Vec<f64>,
-    /// The code → candidate map of the compensatory scan.
+    /// The code → candidate map of the domain-pruning scan.
     slots: Vec<u32>,
+}
+
+/// Per-block buffers of scoring work items, reused from item to item.
+#[derive(Debug, Default)]
+struct ItemScratch {
+    /// The members' code rows, one after another.
+    rows: Vec<u32>,
+    /// The members' scores of every listed code, one list's length per
+    /// member: the BN term, then the whole score.
+    scores: Vec<f64>,
+    /// The members' sums of Eq. 2's terms, laid out like `scores`.
+    sums: Vec<f64>,
+    /// The code → slot map of the item's list, [`NO_SLOT`] elsewhere.
+    slots: Vec<u32>,
+    /// The log probabilities of the distinct factors of one term, one
+    /// list's length each, and which key each was evaluated for.
+    factor_values: Vec<f64>,
+    factors: CodeMap<FactorKey, u32>,
+    /// The listed codes in the runs of the distinct values of one context
+    /// column, as `(slot, candidate share, signed counter)`.
+    tallies: Vec<(u32, f64, f64)>,
+    /// Per distinct context value: its range of `tallies` and its divisors,
+    /// and which value each was read for.
+    contexts: Vec<(Range<usize>, ContextDivisors)>,
+    context_of: CodeMap<u32, u32>,
 }
 
 /// What cleaning one column needs beyond the model, resolved once per
@@ -443,6 +622,54 @@ struct ColumnPlan {
     /// DAG, or the whole tuple when the column has no neighbours. Empty
     /// when domain pruning is off.
     context: Vec<usize>,
+}
+
+/// The factors of one term position of a work item's members, evaluated
+/// once per distinct [`FactorKey`] over the item's candidate list.
+struct FactorTerms<'a> {
+    list: &'a [u32],
+    /// The members' code rows, `m` codes each.
+    rows: &'a [u32],
+    m: usize,
+    /// The distinct factors' log probabilities, one list's length each.
+    values: &'a mut Vec<f64>,
+    /// Where each key's probabilities start in `values`.
+    keys: &'a mut CodeMap<FactorKey, u32>,
+    /// The most bytes `values` held.
+    held: usize,
+}
+
+impl FactorTerms<'_> {
+    /// Add each member's factor, `factor(row)`, into its `scores`, one
+    /// list's length per member; `first` sets them instead, as the first
+    /// term of a sum.
+    fn add<'n>(
+        &mut self,
+        scores: &mut [f64],
+        first: bool,
+        work: &mut CleaningStats,
+        factor: impl Fn(&[u32]) -> Factor<'n>,
+    ) {
+        let n = self.list.len();
+        self.keys.clear();
+        self.values.clear();
+        for (row, score) in self.rows.chunks_exact(self.m).zip(scores.chunks_exact_mut(n)) {
+            let factor = factor(row);
+            let values = &mut *self.values;
+            let at = *self.keys.entry(factor.key()).or_insert_with(|| {
+                work.factor_evaluations += n;
+                factor.log_probs(self.list, values);
+                (values.len() - n) as u32
+            }) as usize;
+            let values = &self.values[at..at + n];
+            if first {
+                score.copy_from_slice(values);
+            } else {
+                score.iter_mut().zip(values).for_each(|(s, &v)| *s += v);
+            }
+        }
+        self.held = self.held.max(8 * self.values.len());
+    }
 }
 
 /// A fitted BClean model, ready to clean datasets that share the training
@@ -527,28 +754,38 @@ impl BCleanModel {
     /// Score every candidate repair for one cell, returning `(candidate,
     /// score)` pairs sorted by decreasing score. The observed value is always
     /// included (it is the arg-max baseline of Algorithm 1). The candidates
-    /// and their scores are exactly those [`BCleanModel::clean`] weighs.
+    /// and their scores are exactly those [`BCleanModel::clean`] weighs: the
+    /// cell is scored as a work item of one cell.
     pub fn score_candidates(&self, dataset: &Dataset, row: usize, col: usize) -> Vec<(Value, f64)> {
         let row_values = dataset.row(row).expect("row index in range");
         let dicts = self.compensatory.dicts();
         let row_codes: Vec<u32> = row_values.iter().zip(dicts).map(|(v, d)| d.encode_lossy(v)).collect();
-        let anchor = self.anchor_context_codes(&row_codes, col);
         let plan = self.column_plan(dataset.schema(), col);
         let mut scratch = CellScratch::default();
         scratch.row.extend_from_slice(row_values);
-        let original_at =
-            self.candidate_codes(dataset.schema(), &row_codes, col, anchor, &plan, &mut scratch);
-        self.score_batch(&row_codes, col, &mut scratch);
+        let mut work = CleaningStats::default();
+        let anchor = self.anchor_context_codes(&row_codes, col);
+        let observed_at =
+            self.candidate_codes(dataset.schema(), &row_codes, col, anchor, &plan, &mut scratch, &mut work);
+        let cell = ListedCell { observed_at, ..ListedCell::default() };
+        let mut item = ItemScratch::default();
+        item.rows.extend_from_slice(&row_codes);
+        self.score_item(col, &scratch.candidates, &[cell], &mut item, &mut work);
+        // The observed value keeps its place in the enumeration, so ties
+        // keep enumeration order; only its score carries the leave-one-out.
+        let observed = row_codes[col];
         let mut scored: Vec<(Value, f64)> = scratch
             .candidates
             .iter()
-            .zip(&scratch.scores)
-            .map(|(&c, &score)| (dicts[col].decode(c).clone(), score))
+            .zip(&item.scores)
+            .map(|(&c, &score)| {
+                let value = if c == observed { &row_values[col] } else { dicts[col].decode(c) };
+                (value.clone(), score)
+            })
             .collect();
-        // The observed value keeps its place in the enumeration, so ties
-        // keep enumeration order; only its score carries the leave-one-out.
-        let original_score = self.score_codes(&row_codes, col, row_codes[col]);
-        scored.insert(original_at.unwrap_or(scored.len()), (row_values[col].clone(), original_score));
+        if observed_at == NOT_LISTED {
+            scored.push((row_values[col].clone(), self.score_codes(&row_codes, col, observed)));
+        }
         scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
         scored
     }
@@ -562,6 +799,13 @@ impl BCleanModel {
     /// repair's `from` read the dataset's own values. The result is
     /// identical for every thread count.
     pub fn clean(&self, dataset: &Dataset) -> CleaningResult {
+        self.clean_held(dataset).0
+    }
+
+    /// [`BCleanModel::clean`], and the most bytes the clean held beside the
+    /// dataset and its cleaned copy: the codes and the kernel's peak, or
+    /// the code cleaning and the decoded repairs.
+    pub(crate) fn clean_held(&self, dataset: &Dataset) -> (CleaningResult, usize) {
         let start = Instant::now();
         let n = dataset.num_rows();
         let dicts = self.compensatory.dicts();
@@ -587,23 +831,28 @@ impl BCleanModel {
                 repairs.push(repair);
             }
         }
+        let held = 4 * codes.len()
+            + cleaning.kernel_bytes().max(cleaning.approx_bytes() + approx_repairs_bytes(&repairs));
         let mut stats = cleaning.stats;
         stats.repairs = repairs.len();
         stats.duration = start.elapsed();
         stats.fit_duration = self.fit_duration;
-        CleaningResult { cleaned, repairs, stats }
+        (CleaningResult { cleaned, repairs, stats }, held)
     }
 
     /// The cleaning kernel: Algorithm 1 over every cell of `rows` code rows
     /// of the model's width, which `gather` copies out row by row, so the
     /// rows stay in whatever layout the caller holds them. Identical rows
-    /// are grouped first ([`RowGroups`]); the kernel scores each group's
-    /// first row, in blocks over the groups through the shared
-    /// [`ParallelExecutor`], and every other row of a group shares its code
-    /// repairs and counts its counters, because a cell's repair depends
-    /// only on its row and the model. The block partition depends on the
-    /// group count alone, so the result is identical for every thread
-    /// count.
+    /// are grouped first ([`RowGroups`]), and the kernel scores each group's
+    /// first row; every other row of a group shares its code repairs and
+    /// counts its counters, because a cell's repair depends only on its row
+    /// and the model. The kernel then runs one column at a time: each
+    /// representative's cell enumerates its candidates, the cells whose
+    /// candidate lists are identical are scored together in work items,
+    /// each term of the score evaluated once per distinct input of an item.
+    /// Both fan-outs go through the shared [`ParallelExecutor`], and every
+    /// partition depends on the input alone, so the result and every
+    /// counter are identical for every thread count.
     pub(crate) fn clean_codes(
         &self,
         rows: usize,
@@ -612,45 +861,375 @@ impl BCleanModel {
     ) -> CodeCleaning {
         let start = Instant::now();
         let dicts = self.compensatory.dicts();
-        let m = dicts.len();
         let RowGroups { group, reps, sizes } = RowGroups::of(rows, &gather, dicts, values);
-        let plans: Vec<ColumnPlan> = (0..m).map(|col| self.column_plan(values.schema(), col)).collect();
+        let mut stats = CleaningStats::default();
+        let mut found: Vec<(u32, CodeRepair)> = Vec::new();
+        let mut peak = 0;
+        for col in 0..dicts.len() {
+            let plan = self.column_plan(values.schema(), col);
+            let cells = self.enumerate_column(col, &plan, &reps, &sizes, &gather, values, &mut stats);
+            let items_bytes = self.score_column(col, &cells, &reps, &gather, &mut stats, &mut found);
+            peak = peak.max(
+                cells.approx_bytes() + items_bytes + std::mem::size_of::<(u32, CodeRepair)>() * found.len(),
+            );
+        }
+        found.sort_unstable_by_key(|&(g, repair)| (g, repair.col));
+        let mut starts = Vec::with_capacity(reps.len() + 1);
+        let mut end = 0;
+        starts.push(end);
+        for g in 0..reps.len() as u32 {
+            end += found[end..].iter().take_while(|&&(owner, _)| owner == g).count();
+            starts.push(end);
+        }
+        stats.rows_scored = reps.len();
+        stats.duration = start.elapsed();
+        CodeCleaning {
+            kernel_bytes: 4 * (group.len() + reps.len() + sizes.len()) + peak,
+            group,
+            repairs: found.into_iter().map(|(_, repair)| repair).collect(),
+            starts,
+            stats,
+        }
+    }
+
+    /// Enumerate column `col` of every representative row, in blocks over
+    /// the representatives, and group the cells with a candidate by their
+    /// candidate list. Counts each cell once per row of its group.
+    #[allow(clippy::too_many_arguments)]
+    fn enumerate_column(
+        &self,
+        col: usize,
+        plan: &ColumnPlan,
+        reps: &[u32],
+        sizes: &[u32],
+        gather: &(impl Fn(usize, &mut [u32]) + Sync),
+        values: RowValues<'_>,
+        stats: &mut CleaningStats,
+    ) -> ColumnCells {
+        let dicts = self.compensatory.dicts();
+        let m = dicts.len();
         let executor = ParallelExecutor::for_config(&self.config, reps.len());
-        let batches = executor.execute(reps.len(), |block| {
-            let mut repairs = Vec::new();
-            let mut ends = Vec::with_capacity(block.len());
-            let mut stats = CleaningStats::default();
+        let blocks = executor.execute(reps.len(), |block| {
+            let mut lists = ListTable::new();
+            let mut cells = Vec::new();
+            let mut work = CleaningStats::default();
             let mut scratch = CellScratch::default();
             let mut row_codes = vec![0u32; m];
             for g in block {
                 let row = reps[g] as usize;
                 gather(row, &mut row_codes);
                 let copies = sizes[g] as usize;
-                self.clean_row(
-                    values,
-                    row,
-                    &row_codes,
-                    copies,
-                    &plans,
-                    &mut scratch,
-                    &mut stats,
-                    &mut repairs,
-                );
-                ends.push(repairs.len());
+                // Pre-detection / tuple pruning (§6.2): skip cells that
+                // already co-occur strongly with the rest of their tuple.
+                if self.config.tuple_pruning && row_codes[col] != dicts[col].null_code() {
+                    work.run_entries_read += m - 1;
+                    if self.compensatory.filter_score_codes(&row_codes, col) >= self.config.tau_clean {
+                        work.cells_skipped += copies;
+                        continue;
+                    }
+                }
+                work.cells_examined += copies;
+                let cell = self.enumerate_cell(values, row, &row_codes, col, plan, &mut scratch, &mut work);
+                let candidates = scratch.candidates.len() - (cell.observed_at != NOT_LISTED) as usize;
+                work.candidates_evaluated += copies * candidates;
+                if candidates > 0 {
+                    let l = lists.intern(list_hash(&scratch.candidates), &scratch.candidates);
+                    cells.push((l, ListedCell { group: g as u32, ..cell }));
+                }
             }
-            (repairs, ends, stats)
+            (lists, cells, work)
         });
-        let mut cleaning =
-            CodeCleaning { group, repairs: Vec::new(), starts: vec![0], stats: CleaningStats::default() };
-        for (mut repairs, ends, stats) in batches {
-            let offset = cleaning.repairs.len();
-            cleaning.starts.extend(ends.into_iter().map(|end| offset + end));
-            cleaning.repairs.append(&mut repairs);
-            cleaning.stats.merge(&stats);
+        // Number the lists by first appearance over all blocks, then sort
+        // the cells by list, stably, so each list's cells stay in row order.
+        let mut lists = ListTable::new();
+        let mut numbered = Vec::new();
+        for (local, cells, work) in blocks {
+            stats.merge(&work);
+            let global: Vec<u32> =
+                (0..local.len()).map(|l| lists.intern(local.hashes[l], local.list(l))).collect();
+            numbered.extend(cells.into_iter().map(|(l, cell)| (global[l as usize], cell)));
         }
-        cleaning.stats.rows_scored = reps.len();
-        cleaning.stats.duration = start.elapsed();
-        cleaning
+        numbered.sort_by_key(|&(l, _)| l);
+        let mut starts = vec![0usize; lists.len() + 1];
+        for &(l, _) in &numbered {
+            starts[l as usize + 1] += 1;
+        }
+        for l in 0..lists.len() {
+            starts[l + 1] += starts[l];
+        }
+        ColumnCells { lists, cells: numbered.into_iter().map(|(_, cell)| cell).collect(), starts }
+    }
+
+    /// Enumerate one examined cell into `scratch.candidates` and say where
+    /// its observed code sits, whether the observed value satisfies the
+    /// constraints and whether the cell has an anchor. Values are only read
+    /// for tuple-rule checks (columns referenced by row rules) and for the
+    /// constraint check of an unseen code.
+    #[allow(clippy::too_many_arguments)]
+    fn enumerate_cell(
+        &self,
+        values: RowValues<'_>,
+        row: usize,
+        row_codes: &[u32],
+        col: usize,
+        plan: &ColumnPlan,
+        scratch: &mut CellScratch,
+        work: &mut CleaningStats,
+    ) -> ListedCell {
+        let dicts = self.compensatory.dicts();
+        let schema = values.schema();
+        let rules = &plan.rules;
+        if !rules.is_empty() {
+            values.fill_row(dicts, row, row_codes, &mut scratch.row);
+        }
+        let original_code = row_codes[col];
+        let anchor = self.anchor_context_codes(row_codes, col);
+        // A value that violates its own user constraints is known to be wrong
+        // (Eq. 1 restricts the arg-max to UC-satisfying values), so it cannot
+        // defend its cell: the best constraint-satisfying candidate wins.
+        let observed_ok = !self.config.use_constraints
+            || (self.attr_ok(col, original_code, || values.cell(dicts, row, col, original_code))
+                && rules.iter().all(|r| r.check_row(schema, &scratch.row)));
+        let observed_at = self.candidate_codes(schema, row_codes, col, anchor, plan, scratch, work);
+        ListedCell { group: 0, observed_at, observed_ok, anchored: anchor.is_some() }
+    }
+
+    /// Score column `col`'s cells in work items, in blocks over the items,
+    /// and push a code repair for each cell whose best candidate beats its
+    /// observed value. Returns the bytes the workers' item buffers hold at
+    /// most.
+    fn score_column(
+        &self,
+        col: usize,
+        cells: &ColumnCells,
+        reps: &[u32],
+        gather: &(impl Fn(usize, &mut [u32]) + Sync),
+        stats: &mut CleaningStats,
+        found: &mut Vec<(u32, CodeRepair)>,
+    ) -> usize {
+        let m = self.compensatory.dicts().len();
+        let space = self.compensatory.dicts()[col].code_space();
+        let items = cells.work_items();
+        let executor = ParallelExecutor::for_config(&self.config, items.len());
+        let blocks = executor.execute(items.len(), |block| {
+            let mut scratch = ItemScratch::default();
+            let mut work = CleaningStats::default();
+            let mut repairs = Vec::new();
+            // The most bytes an item's buffers held: the member rows, the
+            // scores and sums, the slot map and its largest term table.
+            let mut held = 0;
+            for (l, range) in &items[block] {
+                let list = cells.lists.list(*l);
+                let members = &cells.cells[range.clone()];
+                scratch.rows.clear();
+                scratch.rows.resize(members.len() * m, 0);
+                for (cell, row) in members.iter().zip(scratch.rows.chunks_exact_mut(m)) {
+                    gather(reps[cell.group as usize] as usize, row);
+                }
+                let tables = self.score_item(col, list, members, &mut scratch, &mut work);
+                held = held.max(4 * members.len() * m + 16 * members.len() * list.len() + 4 * space + tables);
+                for (i, cell) in members.iter().enumerate() {
+                    if let Some(repair) = self.choose_repair(col, list, cell, &scratch, i, &mut work) {
+                        repairs.push((cell.group, repair));
+                    }
+                }
+            }
+            (repairs, work, held)
+        });
+        let mut largest = 0;
+        for (mut repairs, work, held) in blocks {
+            stats.merge(&work);
+            found.append(&mut repairs);
+            largest = largest.max(held);
+        }
+        executor.threads() * largest
+    }
+
+    /// Algorithm 1's decision for member `i` of a scored work item: a
+    /// repair when some candidate beats the observed value by the margin.
+    fn choose_repair(
+        &self,
+        col: usize,
+        list: &[u32],
+        cell: &ListedCell,
+        scratch: &ItemScratch,
+        i: usize,
+        work: &mut CleaningStats,
+    ) -> Option<CodeRepair> {
+        let (n, m) = (list.len(), self.compensatory.dicts().len());
+        let scores = &scratch.scores[i * n..(i + 1) * n];
+        let original_score = if !cell.observed_ok {
+            f64::NEG_INFINITY
+        } else if cell.observed_at != NOT_LISTED {
+            scores[cell.observed_at as usize]
+        } else {
+            let row = &scratch.rows[i * m..(i + 1) * m];
+            self.count_probe(col, work);
+            self.score_codes(row, col, row[col])
+        };
+        let base_margin =
+            if cell.anchored { self.config.repair_margin } else { self.config.no_anchor_margin };
+        let mut best: Option<(u32, f64)> = None;
+        for (slot, (&candidate, &score)) in list.iter().zip(scores).enumerate() {
+            if slot as u32 == cell.observed_at {
+                continue;
+            }
+            let margin = if best.is_none() && original_score.is_finite() { base_margin } else { 0.0 };
+            if score > best.map_or(original_score, |(_, s)| s) + margin {
+                best = Some((candidate, score));
+            }
+        }
+        best.map(|(to_code, score)| CodeRepair {
+            col,
+            to_code,
+            score_gain: if original_score.is_finite() { score - original_score } else { f64::INFINITY },
+        })
+    }
+
+    /// Score every member of one work item, cells of column `col` that
+    /// share the candidate list `list`, whose code rows are in
+    /// `scratch.rows`: into `scratch.scores`, each member's score of every
+    /// listed code, its observed code's slot holding the observed value's
+    /// score with its leave-one-out. Each term of the score is evaluated
+    /// once per distinct input among the members — a CPT factor per
+    /// distinct [`FactorKey`], a context column's run per distinct value —
+    /// and added into every member's scores in the order
+    /// [`BCleanModel::score_codes`] adds it, so each score is that
+    /// scorer's bit for bit. Returns the bytes of the largest term table.
+    fn score_item(
+        &self,
+        col: usize,
+        list: &[u32],
+        members: &[ListedCell],
+        scratch: &mut ItemScratch,
+        work: &mut CleaningStats,
+    ) -> usize {
+        let (n, m) = (list.len(), self.compensatory.dicts().len());
+        let net = &self.compiled;
+        let ItemScratch { rows, scores, sums, slots, factor_values, factors, tallies, contexts, context_of } =
+            scratch;
+        scores.clear();
+        scores.resize(members.len() * n, 0.0);
+        if n == 0 {
+            return 0;
+        }
+        // The BN term: the blanket's factors (§6.1) or the whole joint,
+        // each shared by the members whose factor has the same key.
+        let mut terms =
+            FactorTerms { list, rows: &rows[..], m, values: factor_values, keys: factors, held: 0 };
+        let has_parents = net.has_parents(col);
+        if self.config.partitioned_inference {
+            if has_parents {
+                terms.add(scores, true, work, |row| net.own_factor(row, col));
+            }
+            for &child in net.children(col) {
+                terms.add(scores, false, work, |row| net.child_factor(row, child, col));
+            }
+        } else {
+            for node in 0..m {
+                if node == col {
+                    terms.add(scores, false, work, |row| net.own_factor(row, col));
+                } else if net.parents(node).contains(&col) {
+                    terms.add(scores, false, work, |row| net.child_factor(row, node, col));
+                } else {
+                    // A factor the candidate does not enter: one value per member.
+                    for (row, score) in rows.chunks_exact(m).zip(scores.chunks_exact_mut(n)) {
+                        let fixed = net.node(node).log_prob_row(row, row[node]);
+                        score.iter_mut().for_each(|s| *s += fixed);
+                    }
+                    work.factor_evaluations += members.len();
+                }
+            }
+            if !has_parents {
+                // Remove the node's own prior factor (uniform-prior treatment).
+                let marginals: Vec<f64> = list.iter().map(|&c| net.log_marginal(col, c)).collect();
+                work.factor_evaluations += n;
+                for score in scores.chunks_exact_mut(n) {
+                    score.iter_mut().zip(&marginals).for_each(|(s, &v)| *s -= v);
+                }
+            }
+        }
+        let mut tables = terms.held;
+        // The compensatory term (Eq. 2), one context column at a time: a
+        // distinct context value's run is scanned once, and each member
+        // adds the shares of its listed codes.
+        sums.clear();
+        sums.resize(members.len() * n, 0.0);
+        if self.config.use_compensatory && self.compensatory.num_rows() > 0 {
+            let comp = &*self.compensatory;
+            let space = comp.dicts()[col].code_space();
+            if slots.len() < space {
+                slots.resize(space, NO_SLOT);
+            }
+            for (slot, &c) in list.iter().enumerate() {
+                slots[c as usize] = slot as u32;
+            }
+            for k in (0..m).filter(|&k| k != col) {
+                context_of.clear();
+                contexts.clear();
+                tallies.clear();
+                for ((row, sum), cell) in rows.chunks_exact(m).zip(sums.chunks_exact_mut(n)).zip(members) {
+                    let e = row[k];
+                    let at = *context_of.entry(e).or_insert_with(|| {
+                        let divisors = comp.context_divisors(k, e);
+                        let first = tallies.len();
+                        work.run_entries_read += comp.for_each_context_corr(col, k, e, |c, corr| {
+                            let slot = slots[c as usize];
+                            if slot != NO_SLOT {
+                                tallies.push((slot, divisors.candidate_share(corr), corr));
+                            }
+                        });
+                        contexts.push((first..tallies.len(), divisors));
+                        contexts.len() as u32 - 1
+                    }) as usize;
+                    let (range, divisors) = &contexts[at];
+                    let mut observed_corr = 0.0;
+                    for &(slot, share, corr) in &tallies[range.clone()] {
+                        if slot == cell.observed_at {
+                            observed_corr = corr;
+                        } else {
+                            sum[slot as usize] += share;
+                        }
+                    }
+                    if cell.observed_at != NOT_LISTED {
+                        sum[cell.observed_at as usize] += divisors.observed_share(observed_corr);
+                    }
+                }
+                tables = tables.max(
+                    std::mem::size_of::<(u32, f64, f64)>() * tallies.len()
+                        + std::mem::size_of::<(Range<usize>, ContextDivisors)>() * contexts.len(),
+                );
+            }
+            for &c in list {
+                slots[c as usize] = NO_SLOT;
+            }
+        }
+        for (score, &sum) in scores.iter_mut().zip(sums.iter()) {
+            *score += log_of_sum(sum);
+        }
+        debug_assert!(
+            rows.chunks_exact(m).zip(scores.chunks_exact(n)).all(|(row, scores)| {
+                list.iter().zip(scores).all(|(&c, s)| s.to_bits() == self.score_codes(row, col, c).to_bits())
+            }),
+            "the shared terms must add up to the one-candidate scorer bit for bit"
+        );
+        tables
+    }
+
+    /// Count the work of one [`BCleanModel::score_codes`] probe of column
+    /// `col`: its CPT factors and one point probe per context column.
+    fn count_probe(&self, col: usize, work: &mut CleaningStats) {
+        let net = &self.compiled;
+        let m = self.compensatory.dicts().len();
+        let has_parents = net.has_parents(col);
+        work.factor_evaluations += if self.config.partitioned_inference {
+            net.children(col).len() + has_parents as usize
+        } else {
+            m + !has_parents as usize
+        };
+        if self.config.use_compensatory && self.compensatory.num_rows() > 0 {
+            work.run_entries_read += m - 1;
+        }
     }
 
     /// Decode one code repair of `row`, whose codes are `row_codes`, into a
@@ -672,94 +1251,6 @@ impl BCleanModel {
             to: dicts[col].decode(repair.to_code).clone(),
             score_gain: repair.score_gain,
         }
-    }
-
-    /// Clean every cell of one representative row, pushing its code
-    /// repairs and counting each counter once per row of its group
-    /// (`copies`).
-    #[allow(clippy::too_many_arguments)]
-    fn clean_row(
-        &self,
-        values: RowValues<'_>,
-        row: usize,
-        row_codes: &[u32],
-        copies: usize,
-        plans: &[ColumnPlan],
-        scratch: &mut CellScratch,
-        stats: &mut CleaningStats,
-        repairs: &mut Vec<CodeRepair>,
-    ) {
-        let dicts = self.compensatory.dicts();
-        for (col, plan) in plans.iter().enumerate() {
-            // Pre-detection / tuple pruning (§6.2): skip cells that already
-            // co-occur strongly with the rest of their tuple.
-            if self.config.tuple_pruning
-                && row_codes[col] != dicts[col].null_code()
-                && self.compensatory.filter_score_codes(row_codes, col) >= self.config.tau_clean
-            {
-                stats.cells_skipped += copies;
-                continue;
-            }
-            stats.cells_examined += copies;
-            let repair = self.infer_cell_codes(values, row, row_codes, col, plan, scratch);
-            stats.candidates_evaluated += copies * scratch.candidates.len();
-            repairs.extend(repair);
-        }
-    }
-
-    /// Algorithm 1 for one cell over dictionary codes: return a repair when
-    /// some candidate beats the observed value, leaving the candidates
-    /// weighed in `scratch.candidates`. Values are only read for tuple-rule
-    /// checks (columns referenced by row rules) and for the constraint
-    /// check of an unseen code.
-    fn infer_cell_codes(
-        &self,
-        values: RowValues<'_>,
-        row: usize,
-        row_codes: &[u32],
-        col: usize,
-        plan: &ColumnPlan,
-        scratch: &mut CellScratch,
-    ) -> Option<CodeRepair> {
-        let dicts = self.compensatory.dicts();
-        let schema = values.schema();
-        let rules = &plan.rules;
-        if !rules.is_empty() {
-            values.fill_row(dicts, row, row_codes, &mut scratch.row);
-        }
-        let original_code = row_codes[col];
-        let anchor = self.anchor_context_codes(row_codes, col);
-        // A value that violates its own user constraints is known to be wrong
-        // (Eq. 1 restricts the arg-max to UC-satisfying values), so it cannot
-        // defend its cell: the best constraint-satisfying candidate wins.
-        let original_satisfies_uc = !self.config.use_constraints
-            || (self.attr_ok(col, original_code, || values.cell(dicts, row, col, original_code))
-                && rules.iter().all(|r| r.check_row(schema, &scratch.row)));
-        let original_score = if original_satisfies_uc {
-            self.score_codes(row_codes, col, original_code)
-        } else {
-            f64::NEG_INFINITY
-        };
-        let mut best_code: Option<u32> = None;
-        let mut best_score = original_score;
-
-        let base_margin =
-            if anchor.is_some() { self.config.repair_margin } else { self.config.no_anchor_margin };
-        self.candidate_codes(schema, row_codes, col, anchor, plan, scratch);
-        self.score_batch(row_codes, col, scratch);
-        for (&candidate, &score) in scratch.candidates.iter().zip(&scratch.scores) {
-            let margin = if best_code.is_none() && original_score.is_finite() { base_margin } else { 0.0 };
-            if score > best_score + margin {
-                best_score = score;
-                best_code = Some(candidate);
-            }
-        }
-
-        best_code.map(|to_code| CodeRepair {
-            col,
-            to_code,
-            score_gain: if original_score.is_finite() { best_score - original_score } else { f64::INFINITY },
-        })
     }
 
     /// Per-attribute `UC(value)` verdict for one code, using the
@@ -846,10 +1337,11 @@ impl BCleanModel {
     /// relevant to the column (Eq. 1's `UC(c) = 1`), then optionally by
     /// domain pruning (§6.2), which keeps the TF-IDF top-k of the column's
     /// pruning context, scored one context column at a time over the
-    /// compensatory runs. The observed value's code is not among the
-    /// candidates: the return value is the position it holds in the
-    /// enumeration (after the last candidate when only the cell supplies
-    /// it), or `None` for a null cell.
+    /// compensatory runs. The observed value's code stays in the list where
+    /// enumeration meets it: the return value is its slot, or
+    /// [`NOT_LISTED`] when the list does not hold it. Counts the run
+    /// entries read.
+    #[allow(clippy::too_many_arguments)]
     fn candidate_codes(
         &self,
         schema: &Schema,
@@ -858,7 +1350,8 @@ impl BCleanModel {
         anchor: Option<usize>,
         plan: &ColumnPlan,
         scratch: &mut CellScratch,
-    ) -> Option<usize> {
+        work: &mut CleaningStats,
+    ) -> u32 {
         let dict = &self.compensatory.dicts()[col];
         let rules = &plan.rules;
         let check_rules = self.config.use_constraints && !rules.is_empty();
@@ -888,7 +1381,9 @@ impl BCleanModel {
         // dictionary.
         match anchor {
             Some(k) => {
-                for &code in self.compensatory.cooccurring_codes(k, row_codes[k], col) {
+                let run = self.compensatory.cooccurring_codes(k, row_codes[k], col);
+                work.run_entries_read += run.len();
+                for &code in run {
                     if dict.is_value_code(code) {
                         accept(code);
                     }
@@ -906,63 +1401,24 @@ impl BCleanModel {
         if self.config.domain_pruning && out.len() > self.config.domain_top_k {
             // Treat the cell's sub-network as the semantic context and keep the
             // TF-IDF top-k candidates.
-            self.compensatory.tfidf_scores_codes(row_codes, col, out, &plan.context, slots, scores);
+            work.run_entries_read +=
+                self.compensatory.tfidf_scores_codes(row_codes, col, out, &plan.context, slots, scores);
             let mut scored: Vec<(f64, u32)> = scores.iter().copied().zip(out.iter().copied()).collect();
             scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
             out.clear();
             out.extend(scored.into_iter().take(self.config.domain_top_k).map(|(_, c)| c));
         }
 
-        match out.iter().position(|&c| c == row_codes[col]) {
-            Some(at) => {
-                out.remove(at);
-                Some(at)
-            }
-            None => (row_codes[col] != dict.null_code()).then_some(out.len()),
-        }
-    }
-
-    /// The Algorithm 1 scores of the candidates in `scratch.candidates`,
-    /// into `scratch.scores`: [`BCleanModel::score_codes`] of each, bit for
-    /// bit, computed one factor and one context column at a time over the
-    /// whole set. The candidates must not include the observed code.
-    fn score_batch(&self, row_codes: &[u32], col: usize, scratch: &mut CellScratch) {
-        let CellScratch { candidates, scores, comp, slots, .. } = scratch;
-        let has_parents = self.compiled.has_parents(col);
-        if self.config.partitioned_inference {
-            if has_parents {
-                self.compiled.blanket_log_scores(row_codes, col, candidates, scores);
-            } else {
-                self.compiled.children_log_likelihoods(row_codes, col, candidates, scores);
-            }
-        } else {
-            self.compiled.log_joints_with(row_codes, col, candidates, scores);
-            if !has_parents {
-                for (score, &c) in scores.iter_mut().zip(candidates.iter()) {
-                    *score -= self.compiled.log_marginal(col, c);
-                }
-            }
-        }
-        if self.config.use_compensatory {
-            self.compensatory.log_scores_codes(row_codes, col, candidates, slots, comp);
-            for (score, &term) in scores.iter_mut().zip(comp.iter()) {
-                *score += term;
-            }
-        }
-        debug_assert!(
-            candidates
-                .iter()
-                .zip(scores.iter())
-                .all(|(&c, s)| s.to_bits() == self.score_codes(row_codes, col, c).to_bits()),
-            "the batched scores must equal the one-candidate scorer bit for bit"
-        );
+        out.iter().position(|&c| c == row_codes[col]).map_or(NOT_LISTED, |at| at as u32)
     }
 
     /// The Algorithm 1 score of one candidate code:
     /// `log BN[A_j](c) + log CS[A_j](c)`, evaluated entirely through the
-    /// compiled (code-indexed) models. Cleaning calls it only for the
-    /// observed value, whose compensatory term carries the leave-one-out;
-    /// the other candidates go through [`BCleanModel::score_batch`].
+    /// compiled (code-indexed) models. It is the one-candidate oracle:
+    /// cleaning calls it only for an observed value its cell's candidate
+    /// list does not hold (the compensatory term of the observed value
+    /// carries the leave-one-out), and test builds compare every score of
+    /// [`BCleanModel::score_item`] with it.
     ///
     /// Nodes without parents are scored with a uniform prior (paper §6.1):
     /// only the likelihood of their children and the compensatory score

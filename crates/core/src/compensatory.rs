@@ -30,11 +30,14 @@
 //! stored [`ColumnDict`]s before delegating.
 //!
 //! The cleaner reads the runs whole. Its anchored candidates are the run
-//! of the anchor value, and it scores a candidate set one context column
-//! at a time: one scan of the run of the tuple's value in that column adds
-//! each listed candidate's term, which is the `Score_corr` sum of every
-//! candidate in the same column order, bit for bit. Point queries remain
-//! for the observed value, whose score leaves its own tuple out.
+//! of the anchor value, and it scores a candidate list one context column
+//! at a time: `CompensatoryModel::for_each_context_corr` scans the run of
+//! a context value once for every cell of a work item that holds that
+//! value, and each cell adds its listed codes' shares
+//! (`ContextDivisors`), the observed value's with its own tuple left out,
+//! which is the `Score_corr` sum of every candidate in the same column
+//! order, bit for bit. Point queries remain for an observed value its
+//! cell's list does not hold.
 
 use std::ops::Range;
 
@@ -401,9 +404,52 @@ impl PairIndex {
     }
 }
 
-/// A code that is no candidate, in the code → candidate map of
-/// [`CompensatoryModel::log_scores_codes`].
-const NO_SLOT: u32 = u32::MAX;
+/// A code that is no candidate, in the code → candidate maps of
+/// [`CompensatoryModel::tfidf_scores_codes`] and the cleaning kernel.
+pub(crate) const NO_SLOT: u32 = u32::MAX;
+
+/// What the tuple's value `e` of one context column `k` divides a
+/// candidate's signed correlation counter by in Eq. 2, as
+/// [`CompensatoryModel::score_corr_codes`] computes it: the share of
+/// `count(e)` among the tuples sharing that value. The observed value leaves
+/// its own tuple out of both the counter and the count.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ContextDivisors {
+    /// `count(e)`, at least 1.
+    candidate: f64,
+    /// `count(e) − 1`, at least 1.
+    observed: f64,
+}
+
+impl ContextDivisors {
+    /// The column's term for a candidate other than the observed value,
+    /// whose counter is `corr`: `corr / count(e)`, bit for bit the term
+    /// `score_corr_codes` adds with no self-support to remove.
+    #[inline]
+    pub(crate) fn candidate_share(&self, corr: f64) -> f64 {
+        corr / self.candidate
+    }
+
+    /// The column's term for the observed value, whose counter is `corr`
+    /// (`0.0` when it is absent from the run): the tuple's own co-occurrence
+    /// and its own count left out.
+    #[inline]
+    pub(crate) fn observed_share(&self, corr: f64) -> f64 {
+        (corr - 1.0) / self.observed
+    }
+}
+
+/// `log(CS[A_j](c))` from the summed terms of Eq. 2, bit for bit
+/// [`CompensatoryModel::log_score_codes`]' `ln(1 + max(sum, 0))`: a sum at
+/// or below zero gives `ln(1) = 0.0` without calling `ln`.
+#[inline]
+pub(crate) fn log_of_sum(sum: f64) -> f64 {
+    if sum > 0.0 {
+        (1.0 + sum).ln()
+    } else {
+        0.0
+    }
+}
 
 /// The unordered column pairs `(lo, hi)`, `lo < hi`, in the order
 /// [`CompensatoryModel::pairs`] stores their indexes.
@@ -836,60 +882,37 @@ impl CompensatoryModel {
         (1.0 + self.score_corr_codes(codes, col, candidate).max(0.0)).ln()
     }
 
-    /// [`CompensatoryModel::log_score_codes`] of every code of `candidates`
-    /// into `out`, bit for bit, one context column at a time. The
-    /// candidates must be distinct codes of `col`'s code space other than
-    /// the observed `codes[col]`, so no leave-one-out applies. For each column
-    /// `k ≠ col` in order, the scan reads the run of the tuple's `k` value
-    /// once and adds `corr / context_count` to each candidate in it. A
-    /// candidate missing from the run would add `+0.0` in
-    /// [`CompensatoryModel::score_corr_codes`], which leaves a sum that
-    /// starts at `+0.0` unchanged, so it is skipped. `slots` is a code →
-    /// candidate map, all [`NO_SLOT`] between calls, that grows as needed.
-    pub(crate) fn log_scores_codes(
+    /// The divisors context value `e` of column `k` lends Eq. 2's term of
+    /// that column (see [`ContextDivisors`]).
+    #[inline]
+    pub(crate) fn context_divisors(&self, k: usize, e: u32) -> ContextDivisors {
+        let count = self.value_count_code(k, e).max(1) as f64;
+        ContextDivisors { candidate: count, observed: (count - 1.0).max(1.0) }
+    }
+
+    /// Visit the codes of column `col` that co-occurred with code `e` of
+    /// context column `k ≠ col`, ascending, each with its signed correlation
+    /// counter `pos − β·neg`: the run of `e` in their index, which holds
+    /// every code whose tally with `e` is non-zero. Every other code's
+    /// counter is `0.0`, whose candidate share leaves a sum that starts at
+    /// `+0.0` unchanged (no share is `−0.0`), so a caller skips it. Returns
+    /// the run's length, the entries read.
+    #[inline]
+    pub(crate) fn for_each_context_corr(
         &self,
-        codes: &[u32],
         col: usize,
-        candidates: &[u32],
-        slots: &mut Vec<u32>,
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        out.resize(candidates.len(), 0.0);
-        if self.num_rows > 0 {
-            let space = self.dicts[col].code_space();
-            if slots.len() < space {
-                slots.resize(space, NO_SLOT);
-            }
-            for (slot, &c) in candidates.iter().enumerate() {
-                debug_assert!(
-                    c != codes[col] && (c as usize) < space,
-                    "a code of the column's space other than the observed one"
-                );
-                slots[c as usize] = slot as u32;
-            }
-            let beta = self.params.beta;
-            for (k, &e) in codes.iter().enumerate().take(self.num_cols) {
-                if k == col {
-                    continue;
-                }
-                // `score_corr_codes`' divisor with no self-support to remove.
-                let context_count = self.value_count_code(k, e).max(1) as f64;
-                let (index, by_lo) = self.pair(k, col);
-                index.for_each_in_run(by_lo, e, |c, entry| {
-                    let slot = slots[c as usize];
-                    if slot != NO_SLOT {
-                        out[slot as usize] += entry.corr(beta) / context_count;
-                    }
-                });
-            }
-            for &c in candidates {
-                slots[c as usize] = NO_SLOT;
-            }
-        }
-        for score in out.iter_mut() {
-            *score = (1.0 + score.max(0.0)).ln();
-        }
+        k: usize,
+        e: u32,
+        mut visit: impl FnMut(u32, f64),
+    ) -> usize {
+        let beta = self.params.beta;
+        let (index, by_lo) = self.pair(k, col);
+        let mut read = 0;
+        index.for_each_in_run(by_lo, e, |c, entry| {
+            read += 1;
+            visit(c, entry.corr(beta));
+        });
+        read
     }
 
     /// Raw co-occurrence count of a value pair, `count(v_j, v_k)`.
@@ -1019,8 +1042,8 @@ impl CompensatoryModel {
     /// unit of support to each candidate in it: the run holds exactly the
     /// codes whose pair count with that value is at least 1. The integer
     /// supports are exact in `f64`, so each score is the same product.
-    /// `slots` is the code → candidate map of
-    /// [`CompensatoryModel::log_scores_codes`], left clear.
+    /// `slots` is a code → candidate map, all [`NO_SLOT`] between calls,
+    /// that grows as needed. Returns the run entries read.
     pub(crate) fn tfidf_scores_codes(
         &self,
         codes: &[u32],
@@ -1029,7 +1052,7 @@ impl CompensatoryModel {
         context_cols: &[usize],
         slots: &mut Vec<u32>,
         out: &mut Vec<f64>,
-    ) {
+    ) -> usize {
         out.clear();
         out.resize(candidates.len(), 0.0);
         let space = self.dicts[col].code_space();
@@ -1039,11 +1062,14 @@ impl CompensatoryModel {
         for (slot, &c) in candidates.iter().enumerate() {
             slots[c as usize] = slot as u32;
         }
+        let mut read = 0;
         for &k in context_cols {
             if k == col {
                 continue;
             }
-            for &c in self.cooccurring_codes(k, codes[k], col) {
+            let run = self.cooccurring_codes(k, codes[k], col);
+            read += run.len();
+            for &c in run {
                 let slot = slots[c as usize];
                 if slot != NO_SLOT {
                     out[slot as usize] += 1.0;
@@ -1054,6 +1080,7 @@ impl CompensatoryModel {
             slots[c as usize] = NO_SLOT;
             *score *= self.idf(col, c);
         }
+        read
     }
 }
 
@@ -1223,10 +1250,11 @@ mod tests {
         assert_eq!(model.pair_count(0, &Value::text("zz"), 1, &Value::text("1")), 0);
     }
 
-    /// The batched term equals `log_score_codes` bit for bit for every
-    /// candidate other than the observed value, at an integral and a
-    /// fractional β, on the fitting rows and on rows carrying values the
-    /// model never saw.
+    /// Eq. 2 assembled from the per-context-column runs and divisors, the
+    /// way the cleaning kernel shares them, equals `log_score_codes` bit for
+    /// bit for every code of the column, the observed one (with its
+    /// leave-one-out) included, at an integral and a fractional β, on the
+    /// fitting rows and on rows carrying values the model never saw.
     #[test]
     fn batched_log_scores_match_log_score_codes() {
         let mut rows: Vec<Vec<Value>> = data().rows().map(|r| r.to_vec()).collect();
@@ -1236,23 +1264,36 @@ mod tests {
             [CompensatoryParams::default(), CompensatoryParams { lambda: 0.25, beta: 0.3, tau: 0.75 }]
         {
             let model = CompensatoryModel::build(&data(), &spellcheck_constraints(), params);
-            let (mut slots, mut out) = (Vec::new(), Vec::new());
             for row in &rows {
                 let codes = model.encode_row(row);
                 for col in 0..codes.len() {
-                    let candidates: Vec<u32> =
-                        (0..model.dicts[col].code_space() as u32).filter(|&c| c != codes[col]).collect();
-                    model.log_scores_codes(&codes, col, &candidates, &mut slots, &mut out);
-                    for (&c, score) in candidates.iter().zip(&out) {
-                        let expected = model.log_score_codes(&codes, col, c);
+                    let space = model.dicts[col].code_space();
+                    let mut sums = vec![0.0f64; space];
+                    let observed = codes[col] as usize;
+                    for k in (0..codes.len()).filter(|&k| k != col) {
+                        let divisors = model.context_divisors(k, codes[k]);
+                        let mut observed_corr = 0.0;
+                        let read = model.for_each_context_corr(col, k, codes[k], |c, corr| {
+                            if c as usize == observed {
+                                observed_corr = corr;
+                            } else {
+                                sums[c as usize] += divisors.candidate_share(corr);
+                            }
+                        });
+                        assert_eq!(read, model.cooccurring_codes(k, codes[k], col).len());
+                        if observed < space {
+                            sums[observed] += divisors.observed_share(observed_corr);
+                        }
+                    }
+                    for (c, &sum) in sums.iter().enumerate() {
+                        let expected = model.log_score_codes(&codes, col, c as u32);
                         assert_eq!(
-                            score.to_bits(),
+                            log_of_sum(sum).to_bits(),
                             expected.to_bits(),
                             "β {} row {row:?} col {col} code {c}",
                             params.beta
                         );
                     }
-                    assert!(slots.iter().all(|&slot| slot == NO_SLOT), "the slot map is left clear");
                 }
             }
         }

@@ -36,6 +36,17 @@ pub struct CleaningStats {
     /// scored row of the same run: it shares that row's repairs, and the
     /// counters above count that row's cells once more for it.
     pub rows_scored: usize,
+    /// Compensatory co-occurrence run entries the kernel read: every entry
+    /// of each run it scanned (an anchor's run, a context value's run once
+    /// per work item, domain pruning's runs), plus one per point probe of a
+    /// single tally. Work done, so the rows that share a scored row's
+    /// repairs add nothing.
+    pub run_entries_read: usize,
+    /// CPT factor evaluations the kernel made: one per candidate per
+    /// distinct factor of a work item, plus one per factor the candidate
+    /// does not enter and per factor of a one-candidate probe. Work done,
+    /// like `run_entries_read`.
+    pub factor_evaluations: usize,
     /// Wall-clock time of the inference loop.
     #[serde(skip)]
     pub duration: Duration,
@@ -61,7 +72,23 @@ impl CleaningStats {
         self.candidates_evaluated += other.candidates_evaluated;
         self.repairs += other.repairs;
         self.rows_scored += other.rows_scored;
+        self.run_entries_read += other.run_entries_read;
+        self.factor_evaluations += other.factor_evaluations;
     }
+}
+
+/// Approximate bytes a list of decoded repairs holds: each [`Repair`] plus
+/// the text of its attribute name and of its two values, counted the way
+/// `bclean_data::approx_values_bytes` counts cells.
+pub(crate) fn approx_repairs_bytes(repairs: &[Repair]) -> usize {
+    let text = |value: &Value| match value {
+        Value::Text(s) => s.len(),
+        _ => 0,
+    };
+    repairs
+        .iter()
+        .map(|r| std::mem::size_of::<Repair>() + r.attribute.len() + text(&r.from) + text(&r.to))
+        .sum()
 }
 
 /// Render repairs as the canonical repairs CSV (`row,attribute,from,to,

@@ -28,9 +28,11 @@
 //!    ever held as `Value`s.
 //!
 //! Peak memory is therefore one raw chunk + the (`u32`) encoding + the
-//! confidence vector in pass 1, and the encoding + the group table + the
-//! code repairs + one writer window in pass 2 — codes, not heap `Value`s
-//! — tracked as a deterministic byte proxy in [`StreamOutcome::peak_bytes`].
+//! confidence vector in pass 1. In pass 2 it is the encoding and the
+//! kernel's tables of one column at a time, then the group table, the code
+//! repairs, the decoded repairs and one writer window: codes, not heap
+//! `Value`s, but for the repairs returned. A deterministic byte proxy of
+//! the peak is [`StreamOutcome::peak_bytes`].
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -45,7 +47,7 @@ use bclean_data::{
 
 use crate::cleaner::{BClean, BCleanModel, RowValues};
 use crate::constraints::ConstraintSet;
-use crate::report::{CleaningStats, Repair};
+use crate::report::{approx_repairs_bytes, CleaningStats, Repair};
 use crate::ModelArtifact;
 
 /// How a streaming run chunks its input and where it writes cleaned rows.
@@ -79,9 +81,15 @@ pub struct StreamOutcome {
     pub chunks: usize,
     /// Deterministic peak-memory proxy (bytes): the largest simultaneous
     /// footprint seen during the run — raw chunk + encoding/builder +
-    /// confidence vector while reading, and encoding + group table + code
-    /// repairs + writer buffer while cleaning. A heuristic for benchmarks
-    /// and `--max-memory` accounting, not an allocator measurement.
+    /// confidence vector while reading; while cleaning, the encoding plus
+    /// the larger of the kernel's own peak (row groups, one column's cell
+    /// and candidate-list tables, every worker's largest work-item buffers,
+    /// the code repairs found) and what decoding holds (group table, code
+    /// repairs, the decoded [`StreamOutcome::repairs`] and the writer's
+    /// buffer). [`clean_stream_with_model`] counts each chunk twice (it and
+    /// its cleaned copy) with its clean's peak and the repairs decoded so
+    /// far. A heuristic for benchmarks and `--max-memory` accounting, not an
+    /// allocator measurement.
     pub peak_bytes: usize,
     /// Always `false`: every run parses and encodes its source. The field
     /// stays because the `hospital-stream` benchmark (`perfbench/`) checks
@@ -165,8 +173,15 @@ pub fn clean_stream_with_model<S: ChunkSource + ?Sized>(
     let mut chunks = 0usize;
     let mut peak_bytes = 0usize;
     while let Some(chunk) = source.next_chunk()? {
-        peak_bytes = peak_bytes.max(2 * approx_dataset_bytes(&chunk));
-        let result = model.clean(&chunk);
+        let (result, held) = model.clean_held(&chunk);
+        // The chunk and its cleaned copy, the clean's own peak, and the
+        // repairs decoded so far.
+        peak_bytes = peak_bytes.max(
+            2 * approx_dataset_bytes(&chunk)
+                + held
+                + approx_repairs_bytes(&repairs)
+                + approx_repairs_bytes(&result.repairs),
+        );
         repairs.extend(result.repairs.into_iter().map(|mut repair| {
             repair.at.row += rows;
             repair
@@ -187,7 +202,8 @@ pub fn clean_stream_with_model<S: ChunkSource + ?Sized>(
 /// own encoding, read in place, then each cleaned row decoded straight from
 /// its codes and its group's code repairs into the writer. Returns the
 /// repairs, the statistics and the bytes held beside the encoding at the
-/// pass's peak: the group table, the code repairs and the writer's buffer.
+/// pass's peak: the kernel's own peak while it runs, then the group table,
+/// the code repairs, the decoded repairs and the writer's buffer.
 fn clean_encoded(
     model: &BCleanModel,
     encoded: &EncodedDataset,
@@ -216,7 +232,8 @@ fn clean_encoded(
         }
         writer.push_row(row_codes.iter().zip(dicts).map(|(&code, dict)| dict.decode(code).as_text()))?;
     }
-    let held_bytes = cleaning.approx_bytes() + writer.finish()?;
+    let decoded = cleaning.approx_bytes() + approx_repairs_bytes(&repairs) + writer.finish()?;
+    let held_bytes = cleaning.kernel_bytes().max(decoded);
     let mut stats = cleaning.stats;
     stats.repairs = repairs.len();
     Ok((repairs, stats, held_bytes))
@@ -380,6 +397,35 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `peak_bytes` counts what the clean holds: beside the encoding, the
+    /// decoded repairs the run returns. One-row chunks keep the first
+    /// pass's peak below that sum, so only pass 2's count can reach it.
+    #[test]
+    fn peak_bytes_covers_the_decoded_repairs() {
+        let mut dataset = Dataset::new(dirty_dataset().schema().clone());
+        for _ in 0..10 {
+            for row in dirty_dataset().rows() {
+                dataset.push_row(row.to_vec()).unwrap();
+            }
+        }
+        let encoded = EncodedDataset::from_dataset(&dataset).approx_bytes();
+        let mut source = DatasetChunks::new(dataset.clone(), &[1]);
+        let options = StreamOptions { limits: ChunkLimits::rows(1), ..StreamOptions::default() };
+        let outcome = clean_stream(&cleaner(2), &mut source, &options).expect("stream clean");
+        assert!(outcome.repairs.len() >= 30, "{} repairs", outcome.repairs.len());
+        let repairs = approx_repairs_bytes(&outcome.repairs);
+        assert!(
+            outcome.peak_bytes >= encoded + repairs,
+            "peak {} < encoding {encoded} + decoded repairs {repairs}",
+            outcome.peak_bytes
+        );
+        let model = cleaner(2).fit(&dataset);
+        let mut source = DatasetChunks::new(dataset.clone(), &[7]);
+        let outcome =
+            clean_stream_with_model(&model, &mut source, &StreamOptions::default()).expect("-m clean");
+        assert!(outcome.peak_bytes >= approx_repairs_bytes(&outcome.repairs));
     }
 
     #[test]

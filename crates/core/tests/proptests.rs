@@ -204,6 +204,178 @@ fn assert_scores_match_oracles(dirty: &Dataset, cut: f64) {
     }
 }
 
+/// What `score_candidates` must return for one cell of a model of any
+/// variant, from the one-candidate oracles: [`oracle_ranking`]'s
+/// enumeration, with the constraints checked only when the variant uses
+/// them, each tuple rule that names the column checked on the row with the
+/// candidate substituted, BCleanPIP's TF-IDF top-k over the column's joint
+/// set, and each variant's BN score (the blanket, or the whole joint less
+/// a root's own prior).
+fn variant_ranking(
+    model: &BCleanModel,
+    ucs: &ConstraintSet,
+    schema: &bclean_data::Schema,
+    row: &[Value],
+    col: usize,
+) -> Vec<(Value, f64)> {
+    let (comp, net, dicts, config) = (model.compensatory(), model.compiled(), model.dicts(), model.config());
+    let codes: Vec<u32> = row.iter().zip(dicts).map(|(v, d)| d.encode_lossy(v)).collect();
+    let fd = comp.fd_confidence_matrix();
+    let anchor = (0..row.len())
+        .filter(|&k| k != col && !row[k].is_null() && fd[k][col] >= config.anchor_min_confidence)
+        .filter(|&k| comp.value_count_code(k, codes[k]) >= 2)
+        .min_by_key(|&k| comp.value_count_code(k, codes[k]));
+    let dict = &dicts[col];
+    let walk: Vec<u32> = match dict.code_order() {
+        Some(order) => order.to_vec(),
+        None => (0..dict.cardinality() as u32).collect(),
+    };
+    let name = &model.attribute_names()[col];
+    let rules: Vec<_> = ucs
+        .row_rules()
+        .iter()
+        .filter(|rule| rule.referenced_attributes().iter().any(|a| a.eq_ignore_ascii_case(name)))
+        .collect();
+    let allowed = |c: u32| {
+        let mut substituted = row.to_vec();
+        substituted[col] = dict.decode(c).clone();
+        ucs.check(name, dict.decode(c)) && rules.iter().all(|rule| rule.check_row(schema, &substituted))
+    };
+    let mut ranked: Vec<u32> = walk
+        .into_iter()
+        .filter(|&c| !config.use_constraints || allowed(c))
+        .filter(|&c| anchor.is_none_or(|k| comp.pair_count_codes(col, c, k, codes[k]) >= 1))
+        .collect();
+    if config.domain_pruning && ranked.len() > config.domain_top_k {
+        let mut context = model.dag().joint_set(col);
+        if context.len() <= 1 {
+            context = (0..row.len()).collect();
+        }
+        let mut by_tfidf: Vec<(f64, u32)> =
+            ranked.iter().map(|&c| (comp.tfidf_score_codes(&codes, col, c, &context), c)).collect();
+        by_tfidf.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+        ranked = by_tfidf.into_iter().take(config.domain_top_k).map(|(_, c)| c).collect();
+    }
+    if !row[col].is_null() && !ranked.contains(&codes[col]) {
+        ranked.push(codes[col]);
+    }
+    let score = |c: u32| {
+        let bn = match (config.partitioned_inference, net.has_parents(col)) {
+            (true, true) => net.blanket_log_score(&codes, col, c),
+            (true, false) => net.children_log_likelihood(&codes, col, c),
+            (false, true) => net.log_joint_with(&codes, col, c),
+            (false, false) => net.log_joint_with(&codes, col, c) - net.log_marginal(col, c),
+        };
+        bn + if config.use_compensatory { comp.log_score_codes(&codes, col, c) } else { 0.0 }
+    };
+    let mut scored: Vec<(Value, f64)> = ranked
+        .into_iter()
+        .map(|c| (if c == codes[col] { row[col].clone() } else { dict.decode(c).clone() }, score(c)))
+        .collect();
+    if row[col].is_null() {
+        scored.push((Value::Null, score(codes[col])));
+    }
+    scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    scored
+}
+
+/// Rows that share an anchor value and most context values: zip `z`
+/// determines its state and main city, and its rows repeat the main row but
+/// for one or two edited cells — a minor city, another note, a null city or
+/// state, or (for `unseen`) values no fitted row holds. Many rows therefore
+/// share a zip's candidate lists and most of their context.
+fn near_duplicates(rows: &[(usize, u8, u8)], unseen: bool) -> Vec<Vec<Value>> {
+    rows.iter()
+        .map(|&(z, first, second)| {
+            let mut row = vec![
+                Value::parse(&format!("3515{z}")),
+                Value::text(["CA", "KT", "CO"][z]),
+                Value::text(format!("main{z}")),
+                Value::text(format!("n{z}")),
+            ];
+            for edit in [first, second] {
+                match edit {
+                    1 => row[2] = Value::text(format!("alpha{z}")),
+                    2 => row[2] = Value::text(format!("beta{z}")),
+                    3 => row[3] = Value::text(format!("n{}", (z + 1) % 3)),
+                    4 => row[2] = Value::Null,
+                    5 => row[1] = Value::Null,
+                    6 if unseen => row[2] = Value::text("zz-unseen"),
+                    7 if unseen => row[1] = Value::text("QQ"),
+                    _ => {}
+                }
+            }
+            row
+        })
+        .collect()
+}
+
+/// Clean `dirty` with every variant at 1 and 2 threads, fitting on the
+/// first `cut` rows of `train` and ingesting the rest, and check that the
+/// whole clean equals cleaning each row alone (repairs with their `from`,
+/// and the four counters), and that every cell's `score_candidates` equals
+/// [`variant_ranking`] bit for bit.
+fn assert_shared_terms_clean_like_single_rows(
+    train: &Dataset,
+    dirty: &Dataset,
+    cut: usize,
+    ucs: &ConstraintSet,
+) {
+    let (head, tail) = split_rows(train, cut);
+    for variant in Variant::all() {
+        let mut artifact = BClean::new(variant.config()).with_constraints(ucs.clone()).fit_artifact(&head);
+        artifact.ingest_batch(&tail).unwrap();
+        for threads in [1usize, 2] {
+            artifact.set_threads(threads);
+            let model = artifact.compile();
+            let result = model.clean(dirty);
+            let (mut expected, mut counters) = (Vec::new(), [0usize; 4]);
+            for (r, row) in dirty.rows().enumerate() {
+                let mut single = Dataset::new(dirty.schema().clone());
+                single.push_row(row.to_vec()).unwrap();
+                let one = model.clean(&single);
+                let stats = &one.stats;
+                for (total, count) in counters.iter_mut().zip([
+                    stats.cells_examined,
+                    stats.cells_skipped,
+                    stats.candidates_evaluated,
+                    stats.repairs,
+                ]) {
+                    *total += count;
+                }
+                expected.extend(one.repairs.into_iter().map(|mut repair| {
+                    repair.at.row = r;
+                    repair
+                }));
+            }
+            let context = format!("{variant:?} at {threads} threads");
+            prop_assert_eq!(&result.repairs, &expected, "{}", &context);
+            let stats = &result.stats;
+            prop_assert_eq!(
+                [stats.cells_examined, stats.cells_skipped, stats.candidates_evaluated, stats.repairs],
+                counters,
+                "{}",
+                &context
+            );
+            let bits = |list: &[(Value, f64)]| -> Vec<(Value, u64)> {
+                list.iter().map(|(v, s)| (v.clone(), s.to_bits())).collect()
+            };
+            for (r, row) in dirty.rows().enumerate() {
+                for col in 0..dirty.num_columns() {
+                    prop_assert_eq!(
+                        bits(&model.score_candidates(dirty, r, col)),
+                        bits(&variant_ranking(&model, ucs, dirty.schema(), row, col)),
+                        "{} row {} col {}",
+                        &context,
+                        r,
+                        col
+                    );
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -513,5 +685,43 @@ proptest! {
                 prop_assert_eq!(stats.rows_scored, groups.len() + alone, "{}", &context);
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Cells that share a candidate list share their terms: a BN factor
+    /// per distinct key, a context column's run per distinct value. Cleaning
+    /// a table of near-duplicate rows (many rows share a zip, the anchor of
+    /// their city, and most context values, but differ in one or two cells,
+    /// nulls and unseen values included) equals cleaning each row alone,
+    /// for every variant at 1 and 2 threads, and `score_candidates` equals
+    /// the one-candidate oracles on every cell. The model is grown by
+    /// `ingest_batch`, so its appended dictionaries make enumeration follow
+    /// sort rank, and a tuple rule forbids one minor city beside one note,
+    /// which splits that zip's candidate lists for the city.
+    #[test]
+    fn shared_terms_clean_like_single_rows(
+        rows in proptest::collection::vec((0usize..3, 0u8..8, 0u8..8), 24..64),
+        dirty_rows in proptest::collection::vec((0usize..3, 0u8..8, 0u8..8), 8..24),
+        cut in 0.3f64..0.8,
+    ) {
+        let names = ["zip", "state", "city", "note"];
+        let schema = bclean_data::Schema::from_names(&names).unwrap();
+        let table = |rows: Vec<Vec<Value>>| {
+            let mut data = Dataset::new(schema.clone());
+            for row in rows {
+                data.push_row(row).unwrap();
+            }
+            data
+        };
+        let train = table(near_duplicates(&rows, false));
+        let mut dirty_table = near_duplicates(&rows, false);
+        dirty_table.extend(near_duplicates(&dirty_rows, true));
+        let dirty = table(dirty_table);
+        let ucs = constraints().with_row_rule("!(city == 'beta0' && note == 'n1')").unwrap();
+        let cut = ((train.num_rows() as f64 * cut) as usize).max(2);
+        assert_shared_terms_clean_like_single_rows(&train, &dirty, cut, &ucs);
     }
 }
